@@ -13,6 +13,7 @@ import glob
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -147,83 +148,96 @@ def _resolve_weights(entry: dict, spec: OperatorSpec, base_dir: str) -> tuple:
     return wv, dict(entry)
 
 
-_CONFIG_KEYS = {
-    "schema_version",
-    "seed",
-    "trials",
-    "fraction",
-    "budget",
-    "flip",
-    "spec",
-    "partition",
-    "weights",
-    "densities",
-    "solver",
-}
+# Keys shared by experiment and diagnose configs, then each one's own keys.
+_SHARED_KEYS = {"schema_version", "seed", "spec", "partition", "weights"}
+_CONFIG_KEYS = _SHARED_KEYS | {"trials", "fraction", "budget", "flip", "densities", "solver"}
+_DIAG_KEYS = _SHARED_KEYS | {"density", "m", "trials", "epsilon"}
 _SOLVER_KEYS = {"continuation_steps", "final_mu_factor", "inner_tol", "max_inner"}
+_PARTITION_NAMES = {
+    "singletons": None,
+    "vertical_lines": "lines-v",
+    "horizontal_lines": "lines-h",
+}
 
 
-def load_experiment_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    unknown = set(raw) - _CONFIG_KEYS
+@contextmanager
+def _config_errors(path: str):
+    """Report a missing key or an ill-typed value (or bad JSON) as ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _read_config(path: str, keys: set) -> dict:
+    """The config object at `path`, with only `keys` and schema version 1."""
+    with open(path) as fh, _config_errors(path):
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a config is a JSON object")
+    unknown = set(raw) - keys
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     if raw.get("schema_version") != 1:
         raise ConfigError(f"{path}: schema_version must be 1")
+    return raw
+
+
+def _section(raw: dict, key: str, path: str, keys=None, default=None) -> dict:
+    """The object under `key`, checked for keys outside `keys`."""
+    entry = raw.get(key, default)
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{path}: {key} section must be an object")
+    if keys is not None and set(entry) - keys:
+        raise ConfigError(f"{path}: unknown {key} keys {sorted(set(entry) - keys)}")
+    return entry
+
+
+def _experiment_config(raw: dict, path: str) -> ExperimentConfig:
+    """ExperimentConfig from a checked config object."""
     base_dir = os.path.dirname(os.path.abspath(path))
-    spec_entry = raw.get("spec")
-    if not isinstance(spec_entry, dict):
-        raise ConfigError(f"{path}: spec section is required")
-    spec_keys = {"measurement", "sparsity", "size", "levels"}
-    if set(spec_entry) - spec_keys:
-        raise ConfigError(f"{path}: unknown spec keys")
-    spar = _SPARSITY_ALIASES.get(spec_entry["sparsity"], spec_entry["sparsity"])
-    try:
+    spec_entry = _section(raw, "spec", path, {"measurement", "sparsity", "size", "levels"})
+    part_entry = _section(
+        raw, "partition", path, {"kind", "block_side"}, default={"kind": "singletons"}
+    )
+    solver_entry = _section(raw, "solver", path, _SOLVER_KEYS, default={})
+    with _config_errors(path):
+        spar = spec_entry["sparsity"]
         spec = OperatorSpec(
             Measurement(spec_entry["measurement"]),
-            Sparsity(spar),
+            Sparsity(_SPARSITY_ALIASES.get(spar, spar)),
             int(spec_entry["size"]),
             levels=spec_entry.get("levels"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    part_entry = raw.get("partition", {"kind": "singletons"})
-    if set(part_entry) - {"kind", "block_side"}:
-        raise ConfigError(f"{path}: unknown partition keys")
-    kind = part_entry.get("kind", "singletons")
-    mapping = {
-        "singletons": None,
-        "vertical_lines": "lines-v",
-        "horizontal_lines": "lines-h",
-    }
-    if kind == "squares":
-        partition = BlockPartition.squares(spec.side, int(part_entry["block_side"]))
-    elif kind in mapping:
-        partition = parse_partition(mapping[kind], spec)
-    else:
-        raise ConfigError(f"{path}: unknown partition kind {kind!r}")
-    weights, descriptor = _resolve_weights(raw.get("weights", {}), spec, base_dir)
-    solver_entry = raw.get("solver", {})
-    if set(solver_entry) - _SOLVER_KEYS:
-        raise ConfigError(f"{path}: unknown solver keys")
-    solver = SolverParams(**solver_entry)
-    return ExperimentConfig(
-        spec=spec,
-        weights=weights,
-        density_kinds=list(raw.get("densities", ["adapted", "uniform"])),
-        trials=int(raw.get("trials", 1)),
-        master_seed=int(raw.get("seed", 0)),
-        partition=partition,
-        fraction=raw.get("fraction"),
-        budget=raw.get("budget"),
-        solver=solver,
-        flip_coefficients=bool(raw.get("flip", False)),
-        weight_descriptor=descriptor,
-    )
+        kind = part_entry.get("kind", "singletons")
+        if kind == "squares":
+            partition = BlockPartition.squares(spec.side, int(part_entry["block_side"]))
+        elif kind in _PARTITION_NAMES:
+            partition = parse_partition(_PARTITION_NAMES[kind], spec)
+        else:
+            raise ConfigError(f"{path}: unknown partition kind {kind!r}")
+        weights, descriptor = _resolve_weights(
+            _section(raw, "weights", path, default={}), spec, base_dir
+        )
+        return ExperimentConfig(
+            spec=spec,
+            weights=weights,
+            density_kinds=list(raw.get("densities", ["adapted", "uniform"])),
+            trials=int(raw.get("trials", 1)),
+            master_seed=int(raw.get("seed", 0)),
+            partition=partition,
+            fraction=raw.get("fraction"),
+            budget=raw.get("budget"),
+            solver=SolverParams(**solver_entry),
+            flip_coefficients=bool(raw.get("flip", False)),
+            weight_descriptor=descriptor,
+        )
+
+
+def load_experiment_config(path: str) -> ExperimentConfig:
+    return _experiment_config(_read_config(path, _CONFIG_KEYS), path)
 
 
 # -------------------------------------------------------------- subcommands
@@ -335,65 +349,29 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-_DIAG_KEYS = {
-    "schema_version",
-    "seed",
-    "spec",
-    "partition",
-    "weights",
-    "density",
-    "m",
-    "trials",
-    "epsilon",
-}
-
-
 def _cmd_diagnose(args) -> int:
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    unknown = set(raw) - _DIAG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown diagnose keys {sorted(unknown)}")
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    spar = _SPARSITY_ALIASES.get(raw["spec"]["sparsity"], raw["spec"]["sparsity"])
-    spec = OperatorSpec(
-        Measurement(raw["spec"]["measurement"]),
-        Sparsity(spar),
-        int(raw["spec"]["size"]),
-        levels=raw["spec"].get("levels"),
-    )
-    part_entry = raw.get("partition", {"kind": "singletons"})
-    if part_entry.get("kind") == "squares":
-        partition = BlockPartition.squares(spec.side, int(part_entry["block_side"]))
-    else:
-        mapping = {
-            "singletons": None,
-            "vertical_lines": "lines-v",
-            "horizontal_lines": "lines-h",
-        }
-        partition = parse_partition(mapping[part_entry.get("kind", "singletons")], spec)
-    weights, _ = _resolve_weights(raw["weights"], spec, base_dir)
+    path = args.config
+    raw = _read_config(path, _DIAG_KEYS)
+    with _config_errors(path):
+        budgets = [int(m) for m in (raw["m"] if isinstance(raw["m"], list) else [raw["m"]])]
+        trials = int(raw.get("trials", 200))
+        epsilon = float(raw.get("epsilon", 0.01))
     kind = raw.get("density", "adapted")
-    if kind == "adapted":
-        dens = (
-            adapted_isolated(spec, weights)
-            if partition.kind == "singletons"
-            else adapted_blocks(spec, partition, weights)
-        )
-    else:
-        dens = baseline_density(kind, spec, partition)
-    budgets = raw["m"] if isinstance(raw["m"], list) else [raw["m"]]
+    # the shared sections in the experiment schema, whose budget is unused here
+    shared = {key: raw[key] for key in _SHARED_KEYS if key in raw}
+    cfg = _experiment_config(dict(shared, budget=1), path)
+    dens = harness.build_density(kind, cfg, cfg.weights)
     out = []
     for m in budgets:
         diag = diagnostics(
-            spec,
-            partition,
+            cfg.spec,
+            cfg.partition,
             dens,
-            weights,
-            m=int(m),
-            trials=int(raw.get("trials", 200)),
-            seed=int(raw.get("seed", 0)),
-            epsilon=float(raw.get("epsilon", 0.01)),
+            cfg.weights,
+            m=m,
+            trials=trials,
+            seed=cfg.master_seed,
+            epsilon=epsilon,
         )
         out.append(
             {

@@ -25,10 +25,10 @@ from .transforms import (
     Measurement,
     OperatorSpec,
     RowVector,
-    Sparsity,
     row_chunks,
     row_energies,
     rows_batch,
+    separable_factor,
     signed_frequencies,
 )
 
@@ -198,32 +198,6 @@ def block_inf1_norm(block, support=None) -> float:
     return best
 
 
-def _separable_factor(spec: OperatorSpec) -> np.ndarray | None:
-    """Dense 1D factor phi with A0 = phi (x) phi, or None if non-separable."""
-    if not spec.is_2d:
-        return None
-    if spec.sparsity not in (Sparsity.IDENTITY, Sparsity.TENSOR_HAAR, Sparsity.TENSOR_DB4):
-        return None
-    side = spec.side
-    if spec.measurement == Measurement.HADAMARD2D:
-        from .transforms import _fwht  # 1D factor of the 2D kernel
-
-        phi_m = _fwht(np.eye(side))
-    elif spec.measurement == Measurement.IDENTITY:
-        phi_m = np.eye(side)
-    else:
-        spec_m = OperatorSpec(Measurement.DFT1D, Sparsity.IDENTITY, side)
-        phi_m = rows_batch(spec_m, np.arange(side))
-    if spec.sparsity == Sparsity.IDENTITY:
-        return phi_m
-    name = Sparsity.HAAR1D if spec.sparsity == Sparsity.TENSOR_HAAR else Sparsity.DB4_1D
-    spec_1d = OperatorSpec(Measurement.IDENTITY, name, side, levels=spec.levels)
-    # rows_batch of the 1D (identity x wavelet) spec stacks the rows of the
-    # synthesis matrix Psi1*, so phi = phi_m Psi1* is a plain product.
-    psi_star = rows_batch(spec_1d, np.arange(side))
-    return phi_m @ psi_star
-
-
 def _line_closed_form(phi: np.ndarray, w: np.ndarray, kind: str) -> np.ndarray:
     """Gram-term numerators for line blocks of a separable operator.
 
@@ -250,15 +224,16 @@ def adapted_isolated(spec: OperatorSpec, weights: WeightVector) -> Density:
     omega = weights.omega
     if omega.size != spec.dim:
         raise InvalidWeights("weights do not match the operator dimension")
-    support = omega > 0
+    # a column slice is a view; a boolean mask would copy the energies
+    support = slice(None) if np.all(omega > 0) else omega > 0
     k_total = spec.dim
-    gram = np.empty(k_total)
-    infterm = np.empty(k_total)
     if k_total <= 2048:
         energy = row_energies(spec)
         gram = energy @ omega
         infterm = energy[:, support].max(axis=1)
     else:
+        gram = np.empty(k_total)
+        infterm = np.empty(k_total)
         for idx, mat in row_chunks(spec):
             energy = np.abs(mat) ** 2
             gram[idx] = energy @ omega
@@ -287,13 +262,9 @@ def adapted_blocks(
     if partition.kind == "singletons" and method == "auto":
         iso = adapted_isolated(spec, weights)
         return Density(pi=iso.pi, normalizer=iso.normalizer, kind="adapted_blocks")
-    support = omega > 0
-    masked = None if support.all() else support
-    phi = _separable_factor(spec)
-    is_lines = partition.kind in ("vertical_lines", "horizontal_lines")
-
     if method == "closed_form_lines":
-        if phi is None or not is_lines:
+        phi = separable_factor(spec)
+        if phi is None or partition.kind not in ("vertical_lines", "horizontal_lines"):
             raise InvalidPartition(
                 "closed-form lines need a separable operator and a line partition"
             )
@@ -319,7 +290,7 @@ def block_norm_terms(
     omega = weights.omega
     support = omega > 0
     masked = None if support.all() else support
-    phi = _separable_factor(spec)
+    phi = separable_factor(spec)
     is_lines = partition.kind in ("vertical_lines", "horizontal_lines")
     use_product = method == "auto" and phi is not None and (
         is_lines or partition.kind == "squares"
@@ -374,10 +345,10 @@ def baseline_density(
         return Density(np.full(m, 1.0 / m), float(m), kind="uniform")
     if kind == "coherence":
         if partition.kind == "singletons":
-            numer = np.empty(spec.dim)
             if spec.dim <= 2048:
                 numer = row_energies(spec).max(axis=1)
             else:
+                numer = np.empty(spec.dim)
                 for idx, mat in row_chunks(spec):
                     numer[idx] = (np.abs(mat) ** 2).max(axis=1)
         else:

@@ -74,8 +74,8 @@ def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) ->
     while len(picked) < budget:
         u = rng.random(chunk)
         drawn = atoms[np.searchsorted(cum, u, side="left")]
-        draws += chunk
         for idx in drawn:
+            draws += 1
             if not seen[idx]:
                 seen[idx] = True
                 picked.append(int(idx))

@@ -1,11 +1,19 @@
-"""Fast unitary transforms for the composite operator A0 = Phi Psi*.
+"""Unitary transforms for the composite operator A0 = Phi Psi*.
 
 Phi is the measurement transform (identity, 1D/2D unitary DFT, 2D
 Walsh-Hadamard in Sylvester order) and Psi the sparsity analysis transform
 (identity, periodic orthonormal Haar/DB4 wavelets in 1D, square multilevel
-MRA in 2D, or the separable tensor construction psi (x) psi).  All kernels
-act on the trailing axis/axes of their input, so batches of vectors are
-transformed in a single call.
+MRA in 2D, or the separable tensor construction psi (x) psi).
+
+Every stage except the DFT (which runs on numpy.fft) is a product with
+cached per-axis factor matrices: the Hadamard matrix H, the single-level
+wavelet step S_n and the multilevel analysis W_n.  A 1D wavelet computes
+x W^T; a 2D Hadamard H X H; a tensor wavelet W X W^T; the square MRA
+S_s X S_s^T on the shrinking s x s LL block, one level at a time.  The
+adjoint and synthesis use the transposes.  2D factors are dense side x side
+arrays (O(side^3) work per grid); 1D wavelet factors are CSR, since a dense
+K x K factor would cost O(K^2) memory.  All stages act on the trailing
+axis/axes of their input, so batches of vectors transform in one call.
 
 2D objects are vectorised column-major: flat index r of a side x side grid
 maps to (row, col) = (r % side, r // side).
@@ -19,6 +27,7 @@ from functools import lru_cache
 from math import log2, sqrt
 
 import numpy as np
+from scipy import linalg, sparse
 
 from .errors import DimensionMismatch, InvalidSpec
 
@@ -53,6 +62,10 @@ _2D_SPARSITIES = {
     Sparsity.TENSOR_DB4,
 }
 _1D_SPARSITIES = {Sparsity.HAAR1D, Sparsity.DB4_1D}
+_MRA_SPARSITIES = {Sparsity.HAAR2D, Sparsity.DB4_2D}
+_WAVELET_NAME = {
+    s: "haar" if "haar" in s.value else "db4" for s in Sparsity if s != Sparsity.IDENTITY
+}
 
 # Orthonormal scaling filters (synthesis low-pass); sum = sqrt(2).
 _HAAR_H = np.array([1.0, 1.0]) / sqrt(2.0)
@@ -150,120 +163,74 @@ class RowVector:
 
 
 # ----------------------------------------------------------------------
-# low-level kernels (all act on the trailing axis / axes)
+# per-axis factor matrices, cached and shared read-only by every caller
 
-def _fwht(x: np.ndarray) -> np.ndarray:
-    """Orthonormal Walsh-Hadamard transform (Sylvester order), last axis."""
-    n = x.shape[-1]
-    y = np.array(x, dtype=np.result_type(x.dtype, np.float64), copy=True)
-    flat = y.reshape(-1, n)
-    h = 1
-    while h < n:
-        blk = flat.reshape(flat.shape[0], n // (2 * h), 2, h)
-        a = blk[:, :, 0, :].copy()
-        b = blk[:, :, 1, :]
-        blk[:, :, 0, :] = a + b
-        blk[:, :, 1, :] = a - b
-        h *= 2
-    flat *= 1.0 / sqrt(n)
-    return flat.reshape(y.shape)
+def _frozen(mat):
+    for arr in (mat.data, mat.indices, mat.indptr) if sparse.issparse(mat) else (mat,):
+        arr.flags.writeable = False
+    return mat
 
 
-def _dwt_step(x: np.ndarray, h: np.ndarray, g: np.ndarray):
-    n = x.shape[-1]
+@lru_cache(maxsize=None)
+def _wavelet_step(name: str, n: int) -> sparse.csr_array:
+    """Single-level periodic analysis S_n, low-pass rows above high-pass rows.
+
+    Row i < n/2 holds h[t] at column (2i + t) mod n and row n/2 + i holds
+    g[t] there; taps that wrap onto the same column (DB4 at n < 8) add up.
+    """
+    h, g = _wavelet_filters(name)
     half = n // 2
-    pos = 2 * np.arange(half)
-    dtype = np.result_type(x.dtype, np.float64)
-    a = np.zeros(x.shape[:-1] + (half,), dtype=dtype)
-    d = np.zeros_like(a)
-    for t in range(len(h)):
-        seg = x[..., (pos + t) % n]
-        a += h[t] * seg
-        d += g[t] * seg
-    return a, d
+    cols = ((2 * np.arange(half)[:, None] + np.arange(len(h))) % n).ravel()
+    step = sparse.coo_array(
+        (
+            np.concatenate([np.tile(h, half), np.tile(g, half)]),
+            (np.repeat(np.arange(n), len(h)), np.concatenate([cols, cols])),
+        ),
+        shape=(n, n),
+    )
+    return _frozen(step.tocsr())
 
 
-def _idwt_step(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray):
-    half = a.shape[-1]
-    n = 2 * half
-    pos = 2 * np.arange(half)
-    x = np.zeros(a.shape[:-1] + (n,), dtype=np.result_type(a.dtype, np.float64))
-    for t in range(len(h)):
-        x[..., (pos + t) % n] += h[t] * a + g[t] * d
-    return x
+@lru_cache(maxsize=None)
+def _wavelet_factor(name: str, n: int, levels: int, dense: bool):
+    """Multilevel analysis W_n = prod_j blockdiag(S_{n/2^j}, I).
+
+    Output layout [a_J, d_J, d_{J-1}, ..., d_1].  Dense for the side of a
+    2D grid; CSR for a 1D signal, where a dense K x K factor is O(K^2).
+    """
+    w = _wavelet_step(name, n)
+    for j in range(1, levels):
+        s = n >> j
+        level = sparse.block_diag([_wavelet_step(name, s), sparse.eye_array(n - s)], format="csr")
+        w = level @ w
+    return _frozen(w.toarray() if dense else w.tocsr())
 
 
-def _dwt1(x: np.ndarray, name: str, levels: int) -> np.ndarray:
-    """Multilevel periodic analysis, layout [a_J, d_J, d_{J-1}, ..., d_1]."""
-    h, g = _wavelet_filters(name)
-    y = np.array(x, dtype=np.result_type(x.dtype, np.float64), copy=True)
-    n = y.shape[-1]
-    for _ in range(levels):
-        a, d = _dwt_step(y[..., :n], h, g)
-        y[..., : n // 2] = a
-        y[..., n // 2 : n] = d
-        n //= 2
-    return y
+@lru_cache(maxsize=None)
+def _hadamard(n: int) -> np.ndarray:
+    """Orthonormal Walsh-Hadamard matrix in Sylvester order (symmetric)."""
+    return _frozen(linalg.hadamard(n) / sqrt(n))
 
 
-def _idwt1(x: np.ndarray, name: str, levels: int) -> np.ndarray:
-    h, g = _wavelet_filters(name)
-    y = np.array(x, dtype=np.result_type(x.dtype, np.float64), copy=True)
-    n = y.shape[-1] >> levels
-    for _ in range(levels):
-        a = y[..., :n].copy()
-        d = y[..., n : 2 * n].copy()
-        y[..., : 2 * n] = _idwt_step(a, d, h, g)
-        n *= 2
-    return y
+def _along(factor, x: np.ndarray) -> np.ndarray:
+    """Multiply `factor` (dense or CSR) into the last axis of x: x @ factor.T."""
+    flat = x.reshape(-1, x.shape[-1]) @ factor.T
+    return flat.reshape(x.shape[:-1] + (factor.shape[0],))
 
 
-def _along_axis2(fn, img: np.ndarray) -> np.ndarray:
-    """Apply a last-axis kernel along axis -2."""
-    return np.swapaxes(fn(np.swapaxes(img, -1, -2)), -1, -2)
+def _sandwich(factor: np.ndarray, img: np.ndarray) -> np.ndarray:
+    """factor @ img @ factor.T on the trailing two axes."""
+    return factor @ _along(factor, img)
 
 
-def _dwt2_square(img: np.ndarray, name: str, levels: int) -> np.ndarray:
-    """Square multilevel MRA on (..., side, side); LL recursed in place."""
-    h, g = _wavelet_filters(name)
-    out = np.array(img, dtype=np.result_type(img.dtype, np.float64), copy=True)
-    s = out.shape[-1]
-    for _ in range(levels):
-        sub = out[..., :s, :s]
-        # columns (axis -2), then rows (axis -1)
-        tmp = np.swapaxes(sub, -1, -2)
-        a, d = _dwt_step(tmp, h, g)
-        sub = np.swapaxes(np.concatenate([a, d], axis=-1), -1, -2)
-        a, d = _dwt_step(sub, h, g)
-        out[..., :s, :s] = np.concatenate([a, d], axis=-1)
-        s //= 2
-    return out
+def _grid(x: np.ndarray, side: int) -> np.ndarray:
+    """(..., side, side) view of vectorised grids, each one transposed.
 
-
-def _idwt2_square(img: np.ndarray, name: str, levels: int) -> np.ndarray:
-    h, g = _wavelet_filters(name)
-    out = np.array(img, dtype=np.result_type(img.dtype, np.float64), copy=True)
-    side = out.shape[-1]
-    s = side >> (levels - 1)
-    for _ in range(levels):
-        sub = out[..., :s, :s]
-        half = s // 2
-        # undo rows, then columns
-        sub = _idwt_step(sub[..., :half].copy(), sub[..., half:].copy(), h, g)
-        tmp = np.swapaxes(sub, -1, -2)
-        tmp = _idwt_step(tmp[..., :half].copy(), tmp[..., half:].copy(), h, g)
-        out[..., :s, :s] = np.swapaxes(tmp, -1, -2)
-        s *= 2
-    return out
-
-
-def _unvec(x: np.ndarray, side: int) -> np.ndarray:
-    """Column-major inverse vectorisation to (..., side, side)."""
-    return np.swapaxes(x.reshape(x.shape[:-1] + (side, side)), -1, -2)
-
-
-def _vec(img: np.ndarray) -> np.ndarray:
-    return np.swapaxes(img, -1, -2).reshape(img.shape[:-2] + (-1,))
+    Every 2D stage applies the same transform to both axes, so it may act
+    on the transposed grid: (F X F^T)^T = F X^T F^T.  The column-major
+    vectorisation then reduces to a plain reshape.
+    """
+    return x.reshape(x.shape[:-1] + (side, side))
 
 
 # ----------------------------------------------------------------------
@@ -276,32 +243,61 @@ def _measure(spec: OperatorSpec, x: np.ndarray, forward: bool) -> np.ndarray:
     if meas == Measurement.DFT1D:
         fn = np.fft.fft if forward else np.fft.ifft
         return fn(x, norm="ortho")
+    img = _grid(x, spec.side)
     if meas == Measurement.DFT2D:
-        img = _unvec(x, spec.side)
         fn = np.fft.fftn if forward else np.fft.ifftn
-        return _vec(fn(img, axes=(-2, -1), norm="ortho"))
-    # Hadamard is real symmetric orthogonal: adjoint = forward
-    img = _unvec(x, spec.side)
-    img = _along_axis2(_fwht, _fwht(img))
-    return _vec(img)
+        img = fn(img, axes=(-2, -1), norm="ortho")
+    else:
+        # Hadamard is real symmetric orthogonal: adjoint = forward
+        img = _sandwich(_hadamard(spec.side), img)
+    return img.reshape(x.shape)
 
 
 def _sparsity(spec: OperatorSpec, x: np.ndarray, analysis: bool) -> np.ndarray:
     spar = spec.sparsity
     if spar == Sparsity.IDENTITY:
         return x
-    levels = spec.levels
+    if np.iscomplexobj(x):
+        # the factors are real: two real passes cost half of one complex
+        # pass, and spare scipy.sparse a complex copy of the factor
+        return _sparsity(spec, x.real, analysis) + 1j * _sparsity(spec, x.imag, analysis)
+    name, levels = _WAVELET_NAME[spar], spec.levels
     if spar in _1D_SPARSITIES:
-        name = "haar" if spar == Sparsity.HAAR1D else "db4"
-        return (_dwt1 if analysis else _idwt1)(x, name, levels)
-    name = "haar" if spar in (Sparsity.HAAR2D, Sparsity.TENSOR_HAAR) else "db4"
-    img = _unvec(x, spec.side)
-    if spar in (Sparsity.HAAR2D, Sparsity.DB4_2D):
-        img = (_dwt2_square if analysis else _idwt2_square)(img, name, levels)
+        w = _wavelet_factor(name, spec.size, levels, False)
+        return _along(w if analysis else w.T, x)
+    img = _grid(x, spec.side)
+    if spar in _MRA_SPARSITIES:
+        # one level per pass on the shrinking (or growing) LL block
+        img = img.astype(np.result_type(img.dtype, np.float64))
+        sides = [spec.side >> j for j in range(levels)]
+        for s in sides if analysis else sides[::-1]:
+            step = _wavelet_factor(name, s, 1, True)
+            img[..., :s, :s] = _sandwich(step if analysis else step.T, img[..., :s, :s])
     else:
-        fn1 = _dwt1 if analysis else _idwt1
-        img = _along_axis2(lambda a: fn1(a, name, levels), fn1(img, name, levels))
-    return _vec(img)
+        w = _wavelet_factor(name, spec.side, levels, True)
+        img = _sandwich(w if analysis else w.T, img)
+    return img.reshape(x.shape)
+
+
+def separable_factor(spec: OperatorSpec) -> np.ndarray | None:
+    """Dense 1D factor phi with A0 = phi (x) phi, or None if non-separable.
+
+    phi = M W^T, with M the per-axis measurement (identity, Hadamard or
+    orthonormal DFT matrix) and W the per-axis wavelet analysis factor.
+    """
+    if not spec.is_2d or spec.sparsity in _MRA_SPARSITIES:
+        return None
+    side = spec.side
+    if spec.measurement == Measurement.HADAMARD2D:
+        phi = _hadamard(side)
+    elif spec.measurement == Measurement.DFT2D:
+        phi = np.fft.fft(np.eye(side), norm="ortho")
+    else:
+        phi = np.eye(side)
+    if spec.sparsity == Sparsity.IDENTITY:
+        return np.array(phi)
+    w = _wavelet_factor(_WAVELET_NAME[spec.sparsity], side, spec.levels, True)
+    return phi @ w.T
 
 
 def apply(spec: OperatorSpec, direction: Direction, x: np.ndarray) -> np.ndarray:

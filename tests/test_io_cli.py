@@ -281,3 +281,75 @@ def test_cli_density_pgm_and_mask_pgm(tmp_path):
     ) == 0
     img = tensorio.read_pgm(mpgm)
     assert img.sum() == 16  # 25% of 64 cells
+
+
+_DIAGNOSE_CFG = {
+    "schema_version": 1,
+    "seed": 1,
+    "spec": {"measurement": "dft2d", "sparsity": "identity", "size": 4},
+    "weights": {"source": "uniform", "sparsity": 2},
+    "m": 4,
+    "trials": 3,
+}
+_EXPERIMENT_CFG = {
+    "schema_version": 1,
+    "fraction": 0.5,
+    "spec": {"measurement": "dft2d", "sparsity": "identity", "size": 4},
+    "weights": {"source": "uniform", "sparsity": 2},
+}
+
+
+def _without(cfg, key, inner=None):
+    out = json.loads(json.dumps(cfg))
+    if inner is None:
+        del out[key]
+    else:
+        del out[key][inner]
+    return out
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("diagnose", _without(_DIAGNOSE_CFG, "spec")),
+        ("diagnose", _without(_DIAGNOSE_CFG, "m")),
+        ("diagnose", "{not json"),
+        ("diagnose", dict(_DIAGNOSE_CFG, m="many")),
+        ("diagnose", dict(_DIAGNOSE_CFG, weights=3)),
+        ("experiment", _without(_EXPERIMENT_CFG, "weights", "sparsity")),
+        ("experiment", _without(_EXPERIMENT_CFG, "spec", "size")),
+        ("experiment", dict(_EXPERIMENT_CFG, partition={"kind": "squares"})),
+        ("experiment", dict(_EXPERIMENT_CFG, fraction="half")),
+        ("experiment", dict(_EXPERIMENT_CFG, solver={"max_inner": "many"})),
+        ("experiment", "{not json"),
+        ("experiment", [1, 2]),
+    ],
+    ids=[
+        "diagnose-no-spec",
+        "diagnose-no-m",
+        "diagnose-bad-json",
+        "diagnose-m-not-int",
+        "diagnose-weights-not-object",
+        "experiment-uniform-no-sparsity",
+        "experiment-spec-no-size",
+        "experiment-squares-no-block-side",
+        "experiment-fraction-not-number",
+        "experiment-solver-not-int",
+        "experiment-bad-json",
+        "experiment-not-object",
+    ],
+)
+def test_cli_config_errors_are_config_errors(tmp_path, capsys, command, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    assert run_cli(command, "--config", str(path)) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["error: ConfigError"]
+
+
+def test_cli_diagnose_runs(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(_DIAGNOSE_CFG, m=[4, 8])))
+    assert run_cli("diagnose", "--config", str(path)) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["m"] for row in rows] == [4, 8]

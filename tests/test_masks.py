@@ -114,3 +114,23 @@ def test_expand_blocks_partition_mismatch():
     mask = Mask(np.array([7]), np.array([1]), mode=DISTINCT)
     with pytest.raises(InvalidPartition):
         expand_blocks(mask, part)
+
+
+@pytest.mark.parametrize("k,budget,seed", [(16, 1, 0), (64, 20, 1), (500, 300, 7), (4096, 409, 3)])
+def test_distinct_n_draws_counts_consumed_draws(k, budget, seed):
+    # replay the generator: n_draws is the position of the draw that
+    # brought in the budget-th new atom, and the mask is the atoms seen
+    rng = np.random.default_rng(11)
+    pi = rng.uniform(0.1, 1.0, size=k) ** 4
+    dens = Density(pi / pi.sum(), 1.0, kind="test")
+    mask = draw_mask(dens, budget, mode=DISTINCT, seed=seed)
+    cum = np.cumsum(dens.pi)
+    cum /= cum[-1]
+    stream = np.searchsorted(cum, np.random.default_rng(seed).random(64 * k), side="left")
+    first = {}
+    for pos, idx in enumerate(stream):
+        first.setdefault(int(idx), pos)
+        if len(first) == budget:
+            break
+    assert mask.n_draws == pos + 1
+    assert np.array_equal(mask.indices, np.sort(list(first)))
