@@ -18,13 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import harness, tensorio
-from .density import (
-    BlockPartition,
-    Density,
-    adapted_blocks,
-    adapted_isolated,
-    baseline_density,
-)
+from .density import BlockPartition, Density, adapted_blocks, baseline_density
 from .errors import AvdsError, ConfigError, FormatError
 from .harness import ExperimentConfig, diagnostics, run_experiment
 from .masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
@@ -259,11 +253,7 @@ def _cmd_density(args) -> int:
         if args.weights is None:
             raise ConfigError("adapted density needs --weights")
         omega = tensorio.read_tensor(args.weights).real.reshape(-1, order="F")
-        wv = WeightVector.from_omega(omega)
-        if partition.kind == "singletons":
-            dens = adapted_isolated(spec, wv)
-        else:
-            dens = adapted_blocks(spec, partition, wv)
+        dens = adapted_blocks(spec, partition, WeightVector.from_omega(omega))
     else:
         dens = baseline_density(args.kind, spec, partition)
     tensorio.write_tensor(args.out, dens.pi)

@@ -11,6 +11,15 @@ Coefficients with zero weight can never enter a support, so the
 sup-norm term is always evaluated with those columns removed; this is
 what makes the identity operator's density uniform on the set of
 positive weights.
+
+Isolated rows (the adapted density, the coherence baseline and singleton
+diagnostics) all go through `isolated_terms`.  Where the operator has
+energy classes (`transforms.energy_classes`: DFT with any wavelet,
+Hadamard with Haar) |a_{k,l}|^2 depends on l only through its subband,
+so one forward transform per subband gives every row's terms in
+O(subbands * K log K).  Other operators (identity measurement, Hadamard
+with DB4) stream all K rows in chunks, O(K^2), and that streamed path is
+the oracle of the class path in the tests.
 """
 
 from __future__ import annotations
@@ -22,11 +31,13 @@ import numpy as np
 from .errors import InvalidPartition, InvalidSpec, InvalidWeights
 from .support_model import WeightVector
 from .transforms import (
+    Direction,
     Measurement,
     OperatorSpec,
     RowVector,
+    apply,
+    energy_classes,
     row_chunks,
-    row_energies,
     rows_batch,
     separable_factor,
     signed_frequencies,
@@ -71,6 +82,11 @@ class BlockPartition:
         seen[total] = True
         if not seen.all() or len(np.unique(total)) != k:
             raise InvalidPartition("blocks must be disjoint and cover {0..K-1}")
+        # isolated-row code indexes block k as row k
+        if self.kind == "singletons" and (
+            any(b.size != 1 for b in self.blocks) or not np.array_equal(total, np.arange(k))
+        ):
+            raise InvalidPartition("singleton blocks must be [0], [1], ..., [K-1]")
         self.dim = k
 
     @property
@@ -214,6 +230,46 @@ def _line_closed_form(phi: np.ndarray, w: np.ndarray, kind: str) -> np.ndarray:
     raise InvalidPartition("closed form only exists for line partitions")
 
 
+def isolated_terms(spec: OperatorSpec, omega: np.ndarray):
+    """Per-row arrays a_k D_w a_k* and max_{l: w_l > 0} |a_{k,l}|^2.
+
+    With energy classes, the column A0 e_l of one representative l per
+    class c gives E[c, k] = |a_{k,l}|^2, the same for every l in c; the
+    Gram term is then sum_c E[c, k] * (weight of c) and the sup term the
+    max of E[c, k] over the classes that hold a positive weight.  Without
+    classes the rows are streamed in chunks.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if omega.size != spec.dim:
+        raise InvalidWeights("weights do not match the operator dimension")
+    positive = omega > 0
+    if not positive.any():
+        raise InvalidWeights("weights need at least one positive entry")
+    labels = energy_classes(spec)
+    if labels is None:
+        return _streamed_terms(spec, omega)
+    reps = np.unique(labels, return_index=True)[1]
+    slab = np.zeros((reps.size, spec.dim))
+    slab[np.arange(reps.size), reps] = 1.0
+    energy = np.abs(apply(spec, Direction.FORWARD, slab)) ** 2  # (classes, K)
+    class_weight = np.bincount(labels, weights=omega)
+    live = np.bincount(labels, weights=positive) > 0
+    return class_weight @ energy, energy[live].max(axis=0)
+
+
+def _streamed_terms(spec: OperatorSpec, omega: np.ndarray):
+    """`isolated_terms` from all K rows, a chunk of rows at a time."""
+    # a column slice is a view; a boolean mask would copy the energies
+    support = slice(None) if np.all(omega > 0) else omega > 0
+    gram = np.empty(spec.dim)
+    infterm = np.empty(spec.dim)
+    for idx, mat in row_chunks(spec):
+        energy = np.abs(mat) ** 2
+        gram[idx] = energy @ omega
+        infterm[idx] = energy[:, support].max(axis=1)
+    return gram, infterm
+
+
 def adapted_isolated(spec: OperatorSpec, weights: WeightVector) -> Density:
     """Adapted density over isolated rows: pi_k ~ max{a_k D_w a_k*, |a_k|_inf^2}.
 
@@ -221,24 +277,7 @@ def adapted_isolated(spec: OperatorSpec, weights: WeightVector) -> Density:
     rows with no energy on possibly-active coefficients get probability
     zero (identity-operator special case).
     """
-    omega = weights.omega
-    if omega.size != spec.dim:
-        raise InvalidWeights("weights do not match the operator dimension")
-    # a column slice is a view; a boolean mask would copy the energies
-    support = slice(None) if np.all(omega > 0) else omega > 0
-    k_total = spec.dim
-    if k_total <= 2048:
-        energy = row_energies(spec)
-        gram = energy @ omega
-        infterm = energy[:, support].max(axis=1)
-    else:
-        gram = np.empty(k_total)
-        infterm = np.empty(k_total)
-        for idx, mat in row_chunks(spec):
-            energy = np.abs(mat) ** 2
-            gram[idx] = energy @ omega
-            infterm[idx] = energy[:, support].max(axis=1)
-    numer = np.maximum(gram, infterm)
+    numer = np.maximum(*isolated_terms(spec, weights.omega))
     total = float(numer.sum())
     return Density(pi=numer / total, normalizer=total, kind="adapted_isolated")
 
@@ -254,14 +293,11 @@ def adapted_blocks(
     method "generic" computes both norms densely from extracted rows;
     "closed_form_lines" uses the separable line identities (and must
     agree with generic); "auto" picks closed forms where they are exact
-    and falls back to the generic path.
+    (`isolated_terms` for singletons) and falls back to the generic path.
     """
     omega = weights.omega
     if partition.dim != spec.dim or omega.size != spec.dim:
         raise InvalidPartition("partition/weights do not match the operator")
-    if partition.kind == "singletons" and method == "auto":
-        iso = adapted_isolated(spec, weights)
-        return Density(pi=iso.pi, normalizer=iso.normalizer, kind="adapted_blocks")
     if method == "closed_form_lines":
         phi = separable_factor(spec)
         if phi is None or partition.kind not in ("vertical_lines", "horizontal_lines"):
@@ -287,6 +323,8 @@ def block_norm_terms(
     method: str = "auto",
 ):
     """Per-block ||B_k D_w B_k*|| and ||B_k* B_k||_inf,1 arrays."""
+    if partition.kind == "singletons" and method == "auto":
+        return isolated_terms(spec, weights.omega)
     omega = weights.omega
     support = omega > 0
     masked = None if support.all() else support
@@ -345,12 +383,7 @@ def baseline_density(
         return Density(np.full(m, 1.0 / m), float(m), kind="uniform")
     if kind == "coherence":
         if partition.kind == "singletons":
-            if spec.dim <= 2048:
-                numer = row_energies(spec).max(axis=1)
-            else:
-                numer = np.empty(spec.dim)
-                for idx, mat in row_chunks(spec):
-                    numer[idx] = (np.abs(mat) ** 2).max(axis=1)
+            numer = isolated_terms(spec, np.ones(spec.dim))[1]
         else:
             numer = np.array(
                 [block_inf1_norm(rows_batch(spec, idx)) for idx in partition.blocks]

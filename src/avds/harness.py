@@ -34,6 +34,7 @@ from .support_model import (
     flip,
     normalize_weights,
     sample_supports,
+    sample_supports_seeded,
 )
 from .transforms import Direction, OperatorSpec, apply
 
@@ -309,17 +310,18 @@ def diagnostics(
     logk = np.log(spec.dim / epsilon)
 
     dist = signal_distribution(weights)
-    seeds = np.random.SeedSequence(seed).spawn(trials)
+    # per trial: [support draw, mask draw]
+    children = [seq.spawn(2) for seq in np.random.SeedSequence(seed).spawn(trials)]
+    supports = sample_supports_seeded(dist, [child[0] for child in children])
+    singleton = partition.kind == "singletons"
     lam = np.empty(trials)
     hits = 0
-    for t in range(trials):
-        child = seeds[t].spawn(2)
-        support = np.flatnonzero(sample_supports(dist, 1, seed=child[0])[0])
+    for t, child in enumerate(children):
+        support = np.flatnonzero(supports[t])
         slab = np.zeros((support.size, spec.dim))
         slab[np.arange(support.size), support] = 1.0
         cols = apply(spec, Direction.FORWARD, slab).T  # (K, S) columns of A0
         # Lambda_I = max_k ||B_k[:, I]||^2 / (pi_k m)
-        singleton = partition.kind == "singletons"
         if singleton:
             block_sq = np.sum(np.abs(cols) ** 2, axis=1)
         else:

@@ -243,24 +243,46 @@ def sample_supports(
         return out
     if method != "exact":
         raise InvalidWeights(f"unknown sampling method {method!r}")
+    return _sequential_supports(dist, rng.random((n, len(dist._free))), out)
+
+
+def sample_supports_seeded(dist: SupportDistribution, seeds) -> np.ndarray:
+    """One exact support per seed, as a boolean (len(seeds), K) matrix.
+
+    Row i equals sample_supports(dist, 1, seed=seeds[i])[0]: each row's
+    uniforms come from its own generator, and one sequential pass then
+    draws all rows together.
+    """
+    out = np.zeros((len(seeds), dist.dim), dtype=bool)
+    out[:, dist._forced] = True
+    if dist._r == 0:
+        return out
+    u = np.array([np.random.default_rng(seed).random(len(dist._free)) for seed in seeds])
+    return _sequential_supports(dist, u, out)
+
+
+def _sequential_supports(dist: SupportDistribution, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the free indices of `out` by the sequential scheme, row i driven by u[i].
+
+    The rows are independent: each row's draws depend on its uniforms only.
+    """
     esp = dist._esp
     log_odds = dist._log_odds
     n_free = len(dist._free)
-    remaining = np.full(n, r_target, dtype=np.int64)
-    u = rng.random((n, n_free))
-    for t in range(n_free):
-        active = remaining > 0
-        if not active.any():
-            break
-        r = remaining
-        # P(include index t | r left) = odds_t e_{r-1}(suffix) / e_r(suffix+t)
-        with np.errstate(invalid="ignore"):
+    remaining = np.full(len(out), dist._r, dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        for t in range(n_free):
+            active = remaining > 0
+            if not active.any():
+                break
+            r = remaining
+            # P(include index t | r left) = odds_t e_{r-1}(suffix) / e_r(suffix+t)
             log_p = log_odds[t] + esp[t + 1, np.maximum(r - 1, 0)] - esp[t, np.maximum(r, 1)]
-        p = np.where(active, np.exp(np.minimum(log_p, 0.0)), 0.0)
-        must = active & (n_free - t == r)  # as many slots as indices left
-        include = (u[:, t] < p) | must
-        out[include, dist._free[t]] = True
-        remaining = remaining - include.astype(np.int64)
+            p = np.where(active, np.exp(np.minimum(log_p, 0.0)), 0.0)
+            must = active & (n_free - t == r)  # as many slots as indices left
+            include = (u[:, t] < p) | must
+            out[include, dist._free[t]] = True
+            remaining = remaining - include.astype(np.int64)
     return out
 
 

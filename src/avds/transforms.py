@@ -17,6 +17,10 @@ axis/axes of their input, so batches of vectors transform in one call.
 
 2D objects are vectorised column-major: flat index r of a side x side grid
 maps to (row, col) = (r % side, r // side).
+
+`energy_classes` labels the columns of A0 by wavelet subband where the
+modulus |a_{k,l}|^2 depends on l only through that label (DFT with any
+wavelet, Hadamard with Haar), and returns None for the other pairs.
 """
 
 from __future__ import annotations
@@ -300,6 +304,52 @@ def separable_factor(spec: OperatorSpec) -> np.ndarray | None:
     return phi @ w.T
 
 
+def _bands_1d(n: int, levels: int | None) -> np.ndarray:
+    """Subband of each coefficient of an n-point 1D wavelet layout.
+
+    The layout [a_J, d_J, d_{J-1}, ..., d_1] gives band 0 to a_J and band
+    J + 1 - j to d_j; without a wavelet (levels None) there is one band.
+    """
+    if levels is None:
+        return np.zeros(n, dtype=np.int64)
+    # the frexp exponent of i // (n >> J) is its bit length: 0 on a_J,
+    # then 1, 2, 3, ... on d_J, d_{J-1}, d_{J-2}, ...
+    return np.frexp(np.arange(n) // (n >> levels))[1].astype(np.int64)
+
+
+def energy_classes(spec: OperatorSpec) -> np.ndarray | None:
+    """Labels l -> c such that |a_{k,l}|^2 depends on column l only through c.
+
+    Within one wavelet subband the basis functions are translates of each
+    other: cyclic shifts by 2^j per axis, which the DFT turns into a
+    phase, and, for Haar, shifts between aligned dyadic blocks, which the
+    Walsh-Hadamard transform turns into a sign.  So every column of A0 in
+    a subband has the same modulus profile, and the subbands are the
+    classes: J + 1 in 1D, (J + 1)^2 for tensor wavelets, 3J + 1 for the
+    square MRA, one without a wavelet.  Returns None where no such
+    invariance holds: the identity measurement, and Hadamard with DB4,
+    whose periodised filters straddle dyadic blocks.
+    """
+    meas, spar = spec.measurement, spec.sparsity
+    if meas == Measurement.IDENTITY or (
+        meas == Measurement.HADAMARD2D and spar in (Sparsity.DB4_2D, Sparsity.TENSOR_DB4)
+    ):
+        return None
+    if not spec.is_2d:
+        return _bands_1d(spec.size, spec.levels)
+    band = _bands_1d(spec.side, spec.levels)
+    # flat index r is grid cell (r % side, r // side)
+    rows = np.tile(band, spec.side)
+    cols = np.repeat(band, spec.side)
+    if spar not in _MRA_SPARSITIES:
+        return rows * (band.max() + 1) + cols
+    # square MRA: level f = max(band) >= 1 has three quadrants, by which of
+    # the two axes is high-pass there; LL_J is class 0
+    level = np.maximum(rows, cols)
+    quadrant = (rows == level).astype(np.int64) + 2 * (cols == level) - 1
+    return np.where(level == 0, 0, 3 * (level - 1) + 1 + quadrant)
+
+
 def apply(spec: OperatorSpec, direction: Direction, x: np.ndarray) -> np.ndarray:
     """Apply A0 (Forward) or A0* (Adjoint) to vectors along the last axis.
 
@@ -349,19 +399,6 @@ def dense_matrix(spec: OperatorSpec, limit: int = 4096) -> np.ndarray:
     if spec.dim > limit:
         raise InvalidSpec(f"refusing to build dense operator with K={spec.dim}")
     return rows_batch(spec, np.arange(spec.dim))
-
-
-@lru_cache(maxsize=4)
-def row_energies(spec: OperatorSpec) -> np.ndarray:
-    """|a_{k,l}|^2 for all rows of A0, cached; only for K <= 2048.
-
-    Larger operators are handled by streaming `rows_batch` chunks in the
-    caller so no K x K array is ever held.
-    """
-    if spec.dim > 2048:
-        raise InvalidSpec("row_energies is limited to K <= 2048; stream rows instead")
-    mat = rows_batch(spec, np.arange(spec.dim))
-    return np.abs(mat) ** 2
 
 
 def row_chunks(spec: OperatorSpec, chunk: int | None = None):

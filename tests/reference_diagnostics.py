@@ -1,0 +1,74 @@
+"""Reference diagnostics loop, test use only.
+
+This is `avds.harness.diagnostics` as it was before the support draws were
+batched: one `sample_supports(dist, 1, seed=child[0])` call per trial.  The
+batched version must give bit-identical Lambda samples and tail counts.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from avds.density import block_norm_terms
+from avds.harness import Diagnostics, signal_distribution
+from avds.masks import IID, draw_mask
+from avds.support_model import sample_supports
+from avds.transforms import Direction, apply
+
+
+def reference_diagnostics(spec, partition, density, weights, m, trials=200, seed=None,
+                          epsilon=0.01) -> Diagnostics:
+    gram_terms, inf_terms = block_norm_terms(spec, partition, weights, method="auto")
+    pi = density.pi
+    live = pi > 0
+    mu = float(np.max(inf_terms[live] / (pi[live] * m)))
+    threshold_inf1 = float(np.max(inf_terms[live] / pi[live]))
+    threshold_gram = float(np.max(gram_terms[live] / pi[live]))
+    logk = np.log(spec.dim / epsilon)
+
+    dist = signal_distribution(weights)
+    seeds = np.random.SeedSequence(seed).spawn(trials)
+    lam = np.empty(trials)
+    hits = 0
+    for t in range(trials):
+        child = seeds[t].spawn(2)
+        support = np.flatnonzero(sample_supports(dist, 1, seed=child[0])[0])
+        slab = np.zeros((support.size, spec.dim))
+        slab[np.arange(support.size), support] = 1.0
+        cols = apply(spec, Direction.FORWARD, slab).T  # (K, S) columns of A0
+        # Lambda_I = max_k ||B_k[:, I]||^2 / (pi_k m)
+        singleton = partition.kind == "singletons"
+        if singleton:
+            block_sq = np.sum(np.abs(cols) ** 2, axis=1)
+        else:
+            block_sq = np.empty(partition.m)
+            for k, idx in enumerate(partition.blocks):
+                sub = cols[idx, :]
+                gram = sub.conj().T @ sub
+                block_sq[k] = float(
+                    np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1].real
+                )
+        lam[t] = float(np.max(block_sq[live] / (pi[live] * m)))
+        # theorem-scaled mask and its restricted Gram
+        mask = draw_mask(density, m, mode=IID, seed=child[1])
+        scale = np.sqrt(mask.multiplicities / (m * pi[mask.indices]))
+        if singleton:
+            a_i = scale[:, None] * cols[mask.indices, :]
+        else:
+            a_i = np.concatenate(
+                [s * cols[partition.blocks[k], :] for s, k in zip(scale, mask.indices)],
+                axis=0,
+            )
+        gram = a_i.conj().T @ a_i
+        dev = np.abs(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)) - 1.0).max()
+        hits += bool(dev >= 0.5)
+    return Diagnostics(
+        mu=mu,
+        lambda_samples=lam,
+        gram_tail_prob=hits / trials,
+        m=m,
+        threshold_inf1=threshold_inf1,
+        threshold_gram=threshold_gram,
+        m_bound_inf1=threshold_inf1 * logk**3,
+        m_bound_gram=threshold_gram * logk**2,
+    )

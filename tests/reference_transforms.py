@@ -5,14 +5,20 @@ These are the strided in-place FWHT and periodic DWT kernels that
 matrices.  They are kept, unchanged, as the oracle of that fast path:
 `reference_apply` and `reference_separable_factor` must agree with
 `avds.transforms.apply` and `avds.transforms.separable_factor`.
+
+`row_energies` is the dense |a_{k,l}|^2 table that `avds.density` read
+before isolated-row terms moved to subband energy classes, kept as an
+independent check of densities and trace identities.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
+from avds.errors import InvalidSpec
 from avds.transforms import (
     Direction,
     Measurement,
@@ -20,6 +26,7 @@ from avds.transforms import (
     Sparsity,
     _1D_SPARSITIES,
     _wavelet_filters,
+    rows_batch,
 )
 
 
@@ -205,3 +212,16 @@ def reference_separable_factor(spec: OperatorSpec) -> np.ndarray | None:
     # the rows of the 1D (identity x wavelet) operator are the rows of the
     # synthesis matrix Psi1*, so phi = phi_m Psi1* is a plain product.
     return phi_m @ _reference_rows(spec_1d)
+
+
+@lru_cache(maxsize=4)
+def row_energies(spec: OperatorSpec) -> np.ndarray:
+    """|a_{k,l}|^2 for all rows of A0, cached; only for K <= 2048.
+
+    Larger operators are handled by streaming `rows_batch` chunks in the
+    caller so no K x K array is ever held.
+    """
+    if spec.dim > 2048:
+        raise InvalidSpec("row_energies is limited to K <= 2048; stream rows instead")
+    mat = rows_batch(spec, np.arange(spec.dim))
+    return np.abs(mat) ** 2

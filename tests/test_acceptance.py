@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from reference_transforms import row_energies
 
 from avds.density import (
     BlockPartition,
@@ -36,7 +37,7 @@ from avds.support_model import (
     sample_supports,
     support_prob,
 )
-from avds.transforms import Measurement, OperatorSpec, Sparsity, row_energies
+from avds.transforms import Measurement, OperatorSpec, Sparsity
 
 MASTER_SEED = 20260809
 
@@ -339,7 +340,6 @@ def test_criterion_9_block_pipeline():
 
 # --------------------------------------------------------------- criterion 10
 
-@pytest.mark.slow
 def test_criterion_10_gram_tail_monotone():
     spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 32, levels=2)
     wv = WeightVector.from_omega(np.full(1024, 16 / 1024))

@@ -51,6 +51,13 @@ def test_invalid_partition_rejected():
         BlockPartition([[0, 1], [1, 2]], kind="bad")
 
 
+def test_singleton_partition_is_one_row_per_block_in_order():
+    assert BlockPartition([[0], [1], [2]], kind="singletons").m == 3
+    for blocks in ([[0, 1], [2]], [[0, 1], [], [2]], [[1], [0], [2]]):
+        with pytest.raises(InvalidPartition):
+            BlockPartition(blocks, kind="singletons")
+
+
 # ------------------------------------------------------------------ isolated
 
 def test_fourier_uniformity():

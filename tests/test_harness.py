@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_diagnostics import reference_diagnostics
 
 from avds.density import BlockPartition, adapted_isolated, baseline_density
 from avds.errors import DimensionMismatch
@@ -159,6 +160,46 @@ def test_diagnostics_tail_decreases_with_m():
         for m in (8, 16, 64)
     ]
     assert tails[0] >= tails[1] >= tails[2]
+
+
+@pytest.mark.parametrize(
+    "spec,part,omega",
+    [
+        # the diagnose config's operator and weights
+        (
+            OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 32, levels=2),
+            BlockPartition.singletons(1024),
+            np.full(1024, 16 / 1024),
+        ),
+        # forced (omega = 1) and impossible (omega = 0) coefficients
+        (
+            OperatorSpec(Measurement.DFT1D, Sparsity.DB4_1D, 64, levels=3),
+            BlockPartition.singletons(64),
+            np.r_[np.ones(2), np.zeros(6), np.full(56, 4 / 56)],
+        ),
+        # every coefficient forced: no free index is drawn
+        (
+            OperatorSpec(Measurement.IDENTITY, Sparsity.IDENTITY, 8),
+            BlockPartition.singletons(8),
+            np.r_[np.ones(3), np.zeros(5)],
+        ),
+        (
+            OperatorSpec(Measurement.DFT2D, Sparsity.TENSOR_HAAR, 8, levels=2),
+            BlockPartition.vertical_lines(8),
+            np.full(64, 6 / 64),
+        ),
+    ],
+    ids=["hadamard-haar", "forced", "all-forced", "lines"],
+)
+def test_diagnostics_match_per_trial_reference(spec, part, omega):
+    wv = WeightVector.from_omega(omega)
+    dens = baseline_density("uniform", spec, part)
+    for m in (part.m // 8, part.m // 2):
+        got = diagnostics(spec, part, dens, wv, m=m, trials=30, seed=17)
+        want = reference_diagnostics(spec, part, dens, wv, m=m, trials=30, seed=17)
+        assert np.array_equal(got.lambda_samples, want.lambda_samples)
+        for key in ("mu", "gram_tail_prob", "threshold_inf1", "threshold_gram"):
+            assert getattr(got, key) == getattr(want, key), key
 
 
 def test_phase_transition_endpoints():

@@ -16,6 +16,7 @@ from avds.support_model import (
     normalize_weights,
     sample_support,
     sample_supports,
+    sample_supports_seeded,
     sequential_path_log_prob,
     support_prob,
 )
@@ -118,6 +119,22 @@ def test_sampler_matches_distribution(method):
     for row in masks:
         counts[index_of[tuple(np.flatnonzero(row))]] += 1
     assert tv_distance(counts, probs) <= 0.02
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [
+        np.r_[1.0, 0.0, np.full(30, 3 / 30)],  # forced, impossible and free indices
+        np.r_[np.ones(2), np.zeros(3)],  # nothing left to draw
+    ],
+)
+def test_seeded_supports_match_one_draw_per_seed(omega):
+    dist = SupportDistribution(WeightVector.from_omega(omega))
+    seeds = np.random.SeedSequence(8).spawn(25)
+    got = sample_supports_seeded(dist, seeds)
+    want = np.array([sample_supports(dist, 1, seed=seed)[0] for seed in seeds])
+    assert got.shape == (25, omega.size)
+    assert np.array_equal(got, want)
 
 
 def test_samplers_agree_with_each_other():
