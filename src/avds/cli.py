@@ -161,7 +161,7 @@ def _config_errors(path: str):
         yield
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -67,24 +67,35 @@ class Density:
 
 @dataclass
 class BlockPartition:
-    """Disjoint cover of {0..K-1} by measurement blocks."""
+    """Disjoint cover of {0..K-1} by measurement blocks.
 
-    blocks: list
+    `blocks` is a list of index arrays, or a 2D array holding one
+    equal-sized block per row, which is validated without a per-block loop.
+    """
+
+    blocks: list | np.ndarray
     kind: str
 
     def __post_init__(self) -> None:
-        self.blocks = [np.asarray(b, dtype=np.int64) for b in self.blocks]
-        total = np.concatenate(self.blocks) if self.blocks else np.array([], np.int64)
+        if isinstance(self.blocks, np.ndarray) and self.blocks.ndim == 2:
+            self.blocks = self.blocks.astype(np.int64, copy=False)
+            total = self.blocks.ravel()
+            all_single = self.blocks.shape[1] == 1
+        else:
+            self.blocks = [np.asarray(b, dtype=np.int64) for b in self.blocks]
+            total = np.concatenate(self.blocks) if self.blocks else np.array([], np.int64)
+            all_single = all(b.size == 1 for b in self.blocks)
         k = total.size
         seen = np.zeros(k, dtype=bool)
         if k == 0 or total.min() < 0 or total.max() >= k:
             raise InvalidPartition("blocks must cover exactly {0..K-1}")
         seen[total] = True
-        if not seen.all() or len(np.unique(total)) != k:
+        # K indices that reach all K values are also pairwise distinct
+        if not seen.all():
             raise InvalidPartition("blocks must be disjoint and cover {0..K-1}")
         # isolated-row code indexes block k as row k
         if self.kind == "singletons" and (
-            any(b.size != 1 for b in self.blocks) or not np.array_equal(total, np.arange(k))
+            not all_single or not np.array_equal(total, np.arange(k))
         ):
             raise InvalidPartition("singleton blocks must be [0], [1], ..., [K-1]")
         self.dim = k
@@ -95,7 +106,7 @@ class BlockPartition:
 
     @classmethod
     def singletons(cls, k: int) -> "BlockPartition":
-        return cls([np.array([i]) for i in range(k)], kind="singletons")
+        return cls(np.arange(k).reshape(k, 1), kind="singletons")
 
     @classmethod
     def vertical_lines(cls, side: int) -> "BlockPartition":

@@ -24,7 +24,7 @@ from .density import (
     baseline_density,
     block_norm_terms,
 )
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, InfeasibleBudget
 from .masks import DISTINCT, IID, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
 from .support_model import (
@@ -130,6 +130,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("the master seed must be >= 0")
         if self.budget is None:
             if self.fraction is None or not 0 < self.fraction <= 1:
                 raise ConfigError("need a budget or a fraction in (0, 1]")
@@ -301,6 +303,10 @@ def diagnostics(
     """
     if spec.dim > 4096:
         raise DimensionMismatch("diagnostics are limited to K <= 4096")
+    if not 1 <= m <= spec.dim:
+        raise InfeasibleBudget(f"budget m must lie in [1, K = {spec.dim}], got {m}")
+    if trials < 1:
+        raise ConfigError("diagnostics need trials >= 1")
     gram_terms, inf_terms = block_norm_terms(spec, partition, weights, method="auto")
     pi = density.pi
     live = pi > 0

@@ -30,7 +30,7 @@ class WeightVector:
         omega = np.asarray(omega, dtype=float)
         if omega.ndim != 1 or omega.size == 0:
             raise InvalidWeights("omega must be a nonempty 1D vector")
-        if np.any(omega < -1e-12) or np.any(omega > 1 + 1e-12):
+        if not np.all((omega >= -1e-12) & (omega <= 1 + 1e-12)):  # NaN fails too
             raise InvalidWeights("omega entries must lie in [0, 1]")
         omega = np.clip(omega, 0.0, 1.0)
         return cls(omega=omega, sparsity=float(omega.sum()))
@@ -105,6 +105,10 @@ def normalize_weights(omega, s_target: float) -> WeightVector:
         deficit = s_target - clamped.sum()
         free = ~clamped & positive
         total_free = w[free].sum()
+        if total_free == 0 and free.any():
+            # the rescaled free weights underflowed: spread by the raw ones
+            w[free] = omega[free]
+            total_free = w[free].sum()
         if deficit < -1e-12 or (deficit > 1e-12 and total_free == 0):
             raise InvalidWeights("cannot redistribute excess mass")
         if total_free > 0:
@@ -115,14 +119,18 @@ def normalize_weights(omega, s_target: float) -> WeightVector:
 
 
 def _log_suffix_esp(log_odds: np.ndarray, r_max: int) -> np.ndarray:
-    """Table E[i, j] = log e_j(odds[i:]) via the stable two-term recurrence."""
+    """Table E[i, j] = log e_j(odds[i:]) via the stable two-term recurrence.
+
+    E[i, j] = logaddexp(E[i + 1, j], log_odds[i] + E[i + 1, j - 1]) runs
+    up column j as one reversed logaddexp accumulation; E[n, j > 0] = -inf.
+    Column-major, since the sampler reads one column per round.
+    """
     n = len(log_odds)
-    table = np.full((n + 1, r_max + 1), -np.inf)
+    table = np.full((n + 1, r_max + 1), -np.inf, order="F")
     table[:, 0] = 0.0
-    for i in range(n - 1, -1, -1):
-        top = min(r_max, n - i)
-        js = np.arange(1, top + 1)
-        table[i, js] = np.logaddexp(table[i + 1, js], log_odds[i] + table[i + 1, js - 1])
+    for j in range(1, r_max + 1):
+        terms = log_odds + table[1:, j - 1]
+        table[:n, j] = np.logaddexp.accumulate(terms[::-1])[::-1]
     return table
 
 
@@ -264,25 +272,28 @@ def sample_supports_seeded(dist: SupportDistribution, seeds) -> np.ndarray:
 def _sequential_supports(dist: SupportDistribution, u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill the free indices of `out` by the sequential scheme, row i driven by u[i].
 
-    The rows are independent: each row's draws depend on its uniforms only.
+    With r indices left, free index t is taken when u[i, t] < p_r[t] =
+    odds_t e_{r-1}(suffix t+1) / e_r(suffix t), and always at t = n_free - r,
+    where as many slots as indices remain.  The scan runs in inclusion
+    rounds: in round k every row has r = R - k indices left, so all rows
+    share the column p_r, and each jumps from its scan position to its
+    next accepted or forced index.  The rows are independent: each row's
+    draws depend on its uniforms only.
     """
     esp = dist._esp
     log_odds = dist._log_odds
     n_free = len(dist._free)
-    remaining = np.full(len(out), dist._r, dtype=np.int64)
-    with np.errstate(invalid="ignore"):
-        for t in range(n_free):
-            active = remaining > 0
-            if not active.any():
-                break
-            r = remaining
-            # P(include index t | r left) = odds_t e_{r-1}(suffix) / e_r(suffix+t)
-            log_p = log_odds[t] + esp[t + 1, np.maximum(r - 1, 0)] - esp[t, np.maximum(r, 1)]
-            p = np.where(active, np.exp(np.minimum(log_p, 0.0)), 0.0)
-            must = active & (n_free - t == r)  # as many slots as indices left
-            include = (u[:, t] < p) | must
-            out[include, dist._free[t]] = True
-            remaining = remaining - include.astype(np.int64)
+    rows = np.arange(len(out))
+    pos = np.zeros(len(out), dtype=np.int64)  # next index each row scans
+    for r in range(dist._r, 0, -1):
+        lo, last = int(pos.min()), n_free - r
+        log_p = log_odds[lo : last + 1] + esp[lo + 1 : last + 2, r - 1] - esp[lo : last + 1, r]
+        take = u[:, lo : last + 1] < np.exp(np.minimum(log_p, 0.0))
+        take &= np.arange(lo, last + 1) >= pos[:, None]
+        take[:, -1] = True
+        pos = lo + np.argmax(take, axis=1)
+        out[rows, dist._free[pos]] = True
+        pos += 1
     return out
 
 

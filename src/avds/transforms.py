@@ -7,13 +7,19 @@ MRA in 2D, or the separable tensor construction psi (x) psi).
 
 Every stage except the DFT (which runs on numpy.fft) is a product with
 cached per-axis factor matrices: the Hadamard matrix H, the single-level
-wavelet step S_n and the multilevel analysis W_n.  A 1D wavelet computes
-x W^T; a 2D Hadamard H X H; a tensor wavelet W X W^T; the square MRA
-S_s X S_s^T on the shrinking s x s LL block, one level at a time.  The
-adjoint and synthesis use the transposes.  2D factors are dense side x side
-arrays (O(side^3) work per grid); 1D wavelet factors are CSR, since a dense
-K x K factor would cost O(K^2) memory.  All stages act on the trailing
-axis/axes of their input, so batches of vectors transform in one call.
+wavelet step S_n and the multilevel analysis W_n.  A 2D operator folds its
+real per-axis measurement M (H, or I for the identity and the DFT) into
+its outermost wavelet factor, one composite F = M W_out^T per axis, where
+W_out is all of W for a tensor wavelet, the finest step S_side for the
+square MRA and I without a wavelet.  The forward transform runs the
+remaining MRA levels J..2 as S_s^T X S_s on the shrinking s x s LL block,
+then F X F^T, then the DFT; the adjoint runs the inverse DFT, F^T Y F,
+then the levels 2..J.  A 1D wavelet computes x W (synthesis) or y W^T
+(analysis) next to the 1D DFT.  2D factors are dense side x side arrays
+(O(side^3) work per grid); 1D wavelet factors are CSR, since a dense K x K
+factor would cost O(K^2) memory.  All stages act on the trailing axis/axes
+of their input, so batches of vectors transform in one call.  Operators
+are limited to K <= MAX_DIM = 2^20.
 
 2D objects are vectorised column-major: flat index r of a side x side grid
 maps to (row, col) = (r % side, r // side).
@@ -95,6 +101,10 @@ def _wavelet_filters(name: str) -> tuple[np.ndarray, np.ndarray]:
     return h, g
 
 
+# Largest K of an operator: every array of K entries then stays within 8 MB.
+MAX_DIM = 1 << 20
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -121,6 +131,8 @@ class OperatorSpec:
         object.__setattr__(self, "sparsity", spar)
         if not _is_pow2(self.size) or self.size < 2:
             raise InvalidSpec(f"size must be a power of two >= 2, got {self.size}")
+        if self.dim > MAX_DIM:
+            raise InvalidSpec(f"K = {self.dim} exceeds the limit K <= {MAX_DIM}")
         if meas == Measurement.DFT1D and spar in _2D_SPARSITIES:
             raise InvalidSpec("1D measurement cannot pair with 2D sparsity")
         if meas in _2D_MEASUREMENTS and spar in _1D_SPARSITIES:
@@ -222,9 +234,20 @@ def _along(factor, x: np.ndarray) -> np.ndarray:
     return flat.reshape(x.shape[:-1] + (factor.shape[0],))
 
 
-def _sandwich(factor: np.ndarray, img: np.ndarray) -> np.ndarray:
-    """factor @ img @ factor.T on the trailing two axes."""
-    return factor @ _along(factor, img)
+def _with_transpose(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mat, mat^T), both C-contiguous: BLAS reads a transposed view slower."""
+    return _frozen(np.ascontiguousarray(mat)), _frozen(np.ascontiguousarray(mat.T))
+
+
+@lru_cache(maxsize=None)
+def _step_pair(name: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    return _with_transpose(_wavelet_factor(name, n, 1, True))
+
+
+def _sandwich(pair, img: np.ndarray, transpose: bool, out=None) -> np.ndarray:
+    """F X F^T, or F^T X F if `transpose`, on the trailing two axes; pair = (F, F^T)."""
+    left, right = pair[::-1] if transpose else pair
+    return np.matmul(left, img @ right, out=out)
 
 
 def _grid(x: np.ndarray, side: int) -> np.ndarray:
@@ -238,70 +261,94 @@ def _grid(x: np.ndarray, side: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# measurement / sparsity stages
+# stages: every stage but the DFT multiplies by real factors
 
-def _measure(spec: OperatorSpec, x: np.ndarray, forward: bool) -> np.ndarray:
-    meas = spec.measurement
-    if meas == Measurement.IDENTITY:
-        return x
-    if meas == Measurement.DFT1D:
-        fn = np.fft.fft if forward else np.fft.ifft
-        return fn(x, norm="ortho")
-    img = _grid(x, spec.side)
-    if meas == Measurement.DFT2D:
-        fn = np.fft.fftn if forward else np.fft.ifftn
-        img = fn(img, axes=(-2, -1), norm="ortho")
-    else:
-        # Hadamard is real symmetric orthogonal: adjoint = forward
-        img = _sandwich(_hadamard(spec.side), img)
+@lru_cache(maxsize=None)
+def _grid_factors(spec: OperatorSpec) -> tuple:
+    """Factors of the real 2D stages: the outer pair (F, F^T), then the
+    pairs (S_s, S_s^T) of the square-MRA levels inside F, finest first.
+
+    F = M W_out^T per axis.  M is the real measurement: the Hadamard
+    matrix, or the identity for the identity and DFT measurements (the DFT
+    runs on numpy.fft outside these stages).  W_out is the outermost
+    wavelet analysis: all of W for a tensor wavelet, only the finest step
+    S_side for the square MRA, the identity without a wavelet.  The outer
+    pair is None when F = I.
+    """
+    side, spar = spec.side, spec.sparsity
+    factor = _hadamard(side) if spec.measurement == Measurement.HADAMARD2D else None
+    inner = ()
+    if spar != Sparsity.IDENTITY:
+        name, levels = _WAVELET_NAME[spar], spec.levels
+        if spar in _MRA_SPARSITIES:
+            inner = tuple(_step_pair(name, side >> j) for j in range(1, levels))
+            levels = 1
+        w_t = _wavelet_factor(name, side, levels, True).T
+        factor = w_t if factor is None else factor @ w_t
+    return (None if factor is None else _with_transpose(factor)), inner
+
+
+def _grid_stages(factors: tuple, x: np.ndarray, forward: bool) -> np.ndarray:
+    """Forward: the MRA levels J..2 on the shrinking LL block, then F X F^T.
+    Adjoint: F^T Y F, then the levels 2..J."""
+    outer, inner = factors
+    img = _grid(x, outer[0].shape[0])
+    if not forward:
+        img = _sandwich(outer, img, transpose=True)
+    if inner:
+        # the levels run in place: copy the caller's array, not F^T Y F
+        img = img.astype(np.float64, copy=forward)
+        for pair in inner[::-1] if forward else inner:
+            block = img[..., : len(pair[0]), : len(pair[0])]
+            _sandwich(pair, block, transpose=forward, out=block)
+    if forward:
+        img = _sandwich(outer, img, transpose=False)
     return img.reshape(x.shape)
 
 
-def _sparsity(spec: OperatorSpec, x: np.ndarray, analysis: bool) -> np.ndarray:
-    spar = spec.sparsity
-    if spar == Sparsity.IDENTITY:
+def _real_stages(spec: OperatorSpec, x: np.ndarray, forward: bool) -> np.ndarray:
+    if spec.is_2d:
+        factors = _grid_factors(spec)
+        if factors[0] is None:
+            return x
+
+        def stages(v):
+            return _grid_stages(factors, v, forward)
+    elif spec.sparsity == Sparsity.IDENTITY:
         return x
+    else:
+        w = _wavelet_factor(_WAVELET_NAME[spec.sparsity], spec.size, spec.levels, False)
+
+        def stages(v):
+            # synthesis x W, analysis y W^T
+            return _along(w.T if forward else w, v)
     if np.iscomplexobj(x):
         # the factors are real: two real passes cost half of one complex
         # pass, and spare scipy.sparse a complex copy of the factor
-        return _sparsity(spec, x.real, analysis) + 1j * _sparsity(spec, x.imag, analysis)
-    name, levels = _WAVELET_NAME[spar], spec.levels
-    if spar in _1D_SPARSITIES:
-        w = _wavelet_factor(name, spec.size, levels, False)
-        return _along(w if analysis else w.T, x)
-    img = _grid(x, spec.side)
-    if spar in _MRA_SPARSITIES:
-        # one level per pass on the shrinking (or growing) LL block
-        img = img.astype(np.result_type(img.dtype, np.float64))
-        sides = [spec.side >> j for j in range(levels)]
-        for s in sides if analysis else sides[::-1]:
-            step = _wavelet_factor(name, s, 1, True)
-            img[..., :s, :s] = _sandwich(step if analysis else step.T, img[..., :s, :s])
-    else:
-        w = _wavelet_factor(name, spec.side, levels, True)
-        img = _sandwich(w if analysis else w.T, img)
-    return img.reshape(x.shape)
+        return stages(x.real) + 1j * stages(x.imag)
+    return stages(x)
+
+
+def _dft(spec: OperatorSpec, x: np.ndarray, forward: bool) -> np.ndarray:
+    if not spec.is_2d:
+        return (np.fft.fft if forward else np.fft.ifft)(x, norm="ortho")
+    fn = np.fft.fft2 if forward else np.fft.ifft2
+    return fn(_grid(x, spec.side), norm="ortho").reshape(x.shape)
 
 
 def separable_factor(spec: OperatorSpec) -> np.ndarray | None:
     """Dense 1D factor phi with A0 = phi (x) phi, or None if non-separable.
 
-    phi = M W^T, with M the per-axis measurement (identity, Hadamard or
-    orthonormal DFT matrix) and W the per-axis wavelet analysis factor.
+    phi is the outer factor F = M W^T of `apply`, times the orthonormal
+    DFT matrix for the DFT measurement.
     """
     if not spec.is_2d or spec.sparsity in _MRA_SPARSITIES:
         return None
-    side = spec.side
-    if spec.measurement == Measurement.HADAMARD2D:
-        phi = _hadamard(side)
-    elif spec.measurement == Measurement.DFT2D:
-        phi = np.fft.fft(np.eye(side), norm="ortho")
-    else:
-        phi = np.eye(side)
-    if spec.sparsity == Sparsity.IDENTITY:
-        return np.array(phi)
-    w = _wavelet_factor(_WAVELET_NAME[spec.sparsity], side, spec.levels, True)
-    return phi @ w.T
+    outer = _grid_factors(spec)[0]
+    phi = np.eye(spec.side) if outer is None else outer[0]
+    if spec.measurement == Measurement.DFT2D:
+        return np.fft.fft(phi, axis=0, norm="ortho")
+    return np.array(phi)
 
 
 def _bands_1d(n: int, levels: int | None) -> np.ndarray:
@@ -361,9 +408,14 @@ def apply(spec: OperatorSpec, direction: Direction, x: np.ndarray) -> np.ndarray
         raise DimensionMismatch(
             f"expected last axis {spec.dim}, got {x.shape[-1]}"
         )
-    if direction == Direction.FORWARD:
-        return _measure(spec, _sparsity(spec, x, analysis=False), forward=True)
-    return _sparsity(spec, _measure(spec, x, forward=False), analysis=True)
+    forward = direction == Direction.FORWARD
+    dft = spec.measurement in (Measurement.DFT1D, Measurement.DFT2D)
+    if dft and not forward:
+        x = _dft(spec, x, forward=False)
+    x = _real_stages(spec, x, forward)
+    if dft and forward:
+        x = _dft(spec, x, forward=True)
+    return x
 
 
 def rows_batch(spec: OperatorSpec, indices) -> np.ndarray:

@@ -58,6 +58,27 @@ def test_singleton_partition_is_one_row_per_block_in_order():
             BlockPartition(blocks, kind="singletons")
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [[[0], [1], [2]], [[1], [0], [2]], [[0, 1], [2, 3]], [[0, 1], [1, 2]], [[0], [2]], [[0], [-1]]],
+)
+@pytest.mark.parametrize("kind", ["singletons", "vertical_lines"])
+def test_block_array_partition_is_checked_like_a_block_list(blocks, kind):
+    outcomes = []
+    for form in (blocks, np.array(blocks)):
+        try:
+            outcomes.append(BlockPartition(form, kind=kind).m)
+        except InvalidPartition:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_singletons_are_one_row_per_block():
+    part = BlockPartition.singletons(5)
+    assert part.m == part.dim == 5
+    assert [list(b) for b in part.blocks] == [[0], [1], [2], [3], [4]]
+
+
 # ------------------------------------------------------------------ isolated
 
 def test_fourier_uniformity():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_masks import draw_mask as reference_draw_mask
 from scipy import stats
 
 from avds.density import BlockPartition, Density
@@ -134,3 +135,34 @@ def test_distinct_n_draws_counts_consumed_draws(k, budget, seed):
             break
     assert mask.n_draws == pos + 1
     assert np.array_equal(mask.indices, np.sort(list(first)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_distinct_masks_match_per_draw_reference(seed):
+    # skewed densities with zero atoms; budgets from 1 up to every atom
+    # (the smallest atom keeps about 1e-4 of the mass or more, so the
+    # reference's per-draw loop stays within some ten thousand draws)
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 300))
+    pi = rng.uniform(0.2, 1.0, size=k) ** rng.uniform(1.0, 3.0)
+    pi[rng.random(k) < 0.2] = 0.0
+    if not pi.any():
+        pi[0] = 1.0
+    dens = Density(pi / pi.sum(), 1.0, kind="test")
+    atoms = int(np.count_nonzero(dens.pi))
+    for budget in sorted({1, max(1, atoms // 2), max(1, atoms - 1), atoms}):
+        got = draw_mask(dens, budget, mode=DISTINCT, seed=seed)
+        want = reference_draw_mask(dens, budget, mode=DISTINCT, seed=seed)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.multiplicities, want.multiplicities)
+        assert got.n_draws == want.n_draws
+
+
+def test_distinct_draws_are_capped(monkeypatch):
+    # the last atom holds 1e-12 of the mass: collecting it would take ~1e12 draws
+    pi = np.r_[np.full(9, (1 - 1e-12) / 9), 1e-12]
+    dens = Density(pi, 1.0, kind="test")
+    monkeypatch.setattr("avds.masks.MAX_DISTINCT_DRAWS", 1 << 16)
+    with pytest.raises(InfeasibleBudget, match="draws"):
+        draw_mask(dens, 10, mode=DISTINCT, seed=0)
+    assert draw_mask(dens, 9, mode=DISTINCT, seed=0).size == 9

@@ -1,7 +1,9 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import reference_support
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,6 +139,59 @@ def test_seeded_supports_match_one_draw_per_seed(omega):
     assert np.array_equal(got, want)
 
 
+@st.composite
+def rejective_weights(draw):
+    """Weights with free, forced (1) and impossible (0) entries, r = 1..n_free."""
+    n_free = draw(st.integers(1, 40))
+    r = draw(st.sampled_from([1, n_free, draw(st.integers(1, n_free))]))
+    if r == n_free:
+        # every free index is drawn: weights just below one, summing to
+        # n_free within the model's tolerance
+        free = np.full(n_free, 1.0 - 1e-9)
+    else:
+        raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=n_free, max_size=n_free))
+        free = normalize_weights(raw, r).omega
+    omega = np.r_[free, np.ones(draw(st.integers(0, 5))), np.zeros(draw(st.integers(0, 5)))]
+    return omega[draw(st.permutations(range(omega.size)))]
+
+
+def _reference_draws(dist, table, u):
+    """Supports of the reference sequential sampler on the reference table."""
+    model = SimpleNamespace(_esp=table, _log_odds=dist._log_odds, _free=dist._free, _r=dist._r)
+    out = np.zeros((len(u), dist.dim), dtype=bool)
+    out[:, dist._forced] = True
+    if dist._r:
+        reference_support._sequential_supports(model, u, out)
+    return out
+
+
+def _assert_matches_reference(omega, seed, n):
+    dist = SupportDistribution(WeightVector.from_omega(omega))
+    table = reference_support._log_suffix_esp(dist._log_odds, dist._r)
+    assert np.array_equal(dist._esp, table)
+    u = np.random.default_rng(seed).random((n, len(dist._free)))
+    assert np.array_equal(sample_supports(dist, n, seed=seed), _reference_draws(dist, table, u))
+    seeds = np.random.SeedSequence(seed).spawn(3)
+    u = np.array([np.random.default_rng(s).random(len(dist._free)) for s in seeds])
+    assert np.array_equal(sample_supports_seeded(dist, seeds), _reference_draws(dist, table, u))
+
+
+@given(rejective_weights(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_esp_table_and_draws_match_reference(omega, seed):
+    _assert_matches_reference(omega, seed, n=6)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_draws_match_reference_at_scale(seed):
+    # a few hundred free indices, a skewed profile and tens of inclusions
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.0, 1.0, size=600) ** 3
+    raw[rng.random(600) < 0.1] = 0.0
+    omega = normalize_weights(raw, int(rng.integers(1, 60))).omega
+    _assert_matches_reference(omega, seed, n=4)
+
+
 def test_samplers_agree_with_each_other():
     rng = np.random.default_rng(23)
     omega = rng.uniform(0.1, 0.9, size=6)
@@ -245,6 +300,12 @@ def test_normalize_weights_properties(values, s_target):
     assert np.all(wv.omega >= -1e-12)
     assert np.all(wv.omega <= 1 + 1e-12)
     assert abs(wv.omega.sum() - s_target) <= 1e-9
+
+
+def test_normalize_weights_subnormal_entry():
+    # 5e-324 rescales to zero; it must still take the mass left by the clamp
+    wv = normalize_weights(np.array([0.0, 2.0, 5e-324]), 2)
+    assert np.array_equal(wv.omega, [0.0, 1.0, 1.0])
 
 
 def test_distribution_requires_integer_sum():
