@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,22 +35,24 @@ _SPARSITY_ALIASES = {
 }
 
 
+def _operator_spec(measurement, sparsity, size, levels=None) -> OperatorSpec:
+    """OperatorSpec from command-line or config values, sparsity aliases allowed."""
+    try:
+        return OperatorSpec(
+            Measurement(measurement),
+            Sparsity(_SPARSITY_ALIASES.get(sparsity, sparsity)),
+            int(size),
+            levels=levels,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"spec {measurement}:{sparsity}:{size}: {exc}") from exc
+
+
 def parse_spec(text: str) -> OperatorSpec:
     parts = text.lower().split(":")
     if len(parts) not in (3, 4):
         raise ConfigError(f"spec {text!r} is not measurement:sparsity:size[:levels]")
-    meas, spar, size = parts[0], parts[1], parts[2]
-    spar = _SPARSITY_ALIASES.get(spar, spar)
-    try:
-        spec = OperatorSpec(
-            Measurement(meas),
-            Sparsity(spar),
-            int(size),
-            levels=int(parts[3]) if len(parts) == 4 else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"spec {text!r}: {exc}") from exc
-    return spec
+    return _operator_spec(*parts)
 
 
 def parse_partition(text: str | None, spec: OperatorSpec) -> BlockPartition:
@@ -72,9 +75,7 @@ def _load_corpus(directory: str, spec: OperatorSpec) -> np.ndarray:
     )
     if not paths:
         raise FormatError(f"no .avds or .pgm files under {directory}")
-    analysis = OperatorSpec(
-        Measurement.IDENTITY, spec.sparsity, spec.size, levels=spec.levels
-    )
+    analysis = replace(spec, measurement=Measurement.IDENTITY)
     rows = []
     for path in paths:
         if path.endswith(".avds"):
@@ -198,12 +199,11 @@ def _experiment_config(raw: dict, path: str) -> ExperimentConfig:
     )
     solver_entry = _section(raw, "solver", path, _SOLVER_KEYS, default={})
     with _config_errors(path):
-        spar = spec_entry["sparsity"]
-        spec = OperatorSpec(
-            Measurement(spec_entry["measurement"]),
-            Sparsity(_SPARSITY_ALIASES.get(spar, spar)),
-            int(spec_entry["size"]),
-            levels=spec_entry.get("levels"),
+        spec = _operator_spec(
+            spec_entry["measurement"],
+            spec_entry["sparsity"],
+            spec_entry["size"],
+            spec_entry.get("levels"),
         )
         kind = part_entry.get("kind", "singletons")
         if kind == "squares":
@@ -294,16 +294,14 @@ def _cmd_mask(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     spec = parse_spec(args.spec)
+    sparsity_only = replace(spec, measurement=Measurement.IDENTITY)
     mask = _read_mask(args.mask)
     op = MeasurementOp(spec, mask)
     if args.image:
         img = tensorio.read_pgm(args.image)
         if spec.is_2d and img.shape != (spec.side, spec.side):
             raise FormatError(f"image shape {img.shape} does not match the spec")
-        analysis = OperatorSpec(
-            Measurement.IDENTITY, spec.sparsity, spec.size, levels=spec.levels
-        )
-        coeffs = apply(analysis, Direction.ADJOINT, img.T.ravel())
+        coeffs = apply(sparsity_only, Direction.ADJOINT, img.T.ravel())
         y = measure(coeffs, op)
     elif args.input:
         y = tensorio.read_tensor(args.input).reshape(-1)
@@ -313,10 +311,7 @@ def _cmd_reconstruct(args) -> int:
     result = solve_bp(y, op, params)
     tensorio.write_tensor(args.out, result.x)
     if args.image_out:
-        synth = OperatorSpec(
-            Measurement.IDENTITY, spec.sparsity, spec.size, levels=spec.levels
-        )
-        rec = apply(synth, Direction.FORWARD, result.x)
+        rec = apply(sparsity_only, Direction.FORWARD, result.x)
         side = spec.side
         img = np.abs(rec.reshape(side, side)).T
         peak = img.max() if img.max() > 0 else 1.0

@@ -3,23 +3,28 @@
 The adapted density weights each row/block k by
 max{ ||B_k D_w B_k*||_2,2 , ||B_k* B_k||_inf,1 } and normalises; for
 isolated rows the two terms reduce to a_k D_w a_k* and ||a_k||_inf^2.
-Closed forms are available for vertical/horizontal line blocks of
-separable 2D operators, and baseline densities (uniform, coherence,
-polynomial decay) are provided for comparison experiments.
+Baseline densities (uniform, coherence, polynomial decay) are provided
+for comparison experiments.
 
 Coefficients with zero weight can never enter a support, so the
 sup-norm term is always evaluated with those columns removed; this is
 what makes the identity operator's density uniform on the set of
 positive weights.
 
-Isolated rows (the adapted density, the coherence baseline and singleton
-diagnostics) all go through `isolated_terms`.  Where the operator has
-energy classes (`transforms.energy_classes`: DFT with any wavelet,
-Hadamard with Haar) |a_{k,l}|^2 depends on l only through its subband,
-so one forward transform per subband gives every row's terms in
-O(subbands * K log K).  Other operators (identity measurement, Hadamard
-with DB4) stream all K rows in chunks, O(K^2), and that streamed path is
-the oracle of the class path in the tests.
+Every density (adapted, and coherence as the sup term at all-ones
+weights) reads its terms from one routine, `block_norm_terms`, which picks
+a path from the operator and from each block's indices:
+
+- singletons go to `isolated_terms`.  With energy classes
+  (`transforms.energy_classes`: DFT with any wavelet, Hadamard with Haar)
+  one forward transform per subband gives every row's terms in
+  O(subbands * K log K); other operators stream all K rows, O(K^2);
+- on a separable operator A0 = phi (x) phi a whole grid column or row
+  takes both terms in closed form from phi; any other block gets a dense
+  Gram term, and a factorised sup term if it is a product set (a square)
+  and every weight is positive;
+- every other block takes the dense path, both norms from its extracted
+  rows: the one fallback, and the oracle of every closed form.
 """
 
 from __future__ import annotations
@@ -225,20 +230,33 @@ def block_inf1_norm(block, support=None) -> float:
     return best
 
 
-def _line_closed_form(phi: np.ndarray, w: np.ndarray, kind: str) -> np.ndarray:
-    """Gram-term numerators for line blocks of a separable operator.
+def _line_closed_form(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """terms[axis, term, line] of the line blocks of A0 = phi (x) phi.
 
-    vertical (grid columns, rows phi_k (x) phi):
-        max_l sum_i |phi_{k,i}|^2 W[l, i]
-    horizontal (grid rows, rows phi (x) phi_k):
-        max_l sum_i |phi_{k,i}|^2 W[i, l]
+    Grid column c (axis 0) holds the rows phi_c (x) phi: B D_w B* =
+    phi diag(v) phi* with v_l = sum_i |phi_{c,i}|^2 W[l, i], of norm max_l v_l
+    for a unitary phi (term 0), and B* B = (phi_c* phi_c) (x) I, whose largest entry on
+    positive weights is max |phi_{c,i}|^2 over the columns i of W holding a
+    positive weight (term 1).  Grid row r (axis 1) swaps the axes of W.
     """
     energy = np.abs(phi) ** 2  # (side, side)
-    if kind == "vertical_lines":
-        return (energy @ w.T).max(axis=1)
-    if kind == "horizontal_lines":
-        return (energy @ w).max(axis=1)
-    raise InvalidPartition("closed form only exists for line partitions")
+    live = w > 0
+    return np.array(
+        [
+            [(energy @ w.T).max(axis=1), energy[:, live.any(axis=0)].max(axis=1)],
+            [(energy @ w).max(axis=1), energy[:, live.any(axis=1)].max(axis=1)],
+        ]
+    )
+
+
+def _positive(spec: OperatorSpec, omega: np.ndarray) -> np.ndarray:
+    """omega > 0, after checking that omega fits `spec` and has a positive entry."""
+    if omega.size != spec.dim:
+        raise InvalidWeights("weights do not match the operator dimension")
+    positive = omega > 0
+    if not positive.any():
+        raise InvalidWeights("weights need at least one positive entry")
+    return positive
 
 
 def isolated_terms(spec: OperatorSpec, omega: np.ndarray):
@@ -251,11 +269,7 @@ def isolated_terms(spec: OperatorSpec, omega: np.ndarray):
     classes the rows are streamed in chunks.
     """
     omega = np.asarray(omega, dtype=float)
-    if omega.size != spec.dim:
-        raise InvalidWeights("weights do not match the operator dimension")
-    positive = omega > 0
-    if not positive.any():
-        raise InvalidWeights("weights need at least one positive entry")
+    positive = _positive(spec, omega)
     labels = energy_classes(spec)
     if labels is None:
         return _streamed_terms(spec, omega)
@@ -281,6 +295,11 @@ def _streamed_terms(spec: OperatorSpec, omega: np.ndarray):
     return gram, infterm
 
 
+def _normalised(numer: np.ndarray, kind: str) -> Density:
+    total = float(numer.sum())
+    return Density(numer / total, total, kind=kind)
+
+
 def adapted_isolated(spec: OperatorSpec, weights: WeightVector) -> Density:
     """Adapted density over isolated rows: pi_k ~ max{a_k D_w a_k*, |a_k|_inf^2}.
 
@@ -288,78 +307,74 @@ def adapted_isolated(spec: OperatorSpec, weights: WeightVector) -> Density:
     rows with no energy on possibly-active coefficients get probability
     zero (identity-operator special case).
     """
-    numer = np.maximum(*isolated_terms(spec, weights.omega))
-    total = float(numer.sum())
-    return Density(pi=numer / total, normalizer=total, kind="adapted_isolated")
+    return _normalised(np.maximum(*isolated_terms(spec, weights.omega)), "adapted_isolated")
 
 
-def adapted_blocks(
-    spec: OperatorSpec,
-    partition: BlockPartition,
-    weights: WeightVector,
-    method: str = "auto",
-) -> Density:
-    """Adapted density over measurement blocks.
+def adapted_blocks(spec: OperatorSpec, partition: BlockPartition, weights: WeightVector) -> Density:
+    """Adapted density over measurement blocks, from `block_norm_terms`."""
+    return _normalised(np.maximum(*block_norm_terms(spec, partition, weights)), "adapted_blocks")
 
-    method "generic" computes both norms densely from extracted rows;
-    "closed_form_lines" uses the separable line identities (and must
-    agree with generic); "auto" picks closed forms where they are exact
-    (`isolated_terms` for singletons) and falls back to the generic path.
+
+def _grid_line(idx: np.ndarray, side: int) -> tuple[int, int] | None:
+    """(0, c) if block idx is all of grid column c, (1, r) for grid row r, else None."""
+    if idx.size == side:
+        for axis, line in enumerate((idx // side, idx % side)):
+            if np.all(line == line[0]):
+                return axis, int(line[0])
+    return None
+
+
+def block_norm_terms(spec: OperatorSpec, partition: BlockPartition, weights: WeightVector):
+    """Per-block arrays ||B_k D_w B_k*||_2,2 and ||B_k* B_k||_inf,1.
+
+    The sup term runs over the positive-weight coefficients only; the path
+    follows the operator and each block's indices (see the module notes).
     """
     omega = weights.omega
     if partition.dim != spec.dim or omega.size != spec.dim:
         raise InvalidPartition("partition/weights do not match the operator")
-    if method == "closed_form_lines":
-        phi = separable_factor(spec)
-        if phi is None or partition.kind not in ("vertical_lines", "horizontal_lines"):
-            raise InvalidPartition(
-                "closed-form lines need a separable operator and a line partition"
-            )
-        gram_terms = _line_closed_form(phi, weights.matrix(), partition.kind)
-        inf_terms = np.max(np.abs(phi) ** 2, axis=1)
-        numer = np.maximum(gram_terms, inf_terms)
-        total = float(numer.sum())
-        return Density(numer / total, total, kind="adapted_blocks")
-
-    gram_terms, inf_terms = block_norm_terms(spec, partition, weights, method=method)
-    numer = np.maximum(gram_terms, inf_terms)
-    total = float(numer.sum())
-    return Density(numer / total, total, kind="adapted_blocks")
-
-
-def block_norm_terms(
-    spec: OperatorSpec,
-    partition: BlockPartition,
-    weights: WeightVector,
-    method: str = "auto",
-):
-    """Per-block ||B_k D_w B_k*|| and ||B_k* B_k||_inf,1 arrays."""
-    if partition.kind == "singletons" and method == "auto":
-        return isolated_terms(spec, weights.omega)
-    omega = weights.omega
-    support = omega > 0
-    masked = None if support.all() else support
+    _positive(spec, omega)
+    if partition.kind == "singletons":
+        return isolated_terms(spec, omega)
     phi = separable_factor(spec)
-    is_lines = partition.kind in ("vertical_lines", "horizontal_lines")
-    use_product = method == "auto" and phi is not None and (
-        is_lines or partition.kind == "squares"
-    )
-    gram_terms = np.empty(partition.m)
-    inf_terms = np.empty(partition.m)
+    if phi is None:
+        return _dense_terms(spec, partition.blocks, weights)
+    closed = _line_closed_form(phi, weights.matrix())
+    terms = np.empty((2, partition.m))
+    rest = []
     for k, idx in enumerate(partition.blocks):
-        mat = rows_batch(spec, idx)
-        gram_terms[k] = block_gram_opnorm(mat, weights)
-        if use_product:
-            inf_terms[k] = _product_inf1(phi, idx, spec.side, masked)
+        line = _grid_line(idx, spec.side)
+        if line is None:
+            rest.append(k)
         else:
-            inf_terms[k] = block_inf1_norm(
-                mat, support=None if masked is None else np.flatnonzero(masked)
-            )
-    return gram_terms, inf_terms
+            terms[:, k] = closed[line[0], :, line[1]]
+    if rest:
+        terms[:, rest] = _dense_terms(spec, [partition.blocks[k] for k in rest], weights, phi)
+    return terms[0], terms[1]
 
 
-def _product_inf1(phi: np.ndarray, idx: np.ndarray, side: int, masked) -> float:
-    """||B*B||_inf,1 for a product-set block of a separable operator.
+def _dense_terms(spec: OperatorSpec, blocks, weights: WeightVector, phi=None):
+    """Both terms of every block from its extracted rows B_k.
+
+    The fallback of `block_norm_terms` and the oracle of its closed forms.
+    Given the separable factor phi and all-positive weights, the sup term of
+    a product-set block factorises (`_product_inf1`).
+    """
+    positive = _positive(spec, weights.omega)
+    support = None if positive.all() else np.flatnonzero(positive)
+    terms = np.empty((2, len(blocks)))
+    for k, idx in enumerate(blocks):
+        mat = rows_batch(spec, idx)
+        terms[0, k] = block_gram_opnorm(mat, weights)
+        product = None
+        if phi is not None and support is None:
+            product = _product_inf1(phi, idx, spec.side)
+        terms[1, k] = block_inf1_norm(mat, support) if product is None else product
+    return terms[0], terms[1]
+
+
+def _product_inf1(phi: np.ndarray, idx: np.ndarray, side: int) -> float | None:
+    """||B*B||_inf,1 for a product-set block of a separable operator, else None.
 
     Flat indices col*side + row with {rows} x {cols} a product set give
     B = phi_C (x) phi_R, so the Gram max-entry factorises.
@@ -367,16 +382,8 @@ def _product_inf1(phi: np.ndarray, idx: np.ndarray, side: int, masked) -> float:
     rows = np.unique(idx % side)
     cols = np.unique(idx // side)
     if len(rows) * len(cols) != len(idx):
-        raise InvalidPartition("block is not a product set")
-    if masked is not None:
-        # fall back: masked sup-norm does not factorise
-        return block_inf1_norm(
-            np.kron(phi[cols], phi[rows]), support=np.flatnonzero(masked)
-        )
-    fr = phi[rows]
-    fc = phi[cols]
-    max_r = float(np.abs(fr.conj().T @ fr).max())
-    max_c = float(np.abs(fc.conj().T @ fc).max())
+        return None
+    max_r, max_c = (float(np.abs(f.conj().T @ f).max()) for f in (phi[rows], phi[cols]))
     return max_r * max_c
 
 
@@ -393,14 +400,8 @@ def baseline_density(
         m = partition.m
         return Density(np.full(m, 1.0 / m), float(m), kind="uniform")
     if kind == "coherence":
-        if partition.kind == "singletons":
-            numer = isolated_terms(spec, np.ones(spec.dim))[1]
-        else:
-            numer = np.array(
-                [block_inf1_norm(rows_batch(spec, idx)) for idx in partition.blocks]
-            )
-        total = float(numer.sum())
-        return Density(numer / total, total, kind="coherence")
+        ones = WeightVector.from_omega(np.ones(spec.dim))
+        return _normalised(block_norm_terms(spec, partition, ones)[1], "coherence")
     if kind == "polynomial":
         if not spec.is_2d or spec.measurement not in (
             Measurement.DFT2D,
@@ -413,7 +414,5 @@ def baseline_density(
         f = signed_frequencies(side).astype(float)
         rad2 = f[None, :] ** 2 + f[:, None] ** 2  # [row, col] grid
         rad2[0, 0] = 2.0  # DC takes the value of the (1,1) cell
-        numer = (rad2 ** (-exponent)).T.ravel()  # column-major flatten
-        total = float(numer.sum())
-        return Density(numer / total, total, kind="polynomial")
+        return _normalised((rad2 ** (-exponent)).T.ravel(), "polynomial")  # column-major
     raise InvalidSpec(f"unknown baseline density kind {kind!r}")

@@ -17,6 +17,11 @@ from .errors import InvalidWeights, RejectionCapExceeded
 
 _SUM_TOL = 1e-6
 
+# Largest log-ESP table, (n_free + 1) x (r + 1) float64 entries for n_free
+# weights in (0, 1) and r free picks; a model needing more raises InvalidWeights
+# before allocating.  2^26 entries is 512 MB and admits K = 65536 at S = 655.
+MAX_ESP_ENTRIES = 1 << 26
+
 
 @dataclass
 class WeightVector:
@@ -160,6 +165,11 @@ class SupportDistribution:
         r = s_round - len(self._forced)
         if r < 0 or r > len(self._free):
             raise InvalidWeights("weights cannot produce supports of size S")
+        if (len(self._free) + 1) * (r + 1) > MAX_ESP_ENTRIES:
+            raise InvalidWeights(
+                f"the support model needs a {len(self._free) + 1} x {r + 1} table, "
+                f"more than {MAX_ESP_ENTRIES} entries"
+            )
         with np.errstate(divide="ignore"):
             w_free = omega[self._free]
             self._log_odds = np.log(w_free) - np.log1p(-w_free)

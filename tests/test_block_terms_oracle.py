@@ -1,0 +1,143 @@
+"""Block-norm terms of `block_norm_terms` against the dense per-block path.
+
+`density._dense_terms` extracts every block's rows and computes both norms
+from them; it is the fallback of `block_norm_terms` and the oracle of its
+closed forms.  The separable pairs (DFT2D and Hadamard2D with identity,
+tensor Haar or tensor DB4) take the line closed form on grid lines and a
+factorised sup term on squares; the square-MRA pairs have no separable
+factor and must take the dense path itself.  Partitions: vertical lines,
+horizontal lines, permuted vertical lines and squares; weights: all
+positive, random zeros, zero outside two coefficient-grid columns, and
+zero outside two grid rows.
+
+The closed forms assume a unitary factor phi, so they match the dense
+path to 1e-12 plus the factor's own departure from unitarity,
+||phi* phi - I||_2: machine precision for Haar, the DFT and Hadamard, and
+about 4e-12 for the DB4 taps (accurate to about 1e-12).
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from test_transform_oracle import _specs
+
+from avds import density
+from avds.density import BlockPartition, _dense_terms, block_norm_terms
+from avds.errors import InvalidWeights
+from avds.support_model import WeightVector
+from avds.transforms import Measurement, OperatorSpec, Sparsity, separable_factor
+
+MEASUREMENTS = (Measurement.DFT2D, Measurement.HADAMARD2D)
+SEPARABLE = (Sparsity.IDENTITY, Sparsity.TENSOR_HAAR, Sparsity.TENSOR_DB4)
+MRA = (Sparsity.HAAR2D, Sparsity.DB4_2D)
+WEIGHTS = ("positive", "random_zeros", "zero_columns", "zero_rows")
+PARTITIONS = ("vertical", "horizontal", "permuted", "squares")
+
+
+def _weights(side: int, case: str, seed: int) -> WeightVector:
+    """Weight matrix W (vec(W) = omega) of the named case."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.05, 0.95, (side, side))
+    if case == "random_zeros":
+        w *= rng.random((side, side)) > 0.4
+        w[0, 0] = 0.5
+    elif case == "zero_columns":
+        w[:, 2:] = 0.0
+    elif case == "zero_rows":
+        w[2:, :] = 0.0
+    return WeightVector.from_omega(w.T.ravel())
+
+
+def _partition(side: int, case: str, seed: int) -> BlockPartition:
+    if case == "vertical":
+        return BlockPartition.vertical_lines(side)
+    if case == "horizontal":
+        return BlockPartition.horizontal_lines(side)
+    if case == "permuted":
+        blocks = BlockPartition.vertical_lines(side).blocks
+        order = np.random.default_rng(seed).permutation(side)
+        return BlockPartition([blocks[k] for k in order], kind="vertical_lines")
+    return BlockPartition.squares(side, max(2, side // 4))
+
+
+def _assert_matches_dense(spec, part, wv):
+    fast = block_norm_terms(spec, part, wv)
+    dense = _dense_terms(spec, part.blocks, wv)
+    phi = separable_factor(spec)
+    defect = np.linalg.norm(phi.conj().T @ phi - np.eye(spec.side), 2)
+    rtol = 1e-12 + defect
+    for f, d in zip(fast, dense):
+        np.testing.assert_allclose(f, d, rtol=rtol, atol=rtol * d.max())
+
+
+def _name(spec):
+    return f"{spec.measurement.value}-{spec.sparsity.value}-{spec.size}-L{spec.levels}"
+
+
+def _cases(sparsities, max_dim):
+    """Specs of the pairs with K <= max_dim; at K = 1024 the default depth only, as slow."""
+    for meas, spar in itertools.product(MEASUREMENTS, sparsities):
+        for spec in _specs(meas, spar):
+            if spec.dim < 1024:
+                yield pytest.param(spec, id=_name(spec))
+            elif spec.dim <= max_dim and spec == OperatorSpec(meas, spar, spec.size):
+                yield pytest.param(spec, id=_name(spec), marks=pytest.mark.slow)
+
+
+@pytest.mark.parametrize("spec", _cases(SEPARABLE, 1024))
+def test_separable_terms_match_dense_path(spec):
+    for (p, part_case), (q, weight_case) in itertools.product(
+        enumerate(PARTITIONS), enumerate(WEIGHTS)
+    ):
+        part = _partition(spec.side, part_case, seed=p)
+        _assert_matches_dense(spec, part, _weights(spec.side, weight_case, seed=q))
+
+
+def test_lines_are_read_from_the_block_indices():
+    # a partition mixing grid columns, in shuffled order, with 2 x 2 squares
+    # over the remaining columns: lines take the closed form block by block
+    spec = next(s for s in _specs(Measurement.DFT2D, Sparsity.TENSOR_HAAR) if s.dim == 64)
+    side = spec.side
+    squares = BlockPartition.squares(side, 2).blocks
+    lines = BlockPartition.vertical_lines(side).blocks[: side // 2]
+    part = BlockPartition(
+        [lines[3], squares[-1], lines[0], lines[2]] + squares[side:-1] + [lines[1]],
+        kind="mixed",
+    )
+    for q, case in enumerate(WEIGHTS):
+        _assert_matches_dense(spec, part, _weights(side, case, seed=q))
+
+
+def test_line_blocks_extract_no_rows(monkeypatch):
+    spec = next(s for s in _specs(Measurement.HADAMARD2D, Sparsity.TENSOR_DB4) if s.dim == 256)
+
+    def no_rows(*args):
+        raise AssertionError("line blocks of a separable operator extract no rows")
+
+    monkeypatch.setattr(density, "rows_batch", no_rows)
+    for part_case in ("vertical", "horizontal", "permuted"):
+        block_norm_terms(spec, _partition(16, part_case, seed=0), _weights(16, "zero_rows", 0))
+
+
+@pytest.mark.parametrize("spec", _cases(MRA, 256))
+def test_mra_terms_are_the_dense_path(spec):
+    assert separable_factor(spec) is None
+    for (p, part_case), (q, weight_case) in itertools.product(
+        enumerate(PARTITIONS), enumerate(WEIGHTS)
+    ):
+        part = _partition(spec.side, part_case, seed=p)
+        wv = _weights(spec.side, weight_case, seed=q)
+        fast = block_norm_terms(spec, part, wv)
+        dense = _dense_terms(spec, part.blocks, wv)
+        for f, d in zip(fast, dense):
+            np.testing.assert_array_equal(f, d)
+
+
+@pytest.mark.parametrize("spar", [Sparsity.TENSOR_HAAR, Sparsity.HAAR2D], ids=lambda s: s.value)
+@pytest.mark.parametrize("part_case", PARTITIONS)
+def test_block_terms_need_a_positive_weight(spar, part_case):
+    spec = OperatorSpec(Measurement.DFT2D, spar, 8)
+    zero = WeightVector.from_omega(np.zeros(64))
+    with pytest.raises(InvalidWeights):
+        block_norm_terms(spec, _partition(8, part_case, seed=0), zero)

@@ -4,6 +4,7 @@ import pytest
 from avds.density import (
     BlockPartition,
     Density,
+    _dense_terms,
     adapted_blocks,
     adapted_isolated,
     baseline_density,
@@ -25,6 +26,12 @@ from avds.transforms import (
 def random_weights(k, s, seed=0):
     rng = np.random.default_rng(seed)
     return normalize_weights(rng.uniform(0.01, 1.0, size=k), s)
+
+
+def dense_density(spec, part, wv):
+    """The adapted block density from the dense per-block path."""
+    numer = np.maximum(*_dense_terms(spec, part.blocks, wv))
+    return Density(numer / numer.sum(), float(numer.sum()), kind="adapted_blocks")
 
 
 # ----------------------------------------------------------------- partitions
@@ -201,8 +208,8 @@ def test_closed_form_agrees_with_generic(kind, meas, spar):
     part = getattr(BlockPartition, kind)(side)
     rng = np.random.default_rng(1)
     wv = WeightVector.from_omega(rng.uniform(0.01, 0.9, size=side * side))
-    closed = adapted_blocks(spec, part, wv, method="closed_form_lines")
-    generic = adapted_blocks(spec, part, wv, method="generic")
+    closed = adapted_blocks(spec, part, wv)
+    generic = dense_density(spec, part, wv)
     assert np.max(np.abs(closed.pi - generic.pi)) <= 1e-8
     assert np.isclose(closed.normalizer, generic.normalizer, rtol=1e-8)
 
@@ -211,8 +218,8 @@ def test_auto_matches_generic_on_squares():
     spec = OperatorSpec(Measurement.DFT2D, Sparsity.TENSOR_DB4, 8, levels=2)
     part = BlockPartition.squares(8, 4)
     wv = random_weights(64, 6, seed=8)
-    auto = adapted_blocks(spec, part, wv, method="auto")
-    generic = adapted_blocks(spec, part, wv, method="generic")
+    auto = adapted_blocks(spec, part, wv)
+    generic = dense_density(spec, part, wv)
     assert np.max(np.abs(auto.pi - generic.pi)) <= 1e-10
     assert np.all(auto.pi >= 0)
     assert abs(auto.pi.sum() - 1) <= 1e-9
@@ -227,25 +234,18 @@ def test_uniform_weight_line_value():
     spec = OperatorSpec(Measurement.DFT2D, Sparsity.IDENTITY, side)
     wv = WeightVector.from_omega(np.full(side * side, s / side**2))
     part = BlockPartition.vertical_lines(side)
-    dens = adapted_blocks(spec, part, wv, method="closed_form_lines")
+    dens = adapted_blocks(spec, part, wv)
     expected = max(s / side**2, 1.0 / side)
     assert np.allclose(dens.normalizer, side * expected, rtol=1e-10)
     gram = block_gram_opnorm(rows_batch(spec, part.blocks[0]), wv)
     assert np.isclose(gram, s / side**2, rtol=1e-10)
 
 
-def test_closed_form_rejected_for_squares():
-    spec = OperatorSpec(Measurement.DFT2D, Sparsity.TENSOR_HAAR, 4, levels=1)
-    part = BlockPartition.squares(4, 2)
-    with pytest.raises(InvalidPartition):
-        adapted_blocks(spec, part, random_weights(16, 2), method="closed_form_lines")
-
-
 def test_adapted_blocks_singletons_matches_isolated():
     spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 4, levels=2)
     wv = random_weights(16, 3, seed=5)
     iso = adapted_isolated(spec, wv)
-    blk = adapted_blocks(spec, BlockPartition.singletons(16), wv, method="generic")
+    blk = dense_density(spec, BlockPartition.singletons(16), wv)
     assert np.max(np.abs(iso.pi - blk.pi)) <= 1e-10
 
 

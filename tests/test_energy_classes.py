@@ -14,6 +14,7 @@ from test_transform_oracle import PAIRS, _specs
 
 from avds.density import (
     BlockPartition,
+    _dense_terms,
     _streamed_terms,
     adapted_isolated,
     baseline_density,
@@ -133,8 +134,8 @@ def test_coherence_baseline_is_the_row_sup_norm():
 def test_singleton_block_terms_auto_match_generic(spec):
     part = BlockPartition.singletons(spec.dim)
     wv = _weights(spec.dim, seed=11)
-    auto = block_norm_terms(spec, part, wv, method="auto")
-    generic = block_norm_terms(spec, part, wv, method="generic")
+    auto = block_norm_terms(spec, part, wv)
+    generic = _dense_terms(spec, part.blocks, wv)
     for a, g in zip(auto, generic):
         np.testing.assert_allclose(a, g, rtol=1e-12, atol=1e-12 * g.max())
     dens = adapted_isolated(spec, wv)

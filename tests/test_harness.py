@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from reference_diagnostics import reference_diagnostics
 
-from avds.density import BlockPartition, adapted_isolated, baseline_density
+from avds.density import BlockPartition, Density, adapted_isolated, baseline_density
 from avds.errors import DimensionMismatch
 from avds.harness import (
     ExperimentConfig,
@@ -16,6 +16,7 @@ from avds.harness import (
     smallest_m_reaching,
     synth_corpus,
 )
+from avds.masks import IID, draw_mask
 from avds.recon import SolverParams
 from avds.support_model import (
     WeightVector,
@@ -238,6 +239,25 @@ def test_phase_transition_pruning():
     point = table["uniform"][0]
     assert point.pruned
     assert point.trials_run < 10
+
+
+def test_diagnostics_tail_counts_exact_ties():
+    # A0 = I, support {0}, pi = (1/2, 1/2, 0, 0), m = 4: the scaled Gram is
+    # the 1 x 1 matrix mult_0 / 2, so its deviation is exactly 1/2 when row 0
+    # is drawn once or three times; rounding gives 0.5000000000000001 and
+    # 1.4999999999999998, a deviation just under 1/2.  A trial is a hit
+    # unless row 0 is drawn exactly twice.
+    spec = OperatorSpec(Measurement.IDENTITY, Sparsity.IDENTITY, 4)
+    dens = Density(np.array([0.5, 0.5, 0.0, 0.0]), 1.0, kind="uniform")
+    wv = WeightVector.from_omega(np.array([1.0, 0.0, 0.0, 0.0]))
+    d = diagnostics(spec, BlockPartition.singletons(4), dens, wv, m=4, trials=20, seed=0)
+    mult = []
+    for seq in np.random.SeedSequence(0).spawn(20):
+        mask = draw_mask(dens, 4, mode=IID, seed=seq.spawn(2)[1])
+        mult.append(int(mask.multiplicities[mask.indices == 0].sum()))
+    assert {1, 3} <= set(mult)
+    assert d.gram_tail_prob == np.mean(np.array(mult) != 2)
+    assert np.sqrt(1 / 2) ** 2 > 1 / 2  # the ties round to deviations below 1/2
 
 
 def test_diagnostics_lambda_invariant_under_block_permutation():

@@ -347,6 +347,20 @@ def test_cli_config_errors_are_config_errors(tmp_path, capsys, command, config):
     assert out == ["error: ConfigError"]
 
 
+def test_cli_oversized_support_model_is_invalid_weights(tmp_path, capsys):
+    # uniform weights at K = 2^16 with S = 2^12 would need a 2.1 GB table
+    cfg = dict(
+        _EXPERIMENT_CFG,
+        spec={"measurement": "hadamard2d", "sparsity": "identity", "size": 256},
+        weights={"source": "uniform", "sparsity": 4096},
+        densities=["uniform"],
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("experiment", "--config", str(path)) == 1
+    assert capsys.readouterr().out.splitlines() == ["error: InvalidWeights"]
+
+
 def test_cli_diagnose_runs(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(_DIAGNOSE_CFG, m=[4, 8])))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from avds.errors import InvalidWeights
 from avds.support_model import (
+    MAX_ESP_ENTRIES,
     SupportDistribution,
     WeightVector,
     draw_signal,
@@ -311,3 +313,18 @@ def test_normalize_weights_subnormal_entry():
 def test_distribution_requires_integer_sum():
     with pytest.raises(InvalidWeights):
         SupportDistribution(WeightVector.from_omega([0.4, 0.3]))
+
+
+def test_distribution_refuses_an_oversized_table_before_allocating():
+    # uniform weights at K = 2^16, S = 2^12: a 65537 x 4097 table, 2.1 GB
+    k, s = 1 << 16, 1 << 12
+    assert (k + 1) * (s + 1) > MAX_ESP_ENTRIES
+    weights = WeightVector.from_omega(np.full(k, s / k))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidWeights, match="table"):
+            SupportDistribution(weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
