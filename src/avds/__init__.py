@@ -8,14 +8,10 @@ equality-constrained basis pursuit.
 from .density import (
     BlockPartition,
     Density,
-    LevelsSummary,
     adapted_blocks,
     adapted_isolated,
     baseline_density,
-    block_gram_opnorm,
-    block_inf1_norm,
     block_norm_terms,
-    levels_summary,
 )
 from .errors import AvdsError
 from .harness import (
@@ -42,15 +38,12 @@ from .recon import (
     solve_bp,
 )
 from .support_model import (
-    SparseSignal,
     SupportDistribution,
     WeightVector,
-    draw_signal,
     draw_signals,
     estimate_weights,
     flip,
     normalize_weights,
-    sample_support,
     sample_supports,
     sequential_path_log_prob,
     support_prob,
@@ -59,12 +52,8 @@ from .transforms import (
     Direction,
     Measurement,
     OperatorSpec,
-    RowVector,
     Sparsity,
     apply,
-    block_rows,
-    dense_matrix,
-    row,
     rows_batch,
 )
 

@@ -39,7 +39,6 @@ from .transforms import (
     Direction,
     Measurement,
     OperatorSpec,
-    RowVector,
     apply,
     energy_classes,
     row_chunks,
@@ -148,58 +147,17 @@ class BlockPartition:
         return cls(blocks, kind="squares")
 
 
-@dataclass
-class LevelsSummary:
-    """Per-dyadic-level mass of the weights (1D) or its row-max variant (2D)."""
-
-    masses: np.ndarray
-    layout: str
-
-
-def _dyadic_bands(n: int):
-    """Bands {0}, {1}, {2,3}, {4..7}, ... covering 0..n-1."""
-    bands = [np.array([0])]
-    start = 1
-    while start < n:
-        bands.append(np.arange(start, 2 * start))
-        start *= 2
-    return bands
-
-
-def levels_summary(weights: WeightVector, layout: str = "dyadic1d") -> LevelsSummary:
-    omega = weights.omega
-    if layout == "dyadic1d":
-        n = omega.size
-        if n & (n - 1):
-            raise InvalidWeights("dyadic summary needs a power-of-two length")
-        masses = np.array([omega[band].sum() for band in _dyadic_bands(n)])
-        return LevelsSummary(masses=masses, layout=layout)
-    if layout == "rowwise_dyadic2d":
-        w = weights.matrix()
-        side = w.shape[0]
-        if side & (side - 1):
-            raise InvalidWeights("dyadic summary needs a power-of-two side")
-        masses = np.array(
-            [w[:, band].sum(axis=1).max() for band in _dyadic_bands(side)]
-        )
-        return LevelsSummary(masses=masses, layout=layout)
-    raise InvalidWeights(f"unknown layout {layout!r}")
-
-
 # ----------------------------------------------------------------------
 # block norms
 
-def _rows_matrix(block_rows) -> np.ndarray:
-    if isinstance(block_rows, np.ndarray):
-        mat = block_rows
-    else:
-        mat = np.stack([r.entries if isinstance(r, RowVector) else r for r in block_rows])
+def _rows_matrix(block) -> np.ndarray:
+    mat = np.asarray(block)
     if mat.shape[0] > _MAX_BLOCK_ROWS:
         raise InvalidPartition(f"block with {mat.shape[0]} rows exceeds the dense limit")
     return mat
 
 
-def block_gram_opnorm(block, weights: WeightVector) -> float:
+def _block_gram_opnorm(block, weights: WeightVector) -> float:
     """Operator norm of B_k D_w B_k*, computed densely on the small Gram."""
     mat = _rows_matrix(block)
     omega = weights.omega
@@ -211,7 +169,7 @@ def block_gram_opnorm(block, weights: WeightVector) -> float:
     return float(np.linalg.eigvalsh(gram)[-1].real)
 
 
-def block_inf1_norm(block, support=None) -> float:
+def _block_inf1_norm(block, support=None) -> float:
     """Max absolute entry of B_k* B_k, optionally restricted to `support`.
 
     The K x K Gram is never materialised: its entries are scanned in
@@ -365,11 +323,11 @@ def _dense_terms(spec: OperatorSpec, blocks, weights: WeightVector, phi=None):
     terms = np.empty((2, len(blocks)))
     for k, idx in enumerate(blocks):
         mat = rows_batch(spec, idx)
-        terms[0, k] = block_gram_opnorm(mat, weights)
+        terms[0, k] = _block_gram_opnorm(mat, weights)
         product = None
         if phi is not None and support is None:
             product = _product_inf1(phi, idx, spec.side)
-        terms[1, k] = block_inf1_norm(mat, support) if product is None else product
+        terms[1, k] = _block_inf1_norm(mat, support) if product is None else product
     return terms[0], terms[1]
 
 

@@ -14,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .density import Density
 from .errors import DimensionMismatch, SingularGram, UnsupportedSolver
@@ -199,9 +198,10 @@ def check_fuchs(spec: OperatorSpec, mask: Mask, support, signs) -> float:
     cols = apply(spec, Direction.FORWARD, slab)[:, mask.indices].T  # (m, S)
     gram = cols.conj().T @ cols
     try:
-        cho = linalg.cho_factor(gram)
-        w = linalg.cho_solve(cho, signs.astype(complex))
-    except linalg.LinAlgError as exc:
+        # gram = L L*: w solves L z = s, then L* w = z
+        low = np.linalg.cholesky(gram)
+        w = np.linalg.solve(low.conj().T, np.linalg.solve(low, signs.astype(complex)))
+    except np.linalg.LinAlgError as exc:
         raise SingularGram("A_I* A_I is singular (undersampled support)") from exc
     u = cols @ w  # (m,)
     z = np.zeros(k_total, dtype=complex)

@@ -307,14 +307,6 @@ def _sequential_supports(dist: SupportDistribution, u: np.ndarray, out: np.ndarr
     return out
 
 
-def sample_support(dist: SupportDistribution, method: str = "exact", seed=None,
-                   rejection_cap: int = 10**6) -> np.ndarray:
-    """Single support draw, returned as a sorted index array."""
-    mask = sample_supports(dist, 1, method=method, seed=seed,
-                           rejection_cap=rejection_cap)[0]
-    return np.flatnonzero(mask)
-
-
 def sequential_path_log_prob(dist: SupportDistribution, support) -> float:
     """log-probability of `support` accumulated along the sequential path.
 
@@ -350,15 +342,6 @@ def sequential_path_log_prob(dist: SupportDistribution, support) -> float:
     return total
 
 
-@dataclass
-class SparseSignal:
-    """Unit-magnitude sparse signal with Rademacher signs on its support."""
-
-    support: np.ndarray
-    signs: np.ndarray
-    values: np.ndarray
-
-
 def draw_signals(dist: SupportDistribution, n: int, seed=None,
                  method: str = "exact") -> np.ndarray:
     """n signal vectors (n, K): rejective supports, iid +-1 magnitudes."""
@@ -366,10 +349,3 @@ def draw_signals(dist: SupportDistribution, n: int, seed=None,
     masks = sample_supports(dist, n, method=method, seed=rng.integers(2**63))
     signs = rng.integers(0, 2, size=masks.shape) * 2 - 1
     return masks * signs.astype(float)
-
-
-def draw_signal(dist: SupportDistribution, seed=None,
-                method: str = "exact") -> SparseSignal:
-    values = draw_signals(dist, 1, seed=seed, method=method)[0]
-    support = np.flatnonzero(values)
-    return SparseSignal(support=support, signs=values[support].copy(), values=values)

@@ -5,21 +5,24 @@ Walsh-Hadamard in Sylvester order) and Psi the sparsity analysis transform
 (identity, periodic orthonormal Haar/DB4 wavelets in 1D, square multilevel
 MRA in 2D, or the separable tensor construction psi (x) psi).
 
-Every stage except the DFT (which runs on numpy.fft) is a product with
-cached per-axis factor matrices: the Hadamard matrix H, the single-level
-wavelet step S_n and the multilevel analysis W_n.  A 2D operator folds its
-real per-axis measurement M (H, or I for the identity and the DFT) into
-its outermost wavelet factor, one composite F = M W_out^T per axis, where
+Each wavelet is described once, as a periodic two-channel filter bank run
+by index gathers (`_filter_bank`): per level, a cached (taps, n/2) index
+array and the filters give the analysis step, and the transposed gather
+its synthesis, O(taps) work per entry.  A 1D wavelet runs these gathers
+level by level next to the 1D DFT (numpy.fft).  A 2D operator multiplies
+by cached dense per-axis factors built from them: the Hadamard matrix H
+(Sylvester recursion), the single-level step S_n and the multilevel
+analysis W_n, each the gather applied to the identity.  It folds its real
+per-axis measurement M (H, or I for the identity and the DFT) into its
+outermost wavelet factor, one composite F = M W_out^T per axis, where
 W_out is all of W for a tensor wavelet, the finest step S_side for the
 square MRA and I without a wavelet.  The forward transform runs the
 remaining MRA levels J..2 as S_s^T X S_s on the shrinking s x s LL block,
 then F X F^T, then the DFT; the adjoint runs the inverse DFT, F^T Y F,
-then the levels 2..J.  A 1D wavelet computes x W (synthesis) or y W^T
-(analysis) next to the 1D DFT.  2D factors are dense side x side arrays
-(O(side^3) work per grid); 1D wavelet factors are CSR, since a dense K x K
-factor would cost O(K^2) memory.  All stages act on the trailing axis/axes
-of their input, so batches of vectors transform in one call.  Operators
-are limited to K <= MAX_DIM = 2^20.
+then the levels 2..J.  2D factors are side x side arrays (O(side^3) work
+per grid).  All stages act on the trailing axis/axes of their input, so
+batches of vectors transform in one call.  Operators are limited to
+K <= MAX_DIM = 2^20.
 
 2D objects are vectorised column-major: flat index r of a side x side grid
 maps to (row, col) = (r % side, r // side).
@@ -37,7 +40,6 @@ from functools import lru_cache
 from math import log2, sqrt
 
 import numpy as np
-from scipy import linalg, sparse
 
 from .errors import DimensionMismatch, InvalidSpec
 
@@ -170,68 +172,85 @@ class OperatorSpec:
         return self.size * self.size if self.is_2d else self.size
 
 
-@dataclass
-class RowVector:
-    """Row a_k of the composite unitary A0, satisfying a_k . x = (A0 x)_k."""
-
-    entries: np.ndarray
-    index: int
-
-
 # ----------------------------------------------------------------------
-# per-axis factor matrices, cached and shared read-only by every caller
+# cached arrays, shared read-only by every caller
 
-def _frozen(mat):
-    for arr in (mat.data, mat.indices, mat.indptr) if sparse.issparse(mat) else (mat,):
-        arr.flags.writeable = False
-    return mat
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @lru_cache(maxsize=None)
-def _wavelet_step(name: str, n: int) -> sparse.csr_array:
-    """Single-level periodic analysis S_n, low-pass rows above high-pass rows.
+def _filter_bank(name: str, n: int) -> tuple[np.ndarray, ...]:
+    """Gathers of the single-level periodic step at length n.
 
-    Row i < n/2 holds h[t] at column (2i + t) mod n and row n/2 + i holds
-    g[t] there; taps that wrap onto the same column (DB4 at n < 8) add up.
+    Analysis: [a, d][i] = sum_t [h, g][t] x[(2i + t) mod n], from a
+    (taps, n/2) index array and the (2, taps) filters [h; g].  Synthesis
+    is its transpose, x[2m + p] = sum_u h[2u + p] a[(m - u) mod n/2] +
+    g[2u + p] d[(m - u) mod n/2]: a (taps, n/2) index array into [a, d]
+    and the (2, taps) polyphase filters, one row per parity p.  Taps that
+    wrap (DB4 at n < 8) repeat an index, and the repeats add up.  Taps run
+    along the first axis: a gather then ends in n/2 contiguous entries.
     """
     h, g = _wavelet_filters(name)
     half = n // 2
-    cols = ((2 * np.arange(half)[:, None] + np.arange(len(h))) % n).ravel()
-    step = sparse.coo_array(
-        (
-            np.concatenate([np.tile(h, half), np.tile(g, half)]),
-            (np.repeat(np.arange(n), len(h)), np.concatenate([cols, cols])),
-        ),
-        shape=(n, n),
+    i = np.arange(half)
+    shifted = (i - np.arange(len(h) // 2)[:, None]) % half
+    return tuple(
+        _frozen(arr)
+        for arr in (
+            (2 * i + np.arange(len(h))[:, None]) % n,
+            np.stack([h, g]),
+            np.concatenate([shifted, shifted + half]),
+            np.stack([np.concatenate([h[p::2], g[p::2]]) for p in (0, 1)]),
+        )
     )
-    return _frozen(step.tocsr())
+
+
+def _analysis(name: str, x: np.ndarray, levels: int) -> np.ndarray:
+    """Multilevel periodic analysis along the last axis, O(taps) per entry.
+
+    Layout [a_J, d_J, d_{J-1}, ..., d_1]; each level filters the current
+    approximation, the first n entries, into [a, d].
+    """
+    y = np.array(x, dtype=np.float64)
+    n = y.shape[-1]
+    for _ in range(levels):
+        index, filters = _filter_bank(name, n)[:2]
+        y[..., :n] = (filters @ np.take(y, index, axis=-1)).reshape(y.shape[:-1] + (n,))
+        n //= 2
+    return y
+
+
+def _synthesis(name: str, y: np.ndarray, levels: int) -> np.ndarray:
+    """Inverse (and transpose) of `_analysis`, coarsest level first."""
+    x = np.array(y, dtype=np.float64)
+    n = x.shape[-1] >> (levels - 1)
+    for _ in range(levels):
+        index, filters = _filter_bank(name, n)[2:]
+        parity = filters @ np.take(x, index, axis=-1)  # (..., 2, n/2)
+        x[..., 0:n:2] = parity[..., 0, :]
+        x[..., 1:n:2] = parity[..., 1, :]
+        n *= 2
+    return x
 
 
 @lru_cache(maxsize=None)
-def _wavelet_factor(name: str, n: int, levels: int, dense: bool):
-    """Multilevel analysis W_n = prod_j blockdiag(S_{n/2^j}, I).
+def _wavelet_factor(name: str, n: int, levels: int) -> np.ndarray:
+    """Dense multilevel analysis matrix W_n, the analysis of every e_l.
 
-    Output layout [a_J, d_J, d_{J-1}, ..., d_1].  Dense for the side of a
-    2D grid; CSR for a 1D signal, where a dense K x K factor is O(K^2).
+    For the side of a 2D grid; a 1D signal runs the gathers directly.
     """
-    w = _wavelet_step(name, n)
-    for j in range(1, levels):
-        s = n >> j
-        level = sparse.block_diag([_wavelet_step(name, s), sparse.eye_array(n - s)], format="csr")
-        w = level @ w
-    return _frozen(w.toarray() if dense else w.tocsr())
+    return _frozen(np.ascontiguousarray(_analysis(name, np.eye(n), levels).T))
 
 
 @lru_cache(maxsize=None)
 def _hadamard(n: int) -> np.ndarray:
     """Orthonormal Walsh-Hadamard matrix in Sylvester order (symmetric)."""
-    return _frozen(linalg.hadamard(n) / sqrt(n))
-
-
-def _along(factor, x: np.ndarray) -> np.ndarray:
-    """Multiply `factor` (dense or CSR) into the last axis of x: x @ factor.T."""
-    flat = x.reshape(-1, x.shape[-1]) @ factor.T
-    return flat.reshape(x.shape[:-1] + (factor.shape[0],))
+    h = np.ones((1, 1))
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return _frozen(h / sqrt(n))
 
 
 def _with_transpose(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +260,7 @@ def _with_transpose(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _step_pair(name: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return _with_transpose(_wavelet_factor(name, n, 1, True))
+    return _with_transpose(_wavelet_factor(name, n, 1))
 
 
 def _sandwich(pair, img: np.ndarray, transpose: bool, out=None) -> np.ndarray:
@@ -283,7 +302,7 @@ def _grid_factors(spec: OperatorSpec) -> tuple:
         if spar in _MRA_SPARSITIES:
             inner = tuple(_step_pair(name, side >> j) for j in range(1, levels))
             levels = 1
-        w_t = _wavelet_factor(name, side, levels, True).T
+        w_t = _wavelet_factor(name, side, levels).T
         factor = w_t if factor is None else factor @ w_t
     return (None if factor is None else _with_transpose(factor)), inner
 
@@ -317,14 +336,13 @@ def _real_stages(spec: OperatorSpec, x: np.ndarray, forward: bool) -> np.ndarray
     elif spec.sparsity == Sparsity.IDENTITY:
         return x
     else:
-        w = _wavelet_factor(_WAVELET_NAME[spec.sparsity], spec.size, spec.levels, False)
+        name, levels = _WAVELET_NAME[spec.sparsity], spec.levels
 
         def stages(v):
-            # synthesis x W, analysis y W^T
-            return _along(w.T if forward else w, v)
+            # synthesis Psi* x, analysis Psi y
+            return (_synthesis if forward else _analysis)(name, v, levels)
     if np.iscomplexobj(x):
-        # the factors are real: two real passes cost half of one complex
-        # pass, and spare scipy.sparse a complex copy of the factor
+        # the filters are real: two real passes cost half of one complex pass
         return stages(x.real) + 1j * stages(x.imag)
     return stages(x)
 
@@ -430,27 +448,6 @@ def rows_batch(spec: OperatorSpec, indices) -> np.ndarray:
     slab = np.zeros((len(indices), spec.dim))
     slab[np.arange(len(indices)), indices] = 1.0
     return np.conj(apply(spec, Direction.ADJOINT, slab))
-
-
-def row(spec: OperatorSpec, k: int) -> RowVector:
-    """Extract row a_k of A0; satisfies row(k).entries . x = (A0 x)_k."""
-    if not 0 <= k < spec.dim:
-        raise DimensionMismatch(f"row index {k} out of range for K={spec.dim}")
-    return RowVector(entries=rows_batch(spec, [k])[0], index=k)
-
-
-def block_rows(spec: OperatorSpec, partition, k: int) -> list[RowVector]:
-    """Rows B_k = (a_i)_{i in block k} in partition order."""
-    idx = partition.blocks[k]
-    mat = rows_batch(spec, idx)
-    return [RowVector(entries=mat[j], index=int(idx[j])) for j in range(len(idx))]
-
-
-def dense_matrix(spec: OperatorSpec, limit: int = 4096) -> np.ndarray:
-    """Materialise A0 densely; oracle/test use only, guarded by `limit`."""
-    if spec.dim > limit:
-        raise InvalidSpec(f"refusing to build dense operator with K={spec.dim}")
-    return rows_batch(spec, np.arange(spec.dim))
 
 
 def row_chunks(spec: OperatorSpec, chunk: int | None = None):

@@ -6,6 +6,10 @@ matrices.  They are kept, unchanged, as the oracle of that fast path:
 `reference_apply` and `reference_separable_factor` must agree with
 `avds.transforms.apply` and `avds.transforms.separable_factor`.
 
+`dense_matrix` materialises A0 row by row through `rows_batch`, the dense
+oracle of the transform and density tests; it left `avds.transforms`
+because nothing in the package used it.
+
 `row_energies` is the dense |a_{k,l}|^2 table that `avds.density` read
 before isolated-row terms moved to subband energy classes, kept as an
 independent check of densities and trace identities.
@@ -225,3 +229,10 @@ def row_energies(spec: OperatorSpec) -> np.ndarray:
         raise InvalidSpec("row_energies is limited to K <= 2048; stream rows instead")
     mat = rows_batch(spec, np.arange(spec.dim))
     return np.abs(mat) ** 2
+
+
+def dense_matrix(spec: OperatorSpec, limit: int = 4096) -> np.ndarray:
+    """Materialise A0 densely; oracle/test use only, guarded by `limit`."""
+    if spec.dim > limit:
+        raise InvalidSpec(f"refusing to build dense operator with K={spec.dim}")
+    return rows_batch(spec, np.arange(spec.dim))

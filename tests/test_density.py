@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
+from reference_transforms import dense_matrix
 
 from avds.density import (
     BlockPartition,
     Density,
+    _block_gram_opnorm,
+    _block_inf1_norm,
     _dense_terms,
     adapted_blocks,
     adapted_isolated,
     baseline_density,
-    block_gram_opnorm,
-    block_inf1_norm,
-    levels_summary,
 )
 from avds.errors import InvalidPartition, InvalidSpec
 from avds.support_model import WeightVector, flip, normalize_weights
@@ -18,7 +18,6 @@ from avds.transforms import (
     Measurement,
     OperatorSpec,
     Sparsity,
-    dense_matrix,
     rows_batch,
 )
 
@@ -166,12 +165,12 @@ def test_singleton_gram_and_inf1_values():
     wv = random_weights(16, 4, seed=2)
     rows = rows_batch(spec, [3])
     expected = (np.abs(rows[0]) ** 2 * wv.omega).sum()
-    assert np.isclose(block_gram_opnorm(rows, wv), expected, atol=1e-12)
-    assert np.isclose(block_inf1_norm(rows), 1.0 / 16, atol=1e-12)
+    assert np.isclose(_block_gram_opnorm(rows, wv), expected, atol=1e-12)
+    assert np.isclose(_block_inf1_norm(rows), 1.0 / 16, atol=1e-12)
 
     # trace over singleton blocks equals S
     total = sum(
-        block_gram_opnorm(rows_batch(spec, [k]), wv) for k in range(16)
+        _block_gram_opnorm(rows_batch(spec, [k]), wv) for k in range(16)
     )
     assert abs(total - wv.sparsity) <= 1e-10
 
@@ -179,7 +178,7 @@ def test_singleton_gram_and_inf1_values():
 def test_inf1_norm_of_coordinate_projector():
     spec = OperatorSpec(Measurement.IDENTITY, Sparsity.IDENTITY, 8)
     rows = rows_batch(spec, [1, 4, 6])
-    assert np.isclose(block_inf1_norm(rows), 1.0, atol=1e-14)
+    assert np.isclose(_block_inf1_norm(rows), 1.0, atol=1e-14)
 
 
 def test_vertical_line_hand_example():
@@ -191,7 +190,7 @@ def test_vertical_line_hand_example():
     wv = WeightVector.from_omega(omega)
     part = BlockPartition.vertical_lines(2)
     rows = rows_batch(spec, part.blocks[0])
-    assert np.isclose(block_gram_opnorm(rows, wv), 0.3, atol=1e-12)
+    assert np.isclose(_block_gram_opnorm(rows, wv), 0.3, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["vertical_lines", "horizontal_lines"])
@@ -237,7 +236,7 @@ def test_uniform_weight_line_value():
     dens = adapted_blocks(spec, part, wv)
     expected = max(s / side**2, 1.0 / side)
     assert np.allclose(dens.normalizer, side * expected, rtol=1e-10)
-    gram = block_gram_opnorm(rows_batch(spec, part.blocks[0]), wv)
+    gram = _block_gram_opnorm(rows_batch(spec, part.blocks[0]), wv)
     assert np.isclose(gram, s / side**2, rtol=1e-10)
 
 
@@ -277,44 +276,6 @@ def test_polynomial_rejected_for_1d():
     spec = OperatorSpec(Measurement.DFT1D, Sparsity.IDENTITY, 16)
     with pytest.raises(InvalidSpec):
         baseline_density("polynomial", spec)
-
-
-# -------------------------------------------------------------------- levels
-
-def test_levels_summary_1d():
-    k = 16
-    s = 4.0
-    wv = WeightVector.from_omega(np.full(k, s / k))
-    summary = levels_summary(wv, "dyadic1d")
-    expected = np.array([1, 1, 2, 4, 8]) * (s / k)
-    assert np.allclose(summary.masses, expected)
-    assert np.isclose(summary.masses.sum(), s, atol=1e-12)
-
-    finest = np.zeros(k)
-    finest[8:] = 0.5
-    wv = WeightVector.from_omega(finest)
-    summary = levels_summary(wv, "dyadic1d")
-    assert np.allclose(summary.masses[:-1], 0)
-    assert np.isclose(summary.masses[-1], 4.0)
-
-
-def test_levels_summary_random_sums_to_s():
-    wv = random_weights(16, 3, seed=12)
-    summary = levels_summary(wv, "dyadic1d")
-    assert abs(summary.masses.sum() - wv.sparsity) <= 1e-12
-
-
-def test_levels_summary_2d_rowwise():
-    side = 4
-    w = np.arange(16, dtype=float).reshape(side, side) / 16
-    omega = w.T.ravel()
-    wv = WeightVector.from_omega(omega)
-    summary = levels_summary(wv, "rowwise_dyadic2d")
-    # bands on columns: {0}, {1}, {2,3}; max over rows
-    expected = np.array(
-        [w[:, 0].max(), w[:, 1].max(), (w[:, 2] + w[:, 3]).max()]
-    )
-    assert np.allclose(summary.masses, expected)
 
 
 def test_density_validation():

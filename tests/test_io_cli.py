@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -367,3 +370,16 @@ def test_cli_diagnose_runs(tmp_path, capsys):
     assert run_cli("diagnose", "--config", str(path)) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [row["m"] for row in rows] == [4, 8]
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy only; a fresh interpreter sees every import
+    import avds
+
+    path = [os.path.dirname(os.path.dirname(avds.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, avds.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_transforms import dense_matrix
 
 from avds.density import Density
 from avds.errors import SingularGram, UnsupportedSolver
@@ -116,6 +117,19 @@ def test_fuchs_certified_instances_recover():
         err = np.linalg.norm(res.x - x) / np.linalg.norm(x)
         assert err <= 1e-4, f"certificate {cert:.3f} but error {err:.2e}"
         assert res.residual <= 1e-6 * np.linalg.norm(measure(x, op))
+
+
+def test_fuchs_matches_dense_formula():
+    # ||A_{I^c}* A_I (A_I* A_I)^{-1} s||_inf from the dense measurement matrix
+    spec = OperatorSpec(Measurement.DFT1D, Sparsity.DB4_1D, 64, levels=3)
+    a0 = dense_matrix(spec)
+    for seed in range(6):
+        mask, support, signs, _ = planted_instance(seed)
+        cols = a0[mask.indices][:, support]
+        w = np.linalg.solve(cols.conj().T @ cols, signs)
+        v = a0[mask.indices].conj().T @ (cols @ w)
+        want = np.max(np.abs(np.delete(v, support)))
+        assert np.isclose(check_fuchs(spec, mask, support, signs), want, rtol=1e-10)
 
 
 def test_fuchs_undersampled_flags():

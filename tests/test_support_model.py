@@ -13,12 +13,10 @@ from avds.support_model import (
     MAX_ESP_ENTRIES,
     SupportDistribution,
     WeightVector,
-    draw_signal,
     draw_signals,
     estimate_weights,
     flip,
     normalize_weights,
-    sample_support,
     sample_supports,
     sample_supports_seeded,
     sequential_path_log_prob,
@@ -99,7 +97,7 @@ def test_degenerate_indicator_weights():
     wv = WeightVector.from_omega([1.0, 0.0, 1.0, 0.0])
     dist = SupportDistribution(wv)
     for method in ("exact", "rejection"):
-        sup = sample_support(dist, method=method, seed=1)
+        sup = np.flatnonzero(sample_supports(dist, 1, method=method, seed=1)[0])
         assert list(sup) == [0, 2]
 
 
@@ -215,10 +213,11 @@ def test_samplers_agree_with_each_other():
 def test_draw_signal_properties():
     wv = WeightVector.from_omega([1.0, 1.0, 0.0, 0.0])
     dist = SupportDistribution(wv)
-    sig = draw_signal(dist, seed=5)
-    assert list(sig.support) == [0, 1]
-    assert set(np.unique(sig.signs)).issubset({-1.0, 1.0})
-    assert np.all(sig.values[2:] == 0)
+    values = draw_signals(dist, 1, seed=5)[0]
+    support = np.flatnonzero(values)
+    assert list(support) == [0, 1]
+    assert set(np.unique(values[support])).issubset({-1.0, 1.0})
+    assert np.all(values[2:] == 0)
 
     # sign balance and support size on a nondegenerate model
     omega = normalize_weights(np.random.default_rng(3).uniform(0.2, 0.8, 8), 3)

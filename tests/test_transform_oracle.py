@@ -80,10 +80,13 @@ def test_separable_factor_matches_reference():
 def test_cached_factors_are_read_only():
     from avds import transforms
 
+    grid = OperatorSpec(Measurement.HADAMARD2D, Sparsity.DB4_2D, 8, levels=2)
     for factor in (
         transforms._hadamard(8),
-        transforms._wavelet_factor("db4", 8, 2, True),
-        transforms._wavelet_factor("db4", 8, 2, False).data,
+        transforms._wavelet_factor("db4", 8, 2),
+        *transforms._filter_bank("db4", 8),
+        *transforms._step_pair("db4", 4),
+        *transforms._grid_factors(grid)[0],
     ):
         with pytest.raises(ValueError):
             factor[0] = 1.0
