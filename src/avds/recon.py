@@ -5,6 +5,13 @@ acceleration over the affine set {x : Ax = y}, using the exact projection
 x - A*(Ax - y) available when the selected rows are orthonormal
 (A A* = I), and continuation that shrinks mu geometrically down to its
 configured final value.
+
+The iteration runs in the layout of `transforms.solver_plan`, entered once
+and left once per solve, in buffers allocated once: per-subband
+Walsh-Hadamard blocks for Hadamard2D x Haar MRA, the identity layout with
+the stages of `apply` for every other operator.  x0 = A* y and the final
+residual come from `adjoint_measure` and `measure`, so the dense path
+checks the feasibility of the answer independently.
 """
 
 from __future__ import annotations
@@ -12,13 +19,14 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
 
 from .density import Density
 from .errors import DimensionMismatch, SingularGram, UnsupportedSolver
 from .masks import Mask
-from .transforms import Direction, OperatorSpec, apply
+from .transforms import Direction, OperatorSpec, apply, solver_plan
 
 UNSCALED = "unscaled"
 THEOREM = "theorem"
@@ -107,10 +115,15 @@ class BPResult:
     stage_objectives: list
 
 
-def _huber_objective(x: np.ndarray, mu: float) -> float:
-    a = np.abs(x)
-    small = a < mu
-    return float(np.where(small, a * a / (2 * mu), a - mu / 2).sum())
+def _huber_objective(x: np.ndarray, mu: float, mag, quad, small) -> float:
+    """sum(|x|^2 / (2 mu) where |x| < mu, else |x| - mu / 2), in the given buffers."""
+    np.abs(x, out=mag)
+    np.less(mag, mu, out=small)
+    np.multiply(mag, mag, out=quad)
+    np.divide(quad, 2 * mu, out=quad)
+    np.subtract(mag, mu / 2, out=mag)
+    np.putmask(mag, small, quad)
+    return float(np.add.reduce(mag, axis=None))
 
 
 def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = None) -> BPResult:
@@ -140,42 +153,56 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
     else:
         mus = np.geomspace(mu_first, mu_last, n_stage)
 
-    def project(v):
-        return v - adjoint_measure(measure(v, op) - y, op)
+    plan = solver_plan(op.spec)
+    rows = plan.slots[op.mask.indices]
+    x = x0[..., plan.order]
+    x_new, z, step = (np.empty_like(x) for _ in range(3))
+    mag, quad = np.empty(x.shape), np.empty(x.shape)
+    small = np.empty(x.shape, dtype=bool)
+    scatter = np.zeros_like(x)  # zero off the mask rows, always
 
-    x = x0
     total_iters = 0
     converged = True
     stage_objectives = []
     for mu in mus:
-        z = x
+        np.copyto(z, x)
         t = 1.0
         window: deque = deque(maxlen=10)
         stage_converged = False
         for _ in range(params.max_inner):
-            grad = z / np.maximum(np.abs(z), mu)
-            x_new = project(z - mu * grad)
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-            x, t = x_new, t_new
+            # z - mu * grad of the Huber objective at z
+            np.abs(z, out=mag)
+            np.maximum(mag, mu, out=mag)
+            np.divide(z, mag, out=step)
+            np.multiply(step, mu, out=step)
+            np.subtract(z, step, out=step)
+            # project onto {x : Ax = y}: v - A*(Av - y)
+            scatter[..., rows] = plan.forward(step)[..., rows] - y
+            np.subtract(step, plan.adjoint(scatter), out=x_new)
+            t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
+            np.subtract(x_new, x, out=z)
+            np.multiply(z, (t - 1.0) / t_new, out=z)
+            np.add(x_new, z, out=z)
+            x, x_new, t = x_new, x, t_new
             total_iters += 1
-            f = _huber_objective(x, mu)
-            window.append(f)
+            window.append(_huber_objective(x, mu, mag, quad, small))
             if len(window) == window.maxlen:
                 spread = max(window) - min(window)
                 if spread <= params.inner_tol * max(abs(window[-1]), 1e-30):
                     stage_converged = True
                     break
-        stage_objectives.append(_huber_objective(x, float(mus[-1])))
+        stage_objectives.append(_huber_objective(x, float(mus[-1]), mag, quad, small))
         converged = converged and stage_converged
-    residual = float(np.linalg.norm(measure(x, op) - y))
+    x_out = np.empty_like(x)
+    x_out[..., plan.order] = x
+    residual = float(np.linalg.norm(measure(x_out, op) - y))
     if not converged:
         warnings.warn(
             f"solve_bp hit the iteration cap; constraint residual {residual:.3e}",
             RuntimeWarning,
             stacklevel=2,
         )
-    return BPResult(x, converged, total_iters, residual, stage_objectives)
+    return BPResult(x_out, converged, total_iters, residual, stage_objectives)
 
 
 def check_fuchs(spec: OperatorSpec, mask: Mask, support, signs) -> float:

@@ -189,8 +189,28 @@ def test_diagnostics_tail_decreases_with_m():
             BlockPartition.vertical_lines(8),
             np.full(64, 6 / 64),
         ),
+        # real columns, line and square blocks
+        (
+            OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 16, levels=2),
+            BlockPartition.horizontal_lines(16),
+            np.full(256, 8 / 256),
+        ),
+        (
+            OperatorSpec(Measurement.HADAMARD2D, Sparsity.DB4_2D, 16, levels=2),
+            BlockPartition.squares(16, 4),
+            np.full(256, 8 / 256),
+        ),
+        # blocks of unequal size
+        (
+            OperatorSpec(Measurement.DFT2D, Sparsity.TENSOR_HAAR, 16, levels=2),
+            BlockPartition(
+                [np.arange(32)] + [np.arange(16 * k, 16 * k + 16) for k in range(2, 16)],
+                kind="vertical_lines",
+            ),
+            np.full(256, 8 / 256),
+        ),
     ],
-    ids=["hadamard-haar", "forced", "all-forced", "lines"],
+    ids=["hadamard-haar", "forced", "all-forced", "lines", "real-lines", "squares", "unequal"],
 )
 def test_diagnostics_match_per_trial_reference(spec, part, omega):
     wv = WeightVector.from_omega(omega)

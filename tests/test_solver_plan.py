@@ -1,0 +1,97 @@
+"""The solver's per-spec layout (`transforms.solver_plan`) against `apply`.
+
+Hadamard2D x Haar MRA iterates as one Walsh-Hadamard block per wavelet
+subband.  At every side 2..32 and every depth: the coefficient order and
+the measurement slots are permutations, the block operator is A0 (and its
+transpose A0*) to 1e-12 ||x||, it is self-adjoint and involutory, and each
+block holds exactly one `energy_classes` class.  Every other pair keeps
+the identity layout and the stages of `apply`, bit for bit.
+"""
+
+import numpy as np
+import pytest
+from test_transform_oracle import PAIRS, _specs
+
+from avds.transforms import (
+    Direction,
+    Measurement,
+    OperatorSpec,
+    Sparsity,
+    apply,
+    energy_classes,
+    solver_plan,
+)
+
+WALSH_HAAR = (Measurement.HADAMARD2D, Sparsity.HAAR2D)
+
+
+def _walsh_haar_specs():
+    for side in (2, 4, 8, 16, 32):
+        for levels in range(1, side.bit_length()):
+            yield OperatorSpec(*WALSH_HAAR, side, levels=levels)
+
+
+def _blocks(spec):
+    """(start, stop) of each subband block: finest side first, 3 blocks per
+    side and LL_J as a fourth block of the coarsest side."""
+    start = 0
+    for j in range(1, spec.levels + 1):
+        size = (spec.side >> j) ** 2
+        for _ in range(3 + (j == spec.levels)):
+            yield start, start + size
+            start += size
+
+
+def _is_permutation(index, k):
+    return np.array_equal(np.sort(index), np.arange(k))
+
+
+@pytest.mark.parametrize("spec", list(_walsh_haar_specs()), ids=str)
+def test_walsh_haar_layout_is_a0(spec):
+    plan = solver_plan(spec)
+    k = spec.dim
+    assert _is_permutation(plan.order, k) and _is_permutation(plan.slots, k)
+    rng = np.random.default_rng(spec.side + spec.levels)
+    batch = rng.normal(size=(3, k)) + 1j * rng.normal(size=(3, k))
+    for x in (batch[0].real, batch[0], batch):
+        tol = 1e-12 * np.linalg.norm(x)
+        # forward: A0 x = B(x[order])[slots]
+        got = plan.forward(x[..., plan.order])[..., plan.slots]
+        assert np.max(np.abs(got - apply(spec, Direction.FORWARD, x))) <= tol
+        # adjoint: scatter to the slots, B*, back from the layout
+        full = np.zeros_like(x)
+        full[..., plan.slots] = x
+        back = np.empty_like(x)
+        back[..., plan.order] = plan.adjoint(full)
+        assert np.max(np.abs(back - apply(spec, Direction.ADJOINT, x))) <= tol
+    u, v = batch[0].real, batch[1].real
+    tol = 1e-12 * np.linalg.norm(u) * np.linalg.norm(v)
+    assert abs(np.dot(plan.forward(u), v) - np.dot(u, plan.forward(v))) <= tol
+    assert np.max(np.abs(plan.forward(plan.forward(u)) - u)) <= 1e-12 * np.linalg.norm(u)
+    assert np.array_equal(plan.adjoint(u), plan.forward(u))
+
+
+@pytest.mark.parametrize("spec", list(_walsh_haar_specs()), ids=str)
+def test_walsh_haar_blocks_are_energy_classes(spec):
+    labels = energy_classes(spec)[solver_plan(spec).order]
+    seen = [np.unique(labels[start:stop]) for start, stop in _blocks(spec)]
+    assert all(len(block) == 1 for block in seen)
+    # 3J + 1 blocks, one per class
+    assert sorted(int(block[0]) for block in seen) == list(range(3 * spec.levels + 1))
+
+
+@pytest.mark.parametrize(
+    "measurement,sparsity",
+    [pair for pair in PAIRS if pair != WALSH_HAAR],
+    ids=lambda v: v.value,
+)
+def test_other_plans_are_apply_bit_for_bit(measurement, sparsity):
+    rng = np.random.default_rng(11)
+    for spec in _specs(measurement, sparsity):
+        plan = solver_plan(spec)
+        assert np.array_equal(plan.order, np.arange(spec.dim))
+        assert np.array_equal(plan.slots, np.arange(spec.dim))
+        batch = rng.normal(size=(2, spec.dim)) + 1j * rng.normal(size=(2, spec.dim))
+        for x in (batch[0].real, batch[0], batch):
+            assert np.array_equal(plan.forward(x), apply(spec, Direction.FORWARD, x)), spec
+            assert np.array_equal(plan.adjoint(x), apply(spec, Direction.ADJOINT, x)), spec
