@@ -9,9 +9,15 @@ configured final value.
 The iteration runs in the layout of `transforms.solver_plan`, entered once
 and left once per solve, in buffers allocated once: per-subband
 Walsh-Hadamard blocks for Hadamard2D x Haar MRA, the identity layout with
-the stages of `apply` for every other operator.  x0 = A* y and the final
-residual come from `adjoint_measure` and `measure`, so the dense path
-checks the feasibility of the answer independently.
+the stages of `apply` for every other operator.  The projection runs on
+the full layout: A0 v times a 0/1 vector of the mask rows, minus y
+scattered into the layout once, so no iteration gathers or scatters.  The
+stopping window takes the Huber objective from two dot products; the
+reported stage objectives keep the direct formula.  The window value can
+differ from the direct formula in its last digits, so a stage may stop at
+another iteration than a window of direct values would.  x0 = A* y and the
+final residual come from `adjoint_measure` and `measure`, so the dense
+path checks the feasibility of the answer independently.
 """
 
 from __future__ import annotations
@@ -126,6 +132,19 @@ def _huber_objective(x: np.ndarray, mu: float, mag, quad, small) -> float:
     return float(np.add.reduce(mag, axis=None))
 
 
+def _window_objective(x: np.ndarray, mu: float, mag, low) -> float:
+    """`_huber_objective` from two dot products, in the given buffers.
+
+    With a = |x| and q = min(a, mu), the sum is (2<a, q> - <q, q>) / (2 mu):
+    each term q (2a - q) >= 0, so nothing cancels.  It may differ from
+    `_huber_objective` in the last digits, so it serves only the stopping
+    window.
+    """
+    np.abs(x, out=mag)
+    np.minimum(mag, mu, out=low)
+    return float(2.0 * np.vdot(mag, low) - np.vdot(low, low)) / (2.0 * mu)
+
+
 def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = None) -> BPResult:
     """Approximately minimise ||x||_1 subject to A x = y.
 
@@ -155,11 +174,14 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
 
     plan = solver_plan(op.spec)
     rows = plan.slots[op.mask.indices]
+    keep = np.zeros(x0.shape[-1])
+    keep[rows] = 1.0
+    y_layout = np.zeros_like(x0)
+    y_layout[..., rows] = y
     x = x0[..., plan.order]
-    x_new, z, step = (np.empty_like(x) for _ in range(3))
+    x_new, z, step, gap = (np.empty_like(x) for _ in range(4))
     mag, quad = np.empty(x.shape), np.empty(x.shape)
     small = np.empty(x.shape, dtype=bool)
-    scatter = np.zeros_like(x)  # zero off the mask rows, always
 
     total_iters = 0
     converged = True
@@ -176,16 +198,17 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
             np.divide(z, mag, out=step)
             np.multiply(step, mu, out=step)
             np.subtract(z, step, out=step)
-            # project onto {x : Ax = y}: v - A*(Av - y)
-            scatter[..., rows] = plan.forward(step)[..., rows] - y
-            np.subtract(step, plan.adjoint(scatter), out=x_new)
+            # project onto {x : Ax = y}: v - A*(Av - y), Av - y kept on the mask rows
+            np.multiply(plan.forward(step), keep, out=gap)
+            np.subtract(gap, y_layout, out=gap)
+            np.subtract(step, plan.adjoint(gap), out=x_new)
             t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
             np.subtract(x_new, x, out=z)
             np.multiply(z, (t - 1.0) / t_new, out=z)
             np.add(x_new, z, out=z)
             x, x_new, t = x_new, x, t_new
             total_iters += 1
-            window.append(_huber_objective(x, mu, mag, quad, small))
+            window.append(_window_objective(x, mu, mag, quad))
             if len(window) == window.maxlen:
                 spread = max(window) - min(window)
                 if spread <= params.inner_tol * max(abs(window[-1]), 1e-30):

@@ -36,12 +36,13 @@ step satisfy H_n S_n^T = R_n diag(H_{n/2}, H_{n/2}), with R_n interleaving
 rows, so at every level A0 is a fixed permutation of a block-diagonal
 matrix, one Walsh-Hadamard block H_s (x) H_s per s x s subband (each block
 one energy class).  `solver_plan` gives basis pursuit the layout to iterate
-in: for this operator the subbands as contiguous blocks, each group of
-equal side one stack of H_s B H_s products (about 225k multiply-adds per
-transform at side 64 and J = 3, against 598k for the dense factors); for
-every other operator the identity layout with the stages of `apply`,
-resolved once per spec.  `apply` itself keeps the dense factors: per call
-the two gathers into and out of the block layout cost more than they save.
+in: for this operator the subbands as contiguous blocks, the whole block
+operator two matrix products, since H_s (x) H_s = H_{s^2/c} (x) H_c with
+c = side/2 (about 262k multiply-adds in two calls per transform at side 64
+and J = 3, against 598k for the dense factors); for every other operator
+the identity layout with the stages of `apply`, resolved once per spec.
+`apply` itself keeps the dense factors: per call the two gathers into and
+out of the block layout cost more than they save.
 """
 
 from __future__ import annotations
@@ -482,20 +483,30 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
     (b >> t) & 1), entry (a >> t + 1, b >> t + 1), or in LL_J at
     (a >> J, b >> J).
 
-    The layout holds the subbands as contiguous s x s blocks, grouped by
-    side, finest first, LL_J last in the coarsest group; each group is a
-    stack that two matrix products transform.  The block operator is
+    The layout holds the subbands as contiguous s x s blocks, finest
+    first, LL_J last.  Block B (row-major) maps to H_s B H_s, which is
+    H_s (x) H_s = H_{s^2} on its vector, and in Sylvester order H_{s^2} =
+    H_{s^2/c} (x) H_c for every power of two c <= s^2.  With c = side/2
+    the layout is a (2 side, c) matrix U, and the whole operator is two
+    products, T U H_c: one shared H_c on the right, and on the left T, a
+    stack of four (side/2)-square tiles, each block-diagonal with the
+    H_{s^2/c} of the subbands in its rows.  Blocks are finest first with
+    power-of-two sizes, so none straddles a tile.  Subbands with s^2 < c
+    share rows: the last 4 (side >> j0)^2 entries, one or two rows, j0
+    the first such level.  Those rows take one block-diagonal product of
+    their own, and zeros in their tile.  At side 64, J = 3 this is 262k
+    multiply-adds in two matrix products, against 225k in six for one
+    H_s B H_s stack per side: more multiply-adds in fewer calls.  The block operator is
     real, symmetric and its own inverse, so it is its own adjoint.
     """
     side, levels = spec.side, spec.levels
-    groups, order, start = [], [], 0
+    order, sizes = [], []
     for j in range(1, levels + 1):
         s = side >> j
         corners = ((s, 0), (0, s), (s, s), (0, 0))[: 3 + (j == levels)]
         i = np.arange(s)
         order += [((r + i)[:, None] * side + c + i).ravel() for r, c in corners]
-        groups.append((start, start + len(corners) * s * s, _hadamard(s)))
-        start = groups[-1][1]
+        sizes += [s * s] * len(corners)
     order = np.concatenate(order)
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
@@ -512,12 +523,29 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
     ]
     slots = position[cell[0] * side + cell[1]]
 
+    # U = the layout as a (2 side, c) matrix, split into four tiles of rows
+    c = side // 2
+    tiles = np.zeros((4, c, c))
+    shared = sum(size for size in sizes if size < c)  # entries in the last rows
+    diagonal = np.zeros((shared, shared))
+    start = 0
+    for size in sizes:
+        if size >= c:
+            n, (q, row) = size // c, divmod(start // c, c)
+            tiles[q, row : row + n, row : row + n] = _hadamard(n)
+        else:
+            at = start - (order.size - shared)
+            diagonal[at : at + size, at : at + size] = _hadamard(size)
+        start += size
+    factors = (_frozen(tiles), _hadamard(c))
+    diagonal = _frozen(diagonal)
+
     def blocks(u):
-        out = np.empty_like(u)
-        for first, stop, h in groups:
-            shape = u.shape[:-1] + (-1,) + h.shape
-            stack = u[..., first:stop].reshape(shape)
-            _sandwich((h, h), stack, False, out=out[..., first:stop].reshape(shape))
+        shape = u.shape[:-1] + (4, c, c)
+        out = _sandwich(factors, u.reshape(shape), False, out=np.empty(shape))
+        out = out.reshape(u.shape)
+        if shared:
+            np.matmul(u[..., -shared:], diagonal, out=out[..., -shared:])
         return out
 
     blocks = _split_complex(blocks)

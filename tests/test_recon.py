@@ -9,6 +9,8 @@ from avds.recon import (
     THEOREM,
     MeasurementOp,
     SolverParams,
+    _huber_objective,
+    _window_objective,
     adjoint_measure,
     check_fuchs,
     measure,
@@ -180,3 +182,29 @@ def test_iteration_cap_warns_with_residual():
     with pytest.warns(RuntimeWarning, match="residual"):
         res = solve_bp(measure(x, op), op, params)
     assert not res.converged
+
+
+@pytest.mark.parametrize("case", ["mixed", "at_mu", "below", "above"])
+@pytest.mark.parametrize("complex_vector", [False, True])
+def test_window_objective_is_the_huber_objective(case, complex_vector):
+    rng = np.random.default_rng(41)
+    mu = 0.37
+    scale = {"mixed": 2.0 * mu, "at_mu": mu, "below": 0.5 * mu, "above": 4.0 * mu}[case]
+    x = scale * rng.random(4096)
+    if case == "above":
+        x += mu
+    if case == "at_mu":
+        x[::3] = mu  # |x| exactly mu, on the boundary of the two branches
+    x *= rng.choice([-1.0, 1.0], x.size)
+    if complex_vector:
+        # unit phases keep |x| (and |x| = mu exactly on the quarter turns)
+        x = x * np.where(rng.random(x.size) < 0.5, 1j, np.exp(2j * np.pi * rng.random(x.size)))
+        if case == "at_mu":
+            x[::3] = mu * rng.choice([1.0, -1.0, 1j, -1j], x[::3].size)
+    a = np.abs(x)
+    assert {"below": a.max() < mu, "above": a.min() > mu}.get(case, a.min() < mu <= a.max())
+    assert case != "at_mu" or np.count_nonzero(a == mu) >= x.size // 3
+    mag, quad = np.empty(x.shape), np.empty(x.shape)
+    want = _huber_objective(x, mu, mag, quad, np.empty(x.shape, dtype=bool))
+    got = _window_objective(x, mu, mag, quad)
+    assert abs(got - want) <= 1e-13 * want

@@ -1,7 +1,7 @@
 """The solver's per-spec layout (`transforms.solver_plan`) against `apply`.
 
 Hadamard2D x Haar MRA iterates as one Walsh-Hadamard block per wavelet
-subband.  At every side 2..32 and every depth: the coefficient order and
+subband.  At every side 2..64 and every depth: the coefficient order and
 the measurement slots are permutations, the block operator is A0 (and its
 transpose A0*) to 1e-12 ||x||, it is self-adjoint and involutory, and each
 block holds exactly one `energy_classes` class.  Every other pair keeps
@@ -26,7 +26,7 @@ WALSH_HAAR = (Measurement.HADAMARD2D, Sparsity.HAAR2D)
 
 
 def _walsh_haar_specs():
-    for side in (2, 4, 8, 16, 32):
+    for side in (2, 4, 8, 16, 32, 64):
         for levels in range(1, side.bit_length()):
             yield OperatorSpec(*WALSH_HAAR, side, levels=levels)
 
