@@ -20,7 +20,7 @@ import numpy as np
 
 from . import harness, tensorio
 from .density import BlockPartition, Density, adapted_blocks, baseline_density
-from .errors import AvdsError, ConfigError, FormatError
+from .errors import AvdsError, ConfigError, DimensionMismatch, FormatError
 from .harness import ExperimentConfig, diagnostics, run_experiment
 from .masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
@@ -97,12 +97,20 @@ def _write_mask(path: str, mask: Mask) -> None:
 
 
 def _read_mask(path: str) -> Mask:
+    """Mask from a 2 x n tensor: increasing indices >= 0, multiplicities >= 1."""
     data = tensorio.read_tensor(path)
     if data.ndim != 2 or data.shape[0] != 2:
         raise FormatError(f"{path}: mask tensors are 2 x n")
-    mult = data[1].real.astype(np.int64)
+    values = np.real(data)
+    if not np.all((np.imag(data) == 0) & (np.abs(values) < 2**53) & (values == np.round(values))):
+        raise FormatError(f"{path}: mask entries must be real integers below 2^53")
+    indices, mult = values.astype(np.int64)
+    if indices.size and (indices[0] < 0 or np.any(np.diff(indices) <= 0)):
+        raise FormatError(f"{path}: mask indices must be >= 0 and strictly increasing")
+    if np.any(mult < 1):
+        raise FormatError(f"{path}: mask multiplicities must be >= 1")
     mode = DISTINCT if np.all(mult == 1) else IID
-    return Mask(data[0].real.astype(np.int64), mult, mode=mode)
+    return Mask(indices, mult, mode=mode)
 
 
 # ------------------------------------------------------------------ weights
@@ -296,6 +304,8 @@ def _cmd_reconstruct(args) -> int:
     spec = parse_spec(args.spec)
     sparsity_only = replace(spec, measurement=Measurement.IDENTITY)
     mask = _read_mask(args.mask)
+    if mask.size and mask.indices[-1] >= spec.dim:
+        raise DimensionMismatch(f"mask index {mask.indices[-1]} is out of range for K={spec.dim}")
     op = MeasurementOp(spec, mask)
     if args.image:
         img = tensorio.read_pgm(args.image)

@@ -18,13 +18,15 @@ a path from the operator and from each block's indices:
 - singletons go to `isolated_terms`.  With energy classes
   (`transforms.energy_classes`: DFT with any wavelet, Hadamard with Haar)
   one forward transform per subband gives every row's terms in
-  O(subbands * K log K); other operators stream all K rows, O(K^2);
+  O(subbands * K log K); other operators take the dense path on the
+  singleton blocks, O(K^2);
 - on a separable operator A0 = phi (x) phi a whole grid column or row
-  takes both terms in closed form from phi; any other block gets a dense
-  Gram term, and a factorised sup term if it is a product set (a square)
-  and every weight is positive;
-- every other block takes the dense path, both norms from its extracted
-  rows: the one fallback, and the oracle of every closed form.
+  takes both terms in closed form from phi;
+- every other block takes the dense path, `_dense_terms`: both norms from
+  its extracted rows, the one fallback and the oracle of every closed
+  form.  B_k* B_k is positive semidefinite, so its largest entry on the
+  positive-weight coefficients is its largest diagonal entry there: the
+  sup term is the block's largest column energy.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .transforms import (
     OperatorSpec,
     apply,
     energy_classes,
-    row_chunks,
     rows_batch,
     separable_factor,
     signed_frequencies,
@@ -60,6 +61,8 @@ class Density:
 
     def __post_init__(self) -> None:
         self.pi = np.asarray(self.pi, dtype=float)
+        if not np.all(np.isfinite(self.pi)):
+            raise InvalidSpec("density entries must be finite")
         if np.any(self.pi < -1e-15):
             raise InvalidSpec("density entries must be nonnegative")
         if abs(self.pi.sum() - 1.0) > 1e-9:
@@ -150,44 +153,6 @@ class BlockPartition:
 # ----------------------------------------------------------------------
 # block norms
 
-def _rows_matrix(block) -> np.ndarray:
-    mat = np.asarray(block)
-    if mat.shape[0] > _MAX_BLOCK_ROWS:
-        raise InvalidPartition(f"block with {mat.shape[0]} rows exceeds the dense limit")
-    return mat
-
-
-def _block_gram_opnorm(block, weights: WeightVector) -> float:
-    """Operator norm of B_k D_w B_k*, computed densely on the small Gram."""
-    mat = _rows_matrix(block)
-    omega = weights.omega
-    if mat.shape[1] != omega.size:
-        raise InvalidWeights("row length does not match the weight vector")
-    m = mat * np.sqrt(omega)[None, :]
-    gram = m @ m.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
-    return float(np.linalg.eigvalsh(gram)[-1].real)
-
-
-def _block_inf1_norm(block, support=None) -> float:
-    """Max absolute entry of B_k* B_k, optionally restricted to `support`.
-
-    The K x K Gram is never materialised: its entries are scanned in
-    column chunks of the (rows x K) block matrix.
-    """
-    mat = _rows_matrix(block)
-    if support is not None:
-        mat = mat[:, support]
-    k = mat.shape[1]
-    chunk = max(1, min(k, (1 << 22) // max(1, 16 * k)))
-    best = 0.0
-    conj = mat.conj().T  # (K, b)
-    for start in range(0, k, chunk):
-        part = conj[start : start + chunk] @ mat  # (chunk, K)
-        best = max(best, float(np.abs(part).max()))
-    return best
-
-
 def _line_closed_form(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
     """terms[axis, term, line] of the line blocks of A0 = phi (x) phi.
 
@@ -224,13 +189,14 @@ def isolated_terms(spec: OperatorSpec, omega: np.ndarray):
     class c gives E[c, k] = |a_{k,l}|^2, the same for every l in c; the
     Gram term is then sum_c E[c, k] * (weight of c) and the sup term the
     max of E[c, k] over the classes that hold a positive weight.  Without
-    classes the rows are streamed in chunks.
+    classes every row is a singleton block of `_dense_terms`.
     """
     omega = np.asarray(omega, dtype=float)
     positive = _positive(spec, omega)
     labels = energy_classes(spec)
     if labels is None:
-        return _streamed_terms(spec, omega)
+        singletons = np.arange(spec.dim)[:, None]
+        return _dense_terms(spec, singletons, WeightVector(omega, float(omega.sum())))
     reps = np.unique(labels, return_index=True)[1]
     slab = np.zeros((reps.size, spec.dim))
     slab[np.arange(reps.size), reps] = 1.0
@@ -238,19 +204,6 @@ def isolated_terms(spec: OperatorSpec, omega: np.ndarray):
     class_weight = np.bincount(labels, weights=omega)
     live = np.bincount(labels, weights=positive) > 0
     return class_weight @ energy, energy[live].max(axis=0)
-
-
-def _streamed_terms(spec: OperatorSpec, omega: np.ndarray):
-    """`isolated_terms` from all K rows, a chunk of rows at a time."""
-    # a column slice is a view; a boolean mask would copy the energies
-    support = slice(None) if np.all(omega > 0) else omega > 0
-    gram = np.empty(spec.dim)
-    infterm = np.empty(spec.dim)
-    for idx, mat in row_chunks(spec):
-        energy = np.abs(mat) ** 2
-        gram[idx] = energy @ omega
-        infterm[idx] = energy[:, support].max(axis=1)
-    return gram, infterm
 
 
 def _normalised(numer: np.ndarray, kind: str) -> Density:
@@ -307,42 +260,37 @@ def block_norm_terms(spec: OperatorSpec, partition: BlockPartition, weights: Wei
         else:
             terms[:, k] = closed[line[0], :, line[1]]
     if rest:
-        terms[:, rest] = _dense_terms(spec, [partition.blocks[k] for k in rest], weights, phi)
+        terms[:, rest] = _dense_terms(spec, [partition.blocks[k] for k in rest], weights)
     return terms[0], terms[1]
 
 
-def _dense_terms(spec: OperatorSpec, blocks, weights: WeightVector, phi=None):
+def _dense_terms(spec: OperatorSpec, blocks, weights: WeightVector):
     """Both terms of every block from its extracted rows B_k.
 
-    The fallback of `block_norm_terms` and the oracle of its closed forms.
-    Given the separable factor phi and all-positive weights, the sup term of
-    a product-set block factorises (`_product_inf1`).
+    The one fallback of `block_norm_terms` and the oracle of its closed
+    forms.  The Gram term is the largest eigenvalue of B_k D_w B_k*.
+    B_k* B_k is positive semidefinite, so |(B*B)_{l,l'}| <= max((B*B)_{l,l},
+    (B*B)_{l',l'}): the sup term is the block's largest column energy
+    sum_{j in B_k} |a_{j,l}|^2 over the l with w_l > 0.  A 2D array of equal
+    blocks runs in stacks of about 2^16 row entries, which keeps the passes
+    over a stack in cache; a list runs block by block.
     """
-    positive = _positive(spec, weights.omega)
-    support = None if positive.all() else np.flatnonzero(positive)
-    terms = np.empty((2, len(blocks)))
-    for k, idx in enumerate(blocks):
-        mat = rows_batch(spec, idx)
-        terms[0, k] = _block_gram_opnorm(mat, weights)
-        product = None
-        if phi is not None and support is None:
-            product = _product_inf1(phi, idx, spec.side)
-        terms[1, k] = _block_inf1_norm(mat, support) if product is None else product
-    return terms[0], terms[1]
-
-
-def _product_inf1(phi: np.ndarray, idx: np.ndarray, side: int) -> float | None:
-    """||B*B||_inf,1 for a product-set block of a separable operator, else None.
-
-    Flat indices col*side + row with {rows} x {cols} a product set give
-    B = phi_C (x) phi_R, so the Gram max-entry factorises.
-    """
-    rows = np.unique(idx % side)
-    cols = np.unique(idx // side)
-    if len(rows) * len(cols) != len(idx):
-        return None
-    max_r, max_c = (float(np.abs(f.conj().T @ f).max()) for f in (phi[rows], phi[cols]))
-    return max_r * max_c
+    omega = weights.omega
+    live = _positive(spec, omega).astype(float)  # a 0/1 factor: energies are >= 0
+    if isinstance(blocks, np.ndarray):
+        n = max(1, (1 << 16) // (blocks.shape[1] * spec.dim))
+        stacks = [blocks[start : start + n] for start in range(0, len(blocks), n)]
+    else:
+        stacks = [np.asarray(idx)[None] for idx in blocks]
+    gram, sup = [], []
+    for stack in stacks:
+        if stack.shape[1] > _MAX_BLOCK_ROWS:
+            raise InvalidPartition(f"block with {stack.shape[1]} rows exceeds the dense limit")
+        mat = rows_batch(spec, stack.ravel()).reshape(stack.shape + (spec.dim,))
+        conj = mat.conj()
+        gram.append(np.linalg.eigvalsh((mat * omega) @ conj.swapaxes(1, 2))[:, -1])
+        sup.append(np.einsum("nbk,nbk,k->nk", mat, conj, live).real.max(axis=1))
+    return np.concatenate(gram), np.concatenate(sup)
 
 
 def baseline_density(

@@ -24,55 +24,31 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
-from .density import Density
 from .errors import DimensionMismatch, SingularGram, UnsupportedSolver
 from .masks import Mask
 from .transforms import Direction, OperatorSpec, apply, solver_plan
 
-UNSCALED = "unscaled"
-THEOREM = "theorem"
-
 
 @dataclass
 class MeasurementOp:
-    """Row-subsampled composite operator A.
+    """Row-subsampled composite operator A: the mask's rows of the unitary A0.
 
-    Unscaled mode keeps the selected rows of the unitary A0 untouched, so
-    a distinct mask yields A A* = I.  Theorem mode applies the
-    1/sqrt(m pi_k) scaling of the i.i.d. sampling model (duplicated draws
-    collapse to a single row scaled by sqrt(count)); it is meant for
-    diagnostics, not for the solver.
+    A distinct mask yields A A* = I.  A mask with repeated rows (i.i.d.
+    draws) keeps each row once, so A is not orthonormal and the solver
+    rejects it.
     """
 
     spec: OperatorSpec
     mask: Mask
-    scaling: str = UNSCALED
-    density: Density | None = None
-    n_draws: int | None = None
-    _scales: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.scaling == UNSCALED:
-            self._scales = np.ones(self.mask.size)
-        elif self.scaling == THEOREM:
-            if self.density is None:
-                raise UnsupportedSolver("theorem scaling needs the density used")
-            m = self.n_draws or int(self.mask.multiplicities.sum())
-            pi = self.density.pi[self.mask.indices]
-            if np.any(pi <= 0):
-                raise UnsupportedSolver("mask hits zero-probability atoms")
-            self._scales = np.sqrt(self.mask.multiplicities / (m * pi))
-        else:
-            raise UnsupportedSolver(f"unknown scaling {self.scaling!r}")
 
     @property
     def is_orthonormal(self) -> bool:
-        return self.scaling == UNSCALED and bool(np.all(self.mask.multiplicities == 1))
+        return bool(np.all(self.mask.multiplicities == 1))
 
     @property
     def dim(self) -> int:
@@ -80,12 +56,12 @@ class MeasurementOp:
 
 
 def measure(x: np.ndarray, op: MeasurementOp) -> np.ndarray:
-    """y = A x via fast transforms plus row selection (and scaling)."""
+    """y = A x via fast transforms plus row selection."""
     x = np.asarray(x)
     if x.shape[-1] != op.dim:
         raise DimensionMismatch(f"expected length {op.dim}, got {x.shape[-1]}")
     z = apply(op.spec, Direction.FORWARD, x)
-    return z[..., op.mask.indices] * op._scales
+    return z[..., op.mask.indices]
 
 
 def adjoint_measure(y: np.ndarray, op: MeasurementOp) -> np.ndarray:
@@ -94,7 +70,7 @@ def adjoint_measure(y: np.ndarray, op: MeasurementOp) -> np.ndarray:
     if y.shape[-1] != op.mask.size:
         raise DimensionMismatch("measurement length does not match the mask")
     z = np.zeros(y.shape[:-1] + (op.dim,), dtype=np.result_type(y.dtype, float))
-    z[..., op.mask.indices] = y * op._scales
+    z[..., op.mask.indices] = y
     return apply(op.spec, Direction.ADJOINT, z)
 
 

@@ -591,17 +591,7 @@ def rows_batch(spec: OperatorSpec, indices) -> np.ndarray:
         raise DimensionMismatch("row index out of range")
     slab = np.zeros((len(indices), spec.dim))
     slab[np.arange(len(indices)), indices] = 1.0
-    return np.conj(apply(spec, Direction.ADJOINT, slab))
-
-
-def row_chunks(spec: OperatorSpec, chunk: int | None = None):
-    """Yield (indices, rows) covering all K rows in index order."""
-    k_total = spec.dim
-    if chunk is None:
-        chunk = max(64, min(k_total, (1 << 24) // (16 * k_total)))
-    for start in range(0, k_total, chunk):
-        idx = np.arange(start, min(start + chunk, k_total))
-        yield idx, rows_batch(spec, idx)
+    return apply(spec, Direction.ADJOINT, slab).conj()
 
 
 def signed_frequencies(side: int) -> np.ndarray:

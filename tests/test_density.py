@@ -5,8 +5,6 @@ from reference_transforms import dense_matrix
 from avds.density import (
     BlockPartition,
     Density,
-    _block_gram_opnorm,
-    _block_inf1_norm,
     _dense_terms,
     adapted_blocks,
     adapted_isolated,
@@ -165,20 +163,22 @@ def test_singleton_gram_and_inf1_values():
     wv = random_weights(16, 4, seed=2)
     rows = rows_batch(spec, [3])
     expected = (np.abs(rows[0]) ** 2 * wv.omega).sum()
-    assert np.isclose(_block_gram_opnorm(rows, wv), expected, atol=1e-12)
-    assert np.isclose(_block_inf1_norm(rows), 1.0 / 16, atol=1e-12)
+    gram, inf1 = _dense_terms(spec, [[3]], wv)
+    assert np.isclose(gram[0], expected, atol=1e-12)
+    assert np.isclose(inf1[0], 1.0 / 16, atol=1e-12)
 
     # trace over singleton blocks equals S
-    total = sum(
-        _block_gram_opnorm(rows_batch(spec, [k]), wv) for k in range(16)
-    )
+    total = _dense_terms(spec, BlockPartition.singletons(16).blocks, wv)[0].sum()
     assert abs(total - wv.sparsity) <= 1e-10
 
 
 def test_inf1_norm_of_coordinate_projector():
     spec = OperatorSpec(Measurement.IDENTITY, Sparsity.IDENTITY, 8)
-    rows = rows_batch(spec, [1, 4, 6])
-    assert np.isclose(_block_inf1_norm(rows), 1.0, atol=1e-14)
+    wv = WeightVector.from_omega(np.full(8, 0.5))
+    assert np.isclose(_dense_terms(spec, [[1, 4, 6]], wv)[1][0], 1.0, atol=1e-14)
+    # the sup term runs over positive weights only: none of columns 1, 4, 6
+    wv = WeightVector.from_omega(np.array([0.5, 0, 0.5, 0.5, 0, 0.5, 0, 0.5]))
+    assert _dense_terms(spec, [[1, 4, 6]], wv)[1][0] == 0.0
 
 
 def test_vertical_line_hand_example():
@@ -189,8 +189,7 @@ def test_vertical_line_hand_example():
     omega = w.T.ravel()  # vec(W), column-major
     wv = WeightVector.from_omega(omega)
     part = BlockPartition.vertical_lines(2)
-    rows = rows_batch(spec, part.blocks[0])
-    assert np.isclose(_block_gram_opnorm(rows, wv), 0.3, atol=1e-12)
+    assert np.isclose(_dense_terms(spec, part.blocks[:1], wv)[0][0], 0.3, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["vertical_lines", "horizontal_lines"])
@@ -236,7 +235,7 @@ def test_uniform_weight_line_value():
     dens = adapted_blocks(spec, part, wv)
     expected = max(s / side**2, 1.0 / side)
     assert np.allclose(dens.normalizer, side * expected, rtol=1e-10)
-    gram = _block_gram_opnorm(rows_batch(spec, part.blocks[0]), wv)
+    gram = _dense_terms(spec, part.blocks[:1], wv)[0][0]
     assert np.isclose(gram, s / side**2, rtol=1e-10)
 
 
@@ -281,3 +280,10 @@ def test_polynomial_rejected_for_1d():
 def test_density_validation():
     with pytest.raises(InvalidSpec):
         Density(pi=np.array([0.5, 0.4]), normalizer=1.0, kind="uniform")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_rejects_non_finite_entries(bad):
+    # NaN compares false everywhere, so the sum check alone lets it through
+    with pytest.raises(InvalidSpec):
+        Density(pi=np.array([0.5, bad, 0.5]), normalizer=1.0, kind="loaded")

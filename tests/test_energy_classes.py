@@ -1,10 +1,10 @@
-"""Isolated-row terms from subband energy classes against the streamed rows.
+"""Isolated-row terms from subband energy classes against the dense rows.
 
 `density.isolated_terms` takes the class path wherever
-`transforms.energy_classes` returns labels; `density._streamed_terms`
-computes the same arrays from all K rows and is its oracle, on every
-(measurement, sparsity) pair at every size with K <= 1024 and every
-wavelet depth.
+`transforms.energy_classes` returns labels; `density._dense_terms` on the
+singleton blocks computes the same arrays from all K rows and is its
+oracle, on every (measurement, sparsity) pair at every size with
+K <= 1024 and every wavelet depth.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from test_transform_oracle import PAIRS, _specs
 from avds.density import (
     BlockPartition,
     _dense_terms,
-    _streamed_terms,
     adapted_isolated,
     baseline_density,
     block_norm_terms,
@@ -75,7 +74,7 @@ def test_class_columns_share_one_energy_profile(measurement, sparsity):
 
 
 @pytest.mark.parametrize("measurement,sparsity", LABELLED, ids=lambda v: v.value)
-def test_class_terms_match_streamed_rows(measurement, sparsity):
+def test_class_terms_match_dense_rows(measurement, sparsity):
     for spec in _specs(measurement, sparsity):
         labels = energy_classes(spec)
         seed = spec.dim + (spec.levels or 0)
@@ -84,7 +83,7 @@ def test_class_terms_match_streamed_rows(measurement, sparsity):
             vectors.append(_weights(spec.dim, seed, zero=labels == labels.max()))
         for wv in vectors:
             got = isolated_terms(spec, wv.omega)
-            want = _streamed_terms(spec, wv.omega)
+            want = _dense_terms(spec, BlockPartition.singletons(spec.dim).blocks, wv)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(
                     g, w, rtol=1e-12, atol=1e-12 * w.max(), err_msg=str(spec)

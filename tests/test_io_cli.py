@@ -205,6 +205,41 @@ def test_cli_error_class_line(tmp_path, capsys):
     assert out.out.strip() == "error: FileNotFound"
 
 
+@pytest.mark.parametrize(
+    "indices,error",
+    [
+        ([2, 99999], "DimensionMismatch"),
+        ([2, np.nan], "FormatError"),
+        ([-1, 2], "FormatError"),
+        ([1.5, 2], "FormatError"),
+        ([3, 3, 7], "FormatError"),
+    ],
+    ids=["past-k", "nan", "negative", "fractional", "repeated"],
+)
+def test_cli_reconstruct_rejects_bad_mask_files(tmp_path, capsys, indices, error):
+    maskf = str(tmp_path / "mask.avds")
+    yf = str(tmp_path / "y.avds")
+    out = tmp_path / "xhat.avds"
+    tensorio.write_tensor(maskf, np.stack([np.array(indices, float), np.ones(len(indices))]))
+    tensorio.write_tensor(yf, np.ones(len(indices), dtype=complex))
+    code = run_cli(
+        "reconstruct", "--spec", "dft1d:identity:16", "--mask", maskf,
+        "--input", yf, "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [f"error: {error}"]
+    assert not out.exists()
+
+
+def test_cli_mask_rejects_a_nan_density(tmp_path, capsys):
+    dens = str(tmp_path / "pi.avds")
+    out = tmp_path / "mask.avds"
+    tensorio.write_tensor(dens, np.array([0.5, np.nan, 0.25, 0.25]))
+    assert run_cli("mask", "--density", dens, "--m", "2", "--out", str(out)) == 1
+    assert capsys.readouterr().out.splitlines() == ["error: InvalidSpec"]
+    assert not out.exists()
+
+
 def test_cli_experiment_config(tmp_path):
     cfg = {
         "schema_version": 1,
