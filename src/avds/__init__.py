@@ -24,8 +24,6 @@ from .harness import (
     psnr,
     run_experiment,
     scale_profile_weights,
-    smallest_m_reaching,
-    synth_corpus,
 )
 from .masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
 from .recon import (
@@ -33,7 +31,6 @@ from .recon import (
     MeasurementOp,
     SolverParams,
     adjoint_measure,
-    check_fuchs,
     measure,
     solve_bp,
 )
@@ -45,8 +42,6 @@ from .support_model import (
     flip,
     normalize_weights,
     sample_supports,
-    sequential_path_log_prob,
-    support_prob,
 )
 from .transforms import (
     Direction,

@@ -109,8 +109,7 @@ def _read_mask(path: str) -> Mask:
         raise FormatError(f"{path}: mask indices must be >= 0 and strictly increasing")
     if np.any(mult < 1):
         raise FormatError(f"{path}: mask multiplicities must be >= 1")
-    mode = DISTINCT if np.all(mult == 1) else IID
-    return Mask(indices, mult, mode=mode)
+    return Mask(indices, mult)
 
 
 # ------------------------------------------------------------------ weights

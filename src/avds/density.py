@@ -88,10 +88,14 @@ class BlockPartition:
             self.blocks = self.blocks.astype(np.int64, copy=False)
             total = self.blocks.ravel()
             all_single = self.blocks.shape[1] == 1
+            empty = self.blocks.shape[1] == 0
         else:
             self.blocks = [np.asarray(b, dtype=np.int64) for b in self.blocks]
             total = np.concatenate(self.blocks) if self.blocks else np.array([], np.int64)
             all_single = all(b.size == 1 for b in self.blocks)
+            empty = any(b.size == 0 for b in self.blocks)
+        if empty:
+            raise InvalidPartition("every block must hold at least one index")
         k = total.size
         seen = np.zeros(k, dtype=bool)
         if k == 0 or total.min() < 0 or total.max() >= k:

@@ -26,20 +26,12 @@ class InvalidWeights(AvdsError):
     """Weight vector violates its constraints (range, sum, feasibility)."""
 
 
-class RejectionCapExceeded(AvdsError):
-    """Rejection sampler exceeded its retry budget."""
-
-
 class InfeasibleBudget(AvdsError):
     """Requested number of distinct draws exceeds the density support."""
 
 
 class UnnormalizedDensity(AvdsError):
     """Density vector does not sum to one within tolerance."""
-
-
-class SingularGram(AvdsError):
-    """Gram matrix of the support columns is numerically singular."""
 
 
 class UnsupportedSolver(AvdsError):

@@ -33,7 +33,7 @@ from .support_model import (
     draw_signals,
     flip,
     normalize_weights,
-    sample_supports,
+    sample_supports,  # noqa: F401 (bench/spans.py wraps avds.harness.sample_supports)
     sample_supports_seeded,
 )
 from .transforms import Direction, OperatorSpec, apply
@@ -86,6 +86,8 @@ def scale_profile_weights(
     mra2d uses max(f_row, f_col), tensor2d uses f_row + f_col.  Weight is
     base * decay^f, optionally rescaled to sum to s_target.
     """
+    if levels < 0 or side >> levels == 0:
+        raise ConfigError(f"a weight profile of side {side} cannot have {levels} levels")
     lo = side >> levels
     f1 = np.zeros(side, dtype=int)
     seg = lo
@@ -103,19 +105,6 @@ def scale_profile_weights(
     if s_target is not None:
         return normalize_weights(omega, s_target)
     return WeightVector.from_omega(omega)
-
-
-def synth_corpus(
-    weights: WeightVector, n: int, floor: float = 0.5, seed=None
-) -> np.ndarray:
-    """n coefficient vectors with rejective supports and magnitudes >= floor."""
-    rng = np.random.default_rng(seed)
-    s_int = int(round(weights.sparsity))
-    dist = SupportDistribution(normalize_weights(weights.omega, s_int))
-    masks = sample_supports(dist, n, seed=rng.integers(2**63))
-    mags = rng.uniform(floor, 1.0, size=masks.shape)
-    signs = rng.integers(0, 2, size=masks.shape) * 2 - 1
-    return masks * mags * signs
 
 
 @dataclass
@@ -433,11 +422,3 @@ def phase_transition(
                 PhasePoint(int(m), successes / run, run, pruned=run < cfg.trials)
             )
     return table
-
-
-def smallest_m_reaching(points, rate: float) -> int | None:
-    """First budget in the table whose success rate reached `rate`."""
-    for p in sorted(points, key=lambda p: p.m):
-        if p.success_rate >= rate:
-            return p.m
-    return None

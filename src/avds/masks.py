@@ -32,8 +32,6 @@ class Mask:
 
     indices: np.ndarray          # sorted unique atom indices
     multiplicities: np.ndarray   # draw counts per index (all 1 in distinct mode)
-    mode: str
-    seed: object = None
     n_draws: int = 0
     covered_fraction: float | None = None
 
@@ -66,7 +64,7 @@ def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) ->
         u = rng.random(budget)
         drawn = atoms[np.searchsorted(cum, u, side="left")]
         indices, counts = np.unique(drawn, return_counts=True)
-        return Mask(indices, counts, mode=IID, seed=seed, n_draws=budget)
+        return Mask(indices, counts, n_draws=budget)
     if mode != DISTINCT:
         raise InfeasibleBudget(f"unknown mask mode {mode!r}")
     if budget > atoms.size:
@@ -90,13 +88,7 @@ def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) ->
                 f"{picked} of {budget} distinct atoms after {draws} draws; the "
                 "remaining atoms are too unlikely to collect"
             )
-    return Mask(
-        np.flatnonzero(seen),
-        np.ones(budget, dtype=np.int64),
-        mode=DISTINCT,
-        seed=seed,
-        n_draws=draws,
-    )
+    return Mask(np.flatnonzero(seen), np.ones(budget, dtype=np.int64), n_draws=draws)
 
 
 def expand_blocks(mask: Mask, partition: BlockPartition) -> Mask:
@@ -118,11 +110,4 @@ def expand_blocks(mask: Mask, partition: BlockPartition) -> Mask:
     mult = np.concatenate(mults) if mults else np.array([], dtype=np.int64)
     order = np.argsort(flat)
     covered = float(flat.size) / partition.dim
-    return Mask(
-        flat[order],
-        mult[order],
-        mode=mask.mode,
-        seed=mask.seed,
-        n_draws=mask.n_draws,
-        covered_fraction=covered,
-    )
+    return Mask(flat[order], mult[order], n_draws=mask.n_draws, covered_fraction=covered)

@@ -29,7 +29,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularGram, UnsupportedSolver
+from .errors import DimensionMismatch, UnsupportedSolver
 from .masks import Mask
 from .transforms import Direction, OperatorSpec, apply, solver_plan
 
@@ -202,37 +202,3 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
             stacklevel=2,
         )
     return BPResult(x_out, converged, total_iters, residual, stage_objectives)
-
-
-def check_fuchs(spec: OperatorSpec, mask: Mask, support, signs) -> float:
-    """Fuchs dual-certificate norm ||A_{I^c}* A_I (A_I* A_I)^{-1} s_I||_inf.
-
-    A value below 1 certifies that the planted signal is the unique basis
-    pursuit solution; used as the independent oracle for the solver.
-    Columns are built by forward transforms, so no dense operator is
-    formed.
-    """
-    support = np.asarray(support, dtype=np.int64)
-    signs = np.asarray(signs)
-    if signs.shape[-1] != support.size:
-        raise DimensionMismatch("one sign per support index is required")
-    if support.size > mask.size:
-        raise SingularGram("support larger than the number of measurements")
-    k_total = spec.dim
-    slab = np.zeros((support.size, k_total))
-    slab[np.arange(support.size), support] = 1.0
-    cols = apply(spec, Direction.FORWARD, slab)[:, mask.indices].T  # (m, S)
-    gram = cols.conj().T @ cols
-    try:
-        # gram = L L*: w solves L z = s, then L* w = z
-        low = np.linalg.cholesky(gram)
-        w = np.linalg.solve(low.conj().T, np.linalg.solve(low, signs.astype(complex)))
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram("A_I* A_I is singular (undersampled support)") from exc
-    u = cols @ w  # (m,)
-    z = np.zeros(k_total, dtype=complex)
-    z[mask.indices] = u
-    v = apply(spec, Direction.ADJOINT, z)
-    off = np.ones(k_total, dtype=bool)
-    off[support] = False
-    return float(np.max(np.abs(v[off]))) if off.any() else 0.0

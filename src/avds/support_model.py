@@ -4,7 +4,10 @@ A support I of fixed size S is drawn with probability proportional to
 prod_{i in I} w_i * prod_{j notin I} (1 - w_j).  The normaliser and the
 exact sequential sampler both run on elementary symmetric polynomials of
 the odds w/(1-w), evaluated in log space with the stable two-term
-recurrence, so no enumeration over supports is ever needed.
+recurrence, so no enumeration over supports is ever needed.  Weights come
+from a corpus (`estimate_weights`) or a profile, rescaled to an integer
+sum (`normalize_weights`); `sample_supports` and `draw_signals` then
+draw supports and signals from the model.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidWeights, RejectionCapExceeded
+from .errors import InvalidWeights
 
 _SUM_TOL = 1e-6
 
@@ -195,73 +198,10 @@ class SupportDistribution:
         return self.sparsity - len(self._forced)
 
 
-def support_prob(dist: SupportDistribution, support) -> float:
-    """P(I) under the rejective model; 0 whenever |I| != S."""
-    support = np.asarray(support, dtype=np.int64)
-    if len(np.unique(support)) != len(support):
-        raise InvalidWeights("support contains repeated indices")
-    if len(support) != dist.sparsity:
-        return 0.0
-    omega = dist.weights.omega
-    inside = np.zeros(dist.dim, dtype=bool)
-    inside[support] = True
-    if np.any(omega[support] <= 0.0):
-        return 0.0
-    if np.any((omega >= 1.0) & ~inside):
-        return 0.0
-    free_in = dist._free[inside[dist._free]]
-    free_out = dist._free[~inside[dist._free]]
-    log_p = (
-        np.log(omega[free_in]).sum()
-        + np.log1p(-omega[free_out]).sum()
-        + dist.log_normalizer
-    )
-    return float(np.exp(log_p))
-
-
-def sample_supports(
-    dist: SupportDistribution,
-    n: int,
-    method: str = "exact",
-    seed=None,
-    rejection_cap: int = 10**6,
-) -> np.ndarray:
-    """Draw n supports as a boolean (n, K) matrix; deterministic given seed.
-
-    "exact" runs the sequential conditional-Poisson scheme on the cached
-    ESP table; "rejection" draws independent Bernoulli(omega) vectors and
-    keeps those with exactly S successes.
-    """
+def sample_supports(dist: SupportDistribution, n: int, seed=None) -> np.ndarray:
+    """Draw n exact supports as a boolean (n, K) matrix; deterministic given seed."""
     rng = np.random.default_rng(seed)
-    omega = dist.weights.omega
-    k_total = dist.dim
-    out = np.zeros((n, k_total), dtype=bool)
-    out[:, dist._forced] = True
-    r_target = dist._r
-    if r_target == 0:
-        return out
-    if method == "rejection":
-        filled = 0
-        raw = 0
-        chunk = max(256, min(n * 4, 65536))
-        probs = omega[dist._free]
-        while filled < n:
-            draws = rng.random((chunk, len(dist._free))) < probs
-            raw += chunk
-            good = draws[draws.sum(axis=1) == r_target]
-            take = min(len(good), n - filled)
-            if take:
-                rows = np.arange(filled, filled + take)
-                out[np.ix_(rows, dist._free)] = good[:take]
-                filled += take
-            if raw > rejection_cap * max(1, n):
-                raise RejectionCapExceeded(
-                    f"acceptance too rare after {raw} Bernoulli draws"
-                )
-        return out
-    if method != "exact":
-        raise InvalidWeights(f"unknown sampling method {method!r}")
-    return _sequential_supports(dist, rng.random((n, len(dist._free))), out)
+    return _sequential_supports(dist, rng.random((n, len(dist._free))))
 
 
 def sample_supports_seeded(dist: SupportDistribution, seeds) -> np.ndarray:
@@ -271,32 +211,32 @@ def sample_supports_seeded(dist: SupportDistribution, seeds) -> np.ndarray:
     uniforms come from its own generator, and one sequential pass then
     draws all rows together.
     """
-    out = np.zeros((len(seeds), dist.dim), dtype=bool)
-    out[:, dist._forced] = True
-    if dist._r == 0:
-        return out
     u = np.array([np.random.default_rng(seed).random(len(dist._free)) for seed in seeds])
-    return _sequential_supports(dist, u, out)
+    # the reshape keeps two axes when there are no seeds
+    return _sequential_supports(dist, u.reshape(len(seeds), len(dist._free)))
 
 
-def _sequential_supports(dist: SupportDistribution, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill the free indices of `out` by the sequential scheme, row i driven by u[i].
+def _sequential_supports(dist: SupportDistribution, u: np.ndarray) -> np.ndarray:
+    """Supports as a boolean (len(u), K) matrix by the sequential scheme, row i driven by u[i].
 
-    With r indices left, free index t is taken when u[i, t] < p_r[t] =
-    odds_t e_{r-1}(suffix t+1) / e_r(suffix t), and always at t = n_free - r,
-    where as many slots as indices remain.  The scan runs in inclusion
-    rounds: in round k every row has r = R - k indices left, so all rows
-    share the column p_r, and each jumps from its scan position to its
-    next accepted or forced index.  The rows are independent: each row's
-    draws depend on its uniforms only.
+    Forced indices are set in every row.  With r indices left, free index
+    t is taken when u[i, t] < p_r[t] = odds_t e_{r-1}(suffix t+1) / e_r(suffix t),
+    and always at t = n_free - r, where as many slots as indices remain.
+    The scan runs in inclusion rounds: in round k every row has r = R - k
+    indices left, so all rows share the column p_r, and each jumps from its
+    scan position to its next accepted or forced index.  The rows are
+    independent: each row's draws depend on its uniforms only.
     """
+    out = np.zeros((len(u), dist.dim), dtype=bool)
+    out[:, dist._forced] = True
     esp = dist._esp
     log_odds = dist._log_odds
     n_free = len(dist._free)
-    rows = np.arange(len(out))
-    pos = np.zeros(len(out), dtype=np.int64)  # next index each row scans
+    rows = np.arange(len(u))
+    pos = np.zeros(len(u), dtype=np.int64)  # next index each row scans
     for r in range(dist._r, 0, -1):
-        lo, last = int(pos.min()), n_free - r
+        # every row has pos <= n_free - r; the initial value serves zero rows
+        lo, last = int(pos.min(initial=n_free - r)), n_free - r
         log_p = log_odds[lo : last + 1] + esp[lo + 1 : last + 2, r - 1] - esp[lo : last + 1, r]
         take = u[:, lo : last + 1] < np.exp(np.minimum(log_p, 0.0))
         take &= np.arange(lo, last + 1) >= pos[:, None]
@@ -307,45 +247,9 @@ def _sequential_supports(dist: SupportDistribution, u: np.ndarray, out: np.ndarr
     return out
 
 
-def sequential_path_log_prob(dist: SupportDistribution, support) -> float:
-    """log-probability of `support` accumulated along the sequential path.
-
-    Multiplying the per-index conditional inclusion/exclusion
-    probabilities must reproduce support_prob exactly; exposed so tests
-    can check the sampler against the closed form.
-    """
-    support = np.asarray(support, dtype=np.int64)
-    inside = np.zeros(dist.dim, dtype=bool)
-    inside[support] = True
-    if len(support) != dist.sparsity or np.any(~inside[dist._forced]):
-        return -np.inf
-    esp = dist._esp
-    log_odds = dist._log_odds
-    n_free = len(dist._free)
-    r = dist._r
-    total = 0.0
-    for t in range(n_free):
-        if r > 0:
-            log_p = log_odds[t] + esp[t + 1, r - 1] - esp[t, r]
-            p = min(np.exp(log_p), 1.0)
-        else:
-            p = 0.0
-        if inside[dist._free[t]]:
-            if p <= 0.0:
-                return -np.inf
-            total += np.log(p)
-            r -= 1
-        else:
-            if p >= 1.0:
-                return -np.inf
-            total += np.log1p(-p)
-    return total
-
-
-def draw_signals(dist: SupportDistribution, n: int, seed=None,
-                 method: str = "exact") -> np.ndarray:
+def draw_signals(dist: SupportDistribution, n: int, seed=None) -> np.ndarray:
     """n signal vectors (n, K): rejective supports, iid +-1 magnitudes."""
     rng = np.random.default_rng(seed)
-    masks = sample_supports(dist, n, method=method, seed=rng.integers(2**63))
+    masks = sample_supports(dist, n, seed=rng.integers(2**63))
     signs = rng.integers(0, 2, size=masks.shape) * 2 - 1
     return masks * signs.astype(float)

@@ -343,12 +343,17 @@ def _split_complex(stage):
     """`stage` on real input; on complex input, two real passes.
 
     The factors are real: two real passes cost half of one complex pass.
+    Their results fill the parts of one complex array.
     """
 
     def run(x):
-        if np.iscomplexobj(x):
-            return stage(x.real) + 1j * stage(x.imag)
-        return stage(x)
+        if not np.iscomplexobj(x):
+            return stage(x)
+        real = stage(x.real)
+        out = np.empty(real.shape, dtype=np.result_type(real, 1j))
+        out.real = real
+        out.imag = stage(x.imag)
+        return out
 
     return run
 
@@ -591,7 +596,8 @@ def rows_batch(spec: OperatorSpec, indices) -> np.ndarray:
         raise DimensionMismatch("row index out of range")
     slab = np.zeros((len(indices), spec.dim))
     slab[np.arange(len(indices)), indices] = 1.0
-    return apply(spec, Direction.ADJOINT, slab).conj()
+    rows = apply(spec, Direction.ADJOINT, slab)
+    return np.conjugate(rows, out=rows)
 
 
 def signed_frequencies(side: int) -> np.ndarray:

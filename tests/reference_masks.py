@@ -1,7 +1,8 @@
 """The per-draw DISTINCT mask loop that the chunked selection replaced, kept as the oracle.
 
-`draw_mask` is copied verbatim; `avds.masks.draw_mask` must return the
-same indices, multiplicities and n_draws for every seed.
+`draw_mask` is copied verbatim, less the `Mask` fields that were since
+dropped; `avds.masks.draw_mask` must return the same indices,
+multiplicities and n_draws for every seed.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) ->
         u = rng.random(budget)
         drawn = atoms[np.searchsorted(cum, u, side="left")]
         indices, counts = np.unique(drawn, return_counts=True)
-        return Mask(indices, counts, mode=IID, seed=seed, n_draws=budget)
+        return Mask(indices, counts, n_draws=budget)
     if mode != DISTINCT:
         raise InfeasibleBudget(f"unknown mask mode {mode!r}")
     if budget > atoms.size:
@@ -45,8 +46,6 @@ def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) ->
     return Mask(
         np.sort(np.array(picked, dtype=np.int64)),
         np.ones(budget, dtype=np.int64),
-        mode=DISTINCT,
-        seed=seed,
         n_draws=draws,
     )
 

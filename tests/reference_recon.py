@@ -1,10 +1,13 @@
-"""Reference basis pursuit solver, test use only.
+"""Reference basis pursuit solver and dual certificate, test use only.
 
-This is `avds.recon.solve_bp` as it was before the solver iterated in the
-per-spec layout of `avds.transforms.solver_plan`: one `measure` and one
-`adjoint_measure` call per projection, fresh arrays every step.  The
-layout solver must match it bit for bit where the layout is the identity,
-and to roundoff on Hadamard2D x Haar MRA.
+`reference_solve_bp` is `avds.recon.solve_bp` as it was before the solver
+iterated in the per-spec layout of `avds.transforms.solver_plan`: one
+`measure` and one `adjoint_measure` call per projection, fresh arrays
+every step.  The layout solver must match it bit for bit where the layout
+is the identity, and to roundoff on Hadamard2D x Haar MRA.
+
+`check_fuchs` is the Fuchs dual certificate, the independent oracle for
+which planted signals basis pursuit must recover.
 """
 
 from __future__ import annotations
@@ -14,8 +17,14 @@ from collections import deque
 
 import numpy as np
 
-from avds.errors import UnsupportedSolver
+from avds.errors import AvdsError, DimensionMismatch, UnsupportedSolver
+from avds.masks import Mask
 from avds.recon import BPResult, MeasurementOp, SolverParams, adjoint_measure, measure
+from avds.transforms import Direction, OperatorSpec, apply
+
+
+class SingularGram(AvdsError):
+    """Gram matrix of the support columns is numerically singular."""
 
 
 def _huber_objective(x: np.ndarray, mu: float) -> float:
@@ -89,3 +98,37 @@ def reference_solve_bp(
             stacklevel=2,
         )
     return BPResult(x, converged, total_iters, residual, stage_objectives)
+
+
+def check_fuchs(spec: OperatorSpec, mask: Mask, support, signs) -> float:
+    """Fuchs dual-certificate norm ||A_{I^c}* A_I (A_I* A_I)^{-1} s_I||_inf.
+
+    A value below 1 certifies that the planted signal is the unique basis
+    pursuit solution; used as the independent oracle for the solver.
+    Columns are built by forward transforms, so no dense operator is
+    formed.
+    """
+    support = np.asarray(support, dtype=np.int64)
+    signs = np.asarray(signs)
+    if signs.shape[-1] != support.size:
+        raise DimensionMismatch("one sign per support index is required")
+    if support.size > mask.size:
+        raise SingularGram("support larger than the number of measurements")
+    k_total = spec.dim
+    slab = np.zeros((support.size, k_total))
+    slab[np.arange(support.size), support] = 1.0
+    cols = apply(spec, Direction.FORWARD, slab)[:, mask.indices].T  # (m, S)
+    gram = cols.conj().T @ cols
+    try:
+        # gram = L L*: w solves L z = s, then L* w = z
+        low = np.linalg.cholesky(gram)
+        w = np.linalg.solve(low.conj().T, np.linalg.solve(low, signs.astype(complex)))
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram("A_I* A_I is singular (undersampled support)") from exc
+    u = cols @ w  # (m,)
+    z = np.zeros(k_total, dtype=complex)
+    z[mask.indices] = u
+    v = apply(spec, Direction.ADJOINT, z)
+    off = np.ones(k_total, dtype=bool)
+    off[support] = False
+    return float(np.max(np.abs(v[off]))) if off.any() else 0.0

@@ -1,13 +1,22 @@
-"""The support-model kernels that the vectorised ones replaced, kept as the oracle.
+"""Independent oracles for the support model, test use only.
 
 `_log_suffix_esp` (the row-by-row ESP table) and `_sequential_supports`
-(one Python step per free index) are copied verbatim.  The avds versions
-must reproduce the table and every draw bit for bit.
+(one Python step per free index) are the kernels the vectorised ones
+replaced, copied verbatim; the avds versions must reproduce the table and
+every draw bit for bit.  `rejection_supports` (Bernoulli draws kept when
+they have exactly S successes), `support_prob` (the closed form) and
+`sequential_path_log_prob` (the sampler's path probability) check the
+exact sampler's law.
 """
 
 import numpy as np
 
+from avds.errors import AvdsError, InvalidWeights
 from avds.support_model import SupportDistribution
+
+
+class RejectionCapExceeded(AvdsError):
+    """Rejection sampler exceeded its retry budget."""
 
 
 def _log_suffix_esp(log_odds: np.ndarray, r_max: int) -> np.ndarray:
@@ -45,3 +54,98 @@ def _sequential_supports(dist: SupportDistribution, u: np.ndarray, out: np.ndarr
             out[include, dist._free[t]] = True
             remaining = remaining - include.astype(np.int64)
     return out
+
+
+def rejection_supports(
+    dist: SupportDistribution, n: int, seed=None, rejection_cap: int = 10**6
+) -> np.ndarray:
+    """Draw n supports as a boolean (n, K) matrix; deterministic given seed.
+
+    Draws independent Bernoulli(omega) vectors and keeps those with
+    exactly S successes.
+    """
+    rng = np.random.default_rng(seed)
+    omega = dist.weights.omega
+    k_total = dist.dim
+    out = np.zeros((n, k_total), dtype=bool)
+    out[:, dist._forced] = True
+    r_target = dist._r
+    if r_target == 0:
+        return out
+    filled = 0
+    raw = 0
+    chunk = max(256, min(n * 4, 65536))
+    probs = omega[dist._free]
+    while filled < n:
+        draws = rng.random((chunk, len(dist._free))) < probs
+        raw += chunk
+        good = draws[draws.sum(axis=1) == r_target]
+        take = min(len(good), n - filled)
+        if take:
+            rows = np.arange(filled, filled + take)
+            out[np.ix_(rows, dist._free)] = good[:take]
+            filled += take
+        if raw > rejection_cap * max(1, n):
+            raise RejectionCapExceeded(
+                f"acceptance too rare after {raw} Bernoulli draws"
+            )
+    return out
+
+
+def support_prob(dist: SupportDistribution, support) -> float:
+    """P(I) under the rejective model; 0 whenever |I| != S."""
+    support = np.asarray(support, dtype=np.int64)
+    if len(np.unique(support)) != len(support):
+        raise InvalidWeights("support contains repeated indices")
+    if len(support) != dist.sparsity:
+        return 0.0
+    omega = dist.weights.omega
+    inside = np.zeros(dist.dim, dtype=bool)
+    inside[support] = True
+    if np.any(omega[support] <= 0.0):
+        return 0.0
+    if np.any((omega >= 1.0) & ~inside):
+        return 0.0
+    free_in = dist._free[inside[dist._free]]
+    free_out = dist._free[~inside[dist._free]]
+    log_p = (
+        np.log(omega[free_in]).sum()
+        + np.log1p(-omega[free_out]).sum()
+        + dist.log_normalizer
+    )
+    return float(np.exp(log_p))
+
+
+def sequential_path_log_prob(dist: SupportDistribution, support) -> float:
+    """log-probability of `support` accumulated along the sequential path.
+
+    Multiplying the per-index conditional inclusion/exclusion
+    probabilities must reproduce support_prob exactly, which checks the
+    sampler against the closed form.
+    """
+    support = np.asarray(support, dtype=np.int64)
+    inside = np.zeros(dist.dim, dtype=bool)
+    inside[support] = True
+    if len(support) != dist.sparsity or np.any(~inside[dist._forced]):
+        return -np.inf
+    esp = dist._esp
+    log_odds = dist._log_odds
+    n_free = len(dist._free)
+    r = dist._r
+    total = 0.0
+    for t in range(n_free):
+        if r > 0:
+            log_p = log_odds[t] + esp[t + 1, r - 1] - esp[t, r]
+            p = min(np.exp(log_p), 1.0)
+        else:
+            p = 0.0
+        if inside[dist._free[t]]:
+            if p <= 0.0:
+                return -np.inf
+            total += np.log(p)
+            r -= 1
+        else:
+            if p >= 1.0:
+                return -np.inf
+            total += np.log1p(-p)
+    return total

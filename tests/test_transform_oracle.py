@@ -17,6 +17,7 @@ from avds.transforms import (
     OperatorSpec,
     Sparsity,
     apply,
+    rows_batch,
     separable_factor,
 )
 
@@ -64,6 +65,18 @@ def test_apply_matches_reference_kernels(measurement, sparsity):
                 assert got.shape == want.shape
                 err = np.max(np.abs(got - want))
                 assert err <= 1e-12 * np.linalg.norm(x), (spec, direction, err)
+
+
+@pytest.mark.parametrize(
+    "measurement,sparsity",
+    [(m, s) for m, s in PAIRS if m in (Measurement.DFT1D, Measurement.DFT2D)],
+    ids=lambda v: v.value,
+)
+def test_complex_rows_batch_is_the_conjugated_adjoint(measurement, sparsity):
+    # rows a_k = conj(A0* e_k), conjugated in place of the adjoint's output
+    for spec in _specs(measurement, sparsity):
+        want = apply(spec, Direction.ADJOINT, np.eye(spec.dim)).conj()
+        assert np.array_equal(rows_batch(spec, np.arange(spec.dim)), want), spec
 
 
 def test_separable_factor_matches_reference():
