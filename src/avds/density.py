@@ -91,6 +91,8 @@ class BlockPartition:
             empty = self.blocks.shape[1] == 0
         else:
             self.blocks = [np.asarray(b, dtype=np.int64) for b in self.blocks]
+            if any(b.ndim != 1 for b in self.blocks):
+                raise InvalidPartition("every block must be a 1D list of indices")
             total = np.concatenate(self.blocks) if self.blocks else np.array([], np.int64)
             all_single = all(b.size == 1 for b in self.blocks)
             empty = any(b.size == 0 for b in self.blocks)

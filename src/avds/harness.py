@@ -25,7 +25,7 @@ from .density import (
     block_norm_terms,
 )
 from .errors import ConfigError, DimensionMismatch, InfeasibleBudget
-from .masks import DISTINCT, IID, draw_mask, expand_blocks
+from .masks import DISTINCT, _categorical_table, _iid_draw, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
 from .support_model import (
     SupportDistribution,
@@ -49,6 +49,8 @@ _NOISE_FLOOR_REL = 1e-12
 # of exactly 1/2 or 3/2, 26 of 800 trials on the diagnose config) are common,
 # and rounding, hence evaluation order, would otherwise decide them.
 TAIL_TIE_TOL = 1e-9
+# Entries per stack of tail Grams in `diagnostics`, as in density._dense_terms.
+_GRAM_STACK_ENTRIES = 1 << 16
 
 
 def psnr(ref: np.ndarray, rec: np.ndarray, peak: float | None = None) -> float:
@@ -302,6 +304,12 @@ def diagnostics(
     scaling; supports follow the rejective model of `weights`.  The two
     sufficient-budget evaluations report max_k ||.||/pi_k times the
     log^3 / log^2 factors at the given epsilon (constants omitted).
+
+    A trial does only its own work: the forward transform of its support,
+    its block energies and its mask draw, from a categorical table built
+    once per call.  The trials' scaled Grams go into stacks of at most
+    2^16 entries, each symmetrised and passed to one `eigvalsh`, so memory
+    stays bounded for any support size and trial count.
     """
     if spec.dim > 4096:
         raise DimensionMismatch("diagnostics are limited to K <= 4096")
@@ -312,10 +320,13 @@ def diagnostics(
     gram_terms, inf_terms = block_norm_terms(spec, partition, weights)
     pi = density.pi
     live = pi > 0
-    mu = float(np.max(inf_terms[live] / (pi[live] * m)))
+    all_live = bool(live.all())
+    norm = pi[live] * m  # Lambda's denominators pi_k m over the live blocks
+    mu = float(np.max(inf_terms[live] / norm))
     threshold_inf1 = float(np.max(inf_terms[live] / pi[live]))
     threshold_gram = float(np.max(gram_terms[live] / pi[live]))
     logk = np.log(spec.dim / epsilon)
+    atoms, cum = _categorical_table(density)
 
     dist = signal_distribution(weights)
     # per trial: [support draw, mask draw]
@@ -323,6 +334,9 @@ def diagnostics(
     supports = sample_supports_seeded(dist, [child[0] for child in children])
     singleton = partition.kind == "singletons"
     lam = np.empty(trials)
+    # every rejective support has the same size S, so every tail Gram is S x S
+    n_stack = max(1, _GRAM_STACK_ENTRIES // int(supports[0].sum()) ** 2)
+    grams = []
     hits = 0
     for t, child in enumerate(children):
         support = np.flatnonzero(supports[t])
@@ -340,20 +354,21 @@ def diagnostics(
                 block_sq[k] = float(
                     np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1].real
                 )
-        lam[t] = float(np.max(block_sq[live] / (pi[live] * m)))
+        lam[t] = float(np.max((block_sq if all_live else block_sq[live]) / norm))
         # theorem-scaled mask and its restricted Gram
-        mask = draw_mask(density, m, mode=IID, seed=child[1])
-        scale = np.sqrt(mask.multiplicities / (m * pi[mask.indices]))
+        rows, mult = _iid_draw(atoms, cum, m, np.random.default_rng(child[1]))
+        scale = np.sqrt(mult / (m * pi[rows]))
         if singleton:
-            a_i = scale[:, None] * cols[mask.indices, :]
+            a_i = scale[:, None] * cols[rows, :]
         else:
             a_i = np.concatenate(
-                [s * cols[partition.blocks[k], :] for s, k in zip(scale, mask.indices)],
+                [s * cols[partition.blocks[k], :] for s, k in zip(scale, rows)],
                 axis=0,
             )
-        gram = a_i.conj().T @ a_i
-        dev = np.abs(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)) - 1.0).max()
-        hits += bool(dev >= 0.5 - TAIL_TIE_TOL)
+        grams.append(a_i.conj().T @ a_i)
+        if len(grams) == n_stack or t == trials - 1:
+            hits += _tail_hits(np.array(grams))
+            grams = []
     return Diagnostics(
         mu=mu,
         lambda_samples=lam,
@@ -364,6 +379,13 @@ def diagnostics(
         m_bound_inf1=threshold_inf1 * logk**3,
         m_bound_gram=threshold_gram * logk**2,
     )
+
+
+def _tail_hits(grams: np.ndarray) -> int:
+    """Trials whose scaled Gram deviates from I by 1/2 or more in spectral norm."""
+    sym = 0.5 * (grams + grams.conj().swapaxes(1, 2))
+    dev = np.abs(np.linalg.eigvalsh(sym) - 1.0).max(axis=1)
+    return int(np.count_nonzero(dev >= 0.5 - TAIL_TIE_TOL))
 
 
 # ------------------------------------------------------------ phase transition

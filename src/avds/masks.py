@@ -4,9 +4,11 @@ Two modes: the theorem's i.i.d.-with-replacement model (draws recorded
 with multiplicities) and the practical distinct-until-budget mode used by
 the experiments (categorical draws, repeats skipped, until m distinct
 atoms are collected).  Categorical sampling is inverse-CDF on the
-cumulative table with ties broken toward the lower index.  Distinct mode
-draws in chunks and keeps, per chunk, the first occurrence of each new
-atom in draw order, up to the budget.
+cumulative table with ties broken toward the lower index.  The i.i.d.
+mode has one code path, `_iid_draw`, which `draw_mask` and
+`harness.diagnostics` (with its table built once per call) both run.
+Distinct mode draws in chunks and keeps, per chunk, the first occurrence
+of each new atom in draw order, up to the budget.
 """
 
 from __future__ import annotations
@@ -54,6 +56,13 @@ def _categorical_table(density: Density):
     return atoms, cum
 
 
+def _iid_draw(atoms: np.ndarray, cum: np.ndarray, budget: int, rng):
+    """`budget` i.i.d. draws from the table: sorted distinct atoms and their counts."""
+    counts = np.bincount(np.searchsorted(cum, rng.random(budget), side="left"))
+    drawn = np.flatnonzero(counts)
+    return atoms[drawn], counts[drawn]
+
+
 def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) -> Mask:
     """Draw `budget` atoms from the density; deterministic given seed."""
     if budget < 1:
@@ -61,10 +70,7 @@ def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) ->
     atoms, cum = _categorical_table(density)
     rng = np.random.default_rng(seed)
     if mode == IID:
-        u = rng.random(budget)
-        drawn = atoms[np.searchsorted(cum, u, side="left")]
-        indices, counts = np.unique(drawn, return_counts=True)
-        return Mask(indices, counts, n_draws=budget)
+        return Mask(*_iid_draw(atoms, cum, budget, rng), n_draws=budget)
     if mode != DISTINCT:
         raise InfeasibleBudget(f"unknown mask mode {mode!r}")
     if budget > atoms.size:

@@ -2,7 +2,8 @@
 
 `draw_mask` is copied verbatim, less the `Mask` fields that were since
 dropped; `avds.masks.draw_mask` must return the same indices,
-multiplicities and n_draws for every seed.
+multiplicities and n_draws for every seed.  Its IID branch, `np.unique`
+on the drawn atoms, is the oracle of the shared i.i.d. draw.
 """
 
 import numpy as np

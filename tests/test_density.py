@@ -65,6 +65,12 @@ def test_empty_block_rejected():
             BlockPartition(blocks, kind="x")
 
 
+def test_block_that_is_not_an_index_list_rejected():
+    for blocks in ([0, 1, 2], np.arange(4), [[0, 1], [[2, 3]]]):
+        with pytest.raises(InvalidPartition, match="1D list of indices"):
+            BlockPartition(blocks, kind="x")
+
+
 def test_singleton_partition_is_one_row_per_block_in_order():
     assert BlockPartition([[0], [1], [2]], kind="singletons").m == 3
     for blocks in ([[0, 1], [2]], [[0, 1], [], [2]], [[1], [0], [2]]):

@@ -1,14 +1,18 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from reference_diagnostics import reference_diagnostics
 from reference_harness import smallest_m_reaching, synth_corpus
 
+from avds.cli import _SHARED_KEYS, _experiment_config
 from avds.density import BlockPartition, Density, adapted_isolated, baseline_density
 from avds.errors import ConfigError, DimensionMismatch
 from avds.harness import (
     ExperimentConfig,
+    build_density,
     diagnostics,
     phase_transition,
     psnr,
@@ -169,41 +173,47 @@ def test_diagnostics_tail_decreases_with_m():
 
 
 @pytest.mark.parametrize(
-    "spec,part,omega",
+    "spec,part,omega,kind",
     [
         # the diagnose config's operator and weights
         (
             OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 32, levels=2),
             BlockPartition.singletons(1024),
             np.full(1024, 16 / 1024),
+            "uniform",
         ),
         # forced (omega = 1) and impossible (omega = 0) coefficients
         (
             OperatorSpec(Measurement.DFT1D, Sparsity.DB4_1D, 64, levels=3),
             BlockPartition.singletons(64),
             np.r_[np.ones(2), np.zeros(6), np.full(56, 4 / 56)],
+            "uniform",
         ),
         # every coefficient forced: no free index is drawn
         (
             OperatorSpec(Measurement.IDENTITY, Sparsity.IDENTITY, 8),
             BlockPartition.singletons(8),
             np.r_[np.ones(3), np.zeros(5)],
+            "uniform",
         ),
         (
             OperatorSpec(Measurement.DFT2D, Sparsity.TENSOR_HAAR, 8, levels=2),
             BlockPartition.vertical_lines(8),
             np.full(64, 6 / 64),
+            "uniform",
         ),
         # real columns, line and square blocks
         (
             OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 16, levels=2),
             BlockPartition.horizontal_lines(16),
             np.full(256, 8 / 256),
+            "uniform",
         ),
         (
             OperatorSpec(Measurement.HADAMARD2D, Sparsity.DB4_2D, 16, levels=2),
             BlockPartition.squares(16, 4),
             np.full(256, 8 / 256),
+            "uniform",
         ),
         # blocks of unequal size
         (
@@ -213,16 +223,61 @@ def test_diagnostics_tail_decreases_with_m():
                 kind="vertical_lines",
             ),
             np.full(256, 8 / 256),
+            "uniform",
+        ),
+        # rows of zero probability: Lambda's maximum skips them
+        (
+            OperatorSpec(Measurement.IDENTITY, Sparsity.IDENTITY, 64),
+            BlockPartition.singletons(64),
+            np.r_[np.ones(2), np.zeros(6), np.full(56, 4 / 56)],
+            "adapted",
+        ),
+        # S = 64: 16 tail Grams of 64 x 64 fill a stack, so 30 trials take two
+        (
+            OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 16, levels=2),
+            BlockPartition.singletons(256),
+            np.full(256, 64 / 256),
+            "uniform",
         ),
     ],
-    ids=["hadamard-haar", "forced", "all-forced", "lines", "real-lines", "squares", "unequal"],
+    ids=[
+        "hadamard-haar",
+        "forced",
+        "all-forced",
+        "lines",
+        "real-lines",
+        "squares",
+        "unequal",
+        "zero-rows",
+        "two-stacks",
+    ],
 )
-def test_diagnostics_match_per_trial_reference(spec, part, omega):
+def test_diagnostics_match_per_trial_reference(spec, part, omega, kind):
     wv = WeightVector.from_omega(omega)
-    dens = baseline_density("uniform", spec, part)
+    if kind == "adapted":
+        dens = adapted_isolated(spec, wv)
+    else:
+        dens = baseline_density(kind, spec, part)
     for m in (part.m // 8, part.m // 2):
         got = diagnostics(spec, part, dens, wv, m=m, trials=30, seed=17)
         want = reference_diagnostics(spec, part, dens, wv, m=m, trials=30, seed=17)
+        assert np.array_equal(got.lambda_samples, want.lambda_samples)
+        for key in ("mu", "gram_tail_prob", "threshold_inf1", "threshold_gram"):
+            assert getattr(got, key) == getattr(want, key), key
+
+
+def test_diagnose_config_matches_per_trial_reference():
+    # configs/diagnose_hadamard_haar.json at full size, read as `avds diagnose` reads it
+    path = Path(__file__).resolve().parents[1] / "configs" / "diagnose_hadamard_haar.json"
+    raw = json.loads(path.read_text())
+    shared = {key: raw[key] for key in _SHARED_KEYS if key in raw}
+    cfg = _experiment_config(dict(shared, budget=1), str(path))
+    dens = build_density(raw["density"], cfg, cfg.weights)
+    args = (cfg.spec, cfg.partition, dens, cfg.weights)
+    assert (raw["m"], raw["trials"], cfg.master_seed) == ([32, 64, 128, 256], 200, 17)
+    for m in raw["m"]:
+        got = diagnostics(*args, m=m, trials=raw["trials"], seed=cfg.master_seed)
+        want = reference_diagnostics(*args, m=m, trials=raw["trials"], seed=cfg.master_seed)
         assert np.array_equal(got.lambda_samples, want.lambda_samples)
         for key in ("mu", "gram_tail_prob", "threshold_inf1", "threshold_gram"):
             assert getattr(got, key) == getattr(want, key), key

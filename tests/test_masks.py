@@ -137,18 +137,23 @@ def test_distinct_n_draws_counts_consumed_draws(k, budget, seed):
     assert np.array_equal(mask.indices, np.sort(list(first)))
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_distinct_masks_match_per_draw_reference(seed):
-    # skewed densities with zero atoms; budgets from 1 up to every atom
-    # (the smallest atom keeps about 1e-4 of the mass or more, so the
-    # reference's per-draw loop stays within some ten thousand draws)
+def skewed_density(seed):
+    """A density of up to 300 atoms with about a fifth of them at zero."""
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 300))
     pi = rng.uniform(0.2, 1.0, size=k) ** rng.uniform(1.0, 3.0)
     pi[rng.random(k) < 0.2] = 0.0
     if not pi.any():
         pi[0] = 1.0
-    dens = Density(pi / pi.sum(), 1.0, kind="test")
+    return Density(pi / pi.sum(), 1.0, kind="test")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_distinct_masks_match_per_draw_reference(seed):
+    # skewed densities with zero atoms; budgets from 1 up to every atom
+    # (the smallest atom keeps about 1e-4 of the mass or more, so the
+    # reference's per-draw loop stays within some ten thousand draws)
+    dens = skewed_density(seed)
     atoms = int(np.count_nonzero(dens.pi))
     for budget in sorted({1, max(1, atoms // 2), max(1, atoms - 1), atoms}):
         got = draw_mask(dens, budget, mode=DISTINCT, seed=seed)
@@ -156,6 +161,18 @@ def test_distinct_masks_match_per_draw_reference(seed):
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.multiplicities, want.multiplicities)
         assert got.n_draws == want.n_draws
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_iid_masks_match_unique_reference(seed):
+    # the bincount draw returns np.unique's sorted atoms and counts
+    dens = skewed_density(seed)
+    for budget in (1, 7, len(dens), 10 * len(dens)):
+        got = draw_mask(dens, budget, mode=IID, seed=seed)
+        want = reference_draw_mask(dens, budget, mode=IID, seed=seed)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.multiplicities, want.multiplicities)
+        assert got.n_draws == want.n_draws == budget
 
 
 def test_distinct_draws_are_capped(monkeypatch):
