@@ -20,7 +20,7 @@ import numpy as np
 
 from . import harness, tensorio
 from .density import BlockPartition, Density, adapted_blocks, baseline_density
-from .errors import AvdsError, ConfigError, DimensionMismatch, FormatError
+from .errors import AvdsError, ConfigError, FormatError
 from .harness import ExperimentConfig, diagnostics, run_experiment
 from .masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
@@ -303,8 +303,6 @@ def _cmd_reconstruct(args) -> int:
     spec = parse_spec(args.spec)
     sparsity_only = replace(spec, measurement=Measurement.IDENTITY)
     mask = _read_mask(args.mask)
-    if mask.size and mask.indices[-1] >= spec.dim:
-        raise DimensionMismatch(f"mask index {mask.indices[-1]} is out of range for K={spec.dim}")
     op = MeasurementOp(spec, mask)
     if args.image:
         img = tensorio.read_pgm(args.image)

@@ -38,7 +38,7 @@ from .support_model import (
 )
 from .transforms import Direction, OperatorSpec, apply
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 # PSNR values at or beyond the numerical noise floor are reported as the
 # +inf sentinel; aggregation clips at this cap so means stay ordered.
@@ -163,7 +163,10 @@ class ExperimentConfig:
                 "max_inner": self.solver.max_inner,
             },
             "weights": dict(self.weight_descriptor),
-            "seed_scheme": "SeedSequence(master).spawn(trials); per trial: [signal, mask per kind]",
+            "seed_scheme": (
+                "SeedSequence(master).spawn(trials); per trial: [signal, mask per kind]; "
+                "distinct masks by exponential keys"
+            ),
         }
 
 

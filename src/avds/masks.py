@@ -1,14 +1,16 @@
 """Measurement-mask drawing from a sampling density.
 
 Two modes: the theorem's i.i.d.-with-replacement model (draws recorded
-with multiplicities) and the practical distinct-until-budget mode used by
-the experiments (categorical draws, repeats skipped, until m distinct
-atoms are collected).  Categorical sampling is inverse-CDF on the
-cumulative table with ties broken toward the lower index.  The i.i.d.
-mode has one code path, `_iid_draw`, which `draw_mask` and
-`harness.diagnostics` (with its table built once per call) both run.
-Distinct mode draws in chunks and keeps, per chunk, the first occurrence
-of each new atom in draw order, up to the budget.
+with multiplicities) and the practical distinct mode used by the
+experiments (the i.i.d. draws with repeats skipped until m distinct atoms
+are collected, i.e. successive sampling without replacement).  The i.i.d.
+mode is inverse-CDF on the cumulative table with ties broken toward the
+lower index; its one code path, `_iid_draw`, is run by `draw_mask` and by
+`harness.diagnostics` (with its table built once per call).  Distinct
+mode draws the same law in one pass with exponential keys (Efraimidis &
+Spirakis, 2006): atom k gets log E_k - log pi_k with E_k ~ Exp(1), and the
+m smallest keys are kept, so no budget up to the positive-mass atoms
+needs more than one key per atom.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ from .errors import InfeasibleBudget, InvalidPartition, UnnormalizedDensity
 
 IID = "iid"
 DISTINCT = "distinct"
-# DISTINCT mode raises InfeasibleBudget after this many draws.  Collecting
-# the last atoms takes about 1 / min(pi) draws, unbounded as pi -> 0; the
-# cap is about 4 s of drawing (2-core x86-64), 150x the most any test uses.
-MAX_DISTINCT_DRAWS = 1 << 26
 
 
 @dataclass
@@ -34,7 +32,7 @@ class Mask:
 
     indices: np.ndarray          # sorted unique atom indices
     multiplicities: np.ndarray   # draw counts per index (all 1 in distinct mode)
-    n_draws: int = 0
+    n_draws: int = 0             # i.i.d. draws; keys drawn (positive-mass atoms) if distinct
     covered_fraction: float | None = None
 
     def __post_init__(self) -> None:
@@ -77,24 +75,9 @@ def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) ->
         raise InfeasibleBudget(
             f"budget {budget} exceeds the {atoms.size} atoms with positive mass"
         )
-    seen = np.zeros(len(density), dtype=bool)
-    picked = draws = 0
-    chunk = max(4 * budget, 256)
-    while picked < budget:
-        u = rng.random(chunk)
-        drawn = atoms[np.searchsorted(cum, u, side="left")]
-        # first occurrence of each atom not seen before, in draw order
-        atom, first = np.unique(drawn, return_index=True)
-        first = np.sort(first[~seen[atom]])[: budget - picked]
-        seen[drawn[first]] = True
-        picked += first.size
-        draws += chunk if picked < budget else int(first[-1]) + 1
-        if picked < budget and draws >= MAX_DISTINCT_DRAWS:
-            raise InfeasibleBudget(
-                f"{picked} of {budget} distinct atoms after {draws} draws; the "
-                "remaining atoms are too unlikely to collect"
-            )
-    return Mask(np.flatnonzero(seen), np.ones(budget, dtype=np.int64), n_draws=draws)
+    keys = np.log(rng.standard_exponential(atoms.size)) - np.log(density.pi[atoms])
+    chosen = np.sort(atoms[np.argpartition(keys, budget - 1)[:budget]])
+    return Mask(chosen, np.ones(budget, dtype=np.int64), n_draws=atoms.size)
 
 
 def expand_blocks(mask: Mask, partition: BlockPartition) -> Mask:
@@ -104,7 +87,7 @@ def expand_blocks(mask: Mask, partition: BlockPartition) -> Mask:
     duplicates); i.i.d. mode propagates each block's multiplicity to its
     rows.  The covered fraction of the K rows is recorded on the result.
     """
-    if mask.indices.size and mask.indices.max() >= partition.m:
+    if mask.indices.size and (mask.indices.min() < 0 or mask.indices.max() >= partition.m):
         raise InvalidPartition("mask indexes blocks outside the partition")
     flats = []
     mults = []

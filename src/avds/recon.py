@@ -46,6 +46,11 @@ class MeasurementOp:
     spec: OperatorSpec
     mask: Mask
 
+    def __post_init__(self) -> None:
+        idx = self.mask.indices
+        if idx.size and (idx.min() < 0 or idx.max() >= self.spec.dim):
+            raise DimensionMismatch(f"mask indices must lie in [0, {self.spec.dim})")
+
     @property
     def is_orthonormal(self) -> bool:
         return bool(np.all(self.mask.multiplicities == 1))

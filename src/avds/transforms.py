@@ -97,14 +97,14 @@ _WAVELET_NAME = {
 _HAAR_H = np.array([1.0, 1.0]) / sqrt(2.0)
 _DB4_H = np.array(
     [
-        0.23037781330885523,
-        0.7148465705525415,
-        0.6308807679295904,
-        -0.02798376941698385,
-        -0.18703481171888114,
-        0.030841381835986965,
-        0.032883011666982945,
-        -0.010597401784997278,
+        0.2303778133088965,
+        0.7148465705529157,
+        0.6308807679298589,
+        -0.027983769416859854,
+        -0.18703481171909309,
+        0.030841381835560764,
+        0.0328830116668852,
+        -0.010597401785069032,
     ]
 )
 

@@ -1,9 +1,12 @@
-"""The per-draw DISTINCT mask loop that the chunked selection replaced, kept as the oracle.
+"""The per-draw DISTINCT mask loop, kept as the oracle of the distinct law.
 
-`draw_mask` is copied verbatim, less the `Mask` fields that were since
-dropped; `avds.masks.draw_mask` must return the same indices,
-multiplicities and n_draws for every seed.  Its IID branch, `np.unique`
-on the drawn atoms, is the oracle of the shared i.i.d. draw.
+`draw_mask` is the original loop, less the `Mask` fields that were since
+dropped: i.i.d. draws with repeats skipped until the budget is met.  The
+exponential keys of `avds.masks.draw_mask` draw the same law from another
+stream, so the two are compared in distribution (tests/test_masks.py
+checks both against the exact successive-sampling law).  Its IID branch,
+`np.unique` on the drawn atoms, is the oracle of the shared i.i.d. draw,
+seed for seed.
 """
 
 import numpy as np

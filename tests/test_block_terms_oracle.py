@@ -11,9 +11,9 @@ positive, random zeros, zero outside two coefficient-grid columns, and
 zero outside two grid rows.
 
 The closed forms assume a unitary factor phi, so they match the dense
-path to 1e-12 plus the factor's own departure from unitarity,
-||phi* phi - I||_2: machine precision for Haar, the DFT and Hadamard, and
-about 4e-12 for the DB4 taps (accurate to about 1e-12).
+path to 1e-12 once the factor's own departure from unitarity,
+||phi* phi - I||_2, is checked to be at most 1e-14 (machine precision for
+Haar, the DFT, Hadamard and the correctly rounded DB4 taps).
 """
 
 import itertools
@@ -66,9 +66,9 @@ def _assert_matches_dense(spec, part, wv):
     dense = _dense_terms(spec, part.blocks, wv)
     phi = separable_factor(spec)
     defect = np.linalg.norm(phi.conj().T @ phi - np.eye(spec.side), 2)
-    rtol = 1e-12 + defect
+    assert defect <= 1e-14
     for f, d in zip(fast, dense):
-        np.testing.assert_allclose(f, d, rtol=rtol, atol=rtol * d.max())
+        np.testing.assert_allclose(f, d, rtol=1e-12, atol=1e-12 * d.max())
 
 
 def _name(spec):

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from reference_masks import draw_mask as reference_draw_mask
 from scipy import stats
 
 from avds.density import BlockPartition, Density
-from avds.errors import InfeasibleBudget, UnnormalizedDensity
+from avds.errors import InfeasibleBudget, InvalidPartition, UnnormalizedDensity
 from avds.masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
 
 
@@ -109,32 +111,17 @@ def test_expand_blocks_distinct_no_duplicates():
 
 
 def test_expand_blocks_partition_mismatch():
-    from avds.errors import InvalidPartition
-
     part = BlockPartition.vertical_lines(4)
     mask = Mask(np.array([7]), np.array([1]))
     with pytest.raises(InvalidPartition):
         expand_blocks(mask, part)
 
 
-@pytest.mark.parametrize("k,budget,seed", [(16, 1, 0), (64, 20, 1), (500, 300, 7), (4096, 409, 3)])
-def test_distinct_n_draws_counts_consumed_draws(k, budget, seed):
-    # replay the generator: n_draws is the position of the draw that
-    # brought in the budget-th new atom, and the mask is the atoms seen
-    rng = np.random.default_rng(11)
-    pi = rng.uniform(0.1, 1.0, size=k) ** 4
-    dens = Density(pi / pi.sum(), 1.0, kind="test")
-    mask = draw_mask(dens, budget, mode=DISTINCT, seed=seed)
-    cum = np.cumsum(dens.pi)
-    cum /= cum[-1]
-    stream = np.searchsorted(cum, np.random.default_rng(seed).random(64 * k), side="left")
-    first = {}
-    for pos, idx in enumerate(stream):
-        first.setdefault(int(idx), pos)
-        if len(first) == budget:
-            break
-    assert mask.n_draws == pos + 1
-    assert np.array_equal(mask.indices, np.sort(list(first)))
+def test_expand_blocks_rejects_a_negative_block_index():
+    # -1 would silently expand to the last block
+    part = BlockPartition.vertical_lines(4)
+    with pytest.raises(InvalidPartition):
+        expand_blocks(Mask(np.array([-1, 2]), np.array([1, 1])), part)
 
 
 def skewed_density(seed):
@@ -146,21 +133,6 @@ def skewed_density(seed):
     if not pi.any():
         pi[0] = 1.0
     return Density(pi / pi.sum(), 1.0, kind="test")
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_distinct_masks_match_per_draw_reference(seed):
-    # skewed densities with zero atoms; budgets from 1 up to every atom
-    # (the smallest atom keeps about 1e-4 of the mass or more, so the
-    # reference's per-draw loop stays within some ten thousand draws)
-    dens = skewed_density(seed)
-    atoms = int(np.count_nonzero(dens.pi))
-    for budget in sorted({1, max(1, atoms // 2), max(1, atoms - 1), atoms}):
-        got = draw_mask(dens, budget, mode=DISTINCT, seed=seed)
-        want = reference_draw_mask(dens, budget, mode=DISTINCT, seed=seed)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.multiplicities, want.multiplicities)
-        assert got.n_draws == want.n_draws
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -175,11 +147,59 @@ def test_iid_masks_match_unique_reference(seed):
         assert got.n_draws == want.n_draws == budget
 
 
-def test_distinct_draws_are_capped(monkeypatch):
-    # the last atom holds 1e-12 of the mass: collecting it would take ~1e12 draws
-    pi = np.r_[np.full(9, (1 - 1e-12) / 9), 1e-12]
+def successive_sampling_law(pi, budget):
+    """Exact probability of each distinct set: sum over the orders of drawing it."""
+    atoms = np.flatnonzero(pi > 0)
+    law = {}
+    for order in itertools.permutations(atoms, budget):
+        prob, left = 1.0, 1.0
+        for atom in order:
+            prob *= pi[atom] / left
+            left -= pi[atom]
+        key = tuple(sorted(order))
+        law[key] = law.get(key, 0.0) + prob
+    return law
+
+
+@pytest.mark.parametrize("draw", [draw_mask, reference_draw_mask], ids=["keys", "per-draw"])
+@pytest.mark.parametrize("budget", [2, 3])
+def test_distinct_masks_follow_successive_sampling_law(draw, budget):
+    # i.i.d. draws with repeats skipped: chi-square of the drawn sets, over
+    # fixed seeds, against the law enumerated from every ordered draw
+    pi = np.array([0.05, 0.3, 0.0, 0.1, 0.4, 0.15])
     dens = Density(pi, 1.0, kind="test")
-    monkeypatch.setattr("avds.masks.MAX_DISTINCT_DRAWS", 1 << 16)
-    with pytest.raises(InfeasibleBudget, match="draws"):
-        draw_mask(dens, 10, mode=DISTINCT, seed=0)
-    assert draw_mask(dens, 9, mode=DISTINCT, seed=0).size == 9
+    law = successive_sampling_law(pi, budget)
+    assert sum(law.values()) == pytest.approx(1.0)
+    n = 20_000
+    seen = {key: 0 for key in law}
+    for seed in range(n):
+        seen[tuple(draw(dens, budget, mode=DISTINCT, seed=seed).indices.tolist())] += 1
+    _, pvalue = stats.chisquare(list(seen.values()), f_exp=[n * p for p in law.values()])
+    assert pvalue > 0.01
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_distinct_masks_are_budget_positive_atoms(seed):
+    # skewed densities with zero atoms; budgets from 1 up to every atom.
+    # n_draws is the number of keys drawn: one per positive-mass atom
+    dens = skewed_density(seed)
+    atoms = np.flatnonzero(dens.pi)
+    for budget in sorted({1, max(1, atoms.size // 2), max(1, atoms.size - 1), atoms.size}):
+        mask = draw_mask(dens, budget, mode=DISTINCT, seed=seed)
+        assert mask.size == budget
+        assert np.all(np.diff(mask.indices) > 0)
+        assert np.all(np.isin(mask.indices, atoms))
+        assert np.all(mask.multiplicities == 1)
+        assert mask.n_draws == atoms.size
+
+
+def test_near_full_budget_takes_every_positive_atom():
+    # one atom holds 1e-12 of the mass: i.i.d. draws would need ~1e12 of
+    # them to collect it, the keys need one per atom
+    pi = np.r_[np.full(9, (1 - 1e-12) / 9), 1e-12, 0.0]
+    dens = Density(pi, 1.0, kind="test")
+    mask = draw_mask(dens, 10, mode=DISTINCT, seed=0)
+    assert np.array_equal(mask.indices, np.arange(10))
+    assert mask.n_draws == 10
+    with pytest.raises(InfeasibleBudget, match="exceeds"):
+        draw_mask(dens, 11, mode=DISTINCT, seed=0)

@@ -4,7 +4,7 @@ from reference_recon import SingularGram, check_fuchs
 from reference_transforms import dense_matrix
 
 from avds.density import Density
-from avds.errors import UnsupportedSolver
+from avds.errors import DimensionMismatch, UnsupportedSolver
 from avds.masks import DISTINCT, IID, Mask, draw_mask
 from avds.recon import (
     MeasurementOp,
@@ -27,6 +27,13 @@ def distinct_mask(k, m, seed=0):
 
 def full_mask(k):
     return Mask(np.arange(k), np.ones(k, dtype=int))
+
+
+@pytest.mark.parametrize("indices", [[-1, 3], [3, 64]], ids=["negative", "past-k"])
+def test_mask_indices_outside_the_operator_rejected(indices):
+    # -1 would silently measure row K - 1, and 64 end in a bare IndexError
+    with pytest.raises(DimensionMismatch):
+        MeasurementOp(DFT64, Mask(indices, [1, 1]))
 
 
 def test_full_mask_preserves_norm():

@@ -4,6 +4,7 @@ from reference_transforms import dense_matrix, reference_apply
 
 from avds.errors import DimensionMismatch, InvalidSpec
 from avds.transforms import (
+    _DB4_H,
     Direction,
     Measurement,
     OperatorSpec,
@@ -83,6 +84,17 @@ def test_haar_constant_signal_single_coefficient():
     coeffs = apply(spec, ADJOINT, np.full(4, 0.5))
     assert abs(coeffs[0] - 1.0) <= 1e-12
     assert np.max(np.abs(coeffs[1:])) <= 1e-12
+
+
+def test_db4_taps_are_orthonormal_to_rounding():
+    # correctly rounded taps: sum sqrt(2), unit energy, orthogonal to
+    # their even shifts, each to a few ulps (the 13-digit tables miss by 1e-12)
+    h = _DB4_H
+    ulp = np.finfo(float).eps
+    assert abs(h.sum() - np.sqrt(2.0)) <= 4 * ulp
+    assert abs(h @ h - 1.0) <= 4 * ulp
+    for k in (1, 2, 3):
+        assert abs(h[2 * k :] @ h[: -2 * k]) <= 4 * ulp
 
 
 def test_dft_identity_row_energy_flat():
@@ -171,8 +183,5 @@ def test_full_depth_db4_at_k_65536(measurement):
     assert abs(np.linalg.norm(y) - norm) <= 1e-12 * norm
     want = reference_apply(spec, FORWARD, x)
     assert np.max(np.abs(y - want)) <= 1e-12 * norm
-    # The DB4 taps hold about 12 digits, so the filter bank itself inverts
-    # only to about 2.3e-12 relative at this depth (the reference kernels
-    # too); the gathers may add at most 1e-12 to that.
-    tap_error = np.linalg.norm(reference_apply(spec, ADJOINT, want) - x)
-    assert np.linalg.norm(apply(spec, ADJOINT, y) - x) <= 1e-12 * norm + tap_error
+    # the correctly rounded taps invert to about 5e-16 relative at this depth
+    assert np.linalg.norm(apply(spec, ADJOINT, y) - x) <= 1e-12 * norm
