@@ -284,17 +284,17 @@ def _cmd_mask(args) -> int:
     mode = DISTINCT if args.mode == "distinct" else IID
     mask = draw_mask(dens, budget, mode=mode, seed=args.seed)
     spec = parse_spec(args.spec) if args.spec else None
+    extra = ""
     if args.partition and args.partition != "singletons":
         if spec is None:
             raise ConfigError("block expansion needs --spec")
         mask = expand_blocks(mask, parse_partition(args.partition, spec))
+        extra = f"; covered {mask.size / spec.dim:.4f}"
     _write_mask(args.out, mask)
     if args.pgm:
         if spec is None or not spec.is_2d:
             raise ConfigError("--pgm needs a 2D --spec")
         tensorio.mask_to_pgm(args.pgm, mask.indices, spec.side)
-    frac = mask.covered_fraction
-    extra = f"; covered {frac:.4f}" if frac is not None else ""
     print(f"mask with {mask.size} indices written to {args.out}{extra}")
     return 0
 

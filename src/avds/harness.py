@@ -25,7 +25,7 @@ from .density import (
     block_norm_terms,
 )
 from .errors import ConfigError, DimensionMismatch, InfeasibleBudget
-from .masks import DISTINCT, _categorical_table, _iid_draw, draw_mask, expand_blocks
+from .masks import DISTINCT, _block_rows, _categorical_table, _iid_draw, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
 from .support_model import (
     SupportDistribution,
@@ -36,7 +36,7 @@ from .support_model import (
     sample_supports,  # noqa: F401 (bench/spans.py wraps avds.harness.sample_supports)
     sample_supports_seeded,
 )
-from .transforms import Direction, OperatorSpec, apply
+from .transforms import Direction, OperatorSpec, _bands_1d, apply
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -90,12 +90,7 @@ def scale_profile_weights(
     """
     if levels < 0 or side >> levels == 0:
         raise ConfigError(f"a weight profile of side {side} cannot have {levels} levels")
-    lo = side >> levels
-    f1 = np.zeros(side, dtype=int)
-    seg = lo
-    while seg < side:
-        f1[seg : 2 * seg] = int(np.log2(seg // lo)) + 1  # 1 = coarsest details
-        seg *= 2
+    f1 = _bands_1d(side, levels)  # 0 on the approximation, 1 on the coarsest details
     if layout == "mra2d":
         f2 = np.maximum(f1[:, None], f1[None, :])
     elif layout == "tensor2d":
@@ -223,9 +218,7 @@ def _setup(cfg: ExperimentConfig) -> tuple[dict, SupportDistribution]:
 
 def _trial(cfg: ExperimentConfig, x: np.ndarray, density: Density, budget: int, seed):
     """One paired trial step: DISTINCT mask (expanded to rows), measure x, solve."""
-    mask = draw_mask(density, budget, mode=DISTINCT, seed=seed)
-    if cfg.partition.kind != "singletons":
-        mask = expand_blocks(mask, cfg.partition)
+    mask = expand_blocks(draw_mask(density, budget, mode=DISTINCT, seed=seed), cfg.partition)
     op = MeasurementOp(cfg.spec, mask)
     return mask, solve_bp(measure(x, op), op, cfg.solver)
 
@@ -239,7 +232,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     densities, dist = _setup(cfg)
     budget = cfg.resolved_budget
-    singleton = cfg.partition.kind == "singletons"
 
     psnr_db: dict = {kind: [] for kind in cfg.density_kinds}
     covered: dict = {kind: [] for kind in cfg.density_kinds}
@@ -251,7 +243,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         peak = float(np.max(np.abs(x)))
         for j, kind in enumerate(cfg.density_kinds):
             mask, result = _trial(cfg, x, densities[kind], budget, children[1 + j])
-            covered[kind].append(mask.size / cfg.spec.dim if singleton else mask.covered_fraction)
+            covered[kind].append(mask.size / cfg.spec.dim)
             if not result.converged:
                 unconverged += 1
             psnr_db[kind].append(psnr(x, result.x, peak=peak))
@@ -360,14 +352,8 @@ def diagnostics(
         lam[t] = float(np.max((block_sq if all_live else block_sq[live]) / norm))
         # theorem-scaled mask and its restricted Gram
         rows, mult = _iid_draw(atoms, cum, m, np.random.default_rng(child[1]))
-        scale = np.sqrt(mult / (m * pi[rows]))
-        if singleton:
-            a_i = scale[:, None] * cols[rows, :]
-        else:
-            a_i = np.concatenate(
-                [s * cols[partition.blocks[k], :] for s, k in zip(scale, rows)],
-                axis=0,
-            )
+        rows, scale = _block_rows(partition, rows, np.sqrt(mult / (m * pi[rows])))
+        a_i = scale[:, None] * cols[rows]
         grams.append(a_i.conj().T @ a_i)
         if len(grams) == n_stack or t == trials - 1:
             hits += _tail_hits(np.array(grams))

@@ -1,4 +1,4 @@
-"""Measurement-mask drawing from a sampling density.
+"""Measurement-mask drawing from a sampling density, and block expansion.
 
 Two modes: the theorem's i.i.d.-with-replacement model (draws recorded
 with multiplicities) and the practical distinct mode used by the
@@ -10,7 +10,9 @@ lower index; its one code path, `_iid_draw`, is run by `draw_mask` and by
 mode draws the same law in one pass with exponential keys (Efraimidis &
 Spirakis, 2006): atom k gets log E_k - log pi_k with E_k ~ Exp(1), and the
 m smallest keys are kept, so no budget up to the positive-mass atoms
-needs more than one key per atom.
+needs more than one key per atom.  Every partition, the singletons
+included, expands through `_block_rows`; an expanded mask covers
+`mask.size / K` of the rows.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ class Mask:
     indices: np.ndarray          # sorted unique atom indices
     multiplicities: np.ndarray   # draw counts per index (all 1 in distinct mode)
     n_draws: int = 0             # i.i.d. draws; keys drawn (positive-mass atoms) if distinct
-    covered_fraction: float | None = None
 
     def __post_init__(self) -> None:
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -44,12 +45,17 @@ class Mask:
         return int(self.indices.size)
 
 
-def _categorical_table(density: Density):
+def _positive_atoms(density: Density) -> np.ndarray:
     pi = density.pi
     if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-9:
         raise UnnormalizedDensity("density must be nonnegative and sum to 1")
-    atoms = np.flatnonzero(pi > 0)
-    cum = np.cumsum(pi[atoms])
+    return np.flatnonzero(pi > 0)
+
+
+def _categorical_table(density: Density):
+    """The i.i.d. table: positive-mass atoms and their normalised cumulative mass."""
+    atoms = _positive_atoms(density)
+    cum = np.cumsum(density.pi[atoms])
     cum /= cum[-1]
     return atoms, cum
 
@@ -65,12 +71,12 @@ def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) ->
     """Draw `budget` atoms from the density; deterministic given seed."""
     if budget < 1:
         raise InfeasibleBudget("budget must be >= 1")
-    atoms, cum = _categorical_table(density)
     rng = np.random.default_rng(seed)
     if mode == IID:
-        return Mask(*_iid_draw(atoms, cum, budget, rng), n_draws=budget)
+        return Mask(*_iid_draw(*_categorical_table(density), budget, rng), n_draws=budget)
     if mode != DISTINCT:
         raise InfeasibleBudget(f"unknown mask mode {mode!r}")
+    atoms = _positive_atoms(density)
     if budget > atoms.size:
         raise InfeasibleBudget(
             f"budget {budget} exceeds the {atoms.size} atoms with positive mass"
@@ -80,23 +86,22 @@ def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) ->
     return Mask(chosen, np.ones(budget, dtype=np.int64), n_draws=atoms.size)
 
 
-def expand_blocks(mask: Mask, partition: BlockPartition) -> Mask:
-    """Flatten a block-index mask to row indices via the partition.
+def _block_rows(partition: BlockPartition, blocks: np.ndarray, *per_block: np.ndarray):
+    """Rows of `blocks` (indices in range) in their order, each per-block value once per row."""
+    if isinstance(partition.blocks, np.ndarray):
+        picked = partition.blocks[blocks]
+        rows, sizes = picked.ravel(), picked.shape[1]
+    else:
+        picked = [partition.blocks[k] for k in blocks]
+        rows = np.concatenate(picked) if picked else np.array([], dtype=np.int64)
+        sizes = [block.size for block in picked]
+    return (rows, *(np.repeat(value, sizes) for value in per_block))
 
-    Distinct mode takes the union of the drawn blocks (disjoint, so no
-    duplicates); i.i.d. mode propagates each block's multiplicity to its
-    rows.  The covered fraction of the K rows is recorded on the result.
-    """
+
+def expand_blocks(mask: Mask, partition: BlockPartition) -> Mask:
+    """Sorted rows of the mask's (disjoint) blocks, each with its block's multiplicity."""
     if mask.indices.size and (mask.indices.min() < 0 or mask.indices.max() >= partition.m):
         raise InvalidPartition("mask indexes blocks outside the partition")
-    flats = []
-    mults = []
-    for idx, count in zip(mask.indices, mask.multiplicities):
-        block = partition.blocks[idx]
-        flats.append(block)
-        mults.append(np.full(block.size, count, dtype=np.int64))
-    flat = np.concatenate(flats) if flats else np.array([], dtype=np.int64)
-    mult = np.concatenate(mults) if mults else np.array([], dtype=np.int64)
-    order = np.argsort(flat)
-    covered = float(flat.size) / partition.dim
-    return Mask(flat[order], mult[order], n_draws=mask.n_draws, covered_fraction=covered)
+    rows, mult = _block_rows(partition, mask.indices, mask.multiplicities)
+    order = np.argsort(rows)
+    return Mask(rows[order], mult[order], n_draws=mask.n_draws)

@@ -7,12 +7,16 @@ stream, so the two are compared in distribution (tests/test_masks.py
 checks both against the exact successive-sampling law).  Its IID branch,
 `np.unique` on the drawn atoms, is the oracle of the shared i.i.d. draw,
 seed for seed.
+
+`reference_expand_blocks` is the per-block expansion loop, less the
+`covered_fraction` it used to record: the oracle of `avds.masks._block_rows`
+and `expand_blocks`, index for index.
 """
 
 import numpy as np
 
-from avds.density import Density
-from avds.errors import InfeasibleBudget
+from avds.density import BlockPartition, Density
+from avds.errors import InfeasibleBudget, InvalidPartition
 from avds.masks import DISTINCT, IID, Mask, _categorical_table
 
 
@@ -53,3 +57,19 @@ def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) ->
         n_draws=draws,
     )
 
+
+
+def reference_expand_blocks(mask: Mask, partition: BlockPartition) -> Mask:
+    """Flatten a block-index mask to row indices via the partition, block by block."""
+    if mask.indices.size and (mask.indices.min() < 0 or mask.indices.max() >= partition.m):
+        raise InvalidPartition("mask indexes blocks outside the partition")
+    flats = []
+    mults = []
+    for idx, count in zip(mask.indices, mask.multiplicities):
+        block = partition.blocks[idx]
+        flats.append(block)
+        mults.append(np.full(block.size, count, dtype=np.int64))
+    flat = np.concatenate(flats) if flats else np.array([], dtype=np.int64)
+    mult = np.concatenate(mults) if mults else np.array([], dtype=np.int64)
+    order = np.argsort(flat)
+    return Mask(flat[order], mult[order], n_draws=mask.n_draws)

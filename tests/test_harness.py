@@ -81,6 +81,33 @@ def test_scale_profile_weights_rejects_levels_beyond_the_side(levels):
         scale_profile_weights(16, levels, base=0.8, decay=0.25)
 
 
+def loop_fineness(side, levels):
+    """Per-axis fineness by the explicit loop over dyadic detail segments."""
+    lo = side >> levels
+    f1 = np.zeros(side, dtype=int)
+    seg = lo
+    while seg < side:
+        f1[seg : 2 * seg] = int(np.log2(seg // lo)) + 1  # 1 = coarsest details
+        seg *= 2
+    return f1
+
+
+@pytest.mark.parametrize("side", range(2, 65))
+def test_scale_profile_fineness_matches_the_dyadic_loop(side):
+    for levels in range(int(np.log2(side)) + 1):
+        f1 = loop_fineness(side, levels)
+        assert f1[0] == 0
+        if side & (side - 1) == 0:
+            assert f1[-1] == levels
+        for layout, f2 in (
+            ("mra2d", np.maximum(f1[:, None], f1[None, :])),
+            ("tensor2d", f1[:, None] + f1[None, :]),
+        ):
+            want = np.clip(0.9 * 0.3 ** f2.astype(float), 0.0, 1.0).T.ravel()
+            got = scale_profile_weights(side, levels, base=0.9, decay=0.3, layout=layout)
+            assert np.array_equal(got.omega, want), (side, levels, layout)
+
+
 def small_config(**kw):
     spec = OperatorSpec(Measurement.DFT1D, Sparsity.IDENTITY, 64)
     wv = normalize_weights(np.random.default_rng(0).uniform(0.02, 0.2, 64), 4)

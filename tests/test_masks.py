@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 from reference_masks import draw_mask as reference_draw_mask
+from reference_masks import reference_expand_blocks
 from scipy import stats
 
 from avds.density import BlockPartition, Density
 from avds.errors import InfeasibleBudget, InvalidPartition, UnnormalizedDensity
-from avds.masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
+from avds.masks import DISTINCT, IID, Mask, _block_rows, draw_mask, expand_blocks
 
 
 def uniform_density(k):
@@ -82,7 +83,7 @@ def test_expand_blocks_singletons_identity():
     mask = Mask(np.array([1, 4]), np.array([1, 1]))
     out = expand_blocks(mask, part)
     assert np.array_equal(out.indices, [1, 4])
-    assert out.covered_fraction == pytest.approx(2 / 6)
+    assert out.size / 6 == pytest.approx(2 / 6)
 
 
 def test_expand_blocks_vertical_lines():
@@ -92,7 +93,7 @@ def test_expand_blocks_vertical_lines():
     out = expand_blocks(mask, part)
     assert list(out.indices) == [0, 1, 2, 3, 8, 9, 10, 11]
     assert np.all(out.multiplicities == 1)
-    assert out.covered_fraction == pytest.approx(0.5)
+    assert out.size / 16 == pytest.approx(0.5)
 
 
 def test_expand_blocks_iid_multiplicities():
@@ -122,6 +123,67 @@ def test_expand_blocks_rejects_a_negative_block_index():
     part = BlockPartition.vertical_lines(4)
     with pytest.raises(InvalidPartition):
         expand_blocks(Mask(np.array([-1, 2]), np.array([1, 1])), part)
+
+
+def unequal_blocks(k, seed):
+    """A permuted cover of {0..k-1} by blocks of unequal sizes."""
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.choice(np.arange(1, k), size=k // 4, replace=False))
+    return BlockPartition(np.split(rng.permutation(k), cuts), kind="unequal")
+
+
+EXPANSION_PARTITIONS = {
+    "singletons": lambda: BlockPartition.singletons(64),
+    "vertical_lines": lambda: BlockPartition.vertical_lines(8),
+    "horizontal_lines": lambda: BlockPartition.horizontal_lines(8),
+    "squares": lambda: BlockPartition.squares(8, 2),
+    "unequal": lambda: unequal_blocks(64, 3),
+    "equal_array": lambda: BlockPartition(
+        np.random.default_rng(5).permutation(64).reshape(16, 4), kind="equal"
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", [DISTINCT, IID])
+@pytest.mark.parametrize("name", sorted(EXPANSION_PARTITIONS))
+def test_block_expansion_matches_per_block_reference(name, mode):
+    part = EXPANSION_PARTITIONS[name]()
+    rng = np.random.default_rng(17)
+    repeats = 0
+    for seed in range(20):
+        pi = rng.uniform(0.0, 1.0, part.m) * (rng.random(part.m) > 0.2)
+        pi[0] += 0.5  # at least one positive atom
+        dens = Density(pi / pi.sum(), 1.0, kind="loaded")
+        budget = int(rng.integers(1, np.count_nonzero(pi) + 1))
+        mask = draw_mask(dens, budget, mode=mode, seed=seed)
+        want = reference_expand_blocks(mask, part)
+        got = expand_blocks(mask, part)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.multiplicities, want.multiplicities)
+        assert got.indices.dtype == got.multiplicities.dtype == np.int64
+        assert got.n_draws == want.n_draws
+        repeats += int(np.any(got.multiplicities > 1))
+        # the helper keeps drawn-block order and repeats any per-block value
+        scale = rng.standard_normal(mask.size)
+        rows, mult, scale_rows = _block_rows(part, mask.indices, mask.multiplicities, scale)
+        in_order = [part.blocks[k] for k in mask.indices]
+        assert np.array_equal(rows, np.concatenate(in_order))
+        assert np.array_equal(mult[np.argsort(rows)], want.multiplicities)
+        per_row = [np.full(b.size, s) for s, b in zip(scale, in_order)]
+        assert np.array_equal(scale_rows, np.concatenate(per_row))
+    assert (repeats > 0) == (mode == IID)
+    for bad in (part.m, -1):
+        mask = Mask(np.array([0, bad]), np.array([1, 2]))
+        for expand in (reference_expand_blocks, expand_blocks):
+            with pytest.raises(InvalidPartition):
+                expand(mask, part)
+
+
+def test_block_expansion_of_an_empty_mask():
+    empty = Mask(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    for part in (BlockPartition.singletons(4), BlockPartition.vertical_lines(2)):
+        out = expand_blocks(empty, part)
+        assert out.size == 0 and out.multiplicities.size == 0
 
 
 def skewed_density(seed):
