@@ -63,7 +63,11 @@ def parse_partition(text: str | None, spec: OperatorSpec) -> BlockPartition:
     if text == "lines-h":
         return BlockPartition.horizontal_lines(spec.side)
     if text.startswith("squares:"):
-        return BlockPartition.squares(spec.side, int(text.split(":", 1)[1]))
+        try:
+            block_side = int(text.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError(f"partition {text!r}: the square side is not an integer") from exc
+        return BlockPartition.squares(spec.side, block_side)
     raise ConfigError(f"unknown partition {text!r}")
 
 
@@ -274,10 +278,12 @@ def _cmd_density(args) -> int:
 
 def _cmd_mask(args) -> int:
     pi = tensorio.read_tensor(args.density).real.reshape(-1, order="F")
-    dens = Density(pi, float(pi.sum()), kind="loaded")
+    dens = Density(pi, float(pi.sum()))
     if args.m is not None:
         budget = args.m
     elif args.fraction is not None:
+        if not 0 < args.fraction <= 1:
+            raise ConfigError(f"--fraction must lie in (0, 1], got {args.fraction}")
         budget = max(1, round(args.fraction * pi.size))
     else:
         raise ConfigError("need --m or --fraction")

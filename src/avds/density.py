@@ -21,12 +21,13 @@ a path from the operator and from each block's indices:
   O(subbands * K log K); other operators take the dense path on the
   singleton blocks, O(K^2);
 - on a separable operator A0 = phi (x) phi a whole grid column or row
-  takes both terms in closed form from phi;
+  takes both terms in closed form from phi; `_grid_lines` finds them in
+  one pass over the blocks of `side` indices;
 - every other block takes the dense path, `_dense_terms`: both norms from
-  its extracted rows, the one fallback and the oracle of every closed
-  form.  B_k* B_k is positive semidefinite, so its largest entry on the
-  positive-weight coefficients is its largest diagonal entry there: the
-  sup term is the block's largest column energy.
+  its extracted rows, blocks of one size in stacks, the one fallback and
+  the oracle of every closed form.  B_k* B_k is positive semidefinite, so
+  its largest entry on the positive-weight coefficients is its largest
+  diagonal entry there: the sup term is the block's largest column energy.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class Density:
 
     pi: np.ndarray
     normalizer: float
-    kind: str
 
     def __post_init__(self) -> None:
         self.pi = np.asarray(self.pi, dtype=float)
@@ -72,50 +72,60 @@ class Density:
         return int(self.pi.size)
 
 
-@dataclass
 class BlockPartition:
     """Disjoint cover of {0..K-1} by measurement blocks.
 
-    `blocks` is a list of index arrays, or a 2D array holding one
-    equal-sized block per row, which is validated without a per-block loop.
+    Built from a list of index arrays, or from a 2D array holding one
+    equal-sized block per row.  Either is stored one way: `rows`, the
+    blocks' indices one block after another, and `sizes`, so block k is
+    rows[starts[k] : starts[k] + sizes[k]] with starts the running sum.
     """
 
-    blocks: list | np.ndarray
-    kind: str
-
-    def __post_init__(self) -> None:
-        if isinstance(self.blocks, np.ndarray) and self.blocks.ndim == 2:
-            self.blocks = self.blocks.astype(np.int64, copy=False)
-            total = self.blocks.ravel()
-            all_single = self.blocks.shape[1] == 1
-            empty = self.blocks.shape[1] == 0
+    def __init__(self, blocks, kind: str):
+        if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
+            self.rows = blocks.astype(np.int64).ravel()
+            self.sizes = np.full(blocks.shape[0], blocks.shape[1], dtype=np.int64)
         else:
-            self.blocks = [np.asarray(b, dtype=np.int64) for b in self.blocks]
-            if any(b.ndim != 1 for b in self.blocks):
+            blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
+            if any(b.ndim != 1 for b in blocks):
                 raise InvalidPartition("every block must be a 1D list of indices")
-            total = np.concatenate(self.blocks) if self.blocks else np.array([], np.int64)
-            all_single = all(b.size == 1 for b in self.blocks)
-            empty = any(b.size == 0 for b in self.blocks)
-        if empty:
+            self.rows = np.concatenate(blocks) if blocks else np.array([], np.int64)
+            self.sizes = np.array([b.size for b in blocks], dtype=np.int64)
+        self.kind = kind
+        if np.any(self.sizes == 0):
             raise InvalidPartition("every block must hold at least one index")
-        k = total.size
+        k = self.rows.size
         seen = np.zeros(k, dtype=bool)
-        if k == 0 or total.min() < 0 or total.max() >= k:
+        if k == 0 or self.rows.min() < 0 or self.rows.max() >= k:
             raise InvalidPartition("blocks must cover exactly {0..K-1}")
-        seen[total] = True
+        seen[self.rows] = True
         # K indices that reach all K values are also pairwise distinct
         if not seen.all():
             raise InvalidPartition("blocks must be disjoint and cover {0..K-1}")
         # isolated-row code indexes block k as row k
-        if self.kind == "singletons" and (
-            not all_single or not np.array_equal(total, np.arange(k))
+        if kind == "singletons" and (
+            np.any(self.sizes != 1) or not np.array_equal(self.rows, np.arange(k))
         ):
             raise InvalidPartition("singleton blocks must be [0], [1], ..., [K-1]")
         self.dim = k
+        self._starts = np.cumsum(self.sizes) - self.sizes
 
     @property
     def m(self) -> int:
-        return len(self.blocks)
+        return int(self.sizes.size)
+
+    @property
+    def blocks(self) -> list:
+        """Block k's indices as entry k of a list of views into `rows`."""
+        return np.split(self.rows, self._starts[1:])
+
+    def block_rows(self, block_ids, *per_block):
+        """Rows of blocks `block_ids` (in range), in order; each per-block value once per row."""
+        sizes = self.sizes[block_ids]
+        ends = np.cumsum(sizes)
+        offset = np.repeat(self._starts[block_ids] - (ends - sizes), sizes)
+        rows = self.rows[offset + np.arange(offset.size)]
+        return (rows, *(np.repeat(value, sizes) for value in per_block))
 
     @classmethod
     def singletons(cls, k: int) -> "BlockPartition":
@@ -128,32 +138,22 @@ class BlockPartition:
         With column-major vectorisation these are the rows phi_k (x) phi of
         a separable operator, i.e. vertical lines of the frequency grid.
         """
-        return cls(
-            [np.arange(k * side, (k + 1) * side) for k in range(side)],
-            kind="vertical_lines",
-        )
+        return cls(np.arange(side * side).reshape(side, side), kind="vertical_lines")
 
     @classmethod
     def horizontal_lines(cls, side: int) -> "BlockPartition":
         """Grid rows: block k holds flat indices {k, k+side, k+2*side, ...}."""
-        return cls(
-            [np.arange(side) * side + k for k in range(side)],
-            kind="horizontal_lines",
-        )
+        return cls(np.arange(side * side).reshape(side, side).T, kind="horizontal_lines")
 
     @classmethod
     def squares(cls, side: int, block_side: int) -> "BlockPartition":
-        if side % block_side != 0:
-            raise InvalidPartition("block side must divide the grid side")
+        """Squares of block_side^2 indices, column-major over the grid, each in increasing order."""
+        if not 1 <= block_side <= side or side % block_side != 0:
+            raise InvalidPartition(f"block side {block_side} must lie in [1, {side}] and divide it")
         n = side // block_side
-        blocks = []
-        for bc in range(n):
-            for br in range(n):
-                rows = br * block_side + np.arange(block_side)
-                cols = bc * block_side + np.arange(block_side)
-                flat = (cols[:, None] * side + rows[None, :]).ravel()
-                blocks.append(np.sort(flat))
-        return cls(blocks, kind="squares")
+        # grid[c, r] = c*side + r; square (bc, br) is grid[bc*b : .., br*b : ..]
+        grid = np.arange(side * side).reshape(n, block_side, n, block_side)
+        return cls(grid.transpose(0, 2, 1, 3).reshape(n * n, -1), kind="squares")
 
 
 # ----------------------------------------------------------------------
@@ -201,8 +201,9 @@ def isolated_terms(spec: OperatorSpec, omega: np.ndarray):
     positive = _positive(spec, omega)
     labels = energy_classes(spec)
     if labels is None:
-        singletons = np.arange(spec.dim)[:, None]
-        return _dense_terms(spec, singletons, WeightVector(omega, float(omega.sum())))
+        singletons = BlockPartition.singletons(spec.dim)
+        wv = WeightVector(omega, float(omega.sum()))
+        return _dense_terms(spec, singletons, np.arange(spec.dim), wv)
     reps = np.unique(labels, return_index=True)[1]
     slab = np.zeros((reps.size, spec.dim))
     slab[np.arange(reps.size), reps] = 1.0
@@ -212,9 +213,9 @@ def isolated_terms(spec: OperatorSpec, omega: np.ndarray):
     return class_weight @ energy, energy[live].max(axis=0)
 
 
-def _normalised(numer: np.ndarray, kind: str) -> Density:
+def _normalised(numer: np.ndarray) -> Density:
     total = float(numer.sum())
-    return Density(numer / total, total, kind=kind)
+    return Density(numer / total, total)
 
 
 def adapted_isolated(spec: OperatorSpec, weights: WeightVector) -> Density:
@@ -224,21 +225,24 @@ def adapted_isolated(spec: OperatorSpec, weights: WeightVector) -> Density:
     rows with no energy on possibly-active coefficients get probability
     zero (identity-operator special case).
     """
-    return _normalised(np.maximum(*isolated_terms(spec, weights.omega)), "adapted_isolated")
+    return _normalised(np.maximum(*isolated_terms(spec, weights.omega)))
 
 
 def adapted_blocks(spec: OperatorSpec, partition: BlockPartition, weights: WeightVector) -> Density:
     """Adapted density over measurement blocks, from `block_norm_terms`."""
-    return _normalised(np.maximum(*block_norm_terms(spec, partition, weights)), "adapted_blocks")
+    return _normalised(np.maximum(*block_norm_terms(spec, partition, weights)))
 
 
-def _grid_line(idx: np.ndarray, side: int) -> tuple[int, int] | None:
-    """(0, c) if block idx is all of grid column c, (1, r) for grid row r, else None."""
-    if idx.size == side:
-        for axis, line in enumerate((idx // side, idx % side)):
-            if np.all(line == line[0]):
-                return axis, int(line[0])
-    return None
+def _grid_lines(partition: BlockPartition, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per block (axis, line): (0, c) for all of grid column c, (1, r) for grid row r, else -1s."""
+    axis, line = np.full((2, partition.m), -1)
+    ids = np.flatnonzero(partition.sizes == side)
+    idx = partition.block_rows(ids)[0].reshape(ids.size, side)
+    # rows first, so that a block that is both (on a 1 x 1 grid) counts as a column
+    for a, coord in ((1, idx % side), (0, idx // side)):
+        full = np.all(coord == coord[:, :1], axis=1)
+        axis[ids[full]], line[ids[full]] = a, coord[full, 0]
+    return axis, line
 
 
 def block_norm_terms(spec: OperatorSpec, partition: BlockPartition, weights: WeightVector):
@@ -255,48 +259,45 @@ def block_norm_terms(spec: OperatorSpec, partition: BlockPartition, weights: Wei
         return isolated_terms(spec, omega)
     phi = separable_factor(spec)
     if phi is None:
-        return _dense_terms(spec, partition.blocks, weights)
-    closed = _line_closed_form(phi, weights.matrix())
+        return _dense_terms(spec, partition, np.arange(partition.m), weights)
+    axis, line = _grid_lines(partition, spec.side)
+    lines = axis >= 0
     terms = np.empty((2, partition.m))
-    rest = []
-    for k, idx in enumerate(partition.blocks):
-        line = _grid_line(idx, spec.side)
-        if line is None:
-            rest.append(k)
-        else:
-            terms[:, k] = closed[line[0], :, line[1]]
-    if rest:
-        terms[:, rest] = _dense_terms(spec, [partition.blocks[k] for k in rest], weights)
+    terms[:, lines] = _line_closed_form(phi, weights.matrix())[axis[lines], :, line[lines]].T
+    rest = np.flatnonzero(~lines)
+    if rest.size:
+        terms[:, rest] = _dense_terms(spec, partition, rest, weights)
     return terms[0], terms[1]
 
 
-def _dense_terms(spec: OperatorSpec, blocks, weights: WeightVector):
-    """Both terms of every block from its extracted rows B_k.
+def _dense_terms(spec: OperatorSpec, partition: BlockPartition, block_ids, weights: WeightVector):
+    """Both terms of the blocks `block_ids` from their extracted rows B_k.
 
     The one fallback of `block_norm_terms` and the oracle of its closed
     forms.  The Gram term is the largest eigenvalue of B_k D_w B_k*.
     B_k* B_k is positive semidefinite, so |(B*B)_{l,l'}| <= max((B*B)_{l,l},
     (B*B)_{l',l'}): the sup term is the block's largest column energy
-    sum_{j in B_k} |a_{j,l}|^2 over the l with w_l > 0.  A 2D array of equal
-    blocks runs in stacks of about 2^16 row entries, which keeps the passes
-    over a stack in cache; a list runs block by block.
+    sum_{j in B_k} |a_{j,l}|^2 over the l with w_l > 0.  Blocks of one size
+    run together, in stacks of about 2^16 row entries, which keeps the
+    passes over a stack in cache.
     """
     omega = weights.omega
     live = _positive(spec, omega).astype(float)  # a 0/1 factor: energies are >= 0
-    if isinstance(blocks, np.ndarray):
-        n = max(1, (1 << 16) // (blocks.shape[1] * spec.dim))
-        stacks = [blocks[start : start + n] for start in range(0, len(blocks), n)]
-    else:
-        stacks = [np.asarray(idx)[None] for idx in blocks]
-    gram, sup = [], []
-    for stack in stacks:
-        if stack.shape[1] > _MAX_BLOCK_ROWS:
-            raise InvalidPartition(f"block with {stack.shape[1]} rows exceeds the dense limit")
-        mat = rows_batch(spec, stack.ravel()).reshape(stack.shape + (spec.dim,))
-        conj = mat.conj()
-        gram.append(np.linalg.eigvalsh((mat * omega) @ conj.swapaxes(1, 2))[:, -1])
-        sup.append(np.einsum("nbk,nbk,k->nk", mat, conj, live).real.max(axis=1))
-    return np.concatenate(gram), np.concatenate(sup)
+    block_ids = np.asarray(block_ids, dtype=np.int64)
+    sizes = partition.sizes[block_ids]
+    if sizes.max(initial=0) > _MAX_BLOCK_ROWS:
+        raise InvalidPartition(f"block with {sizes.max()} rows exceeds the dense limit")
+    terms = np.empty((2, block_ids.size))
+    for size in np.unique(sizes):
+        group = np.flatnonzero(sizes == size)
+        n = max(1, (1 << 16) // int(size * spec.dim))
+        for stack in np.split(group, np.arange(n, group.size, n)):
+            rows = partition.block_rows(block_ids[stack])[0]
+            mat = rows_batch(spec, rows).reshape(stack.size, size, spec.dim)
+            conj = mat.conj()
+            terms[0, stack] = np.linalg.eigvalsh((mat * omega) @ conj.swapaxes(1, 2))[:, -1]
+            terms[1, stack] = np.einsum("nbk,nbk,k->nk", mat, conj, live).real.max(axis=1)
+    return terms[0], terms[1]
 
 
 def baseline_density(
@@ -310,10 +311,10 @@ def baseline_density(
         partition = BlockPartition.singletons(spec.dim)
     if kind == "uniform":
         m = partition.m
-        return Density(np.full(m, 1.0 / m), float(m), kind="uniform")
+        return Density(np.full(m, 1.0 / m), float(m))
     if kind == "coherence":
         ones = WeightVector.from_omega(np.ones(spec.dim))
-        return _normalised(block_norm_terms(spec, partition, ones)[1], "coherence")
+        return _normalised(block_norm_terms(spec, partition, ones)[1])
     if kind == "polynomial":
         if not spec.is_2d or spec.measurement not in (
             Measurement.DFT2D,
@@ -326,5 +327,5 @@ def baseline_density(
         f = signed_frequencies(side).astype(float)
         rad2 = f[None, :] ** 2 + f[:, None] ** 2  # [row, col] grid
         rad2[0, 0] = 2.0  # DC takes the value of the (1,1) cell
-        return _normalised((rad2 ** (-exponent)).T.ravel(), "polynomial")  # column-major
+        return _normalised((rad2 ** (-exponent)).T.ravel())  # column-major
     raise InvalidSpec(f"unknown baseline density kind {kind!r}")

@@ -25,7 +25,7 @@ from .density import (
     block_norm_terms,
 )
 from .errors import ConfigError, DimensionMismatch, InfeasibleBudget
-from .masks import DISTINCT, _block_rows, _categorical_table, _iid_draw, draw_mask, expand_blocks
+from .masks import DISTINCT, _categorical_table, _iid_draw, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
 from .support_model import (
     SupportDistribution,
@@ -328,6 +328,7 @@ def diagnostics(
     children = [seq.spawn(2) for seq in np.random.SeedSequence(seed).spawn(trials)]
     supports = sample_supports_seeded(dist, [child[0] for child in children])
     singleton = partition.kind == "singletons"
+    blocks = None if singleton else partition.blocks
     lam = np.empty(trials)
     # every rejective support has the same size S, so every tail Gram is S x S
     n_stack = max(1, _GRAM_STACK_ENTRIES // int(supports[0].sum()) ** 2)
@@ -343,7 +344,7 @@ def diagnostics(
             block_sq = np.sum(np.abs(cols) ** 2, axis=1)
         else:
             block_sq = np.empty(partition.m)
-            for k, idx in enumerate(partition.blocks):
+            for k, idx in enumerate(blocks):
                 sub = cols[idx, :]
                 gram = sub.conj().T @ sub
                 block_sq[k] = float(
@@ -352,7 +353,7 @@ def diagnostics(
         lam[t] = float(np.max((block_sq if all_live else block_sq[live]) / norm))
         # theorem-scaled mask and its restricted Gram
         rows, mult = _iid_draw(atoms, cum, m, np.random.default_rng(child[1]))
-        rows, scale = _block_rows(partition, rows, np.sqrt(mult / (m * pi[rows])))
+        rows, scale = partition.block_rows(rows, np.sqrt(mult / (m * pi[rows])))
         a_i = scale[:, None] * cols[rows]
         grams.append(a_i.conj().T @ a_i)
         if len(grams) == n_stack or t == trials - 1:

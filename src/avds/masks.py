@@ -11,8 +11,8 @@ mode draws the same law in one pass with exponential keys (Efraimidis &
 Spirakis, 2006): atom k gets log E_k - log pi_k with E_k ~ Exp(1), and the
 m smallest keys are kept, so no budget up to the positive-mass atoms
 needs more than one key per atom.  Every partition, the singletons
-included, expands through `_block_rows`; an expanded mask covers
-`mask.size / K` of the rows.
+included, expands through one gather, `BlockPartition.block_rows`; an
+expanded mask covers `mask.size / K` of the rows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import BlockPartition, Density
-from .errors import InfeasibleBudget, InvalidPartition, UnnormalizedDensity
+from .errors import ConfigError, InfeasibleBudget, InvalidPartition, UnnormalizedDensity
 
 IID = "iid"
 DISTINCT = "distinct"
@@ -69,13 +69,13 @@ def _iid_draw(atoms: np.ndarray, cum: np.ndarray, budget: int, rng):
 
 def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) -> Mask:
     """Draw `budget` atoms from the density; deterministic given seed."""
+    if mode not in (IID, DISTINCT):
+        raise ConfigError(f"unknown mask mode {mode!r}")
     if budget < 1:
         raise InfeasibleBudget("budget must be >= 1")
     rng = np.random.default_rng(seed)
     if mode == IID:
         return Mask(*_iid_draw(*_categorical_table(density), budget, rng), n_draws=budget)
-    if mode != DISTINCT:
-        raise InfeasibleBudget(f"unknown mask mode {mode!r}")
     atoms = _positive_atoms(density)
     if budget > atoms.size:
         raise InfeasibleBudget(
@@ -86,22 +86,10 @@ def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) ->
     return Mask(chosen, np.ones(budget, dtype=np.int64), n_draws=atoms.size)
 
 
-def _block_rows(partition: BlockPartition, blocks: np.ndarray, *per_block: np.ndarray):
-    """Rows of `blocks` (indices in range) in their order, each per-block value once per row."""
-    if isinstance(partition.blocks, np.ndarray):
-        picked = partition.blocks[blocks]
-        rows, sizes = picked.ravel(), picked.shape[1]
-    else:
-        picked = [partition.blocks[k] for k in blocks]
-        rows = np.concatenate(picked) if picked else np.array([], dtype=np.int64)
-        sizes = [block.size for block in picked]
-    return (rows, *(np.repeat(value, sizes) for value in per_block))
-
-
 def expand_blocks(mask: Mask, partition: BlockPartition) -> Mask:
     """Sorted rows of the mask's (disjoint) blocks, each with its block's multiplicity."""
     if mask.indices.size and (mask.indices.min() < 0 or mask.indices.max() >= partition.m):
         raise InvalidPartition("mask indexes blocks outside the partition")
-    rows, mult = _block_rows(partition, mask.indices, mask.multiplicities)
+    rows, mult = partition.block_rows(mask.indices, mask.multiplicities)
     order = np.argsort(rows)
     return Mask(rows[order], mult[order], n_draws=mask.n_draws)

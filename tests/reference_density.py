@@ -5,6 +5,10 @@ from the dense Gram of each block, the sup term from a chunked scan of
 B_k* B_k (or its factorised form on product-set blocks of a separable
 operator), and the isolated-row terms from all K rows streamed in chunks.
 `reference_dense_terms` is the former `_dense_terms`.
+
+The grid partitions as lists built one block per Python iteration, and the
+per-block grid-line scan `_grid_line`, are the oracles of the reshaped
+`BlockPartition` constructors and of `density._grid_lines`.
 """
 
 from __future__ import annotations
@@ -112,3 +116,36 @@ def _product_inf1(phi: np.ndarray, idx: np.ndarray, side: int) -> float | None:
         return None
     max_r, max_c = (float(np.abs(f.conj().T @ f).max()) for f in (phi[rows], phi[cols]))
     return max_r * max_c
+
+
+def reference_vertical_lines(side: int) -> list:
+    """Grid columns: block k holds flat indices k*side .. (k+1)*side - 1."""
+    return [np.arange(k * side, (k + 1) * side) for k in range(side)]
+
+
+def reference_horizontal_lines(side: int) -> list:
+    """Grid rows: block k holds flat indices {k, k+side, k+2*side, ...}."""
+    return [np.arange(side) * side + k for k in range(side)]
+
+
+def reference_squares(side: int, block_side: int) -> list:
+    if side % block_side != 0:
+        raise InvalidPartition("block side must divide the grid side")
+    n = side // block_side
+    blocks = []
+    for bc in range(n):
+        for br in range(n):
+            rows = br * block_side + np.arange(block_side)
+            cols = bc * block_side + np.arange(block_side)
+            flat = (cols[:, None] * side + rows[None, :]).ravel()
+            blocks.append(np.sort(flat))
+    return blocks
+
+
+def _grid_line(idx: np.ndarray, side: int) -> tuple[int, int] | None:
+    """(0, c) if block idx is all of grid column c, (1, r) for grid row r, else None."""
+    if idx.size == side:
+        for axis, line in enumerate((idx // side, idx % side)):
+            if np.all(line == line[0]):
+                return axis, int(line[0])
+    return None

@@ -9,8 +9,9 @@ checks both against the exact successive-sampling law).  Its IID branch,
 seed for seed.
 
 `reference_expand_blocks` is the per-block expansion loop, less the
-`covered_fraction` it used to record: the oracle of `avds.masks._block_rows`
-and `expand_blocks`, index for index.
+`covered_fraction` it used to record: the oracle of
+`avds.density.BlockPartition.block_rows` and `expand_blocks`, index for
+index.
 """
 
 import numpy as np

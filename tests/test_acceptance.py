@@ -164,7 +164,7 @@ def test_criterion_5_line_block_closed_form():
             BlockPartition.horizontal_lines(side),
         ):
             closed = adapted_blocks(spec, part, wv)
-            numer = np.maximum(*_dense_terms(spec, part.blocks, wv))
+            numer = np.maximum(*_dense_terms(spec, part, np.arange(part.m), wv))
             worst = max(worst, float(np.max(np.abs(closed.pi - numer / numer.sum()))))
     ok = worst <= 1e-8
     report(5, ok, f"line closed form vs dense eigensolve, worst |dpi|={worst:.2e}")
@@ -176,7 +176,7 @@ def test_criterion_5_line_block_closed_form():
 def test_criterion_6_solver_vs_fuchs_oracle():
     t0 = time.perf_counter()
     spec = OperatorSpec(Measurement.DFT1D, Sparsity.IDENTITY, 64)
-    uni = Density(np.full(64, 1 / 64), 64.0, kind="uniform")
+    uni = Density(np.full(64, 1 / 64), 64.0)
     rng = np.random.default_rng(MASTER_SEED)
     kept = 0
     worst = 0.0

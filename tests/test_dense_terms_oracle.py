@@ -7,9 +7,9 @@ of each block, the sup term from a chunked scan of B* B (factorised on
 product-set blocks of a separable operator), and the isolated rows from
 `_streamed_terms`.  Every (measurement, sparsity) pair at every size with
 K <= 1024 and every wavelet depth; K = 1024 at the default depth only, as
-slow.  Partitions: singletons (one stacked 2D array), grid columns as a
-list and as a 2D array, squares of side 4 (2D only) and a list of blocks
-of unequal sizes.  A 1D signal of length K takes "columns" of
+slow.  Partitions: singletons, grid columns given as a list and as a 2D
+array, squares of side 4 (2D only) and a list of blocks of unequal sizes,
+which run in one stacked group per size.  A 1D signal of length K takes "columns" of
 2^floor(log2(K) / 2) consecutive indices.  Weights: all positive, random
 zeros, and zero outside two columns.  Both terms agree within 1e-12 of
 the largest term.
@@ -81,7 +81,7 @@ def test_dense_terms_match_reference(spec):
             continue
         for q, weight_case in enumerate(WEIGHTS):
             wv = _weights(spec, weight_case, seed=q)
-            got = _dense_terms(spec, part.blocks, wv)
+            got = _dense_terms(spec, part, np.arange(part.m), wv)
             if part_case == "singletons":
                 want = _streamed_terms(spec, wv.omega)
             else:
@@ -98,4 +98,4 @@ def test_dense_terms_reject_oversized_blocks():
     wv = WeightVector.from_omega(np.full(8192, 0.5))
     for blocks in ([np.arange(8192)], np.arange(8192)[None]):
         with pytest.raises(InvalidPartition):
-            _dense_terms(spec, blocks, wv)
+            _dense_terms(spec, BlockPartition(blocks, "whole"), [0], wv)

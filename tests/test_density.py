@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_density import (
+    _grid_line,
+    reference_horizontal_lines,
+    reference_squares,
+    reference_vertical_lines,
+)
 from reference_transforms import dense_matrix
 
 from avds.density import (
     BlockPartition,
     Density,
     _dense_terms,
+    _grid_lines,
     adapted_blocks,
     adapted_isolated,
     baseline_density,
@@ -27,8 +36,8 @@ def random_weights(k, s, seed=0):
 
 def dense_density(spec, part, wv):
     """The adapted block density from the dense per-block path."""
-    numer = np.maximum(*_dense_terms(spec, part.blocks, wv))
-    return Density(numer / numer.sum(), float(numer.sum()), kind="adapted_blocks")
+    numer = np.maximum(*_dense_terms(spec, part, np.arange(part.m), wv))
+    return Density(numer / numer.sum(), float(numer.sum()))
 
 
 # ----------------------------------------------------------------- partitions
@@ -97,6 +106,77 @@ def test_singletons_are_one_row_per_block():
     part = BlockPartition.singletons(5)
     assert part.m == part.dim == 5
     assert [list(b) for b in part.blocks] == [[0], [1], [2], [3], [4]]
+
+
+@pytest.mark.parametrize("side", range(2, 65))
+def test_grid_constructors_and_lines_match_the_block_loops(side):
+    rng = np.random.default_rng(side)
+    shuffled = [rng.permutation(b) for b in reference_vertical_lines(side)[::-1]]
+    built = [
+        (BlockPartition.vertical_lines(side), reference_vertical_lines(side)),
+        (BlockPartition.horizontal_lines(side), reference_horizontal_lines(side)),
+        (BlockPartition(shuffled, "shuffled_lines"), shuffled),
+    ] + [
+        (BlockPartition.squares(side, b), reference_squares(side, b))
+        for b in range(1, side + 1)
+        if side % b == 0
+    ]
+    for part, blocks in built:
+        want = BlockPartition(blocks, part.kind)
+        assert np.array_equal(part.rows, want.rows)
+        assert np.array_equal(part.sizes, want.sizes)
+        axis, line = _grid_lines(part, side)
+        got = [None if a < 0 else (a, n) for a, n in zip(axis.tolist(), line.tolist())]
+        assert got == [_grid_line(b, side) for b in blocks]
+
+
+@pytest.mark.parametrize("block_side", [0, -4, 3, 9])
+def test_squares_need_a_dividing_side_in_range(block_side):
+    with pytest.raises(InvalidPartition):
+        BlockPartition.squares(8, block_side)
+
+
+def _input_blocks(case: str, side: int, seed: int) -> list:
+    """Blocks of the named partition of a side x side grid, in shuffled order but singletons."""
+    rng = np.random.default_rng(seed)
+    k = side * side
+    if case == "singletons":
+        return [np.array([i]) for i in range(k)]
+    if case == "unequal":
+        cuts = np.sort(rng.choice(np.arange(1, k), size=min(k - 1, side), replace=False))
+        return np.split(rng.permutation(k), cuts)
+    if case == "squares":
+        divisors = [b for b in range(1, side + 1) if side % b == 0]
+        blocks = reference_squares(side, int(rng.choice(divisors)))
+    elif case == "vertical":
+        blocks = reference_vertical_lines(side)
+    else:
+        blocks = reference_horizontal_lines(side)
+    return [blocks[i] for i in rng.permutation(len(blocks))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(["singletons", "vertical", "horizontal", "squares", "unequal"]),
+    side=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_rows_return_the_input_blocks(case, side, seed):
+    blocks = _input_blocks(case, side, seed)
+    forms = [BlockPartition(blocks, case)]
+    if len({b.size for b in blocks}) == 1:
+        forms.append(BlockPartition(np.array(blocks), case))
+    ids = np.random.default_rng(seed).integers(0, len(blocks), size=2 * len(blocks))
+    for part in forms:
+        assert np.array_equal(part.rows, forms[0].rows)
+        assert np.array_equal(part.sizes, forms[0].sizes)
+        assert part.m == len(blocks) and part.dim == side * side
+        for k, block in enumerate(blocks):
+            assert np.array_equal(part.block_rows([k])[0], block)
+            assert np.array_equal(part.blocks[k], block)
+        rows, pos = part.block_rows(ids, np.arange(ids.size))
+        assert np.array_equal(rows, np.concatenate([blocks[k] for k in ids]))
+        assert np.array_equal(pos, np.repeat(np.arange(ids.size), [blocks[k].size for k in ids]))
 
 
 # ------------------------------------------------------------------ isolated
@@ -179,22 +259,23 @@ def test_singleton_gram_and_inf1_values():
     wv = random_weights(16, 4, seed=2)
     rows = rows_batch(spec, [3])
     expected = (np.abs(rows[0]) ** 2 * wv.omega).sum()
-    gram, inf1 = _dense_terms(spec, [[3]], wv)
+    gram, inf1 = _dense_terms(spec, BlockPartition.singletons(16), [3], wv)
     assert np.isclose(gram[0], expected, atol=1e-12)
     assert np.isclose(inf1[0], 1.0 / 16, atol=1e-12)
 
     # trace over singleton blocks equals S
-    total = _dense_terms(spec, BlockPartition.singletons(16).blocks, wv)[0].sum()
+    total = _dense_terms(spec, BlockPartition.singletons(16), np.arange(16), wv)[0].sum()
     assert abs(total - wv.sparsity) <= 1e-10
 
 
 def test_inf1_norm_of_coordinate_projector():
     spec = OperatorSpec(Measurement.IDENTITY, Sparsity.IDENTITY, 8)
+    part = BlockPartition([[1, 4, 6], [0, 2, 3, 5, 7]], kind="pair")
     wv = WeightVector.from_omega(np.full(8, 0.5))
-    assert np.isclose(_dense_terms(spec, [[1, 4, 6]], wv)[1][0], 1.0, atol=1e-14)
+    assert np.isclose(_dense_terms(spec, part, [0], wv)[1][0], 1.0, atol=1e-14)
     # the sup term runs over positive weights only: none of columns 1, 4, 6
     wv = WeightVector.from_omega(np.array([0.5, 0, 0.5, 0.5, 0, 0.5, 0, 0.5]))
-    assert _dense_terms(spec, [[1, 4, 6]], wv)[1][0] == 0.0
+    assert _dense_terms(spec, part, [0], wv)[1][0] == 0.0
 
 
 def test_vertical_line_hand_example():
@@ -205,7 +286,7 @@ def test_vertical_line_hand_example():
     omega = w.T.ravel()  # vec(W), column-major
     wv = WeightVector.from_omega(omega)
     part = BlockPartition.vertical_lines(2)
-    assert np.isclose(_dense_terms(spec, part.blocks[:1], wv)[0][0], 0.3, atol=1e-12)
+    assert np.isclose(_dense_terms(spec, part, [0], wv)[0][0], 0.3, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["vertical_lines", "horizontal_lines"])
@@ -251,7 +332,7 @@ def test_uniform_weight_line_value():
     dens = adapted_blocks(spec, part, wv)
     expected = max(s / side**2, 1.0 / side)
     assert np.allclose(dens.normalizer, side * expected, rtol=1e-10)
-    gram = _dense_terms(spec, part.blocks[:1], wv)[0][0]
+    gram = _dense_terms(spec, part, [0], wv)[0][0]
     assert np.isclose(gram, s / side**2, rtol=1e-10)
 
 
@@ -295,11 +376,11 @@ def test_polynomial_rejected_for_1d():
 
 def test_density_validation():
     with pytest.raises(InvalidSpec):
-        Density(pi=np.array([0.5, 0.4]), normalizer=1.0, kind="uniform")
+        Density(pi=np.array([0.5, 0.4]), normalizer=1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_density_rejects_non_finite_entries(bad):
     # NaN compares false everywhere, so the sum check alone lets it through
     with pytest.raises(InvalidSpec):
-        Density(pi=np.array([0.5, bad, 0.5]), normalizer=1.0, kind="loaded")
+        Density(pi=np.array([0.5, bad, 0.5]), normalizer=1.0)

@@ -83,7 +83,8 @@ def test_class_terms_match_dense_rows(measurement, sparsity):
             vectors.append(_weights(spec.dim, seed, zero=labels == labels.max()))
         for wv in vectors:
             got = isolated_terms(spec, wv.omega)
-            want = _dense_terms(spec, BlockPartition.singletons(spec.dim).blocks, wv)
+            singletons = BlockPartition.singletons(spec.dim)
+            want = _dense_terms(spec, singletons, np.arange(spec.dim), wv)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(
                     g, w, rtol=1e-12, atol=1e-12 * w.max(), err_msg=str(spec)
@@ -134,7 +135,7 @@ def test_singleton_block_terms_auto_match_generic(spec):
     part = BlockPartition.singletons(spec.dim)
     wv = _weights(spec.dim, seed=11)
     auto = block_norm_terms(spec, part, wv)
-    generic = _dense_terms(spec, part.blocks, wv)
+    generic = _dense_terms(spec, part, np.arange(part.m), wv)
     for a, g in zip(auto, generic):
         np.testing.assert_allclose(a, g, rtol=1e-12, atol=1e-12 * g.max())
     dens = adapted_isolated(spec, wv)

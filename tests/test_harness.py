@@ -355,7 +355,7 @@ def test_diagnostics_tail_counts_exact_ties():
     # 1.4999999999999998, a deviation just under 1/2.  A trial is a hit
     # unless row 0 is drawn exactly twice.
     spec = OperatorSpec(Measurement.IDENTITY, Sparsity.IDENTITY, 4)
-    dens = Density(np.array([0.5, 0.5, 0.0, 0.0]), 1.0, kind="uniform")
+    dens = Density(np.array([0.5, 0.5, 0.0, 0.0]), 1.0)
     wv = WeightVector.from_omega(np.array([1.0, 0.0, 0.0, 0.0]))
     d = diagnostics(spec, BlockPartition.singletons(4), dens, wv, m=4, trials=20, seed=0)
     mult = []

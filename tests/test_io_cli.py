@@ -240,6 +240,31 @@ def test_cli_mask_rejects_a_nan_density(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fraction", ["-0.5", "0", "1.5"])
+def test_cli_mask_rejects_a_fraction_outside_the_unit_interval(tmp_path, capsys, fraction):
+    dens = str(tmp_path / "pi.avds")
+    out = tmp_path / "mask.avds"
+    tensorio.write_tensor(dens, np.full(8, 1 / 8))
+    assert run_cli("mask", "--density", dens, "--fraction", fraction, "--out", str(out)) == 1
+    assert capsys.readouterr().out.splitlines() == ["error: ConfigError"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "square,error",
+    [("0", "InvalidPartition"), ("-4", "InvalidPartition"), ("x", "ConfigError")],
+)
+def test_cli_bad_square_side_is_one_error_line(tmp_path, capsys, square, error):
+    out = tmp_path / "pi.avds"
+    code = run_cli(
+        "density", "--spec", "dft2d:identity:8", "--kind", "coherence",
+        "--partition", f"squares:{square}", "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [f"error: {error}"]
+    assert not out.exists()
+
+
 def test_cli_experiment_config(tmp_path):
     cfg = {
         "schema_version": 1,
@@ -383,6 +408,14 @@ def test_cli_config_errors_are_config_errors(tmp_path, capsys, command, config):
     assert run_cli(command, "--config", str(path)) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == ["error: ConfigError"]
+
+
+def test_cli_config_square_side_zero_is_invalid_partition(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    cfg = dict(_EXPERIMENT_CFG, partition={"kind": "squares", "block_side": 0})
+    path.write_text(json.dumps(cfg))
+    assert run_cli("experiment", "--config", str(path)) == 1
+    assert capsys.readouterr().out.splitlines() == ["error: InvalidPartition"]
 
 
 def test_cli_oversized_support_model_is_invalid_weights(tmp_path, capsys):

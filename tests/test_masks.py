@@ -7,12 +7,12 @@ from reference_masks import reference_expand_blocks
 from scipy import stats
 
 from avds.density import BlockPartition, Density
-from avds.errors import InfeasibleBudget, InvalidPartition, UnnormalizedDensity
-from avds.masks import DISTINCT, IID, Mask, _block_rows, draw_mask, expand_blocks
+from avds.errors import ConfigError, InfeasibleBudget, InvalidPartition, UnnormalizedDensity
+from avds.masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
 
 
 def uniform_density(k):
-    return Density(np.full(k, 1.0 / k), float(k), kind="uniform")
+    return Density(np.full(k, 1.0 / k), float(k))
 
 
 def test_exhaustive_distinct_budget():
@@ -21,8 +21,14 @@ def test_exhaustive_distinct_budget():
     assert np.all(mask.multiplicities == 1)
 
 
+def test_unknown_mode_is_a_config_error():
+    # a budget of 3 fits the 8 atoms, so only the mode is wrong
+    with pytest.raises(ConfigError, match="mode"):
+        draw_mask(uniform_density(8), 3, mode="iid ")
+
+
 def test_degenerate_density_iid():
-    dens = Density(np.array([1.0, 0.0, 0.0]), 1.0, kind="uniform")
+    dens = Density(np.array([1.0, 0.0, 0.0]), 1.0)
     mask = draw_mask(dens, 7, mode=IID, seed=3)
     assert list(mask.indices) == [0]
     assert list(mask.multiplicities) == [7]
@@ -41,7 +47,7 @@ def test_determinism():
 
 def test_zero_probability_atoms_never_drawn():
     pi = np.array([0.5, 0.0, 0.25, 0.25])
-    dens = Density(pi, 1.0, kind="uniform")
+    dens = Density(pi, 1.0)
     for seed in range(5):
         mask = draw_mask(dens, 3, mode=DISTINCT, seed=seed)
         assert 1 not in mask.indices
@@ -63,7 +69,7 @@ def test_iid_chisquare_nonuniform():
     rng = np.random.default_rng(5)
     pi = rng.uniform(0.5, 2.0, size=32)
     pi /= pi.sum()
-    dens = Density(pi, 1.0, kind="uniform")
+    dens = Density(pi, 1.0)
     mask = draw_mask(dens, 100_000, mode=IID, seed=7)
     counts = np.zeros(32)
     counts[mask.indices] = mask.multiplicities
@@ -153,7 +159,7 @@ def test_block_expansion_matches_per_block_reference(name, mode):
     for seed in range(20):
         pi = rng.uniform(0.0, 1.0, part.m) * (rng.random(part.m) > 0.2)
         pi[0] += 0.5  # at least one positive atom
-        dens = Density(pi / pi.sum(), 1.0, kind="loaded")
+        dens = Density(pi / pi.sum(), 1.0)
         budget = int(rng.integers(1, np.count_nonzero(pi) + 1))
         mask = draw_mask(dens, budget, mode=mode, seed=seed)
         want = reference_expand_blocks(mask, part)
@@ -165,7 +171,7 @@ def test_block_expansion_matches_per_block_reference(name, mode):
         repeats += int(np.any(got.multiplicities > 1))
         # the helper keeps drawn-block order and repeats any per-block value
         scale = rng.standard_normal(mask.size)
-        rows, mult, scale_rows = _block_rows(part, mask.indices, mask.multiplicities, scale)
+        rows, mult, scale_rows = part.block_rows(mask.indices, mask.multiplicities, scale)
         in_order = [part.blocks[k] for k in mask.indices]
         assert np.array_equal(rows, np.concatenate(in_order))
         assert np.array_equal(mult[np.argsort(rows)], want.multiplicities)
@@ -194,7 +200,7 @@ def skewed_density(seed):
     pi[rng.random(k) < 0.2] = 0.0
     if not pi.any():
         pi[0] = 1.0
-    return Density(pi / pi.sum(), 1.0, kind="test")
+    return Density(pi / pi.sum(), 1.0)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -229,7 +235,7 @@ def test_distinct_masks_follow_successive_sampling_law(draw, budget):
     # i.i.d. draws with repeats skipped: chi-square of the drawn sets, over
     # fixed seeds, against the law enumerated from every ordered draw
     pi = np.array([0.05, 0.3, 0.0, 0.1, 0.4, 0.15])
-    dens = Density(pi, 1.0, kind="test")
+    dens = Density(pi, 1.0)
     law = successive_sampling_law(pi, budget)
     assert sum(law.values()) == pytest.approx(1.0)
     n = 20_000
@@ -259,7 +265,7 @@ def test_near_full_budget_takes_every_positive_atom():
     # one atom holds 1e-12 of the mass: i.i.d. draws would need ~1e12 of
     # them to collect it, the keys need one per atom
     pi = np.r_[np.full(9, (1 - 1e-12) / 9), 1e-12, 0.0]
-    dens = Density(pi, 1.0, kind="test")
+    dens = Density(pi, 1.0)
     mask = draw_mask(dens, 10, mode=DISTINCT, seed=0)
     assert np.array_equal(mask.indices, np.arange(10))
     assert mask.n_draws == 10

@@ -21,7 +21,7 @@ DFT64 = OperatorSpec(Measurement.DFT1D, Sparsity.IDENTITY, 64)
 
 
 def distinct_mask(k, m, seed=0):
-    dens = Density(np.full(k, 1.0 / k), float(k), kind="uniform")
+    dens = Density(np.full(k, 1.0 / k), float(k))
     return draw_mask(dens, m, mode=DISTINCT, seed=seed)
 
 
@@ -65,7 +65,7 @@ def test_projector_exactness():
 
 
 def test_solver_rejects_repeated_draws():
-    dens = Density(np.full(64, 1.0 / 64), 64.0, kind="uniform")
+    dens = Density(np.full(64, 1.0 / 64), 64.0)
     mask = draw_mask(dens, 80, mode=IID, seed=9)
     assert np.any(mask.multiplicities > 1)
     op = MeasurementOp(DFT64, mask)

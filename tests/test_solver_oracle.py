@@ -23,7 +23,7 @@ from avds.transforms import Measurement, OperatorSpec, Sparsity
 def _problem(spec, fraction, sparsity, seed, complex_signal=False):
     rng = np.random.default_rng(seed)
     k = spec.dim
-    dens = Density(np.full(k, 1.0 / k), float(k), kind="uniform")
+    dens = Density(np.full(k, 1.0 / k), float(k))
     mask = draw_mask(dens, max(1, round(fraction * k)), mode=DISTINCT, seed=seed + 1)
     x = np.zeros(k, dtype=complex if complex_signal else float)
     support = rng.choice(k, sparsity, replace=False)
