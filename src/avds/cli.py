@@ -132,7 +132,7 @@ def _resolve_weights(entry: dict, spec: OperatorSpec, base_dir: str) -> tuple:
     if unknown:
         raise ConfigError(f"unknown weight keys {sorted(unknown)}")
     if source == "uniform":
-        s = float(entry["sparsity"])
+        s = _number(entry["sparsity"], "weights sparsity")
         wv = WeightVector.from_omega(np.full(spec.dim, s / spec.dim))
     elif source == "tensor":
         omega = tensorio.read_tensor(os.path.join(base_dir, entry["path"]))
@@ -140,16 +140,16 @@ def _resolve_weights(entry: dict, spec: OperatorSpec, base_dir: str) -> tuple:
     elif source == "corpus":
         corpus = _load_corpus(os.path.join(base_dir, entry["path"]), spec)
         wv = estimate_weights(
-            corpus, float(entry["threshold"]), mode=entry.get("mode", "absolute")
+            corpus, _number(entry["threshold"], "threshold"), mode=entry.get("mode", "absolute")
         )
     else:
         wv = harness.scale_profile_weights(
             spec.side,
             spec.levels or 1,
-            base=float(entry["base"]),
-            decay=float(entry["decay"]),
+            base=_number(entry["base"], "base"),
+            decay=_number(entry["decay"], "decay"),
             layout=entry.get("layout", "mra2d"),
-            s_target=float(entry["sparsity"]) if "sparsity" in entry else None,
+            s_target=_optional(entry.get("sparsity"), _number, "weights sparsity"),
         )
     return wv, dict(entry)
 
@@ -159,6 +159,7 @@ _SHARED_KEYS = {"schema_version", "seed", "spec", "partition", "weights"}
 _CONFIG_KEYS = _SHARED_KEYS | {"trials", "fraction", "budget", "flip", "densities", "solver"}
 _DIAG_KEYS = _SHARED_KEYS | {"density", "m", "trials", "epsilon"}
 _SOLVER_KEYS = {"continuation_steps", "final_mu_factor", "inner_tol", "max_inner"}
+_SOLVER_INT_KEYS = {"continuation_steps", "max_inner"}
 _PARTITION_NAMES = {
     "singletons": None,
     "vertical_lines": "lines-v",
@@ -201,6 +202,33 @@ def _section(raw: dict, key: str, path: str, keys=None, default=None) -> dict:
     return entry
 
 
+def _integer(value, key: str) -> int:
+    """An integer config value: an int or an integral float, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _number(value, key: str) -> float:
+    """A numeric config value, never a bool."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
+def _optional(value, check, key: str):
+    return None if value is None else check(value, key)
+
+
+def _names(value, key: str) -> list:
+    """A non-empty list of names."""
+    if not isinstance(value, list) or not value or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{key} must be a non-empty list of names, got {value!r}")
+    return list(value)
+
+
 def _experiment_config(raw: dict, path: str) -> ExperimentConfig:
     """ExperimentConfig from a checked config object."""
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -213,12 +241,13 @@ def _experiment_config(raw: dict, path: str) -> ExperimentConfig:
         spec = _operator_spec(
             spec_entry["measurement"],
             spec_entry["sparsity"],
-            spec_entry["size"],
-            spec_entry.get("levels"),
+            _integer(spec_entry["size"], "spec size"),
+            _optional(spec_entry.get("levels"), _integer, "spec levels"),
         )
         kind = part_entry.get("kind", "singletons")
         if kind == "squares":
-            partition = BlockPartition.squares(spec.side, int(part_entry["block_side"]))
+            block_side = _integer(part_entry["block_side"], "block_side")
+            partition = BlockPartition.squares(spec.side, block_side)
         elif kind in _PARTITION_NAMES:
             partition = parse_partition(_PARTITION_NAMES[kind], spec)
         else:
@@ -226,17 +255,25 @@ def _experiment_config(raw: dict, path: str) -> ExperimentConfig:
         weights, descriptor = _resolve_weights(
             _section(raw, "weights", path, default={}), spec, base_dir
         )
+        flip_coefficients = raw.get("flip", False)
+        if not isinstance(flip_coefficients, bool):
+            raise ConfigError(f"{path}: flip must be true or false")
         return ExperimentConfig(
             spec=spec,
             weights=weights,
-            density_kinds=list(raw.get("densities", ["adapted", "uniform"])),
-            trials=int(raw.get("trials", 1)),
-            master_seed=int(raw.get("seed", 0)),
+            density_kinds=_names(raw.get("densities", ["adapted", "uniform"]), "densities"),
+            trials=_integer(raw.get("trials", 1), "trials"),
+            master_seed=_integer(raw.get("seed", 0), "seed"),
             partition=partition,
-            fraction=raw.get("fraction"),
-            budget=raw.get("budget"),
-            solver=SolverParams(**solver_entry),
-            flip_coefficients=bool(raw.get("flip", False)),
+            fraction=_optional(raw.get("fraction"), _number, "fraction"),
+            budget=_optional(raw.get("budget"), _integer, "budget"),
+            solver=SolverParams(
+                **{
+                    key: (_integer if key in _SOLVER_INT_KEYS else _number)(value, key)
+                    for key, value in solver_entry.items()
+                }
+            ),
+            flip_coefficients=flip_coefficients,
             weight_descriptor=descriptor,
         )
 
@@ -351,10 +388,15 @@ def _cmd_diagnose(args) -> int:
     path = args.config
     raw = _read_config(path, _DIAG_KEYS)
     with _config_errors(path):
-        budgets = [int(m) for m in (raw["m"] if isinstance(raw["m"], list) else [raw["m"]])]
-        trials = int(raw.get("trials", 200))
-        epsilon = float(raw.get("epsilon", 0.01))
+        budgets = raw["m"] if isinstance(raw["m"], list) else [raw["m"]]
+        if not budgets:
+            raise ConfigError(f"{path}: m must hold at least one budget")
+        budgets = [_integer(m, "m") for m in budgets]
+        trials = _integer(raw.get("trials", 200), "trials")
+        epsilon = _number(raw.get("epsilon", 0.01), "epsilon")
     kind = raw.get("density", "adapted")
+    if not isinstance(kind, str):
+        raise ConfigError(f"{path}: density must be a name, got {kind!r}")
     # the shared sections in the experiment schema, whose budget is unused here
     shared = {key: raw[key] for key in _SHARED_KEYS if key in raw}
     cfg = _experiment_config(dict(shared, budget=1), path)

@@ -36,7 +36,7 @@ from .support_model import (
     sample_supports,  # noqa: F401 (bench/spans.py wraps avds.harness.sample_supports)
     sample_supports_seeded,
 )
-from .transforms import Direction, OperatorSpec, _bands_1d, apply
+from .transforms import Direction, OperatorSpec, _bands_1d, _column_factors, apply
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -300,11 +300,21 @@ def diagnostics(
     sufficient-budget evaluations report max_k ||.||/pi_k times the
     log^3 / log^2 factors at the given epsilon (constants omitted).
 
-    A trial does only its own work: the forward transform of its support,
-    its block energies and its mask draw, from a categorical table built
-    once per call.  The trials' scaled Grams go into stacks of at most
-    2^16 entries, each symmetrised and passed to one `eigvalsh`, so memory
-    stays bounded for any support size and trial count.
+    A trial transforms nothing on a 2D operator: column l of A0 is
+    kron(P[iu[l]], P[iv[l]]) for the per-axis table of
+    `transforms._column_factors`, so it gathers u = P[iu[I]] and
+    v = P[iv[I]], and row r of A0[:, I] is u[:, r // side] * v[:, r % side].
+    Singleton Lambda numerators are (|u|^2)^T |v|^2; block ones come from
+    those rows.  A 1D operator is the width-1 case, u the forward transform
+    of its support and v = 1.  The mask draws use a categorical table
+    built once per call.  The trials' scaled Grams go into stacks of at
+    most 2^16 entries, each symmetrised and passed to one `eigvalsh`, so
+    memory stays bounded for any support size and trial count.
+
+    Against the per-trial transforms of `tests/reference_diagnostics.py`
+    the Lambda samples agree within 1e-13 relative (the products round
+    differently); mu, the thresholds, the bounds and the tail count are
+    exact.
     """
     if spec.dim > 4096:
         raise DimensionMismatch("diagnostics are limited to K <= 4096")
@@ -312,6 +322,8 @@ def diagnostics(
         raise InfeasibleBudget(f"budget m must lie in [1, K = {spec.dim}], got {m}")
     if trials < 1:
         raise ConfigError("diagnostics need trials >= 1")
+    if not 0 < epsilon < 1:
+        raise ConfigError(f"epsilon is a failure probability in (0, 1), got {epsilon}")
     gram_terms, inf_terms = block_norm_terms(spec, partition, weights)
     pi = density.pi
     live = pi > 0
@@ -328,24 +340,23 @@ def diagnostics(
     children = [seq.spawn(2) for seq in np.random.SeedSequence(seed).spawn(trials)]
     supports = sample_supports_seeded(dist, [child[0] for child in children])
     singleton = partition.kind == "singletons"
-    blocks = None if singleton else partition.blocks
+    splits = np.cumsum(partition.sizes)[:-1]  # blocks lie one after another in rows
+    factors = _column_factors(spec) if spec.is_2d else None
     lam = np.empty(trials)
     # every rejective support has the same size S, so every tail Gram is S x S
     n_stack = max(1, _GRAM_STACK_ENTRIES // int(supports[0].sum()) ** 2)
     grams = []
     hits = 0
     for t, child in enumerate(children):
-        support = np.flatnonzero(supports[t])
-        slab = np.zeros((support.size, spec.dim))
-        slab[np.arange(support.size), support] = 1.0
-        cols = apply(spec, Direction.FORWARD, slab).T  # (K, S) columns of A0
+        u, v = _support_factors(spec, factors, np.flatnonzero(supports[t]))
+        width = v.shape[1]
         # Lambda_I = max_k ||B_k[:, I]||^2 / (pi_k m)
         if singleton:
-            block_sq = np.sum(np.abs(cols) ** 2, axis=1)
+            block_sq = ((np.abs(u) ** 2).T @ (np.abs(v) ** 2)).ravel()
         else:
+            cols = (u[:, partition.rows // width] * v[:, partition.rows % width]).T
             block_sq = np.empty(partition.m)
-            for k, idx in enumerate(blocks):
-                sub = cols[idx, :]
+            for k, sub in enumerate(np.split(cols, splits)):
                 gram = sub.conj().T @ sub
                 block_sq[k] = float(
                     np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1].real
@@ -354,7 +365,7 @@ def diagnostics(
         # theorem-scaled mask and its restricted Gram
         rows, mult = _iid_draw(atoms, cum, m, np.random.default_rng(child[1]))
         rows, scale = partition.block_rows(rows, np.sqrt(mult / (m * pi[rows])))
-        a_i = scale[:, None] * cols[rows]
+        a_i = scale[:, None] * (u[:, rows // width] * v[:, rows % width]).T
         grams.append(a_i.conj().T @ a_i)
         if len(grams) == n_stack or t == trials - 1:
             hits += _tail_hits(np.array(grams))
@@ -369,6 +380,20 @@ def diagnostics(
         m_bound_inf1=threshold_inf1 * logk**3,
         m_bound_gram=threshold_gram * logk**2,
     )
+
+
+def _support_factors(spec: OperatorSpec, factors, support: np.ndarray) -> tuple:
+    """(u, v) with column support[i] of A0 equal to kron(u[i], v[i]).
+
+    A 2D operator gathers both from its per-axis table; a 1D operator is
+    the width-1 case, u the forward transform of the support and v = 1.
+    """
+    if factors is None:
+        slab = np.zeros((support.size, spec.dim))
+        slab[np.arange(support.size), support] = 1.0
+        return apply(spec, Direction.FORWARD, slab), np.ones((support.size, 1))
+    table, iu, iv = factors
+    return table[iu[support]], table[iv[support]]
 
 
 def _tail_hits(grams: np.ndarray) -> int:

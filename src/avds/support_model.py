@@ -91,6 +91,8 @@ def normalize_weights(omega, s_target: float) -> WeightVector:
     proportionally over the remaining entries until the sum constraint
     holds to 1e-9.
     """
+    if not s_target > 0:
+        raise InvalidWeights(f"target sum must be positive, got {s_target}")
     omega = np.asarray(omega, dtype=float).copy()
     if np.any(omega < 0):
         raise InvalidWeights("omega entries must be nonnegative")

@@ -8,6 +8,7 @@ float64 in column-major order.  Round trips are bit exact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -72,7 +73,7 @@ def read_tensor(path: str) -> np.ndarray:
     if len(data) < offset:
         raise FormatError(f"{path}: truncated dims at byte {len(data)}")
     dims = struct.unpack(f"<{ndim}Q", data[7:offset])
-    count = int(np.prod(dims)) if ndim else 1
+    count = math.prod(dims)  # Python integers: no int64 wrap-around
     width = 16 if dtype_byte else 8
     expected = offset + count * width
     if len(data) < expected:
@@ -85,7 +86,10 @@ def read_tensor(path: str) -> np.ndarray:
         flat = raw[0::2] + 1j * raw[1::2]
     else:
         flat = raw
-    return flat.reshape(dims, order="F").copy()
+    try:
+        return flat.reshape(dims, order="F").copy()
+    except ValueError as exc:  # an empty payload whose dims numpy cannot hold
+        raise FormatError(f"{path}: dims {dims} do not describe an array") from exc
 
 
 # ------------------------------------------------------------------------ PGM

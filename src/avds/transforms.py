@@ -21,8 +21,10 @@ remaining MRA levels J..2 as S_s^T X S_s on the shrinking s x s LL block,
 then F X F^T, then the DFT; the adjoint runs the inverse DFT, F^T Y F,
 then the levels 2..J.  2D factors are side x side arrays (O(side^3) work
 per grid).  All stages act on the trailing axis/axes of their input, so
-batches of vectors transform in one call.  Operators are limited to
-K <= MAX_DIM = 2^20.
+batches of vectors transform in one call.  Since every 2D stage acts
+alike on both axes, each column of a 2D A0 is the Kronecker product of
+two per-axis rows, which `_column_factors` tables once per spec.
+Operators are limited to K <= MAX_DIM = 2^20.
 
 2D objects are vectorised column-major: flat index r of a side x side grid
 maps to (row, col) = (r % side, r // side).
@@ -403,15 +405,52 @@ def separable_factor(spec: OperatorSpec) -> np.ndarray | None:
     """Dense 1D factor phi with A0 = phi (x) phi, or None if non-separable.
 
     phi is the outer factor F = M W^T of `apply`, times the orthonormal
-    DFT matrix for the DFT measurement.
+    DFT matrix for the DFT measurement: the transposed one table of
+    `_column_factors`, copied for the caller.
     """
     if not spec.is_2d or spec.sparsity in _MRA_SPARSITIES:
         return None
-    outer = _grid_factors(spec)[0]
-    phi = np.eye(spec.side) if outer is None else outer[0]
-    if spec.measurement == Measurement.DFT2D:
-        return np.fft.fft(phi, axis=0, norm="ortho")
-    return np.array(phi)
+    return np.array(_column_factors(spec)[0].T, order="C")
+
+
+@lru_cache(maxsize=None)
+def _column_factors(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis rows (P, iu, iv) of a 2D A0: A0[:, l] = kron(P[iu[l]], P[iv[l]]).
+
+    Column l is the transposed grid e_p e_q^T, (p, q) = divmod(l, side),
+    and every stage of `apply` maps an outer product g h^T to (T g)(T h)^T
+    with one per-axis map T.  For a tensor wavelet or none, T = D F for all
+    of the grid (D the orthonormal DFT matrix for DFT2D, else I), so P is
+    the one table T^T, iu = p and iv = q.  The square MRA's levels act on
+    the shrinking LL block only, so the steps that reach (p, q) start at
+    its level, max(band p, band q) as in `energy_classes`: P stacks one
+    table per level, the rows p < side >> (j - 1) of the synthesis from
+    level j (the steps S_s^T, s = side >> (j - 1) .. side/2, then D F), and
+    the coarsest table serves LL_J as well.
+    """
+    side = spec.side
+    outer, inner = _grid_factors(spec)
+    depth = len(inner) + 1
+    tables = []
+    for j in range(1, depth + 1):
+        n = side >> (j - 1)
+        rows = np.eye(n, side)  # row-vector form: (T g)^T = g^T T^T
+        for pair in inner[: j - 1][::-1]:
+            s = len(pair[0])
+            rows[:, :s] = rows[:, :s] @ pair[0]
+        if outer is not None:
+            rows = rows @ outer[1]
+        if spec.measurement == Measurement.DFT2D:
+            rows = np.fft.fft(rows, axis=-1, norm="ortho")
+        tables.append(rows)
+    offsets = np.cumsum([0] + [len(t) for t in tables])
+    band = _bands_1d(side, spec.levels)
+    # (p, q) at level j = J + 1 - max(band p, band q, 1) takes table j - 1;
+    # clipped to the one table when there are no MRA levels
+    level = np.clip(np.maximum(band[:, None], band[None, :]).ravel(), 1, depth)
+    start = offsets[depth - level]
+    p, q = np.divmod(np.arange(side * side), side)
+    return _frozen(np.concatenate(tables)), _frozen(start + p), _frozen(start + q)
 
 
 def _bands_1d(n: int, levels: int | None) -> np.ndarray:

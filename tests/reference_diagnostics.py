@@ -1,8 +1,12 @@
 """Reference diagnostics loop, test use only.
 
 This is `avds.harness.diagnostics` as it was before the support draws were
-batched: one `sample_supports(dist, 1, seed=child[0])` call per trial.  The
-batched version must give bit-identical Lambda samples and tail counts.
+batched and before the columns of A0 came from per-axis factors: one
+`sample_supports(dist, 1, seed=child[0])` call and one forward transform of
+a one-hot slab per trial.  The fast version must give the same tail counts,
+mu, thresholds and bounds exactly, and Lambda samples within 1e-13
+relative: its column entries are products of per-axis rows, which round
+differently from the transform.
 """
 
 from __future__ import annotations

@@ -51,6 +51,35 @@ def test_tensor_truncation_reports_offset(tmp_path):
         tensorio.read_tensor(path)
 
 
+def _header(*dims) -> bytes:
+    return b"AVDS" + bytes([1, 0, len(dims)]) + b"".join(d.to_bytes(8, "little") for d in dims)
+
+
+@pytest.mark.parametrize(
+    "dims,match",
+    [
+        # 2^32 * 2^32 wraps to 0 in int64: the payload must still be missing
+        ((2**32, 2**32), "truncated payload"),
+        ((2**63, 2), "truncated payload"),
+        ((2**63, 0), "do not describe an array"),
+        ((2**62, 0), "do not describe an array"),
+    ],
+)
+def test_tensor_huge_dims_are_format_errors(tmp_path, capsys, dims, match):
+    path = tmp_path / "bad.avds"
+    path.write_bytes(_header(*dims) + np.ones(4).tobytes())
+    with pytest.raises(FormatError, match=match):
+        tensorio.read_tensor(str(path))
+    assert run_cli("flip", "--in", str(path), "--out", str(tmp_path / "o.avds")) == 1
+    assert capsys.readouterr().out.splitlines() == ["error: FormatError"]
+
+
+def test_tensor_empty_dims_read_back(tmp_path):
+    path = tmp_path / "empty.avds"
+    path.write_bytes(_header(3, 0))
+    assert tensorio.read_tensor(str(path)).shape == (3, 0)
+
+
 @given(
     hnp.arrays(
         dtype=st.sampled_from([np.float64, np.complex128]),
@@ -386,6 +415,28 @@ def _without(cfg, key, inner=None):
         ("experiment", dict(_EXPERIMENT_CFG, solver={"max_inner": "many"})),
         ("experiment", "{not json"),
         ("experiment", [1, 2]),
+        ("diagnose", dict(_DIAGNOSE_CFG, epsilon=0)),
+        ("diagnose", dict(_DIAGNOSE_CFG, epsilon=-1)),
+        ("diagnose", dict(_DIAGNOSE_CFG, trials=2.5)),
+        ("diagnose", dict(_DIAGNOSE_CFG, m=[8.7])),
+        ("diagnose", dict(_DIAGNOSE_CFG, m=[])),
+        ("diagnose", dict(_DIAGNOSE_CFG, m=True)),
+        ("diagnose", dict(_DIAGNOSE_CFG, epsilon=True)),
+        ("diagnose", dict(_DIAGNOSE_CFG, density=["adapted"])),
+        ("experiment", dict(_EXPERIMENT_CFG, trials=2.5)),
+        ("experiment", dict(_EXPERIMENT_CFG, trials=True)),
+        ("experiment", dict(_EXPERIMENT_CFG, seed=1.5)),
+        ("experiment", dict(_EXPERIMENT_CFG, budget=3.5)),
+        ("experiment", dict(_EXPERIMENT_CFG, solver={"max_inner": 300.5})),
+        ("experiment", dict(_EXPERIMENT_CFG, solver={"inner_tol": False})),
+        ("experiment", dict(_EXPERIMENT_CFG, fraction=True)),
+        ("experiment", dict(_EXPERIMENT_CFG, densities="adapted")),
+        ("experiment", dict(_EXPERIMENT_CFG, densities=[])),
+        ("experiment", dict(_EXPERIMENT_CFG, flip="yes")),
+        ("experiment", dict(_EXPERIMENT_CFG, spec=dict(_EXPERIMENT_CFG["spec"], size=4.5))),
+        ("experiment", dict(_EXPERIMENT_CFG, spec=dict(_EXPERIMENT_CFG["spec"], levels=True))),
+        ("experiment", dict(_EXPERIMENT_CFG, partition={"kind": "squares", "block_side": 2.5})),
+        ("experiment", dict(_EXPERIMENT_CFG, weights={"source": "uniform", "sparsity": True})),
     ],
     ids=[
         "diagnose-no-spec",
@@ -400,6 +451,28 @@ def _without(cfg, key, inner=None):
         "experiment-solver-not-int",
         "experiment-bad-json",
         "experiment-not-object",
+        "diagnose-epsilon-zero",
+        "diagnose-epsilon-negative",
+        "diagnose-trials-not-integral",
+        "diagnose-m-not-integral",
+        "diagnose-m-empty",
+        "diagnose-m-bool",
+        "diagnose-epsilon-bool",
+        "diagnose-density-not-name",
+        "experiment-trials-not-integral",
+        "experiment-trials-bool",
+        "experiment-seed-not-integral",
+        "experiment-budget-not-integral",
+        "experiment-solver-not-integral",
+        "experiment-solver-bool",
+        "experiment-fraction-bool",
+        "experiment-densities-not-list",
+        "experiment-densities-empty",
+        "experiment-flip-not-bool",
+        "experiment-size-not-integral",
+        "experiment-levels-bool",
+        "experiment-block-side-not-integral",
+        "experiment-sparsity-bool",
     ],
 )
 def test_cli_config_errors_are_config_errors(tmp_path, capsys, command, config):

@@ -281,6 +281,13 @@ def test_normalize_weights_examples():
         normalize_weights([1.0, 0.0], 2.0)
 
 
+@pytest.mark.parametrize("s_target", [0.0, -2.0, -1e-300, float("nan")])
+def test_normalize_weights_rejects_non_positive_target(s_target):
+    # a target sum <= 0 would return zero or negative weights
+    with pytest.raises(InvalidWeights, match="positive"):
+        normalize_weights([0.5, 0.25, 0.25], s_target)
+
+
 def test_flip_examples():
     assert np.array_equal(flip(np.array([1.0, 2.0, 3.0])), [3.0, 2.0, 1.0])
     v = np.array([1.0, 2.0, 2.0, 1.0])

@@ -16,6 +16,7 @@ from avds.transforms import (
     Measurement,
     OperatorSpec,
     Sparsity,
+    _column_factors,
     apply,
     rows_batch,
     separable_factor,
@@ -90,6 +91,21 @@ def test_separable_factor_matches_reference():
                 assert np.max(np.abs(got - want)) <= 1e-12, spec
 
 
+PAIRS_2D = [(m, s) for m, s in PAIRS if OperatorSpec(m, s, 4).is_2d]
+
+
+@pytest.mark.parametrize("measurement,sparsity", PAIRS_2D, ids=lambda v: v.value)
+def test_column_factors_match_apply(measurement, sparsity):
+    # column l of A0 is kron(P[iu[l]], P[iv[l]]), entrywise as `apply` gives it
+    assert len(PAIRS_2D) == 14
+    for spec in _specs(measurement, sparsity):
+        table, iu, iv = _column_factors(spec)
+        want = apply(spec, Direction.FORWARD, np.eye(spec.dim))  # row l: column l of A0
+        got = (table[iu][:, :, None] * table[iv][:, None, :]).reshape(spec.dim, spec.dim)
+        assert got.dtype == want.dtype, spec
+        assert np.max(np.abs(got - want)) <= 1e-13, spec
+
+
 def test_cached_factors_are_read_only():
     from avds import transforms
 
@@ -100,6 +116,7 @@ def test_cached_factors_are_read_only():
         *transforms._filter_bank("db4", 8),
         *transforms._step_pair("db4", 4),
         *transforms._grid_factors(grid)[0],
+        *transforms._column_factors(grid),
     ):
         with pytest.raises(ValueError):
             factor[0] = 1.0
