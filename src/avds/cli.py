@@ -306,7 +306,7 @@ def _cmd_density(args) -> int:
         dens = baseline_density(args.kind, spec, partition)
     tensorio.write_tensor(args.out, dens.pi)
     if args.png_log:
-        if partition.kind != "singletons" or not spec.is_2d:
+        if partition.m != partition.dim or not spec.is_2d:
             raise ConfigError("--png-log needs an isolated density on a 2D grid")
         tensorio.density_to_pgm(args.png_log, dens.pi, spec.side)
     print(f"density '{args.kind}' over {len(dens)} atoms; L={dens.normalizer:.6g}")

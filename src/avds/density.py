@@ -1,10 +1,10 @@
 """Sampling densities over rows or blocks of the composite operator.
 
-The adapted density weights each row/block k by
-max{ ||B_k D_w B_k*||_2,2 , ||B_k* B_k||_inf,1 } and normalises; for
-isolated rows the two terms reduce to a_k D_w a_k* and ||a_k||_inf^2.
-Baseline densities (uniform, coherence, polynomial decay) are provided
-for comparison experiments.
+The adapted density weights each block k of measurement rows by
+max{ ||B_k D_w B_k*||_2,2 , ||B_k* B_k||_inf,1 } and normalises; isolated
+rows are the blocks of one row, where the two terms reduce to
+a_k D_w a_k* and ||a_k||_inf^2.  Baseline densities (uniform, coherence,
+polynomial decay) are provided for comparison experiments.
 
 Coefficients with zero weight can never enter a support, so the
 sup-norm term is always evaluated with those columns removed; this is
@@ -12,21 +12,23 @@ what makes the identity operator's density uniform on the set of
 positive weights.
 
 Every density (adapted, and coherence as the sup term at all-ones
-weights) reads its terms from one routine, `block_norm_terms`, which picks
-a path from the operator and from each block's indices:
+weights) reads its terms from one routine, `_norm_terms` behind
+`block_norm_terms`, which fills each block's terms from three sources in
+turn:
 
-- singletons go to `isolated_terms`.  With energy classes
-  (`transforms.energy_classes`: DFT with any wavelet, Hadamard with Haar)
-  one forward transform per subband gives every row's terms in
-  O(subbands * K log K); other operators take the dense path on the
-  singleton blocks, O(K^2);
 - on a separable operator A0 = phi (x) phi a whole grid column or row
   takes both terms in closed form from phi; `_grid_lines` finds them in
   one pass over the blocks of `side` indices;
-- every other block takes the dense path, `_dense_terms`: both norms from
-  its extracted rows, blocks of one size in stacks, the one fallback and
-  the oracle of every closed form.  B_k* B_k is positive semidefinite, so
-  its largest entry on the positive-weight coefficients is its largest
+- with energy classes (`transforms.energy_classes`: DFT with any wavelet,
+  Hadamard with Haar) one forward transform per subband gives the table
+  E[c, j] = |a_{j,l}|^2 of any column l in class c.  A block's sup term
+  is its largest column energy on the positive weights, the max over live
+  classes of the sum of E over the block's rows; a one-row block's Gram
+  term is the class weights times E at its row;
+- `_dense_terms` gives the terms still missing from the extracted rows
+  of their blocks, blocks of one size in stacks: the one fallback and the
+  oracle of the other two.  B_k* B_k is positive semidefinite, so its
+  largest entry on the positive-weight coefficients is its largest
   diagonal entry there: the sup term is the block's largest column energy.
 """
 
@@ -50,6 +52,7 @@ from .transforms import (
 )
 
 _MAX_BLOCK_ROWS = 4096
+_POLYNOMIAL_EXPONENT = 2.5
 
 
 @dataclass
@@ -102,11 +105,9 @@ class BlockPartition:
         # K indices that reach all K values are also pairwise distinct
         if not seen.all():
             raise InvalidPartition("blocks must be disjoint and cover {0..K-1}")
-        # isolated-row code indexes block k as row k
-        if kind == "singletons" and (
-            np.any(self.sizes != 1) or not np.array_equal(self.rows, np.arange(k))
-        ):
-            raise InvalidPartition("singleton blocks must be [0], [1], ..., [K-1]")
+        # K non-empty blocks hold one row each; isolated-row code reads block k as row k
+        if self.sizes.size == k and not np.array_equal(self.rows, np.arange(k)):
+            raise InvalidPartition("one-row blocks must be [0], [1], ..., [K-1]")
         self.dim = k
         self._starts = np.cumsum(self.sizes) - self.sizes
 
@@ -188,31 +189,6 @@ def _positive(spec: OperatorSpec, omega: np.ndarray) -> np.ndarray:
     return positive
 
 
-def isolated_terms(spec: OperatorSpec, omega: np.ndarray):
-    """Per-row arrays a_k D_w a_k* and max_{l: w_l > 0} |a_{k,l}|^2.
-
-    With energy classes, the column A0 e_l of one representative l per
-    class c gives E[c, k] = |a_{k,l}|^2, the same for every l in c; the
-    Gram term is then sum_c E[c, k] * (weight of c) and the sup term the
-    max of E[c, k] over the classes that hold a positive weight.  Without
-    classes every row is a singleton block of `_dense_terms`.
-    """
-    omega = np.asarray(omega, dtype=float)
-    positive = _positive(spec, omega)
-    labels = energy_classes(spec)
-    if labels is None:
-        singletons = BlockPartition.singletons(spec.dim)
-        wv = WeightVector(omega, float(omega.sum()))
-        return _dense_terms(spec, singletons, np.arange(spec.dim), wv)
-    reps = np.unique(labels, return_index=True)[1]
-    slab = np.zeros((reps.size, spec.dim))
-    slab[np.arange(reps.size), reps] = 1.0
-    energy = np.abs(apply(spec, Direction.FORWARD, slab)) ** 2  # (classes, K)
-    class_weight = np.bincount(labels, weights=omega)
-    live = np.bincount(labels, weights=positive) > 0
-    return class_weight @ energy, energy[live].max(axis=0)
-
-
 def _normalised(numer: np.ndarray) -> Density:
     total = float(numer.sum())
     return Density(numer / total, total)
@@ -225,7 +201,7 @@ def adapted_isolated(spec: OperatorSpec, weights: WeightVector) -> Density:
     rows with no energy on possibly-active coefficients get probability
     zero (identity-operator special case).
     """
-    return _normalised(np.maximum(*isolated_terms(spec, weights.omega)))
+    return adapted_blocks(spec, BlockPartition.singletons(spec.dim), weights)
 
 
 def adapted_blocks(spec: OperatorSpec, partition: BlockPartition, weights: WeightVector) -> Density:
@@ -248,33 +224,54 @@ def _grid_lines(partition: BlockPartition, side: int) -> tuple[np.ndarray, np.nd
 def block_norm_terms(spec: OperatorSpec, partition: BlockPartition, weights: WeightVector):
     """Per-block arrays ||B_k D_w B_k*||_2,2 and ||B_k* B_k||_inf,1.
 
-    The sup term runs over the positive-weight coefficients only; the path
-    follows the operator and each block's indices (see the module notes).
+    The sup term runs over the positive-weight coefficients only; each
+    block takes its terms from the sources in the module notes.
     """
+    return tuple(_norm_terms(spec, partition, weights, gram=True))
+
+
+def _norm_terms(spec: OperatorSpec, partition: BlockPartition, weights: WeightVector, gram: bool):
+    """terms[0] the Gram terms (NaN unless `gram`) and terms[1] the sup terms, per block."""
+    if partition.dim != spec.dim:
+        raise InvalidPartition("partition does not match the operator dimension")
     omega = weights.omega
-    if partition.dim != spec.dim or omega.size != spec.dim:
-        raise InvalidPartition("partition/weights do not match the operator")
-    _positive(spec, omega)
-    if partition.kind == "singletons":
-        return isolated_terms(spec, omega)
+    positive = _positive(spec, omega)
+    terms = np.full((2, partition.m), np.nan)
     phi = separable_factor(spec)
-    if phi is None:
-        return _dense_terms(spec, partition, np.arange(partition.m), weights)
-    axis, line = _grid_lines(partition, spec.side)
-    lines = axis >= 0
-    terms = np.empty((2, partition.m))
-    terms[:, lines] = _line_closed_form(phi, weights.matrix())[axis[lines], :, line[lines]].T
-    rest = np.flatnonzero(~lines)
+    if phi is not None:
+        axis, line = _grid_lines(partition, spec.side)
+        lines = axis >= 0
+        terms[:, lines] = _line_closed_form(phi, weights.matrix())[axis[lines], :, line[lines]].T
+    labels = energy_classes(spec)
+    if labels is not None:
+        reps = np.unique(labels, return_index=True)[1]
+        slab = np.zeros((reps.size, spec.dim))
+        slab[np.arange(reps.size), reps] = 1.0
+        energy = np.abs(apply(spec, Direction.FORWARD, slab)) ** 2  # (classes, K)
+        live = np.bincount(labels, weights=positive) > 0
+        sums = energy[live]  # one-row blocks are the rows in index order: each sum is one row
+        if partition.m < partition.dim:
+            sums = np.add.reduceat(sums[:, partition.rows], partition._starts, axis=1)
+        terms[1] = np.where(np.isnan(terms[1]), sums.max(axis=0), terms[1])
+        if gram:
+            one_row = np.isnan(terms[0]) & (partition.sizes == 1)
+            row_gram = np.bincount(labels, weights=omega) @ energy
+            terms[0, one_row] = row_gram[partition.rows[partition._starts[one_row]]]
+    rest = np.flatnonzero(np.isnan(terms[0 if gram else 1 :]).any(axis=0))
     if rest.size:
-        terms[:, rest] = _dense_terms(spec, partition, rest, weights)
-    return terms[0], terms[1]
+        dense = np.array(_dense_terms(spec, partition, rest, weights, gram))
+        terms[:, rest] = np.where(np.isnan(terms[:, rest]), dense, terms[:, rest])
+    return terms
 
 
-def _dense_terms(spec: OperatorSpec, partition: BlockPartition, block_ids, weights: WeightVector):
+def _dense_terms(
+    spec: OperatorSpec, partition: BlockPartition, block_ids, weights: WeightVector, gram=True
+):
     """Both terms of the blocks `block_ids` from their extracted rows B_k.
 
-    The one fallback of `block_norm_terms` and the oracle of its closed
-    forms.  The Gram term is the largest eigenvalue of B_k D_w B_k*.
+    The one fallback of `block_norm_terms` and the oracle of its other
+    sources.  The Gram term (NaN unless `gram`) is the largest eigenvalue
+    of B_k D_w B_k*.
     B_k* B_k is positive semidefinite, so |(B*B)_{l,l'}| <= max((B*B)_{l,l},
     (B*B)_{l',l'}): the sup term is the block's largest column energy
     sum_{j in B_k} |a_{j,l}|^2 over the l with w_l > 0.  Blocks of one size
@@ -287,7 +284,7 @@ def _dense_terms(spec: OperatorSpec, partition: BlockPartition, block_ids, weigh
     sizes = partition.sizes[block_ids]
     if sizes.max(initial=0) > _MAX_BLOCK_ROWS:
         raise InvalidPartition(f"block with {sizes.max()} rows exceeds the dense limit")
-    terms = np.empty((2, block_ids.size))
+    terms = np.full((2, block_ids.size), np.nan)
     for size in np.unique(sizes):
         group = np.flatnonzero(sizes == size)
         n = max(1, (1 << 16) // int(size * spec.dim))
@@ -295,16 +292,14 @@ def _dense_terms(spec: OperatorSpec, partition: BlockPartition, block_ids, weigh
             rows = partition.block_rows(block_ids[stack])[0]
             mat = rows_batch(spec, rows).reshape(stack.size, size, spec.dim)
             conj = mat.conj()
-            terms[0, stack] = np.linalg.eigvalsh((mat * omega) @ conj.swapaxes(1, 2))[:, -1]
+            if gram:
+                terms[0, stack] = np.linalg.eigvalsh((mat * omega) @ conj.swapaxes(1, 2))[:, -1]
             terms[1, stack] = np.einsum("nbk,nbk,k->nk", mat, conj, live).real.max(axis=1)
     return terms[0], terms[1]
 
 
 def baseline_density(
-    kind: str,
-    spec: OperatorSpec,
-    partition: BlockPartition | None = None,
-    exponent: float = 2.5,
+    kind: str, spec: OperatorSpec, partition: BlockPartition | None = None
 ) -> Density:
     """Uniform, coherence-based or polynomial-decay comparison densities."""
     if partition is None:
@@ -314,18 +309,18 @@ def baseline_density(
         return Density(np.full(m, 1.0 / m), float(m))
     if kind == "coherence":
         ones = WeightVector.from_omega(np.ones(spec.dim))
-        return _normalised(block_norm_terms(spec, partition, ones)[1])
+        return _normalised(_norm_terms(spec, partition, ones, gram=False)[1])
     if kind == "polynomial":
         if not spec.is_2d or spec.measurement not in (
             Measurement.DFT2D,
             Measurement.HADAMARD2D,
         ):
             raise InvalidSpec("polynomial density needs a 2D frequency grid")
-        if partition.kind != "singletons":
+        if partition.m != partition.dim:
             raise InvalidPartition("polynomial density is defined on isolated rows")
         side = spec.side
         f = signed_frequencies(side).astype(float)
         rad2 = f[None, :] ** 2 + f[:, None] ** 2  # [row, col] grid
         rad2[0, 0] = 2.0  # DC takes the value of the (1,1) cell
-        return _normalised((rad2 ** (-exponent)).T.ravel())  # column-major
+        return _normalised((rad2 ** (-_POLYNOMIAL_EXPONENT)).T.ravel())  # column-major
     raise InvalidSpec(f"unknown baseline density kind {kind!r}")

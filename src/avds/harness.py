@@ -196,7 +196,7 @@ class ExperimentReport:
 def build_density(kind: str, cfg: ExperimentConfig, weights: WeightVector) -> Density:
     part = cfg.partition
     if kind == "adapted":
-        if part.kind == "singletons":
+        if part.m == part.dim:
             return adapted_isolated(cfg.spec, weights)
         return adapted_blocks(cfg.spec, part, weights)
     return baseline_density(kind, cfg.spec, part)
@@ -339,7 +339,7 @@ def diagnostics(
     # per trial: [support draw, mask draw]
     children = [seq.spawn(2) for seq in np.random.SeedSequence(seed).spawn(trials)]
     supports = sample_supports_seeded(dist, [child[0] for child in children])
-    singleton = partition.kind == "singletons"
+    singleton = partition.m == partition.dim
     splits = np.cumsum(partition.sizes)[:-1]  # blocks lie one after another in rows
     factors = _column_factors(spec) if spec.is_2d else None
     lam = np.empty(trials)

@@ -72,7 +72,7 @@ def _block_inf1_norm(block, support=None) -> float:
 
 
 def _streamed_terms(spec: OperatorSpec, omega: np.ndarray):
-    """`isolated_terms` from all K rows, a chunk of rows at a time."""
+    """Both terms of every isolated row from all K rows, a chunk of rows at a time."""
     # a column slice is a view; a boolean mask would copy the energies
     support = slice(None) if np.all(omega > 0) else omega > 0
     gram = np.empty(spec.dim)

@@ -58,7 +58,8 @@ def _partition(spec, case: str, seed: int):
     if case == "squares":
         return BlockPartition.squares(spec.side, min(4, spec.side)) if spec.is_2d else None
     rng = np.random.default_rng(seed)
-    cuts = np.sort(rng.choice(np.arange(1, k), size=min(k - 1, 7), replace=False))
+    # at most K - 2 cuts, so that some block holds two rows and the order is free
+    cuts = np.sort(rng.choice(np.arange(1, k), size=min(k - 2, 7), replace=False))
     return BlockPartition([np.sort(b) for b in np.split(rng.permutation(k), cuts)], "unequal")
 
 

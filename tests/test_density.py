@@ -18,8 +18,9 @@ from avds.density import (
     adapted_blocks,
     adapted_isolated,
     baseline_density,
+    block_norm_terms,
 )
-from avds.errors import InvalidPartition, InvalidSpec
+from avds.errors import InvalidPartition, InvalidSpec, InvalidWeights
 from avds.support_model import WeightVector, flip, normalize_weights
 from avds.transforms import (
     Measurement,
@@ -81,10 +82,13 @@ def test_block_that_is_not_an_index_list_rejected():
 
 
 def test_singleton_partition_is_one_row_per_block_in_order():
-    assert BlockPartition([[0], [1], [2]], kind="singletons").m == 3
-    for blocks in ([[0, 1], [2]], [[0, 1], [], [2]], [[1], [0], [2]]):
-        with pytest.raises(InvalidPartition):
-            BlockPartition(blocks, kind="singletons")
+    # the rule follows the blocks, not the label
+    for kind in ("singletons", "x"):
+        assert BlockPartition([[0], [1], [2]], kind=kind).m == 3
+        assert BlockPartition([[0, 1], [2]], kind=kind).m == 2
+        for blocks in ([[0, 1], [], [2]], [[1], [0], [2]], np.array([[2], [0], [1]])):
+            with pytest.raises(InvalidPartition):
+                BlockPartition(blocks, kind=kind)
 
 
 @pytest.mark.parametrize(
@@ -137,7 +141,7 @@ def test_squares_need_a_dividing_side_in_range(block_side):
 
 
 def _input_blocks(case: str, side: int, seed: int) -> list:
-    """Blocks of the named partition of a side x side grid, in shuffled order but singletons."""
+    """Blocks of the named partition of a side x side grid, shuffled unless each holds one row."""
     rng = np.random.default_rng(seed)
     k = side * side
     if case == "singletons":
@@ -152,6 +156,8 @@ def _input_blocks(case: str, side: int, seed: int) -> list:
         blocks = reference_vertical_lines(side)
     else:
         blocks = reference_horizontal_lines(side)
+    if len(blocks) == k:  # one-row blocks are a partition in index order only
+        return blocks
     return [blocks[i] for i in rng.permutation(len(blocks))]
 
 
@@ -361,7 +367,7 @@ def test_coherence_baseline_is_uniform_for_dft():
 
 def test_polynomial_baseline_ratio():
     spec = OperatorSpec(Measurement.DFT2D, Sparsity.IDENTITY, 4)
-    dens = baseline_density("polynomial", spec, exponent=2.5)
+    dens = baseline_density("polynomial", spec)
     grid = dens.pi.reshape(4, 4).T  # back to [row, col]
     assert np.isclose(grid[1, 1] / grid[2, 2], (8 / 2) ** 2.5, rtol=1e-12)
     # DC equals the (1,1) value
@@ -372,6 +378,27 @@ def test_polynomial_rejected_for_1d():
     spec = OperatorSpec(Measurement.DFT1D, Sparsity.IDENTITY, 16)
     with pytest.raises(InvalidSpec):
         baseline_density("polynomial", spec)
+
+
+@pytest.mark.parametrize("spar", [Sparsity.HAAR2D, Sparsity.TENSOR_DB4], ids=lambda s: s.value)
+def test_mismatched_weights_and_partitions_raise_their_own_class(spar):
+    spec = OperatorSpec(Measurement.DFT2D, spar, 8)
+    short = WeightVector.from_omega(np.full(16, 0.5))
+    fits = WeightVector.from_omega(np.full(64, 0.5))
+    parts = (BlockPartition.singletons(64), BlockPartition.vertical_lines(8))
+    for part in parts:
+        with pytest.raises(InvalidWeights):
+            block_norm_terms(spec, part, short)
+        with pytest.raises(InvalidWeights):
+            adapted_blocks(spec, part, short)
+    with pytest.raises(InvalidWeights):
+        adapted_isolated(spec, short)
+    for part in (BlockPartition.singletons(16), BlockPartition.vertical_lines(4)):
+        for weights in (short, fits):
+            with pytest.raises(InvalidPartition):
+                block_norm_terms(spec, part, weights)
+        with pytest.raises(InvalidPartition):
+            baseline_density("coherence", spec, part)
 
 
 def test_density_validation():

@@ -1,10 +1,10 @@
 """Isolated-row terms from subband energy classes against the dense rows.
 
-`density.isolated_terms` takes the class path wherever
-`transforms.energy_classes` returns labels; `density._dense_terms` on the
-singleton blocks computes the same arrays from all K rows and is its
-oracle, on every (measurement, sparsity) pair at every size with
-K <= 1024 and every wavelet depth.
+`density.block_norm_terms` on the singleton partition takes both terms
+from the class table wherever `transforms.energy_classes` returns labels;
+`density._dense_terms` on the singleton blocks computes the same arrays
+from all K rows and is its oracle, on every (measurement, sparsity) pair
+at every size with K <= 1024 and every wavelet depth.
 """
 
 import numpy as np
@@ -18,10 +18,9 @@ from avds.density import (
     adapted_isolated,
     baseline_density,
     block_norm_terms,
-    isolated_terms,
 )
 from avds.errors import InvalidWeights
-from avds.support_model import normalize_weights
+from avds.support_model import WeightVector, normalize_weights
 from avds.transforms import Measurement, OperatorSpec, Sparsity, energy_classes
 
 LABELLED = [
@@ -82,8 +81,8 @@ def test_class_terms_match_dense_rows(measurement, sparsity):
         if labels.max() > 0:  # leave a whole class without weight
             vectors.append(_weights(spec.dim, seed, zero=labels == labels.max()))
         for wv in vectors:
-            got = isolated_terms(spec, wv.omega)
             singletons = BlockPartition.singletons(spec.dim)
+            got = block_norm_terms(spec, singletons, wv)
             want = _dense_terms(spec, singletons, np.arange(spec.dim), wv)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(
@@ -96,19 +95,20 @@ def test_fallback_pairs_stream_rows():
         OperatorSpec(Measurement.HADAMARD2D, Sparsity.DB4_2D, 16, levels=2),
         OperatorSpec(Measurement.IDENTITY, Sparsity.TENSOR_HAAR, 8),
     ):
-        omega = _weights(spec.dim, seed=5).omega
+        wv = _weights(spec.dim, seed=5)
+        omega = wv.omega
         energy = row_energies(spec)
-        gram, inf = isolated_terms(spec, omega)
+        gram, inf = block_norm_terms(spec, BlockPartition.singletons(spec.dim), wv)
         np.testing.assert_allclose(gram, energy @ omega, rtol=1e-12, atol=1e-15)
         assert np.array_equal(inf, energy[:, omega > 0].max(axis=1))
 
 
-def test_isolated_terms_reject_bad_weights():
+def test_singleton_terms_reject_bad_weights():
     spec = OperatorSpec(Measurement.DFT1D, Sparsity.HAAR1D, 16)
-    with pytest.raises(InvalidWeights):
-        isolated_terms(spec, np.full(8, 0.5))
-    with pytest.raises(InvalidWeights):
-        isolated_terms(spec, np.zeros(16))
+    singletons = BlockPartition.singletons(16)
+    for omega in (np.full(8, 0.5), np.zeros(16)):
+        with pytest.raises(InvalidWeights):
+            block_norm_terms(spec, singletons, WeightVector.from_omega(omega))
 
 
 def test_coherence_baseline_is_the_row_sup_norm():

@@ -279,6 +279,33 @@ def test_cli_mask_rejects_a_fraction_outside_the_unit_interval(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["iid", "distinct"])
+def test_cli_mask_negative_seed_is_one_error_line(tmp_path, capsys, mode):
+    dens = str(tmp_path / "pi.avds")
+    out = tmp_path / "mask.avds"
+    tensorio.write_tensor(dens, np.full(8, 1 / 8))
+    code = run_cli(
+        "mask", "--density", dens, "--m", "4", "--mode", mode, "--seed", "-1", "--out", str(out)
+    )
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == ["error: ConfigError"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("partition", ["singletons", "lines-v"])
+def test_cli_density_wrong_length_weights_are_invalid_weights(tmp_path, capsys, partition):
+    w = str(tmp_path / "w.avds")
+    out = tmp_path / "pi.avds"
+    tensorio.write_tensor(w, np.full(16, 0.5))
+    code = run_cli(
+        "density", "--spec", "dft2d:haar2d:8", "--weights", w, "--kind", "adapted",
+        "--partition", partition, "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == ["error: InvalidWeights"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "square,error",
     [("0", "InvalidPartition"), ("-4", "InvalidPartition"), ("x", "ConfigError")],

@@ -27,6 +27,13 @@ def test_unknown_mode_is_a_config_error():
         draw_mask(uniform_density(8), 3, mode="iid ")
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-5)], ids=["int", "numpy"])
+@pytest.mark.parametrize("mode", [IID, DISTINCT])
+def test_negative_seed_is_a_config_error(seed, mode):
+    with pytest.raises(ConfigError, match="seed"):
+        draw_mask(uniform_density(8), 3, mode=mode, seed=seed)
+
+
 def test_degenerate_density_iid():
     dens = Density(np.array([1.0, 0.0, 0.0]), 1.0)
     mask = draw_mask(dens, 7, mode=IID, seed=3)
