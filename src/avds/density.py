@@ -241,17 +241,16 @@ def _norm_terms(spec: OperatorSpec, partition: BlockPartition, weights: WeightVe
     if phi is not None:
         axis, line = _grid_lines(partition, spec.side)
         lines = axis >= 0
-        terms[:, lines] = _line_closed_form(phi, weights.matrix())[axis[lines], :, line[lines]].T
+        if lines.any():
+            terms[:, lines] = _line_closed_form(phi, weights.matrix())[axis[lines], :, line[lines]].T
     labels = energy_classes(spec)
-    if labels is not None:
+    if labels is not None and np.isnan(terms[1]).any():
         reps = np.unique(labels, return_index=True)[1]
         slab = np.zeros((reps.size, spec.dim))
         slab[np.arange(reps.size), reps] = 1.0
         energy = np.abs(apply(spec, Direction.FORWARD, slab)) ** 2  # (classes, K)
         live = np.bincount(labels, weights=positive) > 0
-        sums = energy[live]  # one-row blocks are the rows in index order: each sum is one row
-        if partition.m < partition.dim:
-            sums = np.add.reduceat(sums[:, partition.rows], partition._starts, axis=1)
+        sums = np.add.reduceat(energy[live][:, partition.rows], partition._starts, axis=1)
         terms[1] = np.where(np.isnan(terms[1]), sums.max(axis=0), terms[1])
         if gram:
             one_row = np.isnan(terms[0]) & (partition.sizes == 1)
