@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
 from .support_model import WeightVector, estimate_weights, flip
 from .transforms import Direction, Measurement, OperatorSpec, Sparsity, apply
+
+# the density names `avds density --kind` and the configs accept
+_DENSITY_KINDS = ("adapted", "uniform", "coherence", "polynomial")
 
 _SPARSITY_ALIASES = {
     "haar2d_multilevel": "haar2d",
@@ -71,6 +74,16 @@ def parse_partition(text: str | None, spec: OperatorSpec) -> BlockPartition:
     raise ConfigError(f"unknown partition {text!r}")
 
 
+def _read_vector(path: str, real: bool = False) -> np.ndarray:
+    """A .avds tensor as a column-major vector; a real input has no imaginary part."""
+    vec = tensorio.read_tensor(path).reshape(-1, order="F")
+    if real:
+        if np.any(np.imag(vec) != 0):
+            raise FormatError(f"{path}: entries must be real")
+        vec = np.real(vec)
+    return vec
+
+
 def _load_corpus(directory: str, spec: OperatorSpec) -> np.ndarray:
     """Coefficient vectors from a directory of .avds vectors or .pgm images."""
     paths = sorted(
@@ -83,7 +96,7 @@ def _load_corpus(directory: str, spec: OperatorSpec) -> np.ndarray:
     rows = []
     for path in paths:
         if path.endswith(".avds"):
-            vec = tensorio.read_tensor(path).reshape(-1)
+            vec = _read_vector(path)
         else:
             img = tensorio.read_pgm(path)
             if spec.is_2d and img.shape != (spec.side, spec.side):
@@ -135,8 +148,7 @@ def _resolve_weights(entry: dict, spec: OperatorSpec, base_dir: str) -> tuple:
         s = _number(entry["sparsity"], "weights sparsity")
         wv = WeightVector.from_omega(np.full(spec.dim, s / spec.dim))
     elif source == "tensor":
-        omega = tensorio.read_tensor(os.path.join(base_dir, entry["path"]))
-        wv = WeightVector.from_omega(omega.real.reshape(-1, order="F").ravel())
+        wv = WeightVector.from_omega(_read_vector(os.path.join(base_dir, entry["path"]), real=True))
     elif source == "corpus":
         corpus = _load_corpus(os.path.join(base_dir, entry["path"]), spec)
         wv = estimate_weights(
@@ -158,7 +170,7 @@ def _resolve_weights(entry: dict, spec: OperatorSpec, base_dir: str) -> tuple:
 _SHARED_KEYS = {"schema_version", "seed", "spec", "partition", "weights"}
 _CONFIG_KEYS = _SHARED_KEYS | {"trials", "fraction", "budget", "flip", "densities", "solver"}
 _DIAG_KEYS = _SHARED_KEYS | {"density", "m", "trials", "epsilon"}
-_SOLVER_KEYS = {"continuation_steps", "final_mu_factor", "inner_tol", "max_inner"}
+_SOLVER_KEYS = {f.name for f in fields(SolverParams)}
 _SOLVER_INT_KEYS = {"continuation_steps", "max_inner"}
 _PARTITION_NAMES = {
     "singletons": None,
@@ -222,10 +234,12 @@ def _optional(value, check, key: str):
     return None if value is None else check(value, key)
 
 
-def _names(value, key: str) -> list:
-    """A non-empty list of names."""
-    if not isinstance(value, list) or not value or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{key} must be a non-empty list of names, got {value!r}")
+def _density_names(value, key: str) -> list:
+    """A non-empty list of names from `_DENSITY_KINDS`."""
+    if not isinstance(value, list) or not value or not all(v in _DENSITY_KINDS for v in value):
+        raise ConfigError(
+            f"{key} must be a non-empty list of names from {_DENSITY_KINDS}, got {value!r}"
+        )
     return list(value)
 
 
@@ -261,7 +275,9 @@ def _experiment_config(raw: dict, path: str) -> ExperimentConfig:
         return ExperimentConfig(
             spec=spec,
             weights=weights,
-            density_kinds=_names(raw.get("densities", ["adapted", "uniform"]), "densities"),
+            density_kinds=_density_names(
+                raw.get("densities", ["adapted", "uniform"]), "densities"
+            ),
             trials=_integer(raw.get("trials", 1), "trials"),
             master_seed=_integer(raw.get("seed", 0), "seed"),
             partition=partition,
@@ -300,7 +316,7 @@ def _cmd_density(args) -> int:
     if args.kind == "adapted":
         if args.weights is None:
             raise ConfigError("adapted density needs --weights")
-        omega = tensorio.read_tensor(args.weights).real.reshape(-1, order="F")
+        omega = _read_vector(args.weights, real=True)
         dens = adapted_blocks(spec, partition, WeightVector.from_omega(omega))
     else:
         dens = baseline_density(args.kind, spec, partition)
@@ -314,7 +330,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_mask(args) -> int:
-    pi = tensorio.read_tensor(args.density).real.reshape(-1, order="F")
+    pi = _read_vector(args.density, real=True)
     dens = Density(pi, float(pi.sum()))
     if args.m is not None:
         budget = args.m
@@ -354,7 +370,7 @@ def _cmd_reconstruct(args) -> int:
         coeffs = apply(sparsity_only, Direction.ADJOINT, img.T.ravel())
         y = measure(coeffs, op)
     elif args.input:
-        y = tensorio.read_tensor(args.input).reshape(-1)
+        y = _read_vector(args.input)
     else:
         raise ConfigError("need --input Y.avds or --image IMG.pgm")
     params = SolverParams(max_inner=args.max_inner)
@@ -395,8 +411,8 @@ def _cmd_diagnose(args) -> int:
         trials = _integer(raw.get("trials", 200), "trials")
         epsilon = _number(raw.get("epsilon", 0.01), "epsilon")
     kind = raw.get("density", "adapted")
-    if not isinstance(kind, str):
-        raise ConfigError(f"{path}: density must be a name, got {kind!r}")
+    if kind not in _DENSITY_KINDS:
+        raise ConfigError(f"{path}: density must be one of {_DENSITY_KINDS}, got {kind!r}")
     # the shared sections in the experiment schema, whose budget is unused here
     shared = {key: raw[key] for key in _SHARED_KEYS if key in raw}
     cfg = _experiment_config(dict(shared, budget=1), path)
@@ -413,26 +429,15 @@ def _cmd_diagnose(args) -> int:
             seed=cfg.master_seed,
             epsilon=epsilon,
         )
-        out.append(
-            {
-                "m": diag.m,
-                "mu": diag.mu,
-                "lambda_mean": float(np.mean(diag.lambda_samples)),
-                "lambda_max": float(np.max(diag.lambda_samples)),
-                "gram_tail_prob": diag.gram_tail_prob,
-                "threshold_inf1": diag.threshold_inf1,
-                "threshold_gram": diag.threshold_gram,
-                "m_bound_inf1": diag.m_bound_inf1,
-                "m_bound_gram": diag.m_bound_gram,
-            }
-        )
+        row = asdict(diag)
+        lam = row.pop("lambda_samples")
+        out.append(dict(row, lambda_mean=float(np.mean(lam)), lambda_max=float(np.max(lam))))
     print(json.dumps(out, sort_keys=True, indent=2))
     return 0
 
 
 def _cmd_flip(args) -> int:
-    data = tensorio.read_tensor(args.infile)
-    tensorio.write_tensor(args.out, flip(data.reshape(-1, order="F")))
+    tensorio.write_tensor(args.out, flip(_read_vector(args.infile)))
     print(f"flipped vector written to {args.out}")
     return 0
 
@@ -458,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=["adapted", "uniform", "coherence", "polynomial"],
+        choices=_DENSITY_KINDS,
     )
     p.add_argument("--partition")
     p.add_argument("--out", required=True)

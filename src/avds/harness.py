@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .recon import MeasurementOp, SolverParams, measure, solve_bp
 from .support_model import (
     SupportDistribution,
     WeightVector,
+    _check_seed,
     draw_signals,
     flip,
     normalize_weights,
@@ -123,6 +124,9 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("the master seed must be >= 0")
+        if len(set(self.density_kinds)) < len(self.density_kinds):
+            # one kind's trials would be pooled under one report key
+            raise ConfigError(f"density kinds repeat: {self.density_kinds}")
         if self.budget is None:
             if self.fraction is None or not 0 < self.fraction <= 1:
                 raise ConfigError("need a budget or a fraction in (0, 1]")
@@ -151,12 +155,7 @@ class ExperimentConfig:
             "budget": self.resolved_budget,
             "flip": self.flip_coefficients,
             "master_seed": self.master_seed,
-            "solver": {
-                "continuation_steps": self.solver.continuation_steps,
-                "final_mu_factor": self.solver.final_mu_factor,
-                "inner_tol": self.solver.inner_tol,
-                "max_inner": self.solver.max_inner,
-            },
+            "solver": asdict(self.solver),
             "weights": dict(self.weight_descriptor),
             "seed_scheme": (
                 "SeedSequence(master).spawn(trials); per trial: [signal, mask per kind]; "
@@ -178,18 +177,9 @@ class ExperimentReport:
     wall_clock_s: float
 
     def to_json(self, include_timing: bool = True) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "psnr_db": self.psnr_db,
-            "psnr_mean": self.psnr_mean,
-            "psnr_sd": self.psnr_sd,
-            "covered_fraction": self.covered_fraction,
-            "density_info": self.density_info,
-            "unconverged_solves": self.unconverged_solves,
-        }
-        if include_timing:
-            payload["wall_clock_s"] = self.wall_clock_s
+        payload = asdict(self)
+        if not include_timing:
+            del payload["wall_clock_s"]
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
@@ -324,6 +314,7 @@ def diagnostics(
         raise ConfigError("diagnostics need trials >= 1")
     if not 0 < epsilon < 1:
         raise ConfigError(f"epsilon is a failure probability in (0, 1), got {epsilon}")
+    _check_seed(seed)
     gram_terms, inf_terms = block_norm_terms(spec, partition, weights)
     pi = density.pi
     live = pi > 0

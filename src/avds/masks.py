@@ -23,6 +23,7 @@ import numpy as np
 
 from .density import BlockPartition, Density
 from .errors import ConfigError, InfeasibleBudget, InvalidPartition, UnnormalizedDensity
+from .support_model import _check_seed
 
 IID = "iid"
 DISTINCT = "distinct"
@@ -73,9 +74,7 @@ def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) ->
         raise ConfigError(f"unknown mask mode {mode!r}")
     if budget < 1:
         raise InfeasibleBudget("budget must be >= 1")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ConfigError(f"mask seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     if mode == IID:
         return Mask(*_iid_draw(*_categorical_table(density), budget, rng), n_draws=budget)
     atoms = _positive_atoms(density)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidWeights
+from .errors import ConfigError, InvalidWeights
 
 _SUM_TOL = 1e-6
 
@@ -200,9 +200,16 @@ class SupportDistribution:
         return self.sparsity - len(self._forced)
 
 
+def _check_seed(seed):
+    """`seed`, checked: a negative integer seed is a ConfigError (numpy's is a ValueError)."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigError(f"a seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def sample_supports(dist: SupportDistribution, n: int, seed=None) -> np.ndarray:
     """Draw n exact supports as a boolean (n, K) matrix; deterministic given seed."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     return _sequential_supports(dist, rng.random((n, len(dist._free))))
 
 
@@ -251,7 +258,7 @@ def _sequential_supports(dist: SupportDistribution, u: np.ndarray) -> np.ndarray
 
 def draw_signals(dist: SupportDistribution, n: int, seed=None) -> np.ndarray:
     """n signal vectors (n, K): rejective supports, iid +-1 magnitudes."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     masks = sample_supports(dist, n, seed=rng.integers(2**63))
     signs = rng.integers(0, 2, size=masks.shape) * 2 - 1
     return masks * signs.astype(float)

@@ -133,6 +133,11 @@ def test_run_experiment_reproducible():
     assert all(len(v) == 3 for v in r1.psnr_db.values())
 
 
+def test_repeated_density_kinds_are_a_config_error():
+    with pytest.raises(ConfigError, match="repeat"):
+        small_config(density_kinds=["uniform", "uniform"])
+
+
 def test_run_experiment_full_sampling_inf():
     cfg = small_config(fraction=1.0, trials=1)
     report = run_experiment(cfg)
@@ -184,6 +189,16 @@ def test_diagnostics_dft_mu():
     diag = diagnostics(spec, part, dens, wv, m=m, trials=5, seed=1)
     assert diag.mu == pytest.approx(1.0 / m, rel=1e-10)
     assert diag.threshold_inf1 == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-5)], ids=["int", "numpy"])
+def test_diagnostics_negative_seed_is_a_config_error(seed):
+    k = 16
+    spec = OperatorSpec(Measurement.DFT1D, Sparsity.IDENTITY, k)
+    wv = normalize_weights(np.full(k, 0.25), 4)
+    dens = baseline_density("uniform", spec)
+    with pytest.raises(ConfigError, match="seed"):
+        diagnostics(spec, BlockPartition.singletons(k), dens, wv, m=8, trials=2, seed=seed)
 
 
 def test_diagnostics_tail_decreases_with_m():

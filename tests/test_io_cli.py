@@ -464,6 +464,9 @@ def _without(cfg, key, inner=None):
         ("experiment", dict(_EXPERIMENT_CFG, spec=dict(_EXPERIMENT_CFG["spec"], levels=True))),
         ("experiment", dict(_EXPERIMENT_CFG, partition={"kind": "squares", "block_side": 2.5})),
         ("experiment", dict(_EXPERIMENT_CFG, weights={"source": "uniform", "sparsity": True})),
+        ("experiment", dict(_EXPERIMENT_CFG, densities=["adapted", "foo"])),
+        ("experiment", dict(_EXPERIMENT_CFG, densities=["uniform", "uniform"])),
+        ("diagnose", dict(_DIAGNOSE_CFG, density="foo")),
     ],
     ids=[
         "diagnose-no-spec",
@@ -500,6 +503,9 @@ def _without(cfg, key, inner=None):
         "experiment-levels-bool",
         "experiment-block-side-not-integral",
         "experiment-sparsity-bool",
+        "experiment-density-unknown",
+        "experiment-densities-repeated",
+        "diagnose-density-unknown",
     ],
 )
 def test_cli_config_errors_are_config_errors(tmp_path, capsys, command, config):
@@ -551,3 +557,80 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_corpus_vectors_are_read_column_major(tmp_path):
+    # a 4 x 4 grid with one coefficient at (row 1, col 3): flat index 3 * 4 + 1
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    grid = np.zeros((4, 4))
+    grid[1, 3] = 1.0
+    tensorio.write_tensor(str(corpus_dir / "0.avds"), grid)
+    out = str(tmp_path / "w.avds")
+    assert run_cli(
+        "estimate-weights", "--corpus", str(corpus_dir),
+        "--transform", "dft2d:identity:4", "--threshold", "0.5", "--out", out,
+    ) == 0
+    assert np.flatnonzero(tensorio.read_tensor(out)).tolist() == [13]
+
+
+def _real_input_commands(tmp_path, vector):
+    """The three commands that read a real .avds vector, each fed `vector`."""
+    path = str(tmp_path / "v.avds")
+    tensorio.write_tensor(path, vector)
+    cfg = dict(_EXPERIMENT_CFG, weights={"source": "tensor", "path": path})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "out.avds")
+    return {
+        "density-weights": [
+            "density", "--spec", "dft2d:identity:4", "--kind", "adapted",
+            "--weights", path, "--out", out,
+        ],
+        "config-tensor-weights": ["experiment", "--config", str(cfg_path), "--no-timing"],
+        "mask-density": ["mask", "--density", path, "--m", "4", "--out", out],
+    }
+
+
+@pytest.mark.parametrize("command", ["density-weights", "config-tensor-weights", "mask-density"])
+def test_cli_complex_real_inputs_are_format_errors(tmp_path, capsys, command):
+    vector = np.full(16, 1 / 16, dtype=complex)
+    vector[5] += 1e-3j
+    argv = _real_input_commands(tmp_path, vector)[command]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().out.splitlines() == ["error: FormatError"]
+
+
+@pytest.mark.parametrize("command", ["density-weights", "config-tensor-weights", "mask-density"])
+def test_cli_complex_real_inputs_with_zero_imaginary_part_are_read(tmp_path, command):
+    argv = _real_input_commands(tmp_path, np.full(16, 1 / 16, dtype=complex))[command]
+    assert run_cli(*argv) == 0
+
+
+def test_reports_hold_exactly_their_schema_fields(tmp_path, capsys):
+    # a new record field reaches a report only through a deliberate schema change
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(_EXPERIMENT_CFG, trials=1)))
+    assert run_cli("experiment", "--config", str(path)) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert run_cli("experiment", "--config", str(path), "--no-timing") == 0
+    untimed = json.loads(capsys.readouterr().out)
+    assert timed["schema_version"] == 2
+    assert set(timed) == {
+        "schema_version", "config", "psnr_db", "psnr_mean", "psnr_sd",
+        "covered_fraction", "density_info", "unconverged_solves", "wall_clock_s",
+    }
+    assert set(timed) - set(untimed) == {"wall_clock_s"}
+    assert set(timed["config"]["solver"]) == {
+        "continuation_steps", "final_mu_factor", "inner_tol", "max_inner",
+    }
+
+    path.write_text(json.dumps(dict(_DIAGNOSE_CFG, m=[4, 8])))
+    assert run_cli("diagnose", "--config", str(path)) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 2
+    for row in rows:
+        assert set(row) == {
+            "m", "mu", "lambda_mean", "lambda_max", "gram_tail_prob",
+            "threshold_inf1", "threshold_gram", "m_bound_inf1", "m_bound_gram",
+        }

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_support import sequential_path_log_prob, support_prob
 
-from avds.errors import InvalidWeights
+from avds.errors import ConfigError, InvalidWeights
 from avds.support_model import (
     MAX_ESP_ENTRIES,
     SupportDistribution,
@@ -343,3 +343,17 @@ def test_distribution_refuses_an_oversized_table_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-5)], ids=["int", "numpy"])
+def test_sample_supports_negative_seed_is_a_config_error(seed):
+    dist = SupportDistribution(WeightVector.from_omega(np.full(8, 0.25)))
+    with pytest.raises(ConfigError, match="seed"):
+        sample_supports(dist, 2, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-5)], ids=["int", "numpy"])
+def test_draw_signals_negative_seed_is_a_config_error(seed):
+    dist = SupportDistribution(WeightVector.from_omega(np.full(8, 0.25)))
+    with pytest.raises(ConfigError, match="seed"):
+        draw_signals(dist, 2, seed=seed)
