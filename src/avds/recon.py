@@ -9,15 +9,23 @@ configured final value.
 The iteration runs in the layout of `transforms.solver_plan`, entered once
 and left once per solve, in buffers allocated once: per-subband
 Walsh-Hadamard blocks for Hadamard2D x Haar MRA, the identity layout with
-the stages of `apply` for every other operator.  The projection runs on
-the full layout: A0 v times a 0/1 vector of the mask rows, minus y
-scattered into the layout once, so no iteration gathers or scatters.  The
+the stages of `apply` for every other operator.  The plan owns the
+projection: `plan.projector` builds `project(v, out)` once per solve,
+with buffers of its own.  On the Walsh blocks, which are their own
+inverse, it computes B(where(keep, y, B v)), writing every matrix product
+into those buffers and assigning y to the measured rows between the two
+transforms, for real and complex iterates alike; on the identity layout
+it multiplies A0 v by a 0/1 vector of the mask rows and subtracts y
+scattered into the layout once.  A real iterate shrinks as
+z - clip(z, -mu, mu), a complex one as z - mu z / max(|z|, mu).  The
 stopping window takes the Huber objective from two dot products; the
 reported stage objectives keep the direct formula.  The window value can
 differ from the direct formula in its last digits, so a stage may stop at
 another iteration than a window of direct values would.  x0 = A* y and the
 final residual come from `adjoint_measure` and `measure`, so the dense
-path checks the feasibility of the answer independently.
+path checks the feasibility of the answer independently.  Measurements
+must be finite and the mask rows distinct; otherwise `solve_bp` raises
+`UnsupportedSolver` before it iterates.
 """
 
 from __future__ import annotations
@@ -38,9 +46,10 @@ from .transforms import Direction, OperatorSpec, apply, solver_plan
 class MeasurementOp:
     """Row-subsampled composite operator A: the mask's rows of the unitary A0.
 
-    A distinct mask yields A A* = I.  A mask with repeated rows (i.i.d.
-    draws) keeps each row once, so A is not orthonormal and the solver
-    rejects it.
+    A distinct mask yields A A* = I.  The solver rejects the others: a
+    mask with repeated draws (i.i.d. multiplicities) keeps each row once,
+    so A is not the drawn operator, and an index listed twice repeats a
+    row of A, so A A* != I.
     """
 
     spec: OperatorSpec
@@ -53,7 +62,8 @@ class MeasurementOp:
 
     @property
     def is_orthonormal(self) -> bool:
-        return bool(np.all(self.mask.multiplicities == 1))
+        idx = np.sort(self.mask.indices)  # np.unique would import numpy.ma, 1 MB resident
+        return bool(np.all(self.mask.multiplicities == 1) and np.all(idx[1:] != idx[:-1]))
 
     @property
     def dim(self) -> int:
@@ -131,7 +141,8 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
 
     Requires an orthonormal operator (unscaled, distinct mask) so that the
     affine projection is exact; every iterate is feasible, hence the
-    returned point satisfies the constraint to roundoff.
+    returned point satisfies the constraint to roundoff.  Raises
+    `UnsupportedSolver` for another operator or non-finite measurements.
     """
     if params is None:
         params = SolverParams()
@@ -140,6 +151,8 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
             "solve_bp needs an unscaled operator over a distinct mask (A A* = I)"
         )
     y = np.asarray(y)
+    if not np.all(np.isfinite(y)):
+        raise UnsupportedSolver("solve_bp needs finite measurements")
     x0 = adjoint_measure(y, op)
     peak = float(np.max(np.abs(x0))) if x0.size else 0.0
     if peak == 0.0:
@@ -154,15 +167,12 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
         mus = np.geomspace(mu_first, mu_last, n_stage)
 
     plan = solver_plan(op.spec)
-    rows = plan.slots[op.mask.indices]
-    keep = np.zeros(x0.shape[-1])
-    keep[rows] = 1.0
-    y_layout = np.zeros_like(x0)
-    y_layout[..., rows] = y
-    x = x0[..., plan.order]
-    x_new, z, step, gap = (np.empty_like(x) for _ in range(4))
+    project = plan.projector(plan.slots[op.mask.indices], y)
+    x = x0[..., plan.order].reshape(x0.shape[:-1] + plan.shape)
+    x_new, z, step = (np.empty_like(x) for _ in range(3))
     mag, quad = np.empty(x.shape), np.empty(x.shape)
     small = np.empty(x.shape, dtype=bool)
+    real = not np.iscomplexobj(x)
 
     total_iters = 0
     converged = True
@@ -173,16 +183,18 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
         window: deque = deque(maxlen=10)
         stage_converged = False
         for _ in range(params.max_inner):
-            # z - mu * grad of the Huber objective at z
-            np.abs(z, out=mag)
-            np.maximum(mag, mu, out=mag)
-            np.divide(z, mag, out=step)
-            np.multiply(step, mu, out=step)
+            # z - mu * grad of the Huber objective at z: z - clip(z, -mu, mu)
+            # when real, z - mu z / max(|z|, mu) when complex
+            if real:
+                np.minimum(z, mu, out=step)
+                np.maximum(step, -mu, out=step)
+            else:
+                np.abs(z, out=mag)
+                np.maximum(mag, mu, out=mag)
+                np.divide(z, mag, out=step)
+                np.multiply(step, mu, out=step)
             np.subtract(z, step, out=step)
-            # project onto {x : Ax = y}: v - A*(Av - y), Av - y kept on the mask rows
-            np.multiply(plan.forward(step), keep, out=gap)
-            np.subtract(gap, y_layout, out=gap)
-            np.subtract(step, plan.adjoint(gap), out=x_new)
+            project(step, x_new)  # onto {x : Ax = y}
             t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
             np.subtract(x_new, x, out=z)
             np.multiply(z, (t - 1.0) / t_new, out=z)
@@ -197,8 +209,8 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
                     break
         stage_objectives.append(_huber_objective(x, float(mus[-1]), mag, quad, small))
         converged = converged and stage_converged
-    x_out = np.empty_like(x)
-    x_out[..., plan.order] = x
+    x_out = np.empty_like(x0)
+    x_out[..., plan.order] = x.reshape(x0.shape)
     residual = float(np.linalg.norm(measure(x_out, op) - y))
     if not converged:
         warnings.warn(

@@ -38,11 +38,13 @@ step satisfy H_n S_n^T = R_n diag(H_{n/2}, H_{n/2}), with R_n interleaving
 rows, so at every level A0 is a fixed permutation of a block-diagonal
 matrix, one Walsh-Hadamard block H_s (x) H_s per s x s subband (each block
 one energy class).  `solver_plan` gives basis pursuit the layout to iterate
-in: for this operator the subbands as contiguous blocks, the whole block
+in, and the projection onto {x : Ax = y} that a solve builds there once:
+for this operator the subbands as contiguous blocks, the whole block
 operator two matrix products, since H_s (x) H_s = H_{s^2/c} (x) H_c with
 c = side/2 (about 262k multiply-adds in two calls per transform at side 64
-and J = 3, against 598k for the dense factors); for every other operator
-the identity layout with the stages of `apply`, resolved once per spec.
+and J = 3, against 598k for the dense factors), each written into buffers
+the projection owns; for every other operator the identity layout with
+the stages of `apply`, resolved once per spec.
 `apply` itself keeps the dense factors: per call the two gathers into and
 out of the block layout cost more than they save.
 """
@@ -504,13 +506,19 @@ class SolverPlan(NamedTuple):
 
     A0 x = (forward(x[..., order]))[..., slots]: `order[i]` is the
     coefficient at layout position i and `slots[k]` the layout position of
-    measurement k.  `adjoint` is the adjoint of `forward`.
+    measurement k.  `adjoint` is the adjoint of `forward`; both take and
+    return flat layout vectors.  `projector(rows, y)` builds, once per
+    solve, `project(v, out)`: out = v - A*(Av - y) for the measurements at
+    layout positions `rows`, in buffers it owns.  Its v and out have the
+    trailing `shape`, the layout's K entries in the shape its kernels read.
     """
 
     order: np.ndarray
     slots: np.ndarray
+    shape: tuple
     forward: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
+    projector: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray, np.ndarray], None]]
 
 
 def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
@@ -531,17 +539,21 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
     first, LL_J last.  Block B (row-major) maps to H_s B H_s, which is
     H_s (x) H_s = H_{s^2} on its vector, and in Sylvester order H_{s^2} =
     H_{s^2/c} (x) H_c for every power of two c <= s^2.  With c = side/2
-    the layout is a (2 side, c) matrix U, and the whole operator is two
-    products, T U H_c: one shared H_c on the right, and on the left T, a
-    stack of four (side/2)-square tiles, each block-diagonal with the
-    H_{s^2/c} of the subbands in its rows.  Blocks are finest first with
-    power-of-two sizes, so none straddles a tile.  Subbands with s^2 < c
-    share rows: the last 4 (side >> j0)^2 entries, one or two rows, j0
-    the first such level.  Those rows take one block-diagonal product of
-    their own, and zeros in their tile.  At side 64, J = 3 this is 262k
-    multiply-adds in two matrix products, against 225k in six for one
-    H_s B H_s stack per side: more multiply-adds in fewer calls.  The block operator is
-    real, symmetric and its own inverse, so it is its own adjoint.
+    the layout is a stack of four c x c tiles U, and the whole operator is
+    two products, T U H_c: one shared H_c on the right, and on the left T,
+    four c-square tiles, each block-diagonal with the H_{s^2/c} of the
+    subbands in its rows.  Blocks are finest first with power-of-two
+    sizes, so none straddles a tile.  Subbands with s^2 < c share rows:
+    the last 4 (side >> j0)^2 entries, one or two rows, j0 the first such
+    level.  No block straddles a row either, so each shared row takes one
+    product with its own block-diagonal c x c factor, and zeros in its
+    tile.  At side 64, J = 3 this is 262k multiply-adds in two matrix
+    products, against 225k in six for one H_s B H_s stack per side: more
+    multiply-adds in fewer calls.  The block operator B is real, symmetric
+    and its own inverse, so it is its own adjoint, and the projection
+    v - B(keep B v - y) is B(where(keep, y, B v)): one assignment of y to
+    the measured rows between two transforms, which write into buffers
+    of the iterate's dtype.
     """
     side, levels = spec.side, spec.levels
     order, sizes = [], []
@@ -567,33 +579,79 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
     ]
     slots = position[cell[0] * side + cell[1]]
 
-    # U = the layout as a (2 side, c) matrix, split into four tiles of rows
+    # U = the layout as four c x c tiles; the shared rows end the last one
     c = side // 2
-    tiles = np.zeros((4, c, c))
-    shared = sum(size for size in sizes if size < c)  # entries in the last rows
-    diagonal = np.zeros((shared, shared))
+    shape = (4, c, c)
+    tiles = np.zeros(shape)
+    shared_rows = sum(size for size in sizes if size < c) // c
+    row_factors = np.zeros((shared_rows, c, c))
     start = 0
     for size in sizes:
+        q, row = divmod(start // c, c)
         if size >= c:
-            n, (q, row) = size // c, divmod(start // c, c)
+            n = size // c
             tiles[q, row : row + n, row : row + n] = _hadamard(n)
         else:
-            at = start - (order.size - shared)
-            diagonal[at : at + size, at : at + size] = _hadamard(size)
+            at = start % c
+            row_factors[row - (c - shared_rows), at : at + size, at : at + size] = _hadamard(size)
         start += size
-    factors = (_frozen(tiles), _hadamard(c))
-    diagonal = _frozen(diagonal)
+    factors = (_hadamard(c), _frozen(tiles), _frozen(row_factors))
+    tail = (..., 3, slice(c - shared_rows, c), None, slice(None))  # shared rows as 1 x c
 
-    def blocks(u):
-        shape = u.shape[:-1] + (4, c, c)
-        out = _sandwich(factors, u.reshape(shape), False, out=np.empty(shape))
-        out = out.reshape(u.shape)
-        if shared:
-            np.matmul(u[..., -shared:], diagonal, out=out[..., -shared:])
+    def blocks(u, out, tmp, right, left, row_right):
+        """B u into `out`, both (..., 4, c, c), through `tmp`."""
+        np.matmul(u, right, out=tmp)
+        np.matmul(left, tmp, out=out)
+        if shared_rows:
+            np.matmul(u[tail], row_right, out=out[tail])
         return out
 
-    blocks = _split_complex(blocks)
-    return SolverPlan(_frozen(order), _frozen(slots), blocks, blocks)
+    def transform(x):
+        u = x.reshape(x.shape[:-1] + shape)
+        out = np.empty(u.shape, np.result_type(u, float))
+        return blocks(u, out, np.empty_like(out), *factors).reshape(x.shape)
+
+    def projector(rows, y):
+        y = np.asarray(y)
+        dtype = np.result_type(y, float)
+        right, left, row_right = (np.asarray(m, dtype) for m in factors)  # complex copies once
+        w = np.empty(y.shape[:-1] + shape, dtype)
+        tmp = np.empty_like(w)
+        # layout position first: the assignment then indexes the first axis,
+        # about half the cost of indexing the last one through an ellipsis
+        w_by_row, y_by_row = w.reshape(y.shape[:-1] + (-1,)).T, y.T
+
+        def project(v, out):
+            blocks(v, w, tmp, right, left, row_right)
+            w_by_row[rows] = y_by_row
+            blocks(w, out, tmp, right, left, row_right)
+
+        return project
+
+    return SolverPlan(_frozen(order), _frozen(slots), shape, transform, transform, projector)
+
+
+def _identity_plan(spec: OperatorSpec) -> SolverPlan:
+    """The identity layout with the stages of `apply`; its projection masks
+    A0 v by a 0/1 vector of the measured rows and subtracts y scattered once."""
+    identity = _frozen(np.arange(spec.dim))
+    forward, adjoint = _stages(spec, True), _stages(spec, False)
+
+    def projector(rows, y):
+        y = np.asarray(y)
+        keep = np.zeros(spec.dim)
+        keep[rows] = 1.0
+        y_layout = np.zeros(y.shape[:-1] + (spec.dim,), np.result_type(y, float))
+        y_layout[..., rows] = y
+
+        def project(v, out):
+            np.multiply(forward(v), keep, out=out)
+            np.subtract(out, y_layout, out=out)
+            np.subtract(v, adjoint(out), out=out)
+
+        return project
+
+    return SolverPlan(identity, identity, (spec.dim,), forward, adjoint, projector)
 
 
 @lru_cache(maxsize=None)
@@ -601,13 +659,15 @@ def solver_plan(spec: OperatorSpec) -> SolverPlan:
     """The layout basis pursuit iterates in, resolved once per spec.
 
     Hadamard2D x Haar MRA gets its per-subband Walsh blocks
-    (`_walsh_haar_plan`); every other operator the identity layout with
-    the stages of `apply`.
+    (`_walsh_haar_plan`), whose projection runs every transform in place
+    around one assignment of y; every other operator the identity layout
+    with the stages of `apply` (`_identity_plan`).  Each plan's
+    `projector` builds the projection once per solve, with its own
+    buffers.
     """
     if spec.measurement == Measurement.HADAMARD2D and spec.sparsity == Sparsity.HAAR2D:
         return _walsh_haar_plan(spec)
-    identity = _frozen(np.arange(spec.dim))
-    return SolverPlan(identity, identity, _stages(spec, True), _stages(spec, False))
+    return _identity_plan(spec)
 
 
 def apply(spec: OperatorSpec, direction: Direction, x: np.ndarray) -> np.ndarray:

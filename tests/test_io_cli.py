@@ -260,6 +260,21 @@ def test_cli_reconstruct_rejects_bad_mask_files(tmp_path, capsys, indices, error
     assert not out.exists()
 
 
+def test_cli_reconstruct_rejects_a_nan_measurement(tmp_path, capsys):
+    maskf = str(tmp_path / "mask.avds")
+    yf = str(tmp_path / "y.avds")
+    out = tmp_path / "xhat.avds"
+    tensorio.write_tensor(maskf, np.stack([np.arange(0.0, 16.0, 2.0), np.ones(8)]))
+    tensorio.write_tensor(yf, np.array([1.0, 0.5, np.nan, 0.0, 2.0, 1.0, 0.0, 0.25]))
+    code = run_cli(
+        "reconstruct", "--spec", "hadamard2d:haar2d:4:1", "--mask", maskf,
+        "--input", yf, "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == ["error: UnsupportedSolver"]
+    assert not out.exists()
+
+
 def test_cli_mask_rejects_a_nan_density(tmp_path, capsys):
     dens = str(tmp_path / "pi.avds")
     out = tmp_path / "mask.avds"

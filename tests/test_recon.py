@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from reference_recon import SingularGram, check_fuchs
@@ -72,6 +74,25 @@ def test_solver_rejects_repeated_draws():
     assert not op.is_orthonormal
     with pytest.raises(UnsupportedSolver):
         solve_bp(np.zeros(mask.size), op)
+
+
+def test_solver_rejects_a_repeated_index():
+    # a row listed twice: A A* has a 2 on the diagonal, so no exact projection
+    op = MeasurementOp(DFT64, Mask([3, 3, 7, 9], np.ones(4, dtype=int)))
+    assert not op.is_orthonormal
+    with pytest.raises(UnsupportedSolver):
+        solve_bp(np.ones(4), op)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_solver_rejects_non_finite_measurements(bad):
+    op = MeasurementOp(DFT64, distinct_mask(64, 16, seed=1))
+    y = np.ones(16, dtype=complex)
+    y[5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before any iteration warns
+        with pytest.raises(UnsupportedSolver, match="finite"):
+            solve_bp(y, op)
 
 
 def test_solve_full_sampling_is_exact_inverse():

@@ -2,10 +2,14 @@
 
 `tests/reference_recon.py` holds the solver as it was before it iterated
 in the layout of `transforms.solver_plan`.  Where that layout is the
-identity, the two must agree bit for bit: x, iterations, stage objectives
-and residual.  On Hadamard2D x Haar MRA the iteration runs on Walsh blocks
-in another order, so it agrees to roundoff: equal iterations and x within
-1e-9 relative.
+identity and the iterate is complex, the two must agree bit for bit: x,
+iterations, stage objectives and residual.  A real iterate shrinks as
+z - clip(z, -mu, mu), which rounds differently from the reference's
+z - mu z / max(|z|, mu), so it agrees to roundoff: equal iterations and
+convergence, x and stage objectives within 1e-12 relative, and a residual
+within 1e-9 ||y||.  On Hadamard2D x Haar MRA the iteration runs on Walsh
+blocks in another order, real or complex, so it agrees to roundoff: equal
+iterations and x within 1e-9 relative.
 """
 
 import warnings
@@ -66,21 +70,28 @@ def test_identity_layout_is_bit_identical(spec, fraction, sparsity, complex_sign
         y, op = _problem(spec, fraction, sparsity, seed, complex_signal)
         got, want = _both(y, op, params)
         assert got.x.dtype == want.x.dtype
-        assert np.array_equal(got.x, want.x)
         assert got.inner_iterations == want.inner_iterations
-        assert got.stage_objectives == want.stage_objectives
-        assert got.residual == want.residual
         assert got.converged == want.converged
+        if np.iscomplexobj(got.x):
+            assert np.array_equal(got.x, want.x)
+            assert got.stage_objectives == want.stage_objectives
+            assert got.residual == want.residual
+        else:
+            assert np.linalg.norm(got.x - want.x) <= 1e-12 * np.linalg.norm(want.x)
+            assert np.allclose(got.stage_objectives, want.stage_objectives, rtol=1e-12, atol=0)
+            assert got.residual <= 1e-9 * np.linalg.norm(y)
     if params is not None:
         assert not got.converged
 
 
+@pytest.mark.parametrize("complex_signal", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("side", [8, 16, 32])
-def test_walsh_haar_layout_matches_to_roundoff(side):
+def test_walsh_haar_layout_matches_to_roundoff(side, complex_signal):
     for levels in sorted({1, max(1, side.bit_length() - 4), side.bit_length() - 2}):
         spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, side, levels=levels)
         for seed in range(3):
-            y, op = _problem(spec, 0.3, max(2, spec.dim // 40), seed)
+            y, op = _problem(spec, 0.3, max(2, spec.dim // 40), seed, complex_signal)
+            assert np.iscomplexobj(y) == complex_signal
             got, want = _both(y, op)
             assert got.inner_iterations == want.inner_iterations, (spec, seed)
             err = np.linalg.norm(got.x - want.x) / np.linalg.norm(want.x)

@@ -5,13 +5,17 @@ subband.  At every side 2..64 and every depth: the coefficient order and
 the measurement slots are permutations, the block operator is A0 (and its
 transpose A0*) to 1e-12 ||x||, it is self-adjoint and involutory, and each
 block holds exactly one `energy_classes` class.  Every other pair keeps
-the identity layout and the stages of `apply`, bit for bit.
+the identity layout and the stages of `apply`, bit for bit.  Every plan's
+`project` is v - A*(Av - y) through `measure` and `adjoint_measure` to
+1e-12 relative, for real and complex y on random and full masks.
 """
 
 import numpy as np
 import pytest
 from test_transform_oracle import PAIRS, _specs
 
+from avds.masks import Mask
+from avds.recon import MeasurementOp, adjoint_measure, measure
 from avds.transforms import (
     Direction,
     Measurement,
@@ -95,3 +99,39 @@ def test_other_plans_are_apply_bit_for_bit(measurement, sparsity):
         for x in (batch[0].real, batch[0], batch):
             assert np.array_equal(plan.forward(x), apply(spec, Direction.FORWARD, x)), spec
             assert np.array_equal(plan.adjoint(x), apply(spec, Direction.ADJOINT, x)), spec
+
+
+def _projector_specs():
+    """Every spec of every pair up to K = 1024, and Walsh-Haar at side 64.
+
+    The deepest Walsh-Haar levels at sides 4 to 64 have subbands
+    with s^2 < side/2, which share the last one or two rows of the layout.
+    """
+    for pair in PAIRS:
+        yield from _specs(*pair)
+    yield from (spec for spec in _walsh_haar_specs() if spec.side == 64)
+
+
+@pytest.mark.parametrize("spec", list(_projector_specs()), ids=str)
+def test_projector_is_the_affine_projection(spec):
+    plan = solver_plan(spec)
+    k = spec.dim
+    rng = np.random.default_rng(k + (spec.levels or 0))
+    random_mask = np.sort(rng.choice(k, max(1, k // 3), replace=False))
+    for rows in (random_mask, np.arange(k)):
+        op = MeasurementOp(spec, Mask(rows, np.ones(rows.size)))
+        real, imag = rng.normal(size=(2, rows.size))
+        # one vector, real and complex, and a batch of two
+        for y in (real, real + 1j * imag, np.stack([real, imag])):
+            x0 = adjoint_measure(y, op)  # the iterate's dtype
+            v = rng.normal(size=x0.shape) + (
+                1j * rng.normal(size=x0.shape) if np.iscomplexobj(x0) else 0
+            )
+            want = v - adjoint_measure(measure(v, op) - y, op)
+            project = plan.projector(plan.slots[rows], y)
+            layout = v[..., plan.order].reshape(v.shape[:-1] + plan.shape)
+            out = np.empty_like(layout)
+            project(layout, out)
+            got = np.empty_like(v)
+            got[..., plan.order] = out.reshape(v.shape)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (spec, y.shape)
