@@ -20,7 +20,7 @@ import numpy as np
 
 from . import harness, tensorio
 from .density import BlockPartition, Density, adapted_blocks, baseline_density
-from .errors import AvdsError, ConfigError, FormatError
+from .errors import AvdsError, ConfigError, DimensionMismatch, FormatError
 from .harness import ExperimentConfig, diagnostics, run_experiment
 from .masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
@@ -332,6 +332,16 @@ def _cmd_density(args) -> int:
 def _cmd_mask(args) -> int:
     pi = _read_vector(args.density, real=True)
     dens = Density(pi, float(pi.sum()))
+    # every input is checked before the draw: an error leaves no output file
+    spec = parse_spec(args.spec) if args.spec else None
+    expand = args.partition not in (None, "singletons")
+    if spec is None and expand:
+        raise ConfigError("block expansion needs --spec")
+    if args.pgm and (spec is None or not spec.is_2d):
+        raise ConfigError("--pgm needs a 2D --spec")
+    partition = None if spec is None else parse_partition(args.partition, spec)
+    if partition is not None and pi.size != partition.m:
+        raise DimensionMismatch(f"density has {pi.size} entries for {partition.m} atoms")
     if args.m is not None:
         budget = args.m
     elif args.fraction is not None:
@@ -342,17 +352,12 @@ def _cmd_mask(args) -> int:
         raise ConfigError("need --m or --fraction")
     mode = DISTINCT if args.mode == "distinct" else IID
     mask = draw_mask(dens, budget, mode=mode, seed=args.seed)
-    spec = parse_spec(args.spec) if args.spec else None
     extra = ""
-    if args.partition and args.partition != "singletons":
-        if spec is None:
-            raise ConfigError("block expansion needs --spec")
-        mask = expand_blocks(mask, parse_partition(args.partition, spec))
+    if expand:
+        mask = expand_blocks(mask, partition)
         extra = f"; covered {mask.size / spec.dim:.4f}"
     _write_mask(args.out, mask)
     if args.pgm:
-        if spec is None or not spec.is_2d:
-            raise ConfigError("--pgm needs a 2D --spec")
         tensorio.mask_to_pgm(args.pgm, mask.indices, spec.side)
     print(f"mask with {mask.size} indices written to {args.out}{extra}")
     return 0

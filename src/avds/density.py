@@ -20,11 +20,13 @@ turn:
   takes both terms in closed form from phi; `_grid_lines` finds them in
   one pass over the blocks of `side` indices;
 - with energy classes (`transforms.energy_classes`: DFT with any wavelet,
-  Hadamard with Haar) one forward transform per subband gives the table
-  E[c, j] = |a_{j,l}|^2 of any column l in class c.  A block's sup term
-  is its largest column energy on the positive weights, the max over live
-  classes of the sum of E over the block's rows; a one-row block's Gram
-  term is the class weights times E at its row;
+  Hadamard with Haar) one column per subband gives the table
+  E[c, j] = |a_{j,l}|^2 of any column l in class c, as |u|^2 (x) |v|^2
+  from `transforms.column_pairs`, the one reader of A0's columns (in 2D
+  a gather from the cached per-axis table, no transform).  A block's sup
+  term is its largest column energy on the positive weights, the max over
+  live classes of the sum of E over the block's rows; a one-row block's
+  Gram term is the class weights times E at its row;
 - `_dense_terms` gives the terms still missing from the extracted rows
   of their blocks, blocks of one size in stacks: the one fallback and the
   oracle of the other two.  B_k* B_k is positive semidefinite, so its
@@ -41,10 +43,9 @@ import numpy as np
 from .errors import InvalidPartition, InvalidSpec, InvalidWeights
 from .support_model import WeightVector
 from .transforms import (
-    Direction,
     Measurement,
     OperatorSpec,
-    apply,
+    column_pairs,
     energy_classes,
     rows_batch,
     separable_factor,
@@ -245,10 +246,8 @@ def _norm_terms(spec: OperatorSpec, partition: BlockPartition, weights: WeightVe
             terms[:, lines] = _line_closed_form(phi, weights.matrix())[axis[lines], :, line[lines]].T
     labels = energy_classes(spec)
     if labels is not None and np.isnan(terms[1]).any():
-        reps = np.unique(labels, return_index=True)[1]
-        slab = np.zeros((reps.size, spec.dim))
-        slab[np.arange(reps.size), reps] = 1.0
-        energy = np.abs(apply(spec, Direction.FORWARD, slab)) ** 2  # (classes, K)
+        u, v = column_pairs(spec, np.unique(labels, return_index=True)[1])
+        energy = (np.abs(u[:, :, None] * v[:, None, :]) ** 2).reshape(len(u), spec.dim)
         live = np.bincount(labels, weights=positive) > 0
         sums = np.add.reduceat(energy[live][:, partition.rows], partition._starts, axis=1)
         terms[1] = np.where(np.isnan(terms[1]), sums.max(axis=0), terms[1])

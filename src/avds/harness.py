@@ -37,7 +37,8 @@ from .support_model import (
     sample_supports,  # noqa: F401 (bench/spans.py wraps avds.harness.sample_supports)
     sample_supports_seeded,
 )
-from .transforms import Direction, OperatorSpec, _bands_1d, _column_factors, apply
+from .transforms import OperatorSpec, _bands_1d, column_pairs
+from .transforms import apply  # noqa: F401 (bench/spans.py wraps avds.harness.apply)
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -50,8 +51,9 @@ _NOISE_FLOOR_REL = 1e-12
 # of exactly 1/2 or 3/2, 26 of 800 trials on the diagnose config) are common,
 # and rounding, hence evaluation order, would otherwise decide them.
 TAIL_TIE_TOL = 1e-9
-# Entries per stack of tail Grams in `diagnostics`, as in density._dense_terms.
-_GRAM_STACK_ENTRIES = 1 << 16
+# Entries per stack in `diagnostics` (tail Grams; uniforms and support rows
+# of the drawn supports), as in density._dense_terms.
+_STACK_ENTRIES = 1 << 16
 
 
 def psnr(ref: np.ndarray, rec: np.ndarray, peak: float | None = None) -> float:
@@ -290,16 +292,14 @@ def diagnostics(
     sufficient-budget evaluations report max_k ||.||/pi_k times the
     log^3 / log^2 factors at the given epsilon (constants omitted).
 
-    A trial transforms nothing on a 2D operator: column l of A0 is
-    kron(P[iu[l]], P[iv[l]]) for the per-axis table of
-    `transforms._column_factors`, so it gathers u = P[iu[I]] and
-    v = P[iv[I]], and row r of A0[:, I] is u[:, r // side] * v[:, r % side].
-    Singleton Lambda numerators are (|u|^2)^T |v|^2; block ones come from
-    those rows.  A 1D operator is the width-1 case, u the forward transform
-    of its support and v = 1.  The mask draws use a categorical table
-    built once per call.  The trials' scaled Grams go into stacks of at
-    most 2^16 entries, each symmetrised and passed to one `eigvalsh`, so
-    memory stays bounded for any support size and trial count.
+    A trial reads A0[:, I] once, as the pairs (u, v) of
+    `transforms.column_pairs` (a gather, no transform, on a 2D operator):
+    row r of it is u[:, r // w] * v[:, r % w].  Singleton Lambda numerators
+    are (|u|^2)^T |v|^2; block ones come from those rows.  The mask draws
+    use a categorical table built once per call.  Supports are drawn, and
+    the trials' scaled Grams symmetrised and passed to one `eigvalsh`, in
+    stacks of at most 2^16 entries, so memory stays bounded for any
+    support size and trial count.
 
     Against the per-trial transforms of `tests/reference_diagnostics.py`
     the Lambda samples agree within 1e-13 relative (the products round
@@ -308,6 +308,8 @@ def diagnostics(
     """
     if spec.dim > 4096:
         raise DimensionMismatch("diagnostics are limited to K <= 4096")
+    if len(density) != partition.m:
+        raise DimensionMismatch(f"density has {len(density)} entries for {partition.m} blocks")
     if not 1 <= m <= spec.dim:
         raise InfeasibleBudget(f"budget m must lie in [1, K = {spec.dim}], got {m}")
     if trials < 1:
@@ -327,19 +329,15 @@ def diagnostics(
     atoms, cum = _categorical_table(density)
 
     dist = signal_distribution(weights)
-    # per trial: [support draw, mask draw]
-    children = [seq.spawn(2) for seq in np.random.SeedSequence(seed).spawn(trials)]
-    supports = sample_supports_seeded(dist, [child[0] for child in children])
     singleton = partition.m == partition.dim
     splits = np.cumsum(partition.sizes)[:-1]  # blocks lie one after another in rows
-    factors = _column_factors(spec) if spec.is_2d else None
     lam = np.empty(trials)
     # every rejective support has the same size S, so every tail Gram is S x S
-    n_stack = max(1, _GRAM_STACK_ENTRIES // int(supports[0].sum()) ** 2)
+    n_stack = max(1, _STACK_ENTRIES // dist.sparsity**2)
     grams = []
     hits = 0
-    for t, child in enumerate(children):
-        u, v = _support_factors(spec, factors, np.flatnonzero(supports[t]))
+    for t, (support, mask_seed) in enumerate(_trial_draws(dist, seed, trials)):
+        u, v = column_pairs(spec, np.flatnonzero(support))
         width = v.shape[1]
         # Lambda_I = max_k ||B_k[:, I]||^2 / (pi_k m)
         if singleton:
@@ -354,7 +352,7 @@ def diagnostics(
                 )
         lam[t] = float(np.max((block_sq if all_live else block_sq[live]) / norm))
         # theorem-scaled mask and its restricted Gram
-        rows, mult = _iid_draw(atoms, cum, m, np.random.default_rng(child[1]))
+        rows, mult = _iid_draw(atoms, cum, m, np.random.default_rng(mask_seed))
         rows, scale = partition.block_rows(rows, np.sqrt(mult / (m * pi[rows])))
         a_i = scale[:, None] * (u[:, rows // width] * v[:, rows % width]).T
         grams.append(a_i.conj().T @ a_i)
@@ -373,18 +371,21 @@ def diagnostics(
     )
 
 
-def _support_factors(spec: OperatorSpec, factors, support: np.ndarray) -> tuple:
-    """(u, v) with column support[i] of A0 equal to kron(u[i], v[i]).
+def _trial_draws(dist: SupportDistribution, seed, trials: int):
+    """(support, mask seed) per trial, from `SeedSequence(seed).spawn(trials)`.
 
-    A 2D operator gathers both from its per-axis table; a 1D operator is
-    the width-1 case, u the forward transform of the support and v = 1.
+    Trial t's child spawns [support draw, mask draw].  The supports are
+    drawn in stacks of at most 2^16 support entries, so memory does not grow
+    with `trials`: each `spawn` continues the parent's children and each
+    support reads only its own uniforms, so the stacks draw what one call
+    for all trials would.
     """
-    if factors is None:
-        slab = np.zeros((support.size, spec.dim))
-        slab[np.arange(support.size), support] = 1.0
-        return apply(spec, Direction.FORWARD, slab), np.ones((support.size, 1))
-    table, iu, iv = factors
-    return table[iu[support]], table[iv[support]]
+    parent = np.random.SeedSequence(seed)
+    n_stack = max(1, _STACK_ENTRIES // dist.dim)
+    for first in range(0, trials, n_stack):
+        children = [seq.spawn(2) for seq in parent.spawn(min(n_stack, trials - first))]
+        supports = sample_supports_seeded(dist, [child[0] for child in children])
+        yield from zip(supports, (child[1] for child in children))
 
 
 def _tail_hits(grams: np.ndarray) -> int:

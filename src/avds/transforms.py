@@ -23,7 +23,8 @@ then the levels 2..J.  2D factors are side x side arrays (O(side^3) work
 per grid).  All stages act on the trailing axis/axes of their input, so
 batches of vectors transform in one call.  Since every 2D stage acts
 alike on both axes, each column of a 2D A0 is the Kronecker product of
-two per-axis rows, which `_column_factors` tables once per spec.
+two per-axis rows, which `_column_factors` tables once per spec and
+`column_pairs`, the one reader of A0's columns, gathers from.
 Operators are limited to K <= MAX_DIM = 2^20.
 
 2D objects are vectorised column-major: flat index r of a side x side grid
@@ -453,6 +454,22 @@ def _column_factors(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndar
     start = offsets[depth - level]
     p, q = np.divmod(np.arange(side * side), side)
     return _frozen(np.concatenate(tables)), _frozen(start + p), _frozen(start + q)
+
+
+def column_pairs(spec: OperatorSpec, cols) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) with column cols[i] of A0 equal to kron(u[i], v[i]): the one reader of A0's columns.
+
+    Entry r of that column is u[i, r // w] * v[i, r % w], w = v.shape[1].
+    A 2D operator gathers both from its cached per-axis table and
+    transforms nothing; a 1D operator is the width-1 case, u the forward
+    transform of the one-hots and v = 1.
+    """
+    if spec.is_2d:
+        table, iu, iv = _column_factors(spec)
+        return table[iu[cols]], table[iv[cols]]
+    slab = np.zeros((len(cols), spec.dim))
+    slab[np.arange(len(cols)), cols] = 1.0
+    return apply(spec, Direction.FORWARD, slab), np.ones((len(cols), 1))
 
 
 def _bands_1d(n: int, levels: int | None) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 from reference_transforms import row_energies
 from test_transform_oracle import PAIRS, _specs
 
+from avds import transforms
 from avds.density import (
     BlockPartition,
     _dense_terms,
@@ -88,6 +89,25 @@ def test_class_terms_match_dense_rows(measurement, sparsity):
                 np.testing.assert_allclose(
                     g, w, rtol=1e-12, atol=1e-12 * w.max(), err_msg=str(spec)
                 )
+
+
+@pytest.mark.parametrize(
+    "measurement,sparsity",
+    [(m, s) for m, s in LABELLED if OperatorSpec(m, s, 4).is_2d],
+    ids=lambda v: v.value,
+)
+def test_class_table_transforms_nothing(measurement, sparsity, monkeypatch):
+    # a 2D class table gathers its columns from the per-axis table; only the
+    # Gram term of a block of several rows needs the extracted rows
+    def no_transform(*args):
+        raise AssertionError("the class table ran a transform")
+
+    monkeypatch.setattr(transforms, "_stages", no_transform)
+    for spec in _specs(measurement, sparsity):
+        squares = BlockPartition.squares(spec.side, 2)
+        assert len(adapted_isolated(spec, _weights(spec.dim, seed=spec.dim))) == spec.dim
+        assert len(baseline_density("coherence", spec)) == spec.dim
+        assert len(baseline_density("coherence", spec, squares)) == squares.m
 
 
 def test_fallback_pairs_stream_rows():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,37 @@ def test_diagnostics_negative_seed_is_a_config_error(seed):
     dens = baseline_density("uniform", spec)
     with pytest.raises(ConfigError, match="seed"):
         diagnostics(spec, BlockPartition.singletons(k), dens, wv, m=8, trials=2, seed=seed)
+
+
+@pytest.mark.parametrize("partition", ["singletons", "lines"])
+def test_diagnostics_reject_a_density_of_the_wrong_length(partition):
+    spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 32, levels=2)
+    part = (
+        BlockPartition.singletons(1024)
+        if partition == "singletons"
+        else BlockPartition.vertical_lines(32)
+    )
+    wv = normalize_weights(np.full(1024, 16 / 1024), 16)
+    dens = Density(np.full(10, 0.1), 10.0)
+    with pytest.raises(DimensionMismatch, match="density has 10 entries"):
+        diagnostics(spec, part, dens, wv, m=8, trials=2, seed=0)
+
+
+def test_diagnostics_memory_does_not_grow_with_trials():
+    # supports are drawn in stacks of 256 trials and tail Grams (S = 32) in
+    # stacks of 64, so the traced peak stays flat in `trials`
+    spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 16, levels=2)
+    part = BlockPartition.singletons(256)
+    wv = normalize_weights(np.full(256, 32 / 256), 32)
+    dens = baseline_density("uniform", spec, part)
+    diagnostics(spec, part, dens, wv, m=32, trials=2, seed=0)  # caches, outside the trace
+    peaks = []
+    for trials in (200, 2000):
+        tracemalloc.start()
+        diagnostics(spec, part, dens, wv, m=32, trials=trials, seed=0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 def test_diagnostics_tail_decreases_with_m():

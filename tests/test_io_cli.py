@@ -294,6 +294,41 @@ def test_cli_mask_rejects_a_fraction_outside_the_unit_interval(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entries,partition", [(64, "singletons"), (16, "squares:2")])
+def test_cli_mask_checks_the_density_length_first(tmp_path, capsys, entries, partition):
+    # K = 16 on hadamard2d:haar2d:4:1, and squares:2 has 4 atoms
+    dens = str(tmp_path / "pi.avds")
+    out = tmp_path / "mask.avds"
+    pgm = tmp_path / "m.pgm"
+    tensorio.write_tensor(dens, np.full(entries, 1 / entries))
+    code = run_cli(
+        "mask", "--density", dens, "--m", "4", "--spec", "hadamard2d:haar2d:4:1",
+        "--partition", partition, "--pgm", str(pgm), "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == ["error: DimensionMismatch"]
+    assert not out.exists() and not pgm.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--pgm", "m.pgm"],
+        ["--spec", "dft1d:identity:16", "--pgm", "m.pgm"],
+        ["--partition", "lines-v"],
+    ],
+    ids=["pgm-without-spec", "pgm-with-1d-spec", "blocks-without-spec"],
+)
+def test_cli_mask_option_errors_write_nothing(tmp_path, capsys, extra):
+    dens = str(tmp_path / "pi.avds")
+    out = tmp_path / "mask.avds"
+    tensorio.write_tensor(dens, np.full(16, 1 / 16))
+    extra = [str(tmp_path / arg) if arg.endswith(".pgm") else arg for arg in extra]
+    assert run_cli("mask", "--density", dens, "--m", "4", *extra, "--out", str(out)) == 1
+    assert capsys.readouterr().out.splitlines() == ["error: ConfigError"]
+    assert not out.exists() and not (tmp_path / "m.pgm").exists()
+
+
 @pytest.mark.parametrize("mode", ["iid", "distinct"])
 def test_cli_mask_negative_seed_is_one_error_line(tmp_path, capsys, mode):
     dens = str(tmp_path / "pi.avds")

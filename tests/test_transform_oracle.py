@@ -18,6 +18,7 @@ from avds.transforms import (
     Sparsity,
     _column_factors,
     apply,
+    column_pairs,
     rows_batch,
     separable_factor,
 )
@@ -104,6 +105,19 @@ def test_column_factors_match_apply(measurement, sparsity):
         got = (table[iu][:, :, None] * table[iv][:, None, :]).reshape(spec.dim, spec.dim)
         assert got.dtype == want.dtype, spec
         assert np.max(np.abs(got - want)) <= 1e-13, spec
+
+
+@pytest.mark.parametrize("measurement,sparsity", PAIRS, ids=lambda v: v.value)
+def test_column_pairs_match_apply(measurement, sparsity):
+    # column cols[i] of A0 is kron(u[i], v[i]) for columns in any order; 1D has width 1
+    rng = np.random.default_rng(22)
+    for spec in _specs(measurement, sparsity):
+        cols = rng.permutation(spec.dim)
+        u, v = column_pairs(spec, cols)
+        assert v.shape[1] == (spec.side if spec.is_2d else 1), spec
+        want = apply(spec, Direction.FORWARD, np.eye(spec.dim))[cols]  # row i: column cols[i]
+        got = (u[:, :, None] * v[:, None, :]).reshape(spec.dim, spec.dim)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), spec
 
 
 def test_cached_factors_are_read_only():
