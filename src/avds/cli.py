@@ -313,6 +313,8 @@ def _cmd_estimate_weights(args) -> int:
 def _cmd_density(args) -> int:
     spec = parse_spec(args.spec)
     partition = parse_partition(args.partition, spec)
+    if args.png_log and (partition.m != partition.dim or not spec.is_2d):
+        raise ConfigError("--png-log needs an isolated density on a 2D grid")
     if args.kind == "adapted":
         if args.weights is None:
             raise ConfigError("adapted density needs --weights")
@@ -322,8 +324,6 @@ def _cmd_density(args) -> int:
         dens = baseline_density(args.kind, spec, partition)
     tensorio.write_tensor(args.out, dens.pi)
     if args.png_log:
-        if partition.m != partition.dim or not spec.is_2d:
-            raise ConfigError("--png-log needs an isolated density on a 2D grid")
         tensorio.density_to_pgm(args.png_log, dens.pi, spec.side)
     print(f"density '{args.kind}' over {len(dens)} atoms; L={dens.normalizer:.6g}")
     return 0
@@ -365,6 +365,8 @@ def _cmd_mask(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     spec = parse_spec(args.spec)
+    if args.image_out and not spec.is_2d:
+        raise ConfigError("--image-out needs a 2D --spec")
     sparsity_only = replace(spec, measurement=Measurement.IDENTITY)
     mask = _read_mask(args.mask)
     op = MeasurementOp(spec, mask)

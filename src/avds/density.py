@@ -155,7 +155,7 @@ class BlockPartition:
         n = side // block_side
         # grid[c, r] = c*side + r; square (bc, br) is grid[bc*b : .., br*b : ..]
         grid = np.arange(side * side).reshape(n, block_side, n, block_side)
-        return cls(grid.transpose(0, 2, 1, 3).reshape(n * n, -1), kind="squares")
+        return cls(grid.transpose(0, 2, 1, 3).reshape(n * n, -1), kind=f"squares:{block_side}")
 
 
 # ----------------------------------------------------------------------

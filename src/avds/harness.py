@@ -51,8 +51,8 @@ _NOISE_FLOOR_REL = 1e-12
 # of exactly 1/2 or 3/2, 26 of 800 trials on the diagnose config) are common,
 # and rounding, hence evaluation order, would otherwise decide them.
 TAIL_TIE_TOL = 1e-9
-# Entries per stack in `diagnostics` (tail Grams; uniforms and support rows
-# of the drawn supports), as in density._dense_terms.
+# Entries per stack in `diagnostics` (the support rows, or the tail Grams,
+# of a stack of trials), as in density._dense_terms.
 _STACK_ENTRIES = 1 << 16
 
 
@@ -296,10 +296,12 @@ def diagnostics(
     `transforms.column_pairs` (a gather, no transform, on a 2D operator):
     row r of it is u[:, r // w] * v[:, r % w].  Singleton Lambda numerators
     are (|u|^2)^T |v|^2; block ones come from those rows.  The mask draws
-    use a categorical table built once per call.  Supports are drawn, and
-    the trials' scaled Grams symmetrised and passed to one `eigvalsh`, in
-    stacks of at most 2^16 entries, so memory stays bounded for any
-    support size and trial count.
+    use a categorical table built once per call.  Trials run in stacks of
+    at most 2^16 support and Gram entries, so memory stays bounded for any
+    support size and trial count: a stack draws its supports in one call
+    and passes its scaled Grams to one `eigvalsh`.  The stack size changes
+    no value: `spawn` continues the parent's children, each support reads
+    only its own uniforms, and `eigvalsh` treats each matrix alone.
 
     Against the per-trial transforms of `tests/reference_diagnostics.py`
     the Lambda samples agree within 1e-13 relative (the products round
@@ -332,33 +334,37 @@ def diagnostics(
     singleton = partition.m == partition.dim
     splits = np.cumsum(partition.sizes)[:-1]  # blocks lie one after another in rows
     lam = np.empty(trials)
-    # every rejective support has the same size S, so every tail Gram is S x S
-    n_stack = max(1, _STACK_ENTRIES // dist.sparsity**2)
-    grams = []
     hits = 0
-    for t, (support, mask_seed) in enumerate(_trial_draws(dist, seed, trials)):
-        u, v = column_pairs(spec, np.flatnonzero(support))
-        width = v.shape[1]
-        # Lambda_I = max_k ||B_k[:, I]||^2 / (pi_k m)
-        if singleton:
-            block_sq = ((np.abs(u) ** 2).T @ (np.abs(v) ** 2)).ravel()
-        else:
-            cols = (u[:, partition.rows // width] * v[:, partition.rows % width]).T
-            block_sq = np.empty(partition.m)
-            for k, sub in enumerate(np.split(cols, splits)):
-                gram = sub.conj().T @ sub
-                block_sq[k] = float(
-                    np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1].real
-                )
-        lam[t] = float(np.max((block_sq if all_live else block_sq[live]) / norm))
-        # theorem-scaled mask and its restricted Gram
-        rows, mult = _iid_draw(atoms, cum, m, np.random.default_rng(mask_seed))
-        rows, scale = partition.block_rows(rows, np.sqrt(mult / (m * pi[rows])))
-        a_i = scale[:, None] * (u[:, rows // width] * v[:, rows % width]).T
-        grams.append(a_i.conj().T @ a_i)
-        if len(grams) == n_stack or t == trials - 1:
-            hits += _tail_hits(np.array(grams))
-            grams = []
+    # a stack holds n_stack support rows of K entries and tail Grams of S x S:
+    # every rejective support has the same size S
+    n_stack = max(1, _STACK_ENTRIES // max(dist.dim, dist.sparsity**2))
+    parent = np.random.SeedSequence(seed)
+    for first in range(0, trials, n_stack):
+        # trial t's child spawns [support draw, mask draw]
+        children = [seq.spawn(2) for seq in parent.spawn(min(n_stack, trials - first))]
+        supports = sample_supports_seeded(dist, [child[0] for child in children])
+        grams = []
+        for t, (support, (_, mask_seed)) in enumerate(zip(supports, children), first):
+            u, v = column_pairs(spec, np.flatnonzero(support))
+            width = v.shape[1]
+            # Lambda_I = max_k ||B_k[:, I]||^2 / (pi_k m)
+            if singleton:
+                block_sq = ((np.abs(u) ** 2).T @ (np.abs(v) ** 2)).ravel()
+            else:
+                cols = (u[:, partition.rows // width] * v[:, partition.rows % width]).T
+                block_sq = np.empty(partition.m)
+                for k, sub in enumerate(np.split(cols, splits)):
+                    gram = sub.conj().T @ sub
+                    block_sq[k] = float(
+                        np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1].real
+                    )
+            lam[t] = float(np.max((block_sq if all_live else block_sq[live]) / norm))
+            # theorem-scaled mask and its restricted Gram
+            rows, mult = _iid_draw(atoms, cum, m, np.random.default_rng(mask_seed))
+            rows, scale = partition.block_rows(rows, np.sqrt(mult / (m * pi[rows])))
+            a_i = scale[:, None] * (u[:, rows // width] * v[:, rows % width]).T
+            grams.append(a_i.conj().T @ a_i)
+        hits += _tail_hits(np.array(grams))
     return Diagnostics(
         mu=mu,
         lambda_samples=lam,
@@ -369,23 +375,6 @@ def diagnostics(
         m_bound_inf1=threshold_inf1 * logk**3,
         m_bound_gram=threshold_gram * logk**2,
     )
-
-
-def _trial_draws(dist: SupportDistribution, seed, trials: int):
-    """(support, mask seed) per trial, from `SeedSequence(seed).spawn(trials)`.
-
-    Trial t's child spawns [support draw, mask draw].  The supports are
-    drawn in stacks of at most 2^16 support entries, so memory does not grow
-    with `trials`: each `spawn` continues the parent's children and each
-    support reads only its own uniforms, so the stacks draw what one call
-    for all trials would.
-    """
-    parent = np.random.SeedSequence(seed)
-    n_stack = max(1, _STACK_ENTRIES // dist.dim)
-    for first in range(0, trials, n_stack):
-        children = [seq.spawn(2) for seq in parent.spawn(min(n_stack, trials - first))]
-        supports = sample_supports_seeded(dist, [child[0] for child in children])
-        yield from zip(supports, (child[1] for child in children))
 
 
 def _tail_hits(grams: np.ndarray) -> int:

@@ -10,12 +10,13 @@ The iteration runs in the layout of `transforms.solver_plan`, entered once
 and left once per solve, in buffers allocated once: per-subband
 Walsh-Hadamard blocks for Hadamard2D x Haar MRA, the identity layout with
 the stages of `apply` for every other operator.  The plan owns the
-projection: `plan.projector` builds `project(v, out)` once per solve,
-with buffers of its own.  On the Walsh blocks, which are their own
-inverse, it computes B(where(keep, y, B v)), writing every matrix product
-into those buffers and assigning y to the measured rows between the two
-transforms, for real and complex iterates alike; on the identity layout
-it multiplies A0 v by a 0/1 vector of the mask rows and subtracts y
+projection: `plan.projector(op.mask.indices, y)` builds `project(v, out)`
+once per solve, from the mask's rows in measurement order, with buffers
+of its own.  On the Walsh blocks, which are their own inverse, it
+computes B(where(keep, y, B v)), writing every matrix product into those
+buffers and assigning y to the measured rows between the two transforms,
+for real and complex iterates alike; on the identity layout it
+multiplies A0 v by a 0/1 vector of the mask rows and subtracts y
 scattered into the layout once.  A real iterate shrinks as
 z - clip(z, -mu, mu), a complex one as z - mu z / max(|z|, mu).  The
 stopping window takes the Huber objective from two dot products; the
@@ -112,15 +113,10 @@ class BPResult:
     stage_objectives: list
 
 
-def _huber_objective(x: np.ndarray, mu: float, mag, quad, small) -> float:
-    """sum(|x|^2 / (2 mu) where |x| < mu, else |x| - mu / 2), in the given buffers."""
-    np.abs(x, out=mag)
-    np.less(mag, mu, out=small)
-    np.multiply(mag, mag, out=quad)
-    np.divide(quad, 2 * mu, out=quad)
-    np.subtract(mag, mu / 2, out=mag)
-    np.putmask(mag, small, quad)
-    return float(np.add.reduce(mag, axis=None))
+def _huber_objective(x: np.ndarray, mu: float) -> float:
+    """sum(|x|^2 / (2 mu) where |x| < mu, else |x| - mu / 2)."""
+    a = np.abs(x)
+    return float(np.where(a < mu, a * a / (2 * mu), a - mu / 2).sum())
 
 
 def _window_objective(x: np.ndarray, mu: float, mag, low) -> float:
@@ -167,11 +163,10 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
         mus = np.geomspace(mu_first, mu_last, n_stage)
 
     plan = solver_plan(op.spec)
-    project = plan.projector(plan.slots[op.mask.indices], y)
+    project = plan.projector(op.mask.indices, y)
     x = x0[..., plan.order].reshape(x0.shape[:-1] + plan.shape)
     x_new, z, step = (np.empty_like(x) for _ in range(3))
     mag, quad = np.empty(x.shape), np.empty(x.shape)
-    small = np.empty(x.shape, dtype=bool)
     real = not np.iscomplexobj(x)
 
     total_iters = 0
@@ -207,7 +202,7 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
                 if spread <= params.inner_tol * max(abs(window[-1]), 1e-30):
                     stage_converged = True
                     break
-        stage_objectives.append(_huber_objective(x, float(mus[-1]), mag, quad, small))
+        stage_objectives.append(_huber_objective(x, float(mus[-1])))
         converged = converged and stage_converged
     x_out = np.empty_like(x0)
     x_out[..., plan.order] = x.reshape(x0.shape)

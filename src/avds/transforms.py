@@ -521,20 +521,15 @@ def energy_classes(spec: OperatorSpec) -> np.ndarray | None:
 class SolverPlan(NamedTuple):
     """A0 in the coefficient layout the solver iterates in.
 
-    A0 x = (forward(x[..., order]))[..., slots]: `order[i]` is the
-    coefficient at layout position i and `slots[k]` the layout position of
-    measurement k.  `adjoint` is the adjoint of `forward`; both take and
-    return flat layout vectors.  `projector(rows, y)` builds, once per
-    solve, `project(v, out)`: out = v - A*(Av - y) for the measurements at
-    layout positions `rows`, in buffers it owns.  Its v and out have the
-    trailing `shape`, the layout's K entries in the shape its kernels read.
+    `order[i]` is the coefficient at layout position i.  `projector(rows,
+    y)` builds, once per solve, `project(v, out)`: out = v - A*(Av - y)
+    for the measurements `rows` of A0, in the order of y, in buffers it
+    owns.  Its v and out have the trailing `shape`, the layout's K entries
+    in the shape its kernels read.
     """
 
     order: np.ndarray
-    slots: np.ndarray
     shape: tuple
-    forward: Callable[[np.ndarray], np.ndarray]
-    adjoint: Callable[[np.ndarray], np.ndarray]
     projector: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray, np.ndarray], None]]
 
 
@@ -569,8 +564,8 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
     multiply-adds in fewer calls.  The block operator B is real, symmetric
     and its own inverse, so it is its own adjoint, and the projection
     v - B(keep B v - y) is B(where(keep, y, B v)): one assignment of y to
-    the measured rows between two transforms, which write into buffers
-    of the iterate's dtype.
+    the layout positions of its measurements between two transforms,
+    which write into buffers of the iterate's dtype.
     """
     side, levels = spec.side, spec.levels
     order, sizes = [], []
@@ -594,7 +589,7 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
         np.where(coarsest, v >> levels, ((v >> t) & 1) * half + (v >> (t + 1)))
         for v in (a, b)
     ]
-    slots = position[cell[0] * side + cell[1]]
+    slots = position[cell[0] * side + cell[1]]  # layout position of each measurement
 
     # U = the layout as four c x c tiles; the shared rows end the last one
     c = side // 2
@@ -621,14 +616,9 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
         np.matmul(left, tmp, out=out)
         if shared_rows:
             np.matmul(u[tail], row_right, out=out[tail])
-        return out
-
-    def transform(x):
-        u = x.reshape(x.shape[:-1] + shape)
-        out = np.empty(u.shape, np.result_type(u, float))
-        return blocks(u, out, np.empty_like(out), *factors).reshape(x.shape)
 
     def projector(rows, y):
+        rows = slots[rows]
         y = np.asarray(y)
         dtype = np.result_type(y, float)
         right, left, row_right = (np.asarray(m, dtype) for m in factors)  # complex copies once
@@ -645,16 +635,16 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
 
         return project
 
-    return SolverPlan(_frozen(order), _frozen(slots), shape, transform, transform, projector)
+    return SolverPlan(_frozen(order), shape, projector)
 
 
 def _identity_plan(spec: OperatorSpec) -> SolverPlan:
-    """The identity layout with the stages of `apply`; its projection masks
-    A0 v by a 0/1 vector of the measured rows and subtracts y scattered once."""
-    identity = _frozen(np.arange(spec.dim))
-    forward, adjoint = _stages(spec, True), _stages(spec, False)
+    """The identity layout; its projection runs the stages of `apply`,
+    masks A0 v by a 0/1 vector of the measured rows and subtracts y
+    scattered once."""
 
     def projector(rows, y):
+        forward, adjoint = _stages(spec, True), _stages(spec, False)
         y = np.asarray(y)
         keep = np.zeros(spec.dim)
         keep[rows] = 1.0
@@ -668,7 +658,7 @@ def _identity_plan(spec: OperatorSpec) -> SolverPlan:
 
         return project
 
-    return SolverPlan(identity, identity, (spec.dim,), forward, adjoint, projector)
+    return SolverPlan(_frozen(np.arange(spec.dim)), (spec.dim,), projector)
 
 
 @lru_cache(maxsize=None)
@@ -679,8 +669,9 @@ def solver_plan(spec: OperatorSpec) -> SolverPlan:
     (`_walsh_haar_plan`), whose projection runs every transform in place
     around one assignment of y; every other operator the identity layout
     with the stages of `apply` (`_identity_plan`).  Each plan's
-    `projector` builds the projection once per solve, with its own
-    buffers.
+    `projector` takes the mask's rows in measurement order, maps them to
+    its layout itself and builds the projection once per solve, with its
+    own buffers.
     """
     if spec.measurement == Measurement.HADAMARD2D and spec.sparsity == Sparsity.HAAR2D:
         return _walsh_haar_plan(spec)

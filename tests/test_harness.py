@@ -164,6 +164,29 @@ def test_run_experiment_block_partition_covered_fraction():
         assert report.covered_fraction[kind] == pytest.approx(0.5)
 
 
+def test_describe_names_the_square_side():
+    # squares:2 and squares:4 at one budget are told apart, in the form
+    # `--partition` takes; the other partitions keep their names
+    spec = OperatorSpec(Measurement.DFT2D, Sparsity.IDENTITY, 8)
+    wv = normalize_weights(np.full(64, 4 / 64), 4)
+    partitions = [
+        BlockPartition.squares(8, 2),
+        BlockPartition.squares(8, 4),
+        BlockPartition.vertical_lines(8),
+        BlockPartition.horizontal_lines(8),
+        BlockPartition.singletons(64),
+    ]
+    described = [
+        ExperimentConfig(
+            spec, wv, ["uniform"], trials=1, master_seed=0, partition=part, budget=2
+        ).describe()["partition"]
+        for part in partitions
+    ]
+    assert described == [
+        "squares:2", "squares:4", "vertical_lines", "horizontal_lines", "singletons"
+    ]
+
+
 def test_diagnostics_identity_hand_values():
     # A0 = I, singleton blocks, pi uniform on J, I subset of J:
     # Lambda_I = |J| / m and mu = |J| / m
@@ -217,8 +240,8 @@ def test_diagnostics_reject_a_density_of_the_wrong_length(partition):
 
 
 def test_diagnostics_memory_does_not_grow_with_trials():
-    # supports are drawn in stacks of 256 trials and tail Grams (S = 32) in
-    # stacks of 64, so the traced peak stays flat in `trials`
+    # trials run in stacks of 64 (tail Grams of S = 32), so the traced peak
+    # stays flat in `trials`
     spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 16, levels=2)
     part = BlockPartition.singletons(256)
     wv = normalize_weights(np.full(256, 32 / 256), 32)

@@ -329,6 +329,37 @@ def test_cli_mask_option_errors_write_nothing(tmp_path, capsys, extra):
     assert not out.exists() and not (tmp_path / "m.pgm").exists()
 
 
+@pytest.mark.parametrize(
+    "spec,partition",
+    [("dft1d:identity:64", "singletons"), ("hadamard2d:haar2d:8:1", "lines-v")],
+    ids=["1d-spec", "block-partition"],
+)
+def test_cli_density_png_log_errors_write_nothing(tmp_path, capsys, spec, partition):
+    out, png = tmp_path / "d.avds", tmp_path / "d.pgm"
+    code = run_cli(
+        "density", "--spec", spec, "--kind", "uniform", "--partition", partition,
+        "--out", str(out), "--png-log", str(png),
+    )
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == ["error: ConfigError"]
+    assert not out.exists() and not png.exists()
+
+
+def test_cli_reconstruct_image_out_needs_a_2d_spec(tmp_path, capsys):
+    maskf = str(tmp_path / "mask.avds")
+    yf = str(tmp_path / "y.avds")
+    out, image = tmp_path / "xhat.avds", tmp_path / "xhat.pgm"
+    tensorio.write_tensor(maskf, np.stack([np.arange(0.0, 64.0, 2.0), np.ones(32)]))
+    tensorio.write_tensor(yf, np.ones(32, dtype=complex))
+    code = run_cli(
+        "reconstruct", "--spec", "dft1d:identity:64", "--mask", maskf,
+        "--input", yf, "--out", str(out), "--image-out", str(image),
+    )
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == ["error: ConfigError"]
+    assert not out.exists() and not image.exists()
+
+
 @pytest.mark.parametrize("mode", ["iid", "distinct"])
 def test_cli_mask_negative_seed_is_one_error_line(tmp_path, capsys, mode):
     dens = str(tmp_path / "pi.avds")
