@@ -51,6 +51,9 @@ _NOISE_FLOOR_REL = 1e-12
 # of exactly 1/2 or 3/2, 26 of 800 trials on the diagnose config) are common,
 # and rounding, hence evaluation order, would otherwise decide them.
 TAIL_TIE_TOL = 1e-9
+# Seeds and Lambda samples grow with the trial count; at this bound the
+# Lambda samples of a diagnostics call fit in 8 MB.
+MAX_TRIALS = 1 << 20
 # Entries per stack in `diagnostics` (the support rows, or the tail Grams,
 # of a stack of trials), as in density._dense_terms.
 _STACK_ENTRIES = 1 << 16
@@ -122,8 +125,8 @@ class ExperimentConfig:
     weight_descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must lie in [1, {MAX_TRIALS}], got {self.trials}")
         if self.master_seed < 0:
             raise ConfigError("the master seed must be >= 0")
         if len(set(self.density_kinds)) < len(self.density_kinds):
@@ -298,10 +301,11 @@ def diagnostics(
     are (|u|^2)^T |v|^2; block ones come from those rows.  The mask draws
     use a categorical table built once per call.  Trials run in stacks of
     at most 2^16 support and Gram entries, so memory stays bounded for any
-    support size and trial count: a stack draws its supports in one call
-    and passes its scaled Grams to one `eigvalsh`.  The stack size changes
-    no value: `spawn` continues the parent's children, each support reads
-    only its own uniforms, and `eigvalsh` treats each matrix alone.
+    support size and up to `MAX_TRIALS` trials: a stack draws its supports
+    in one call and passes its scaled Grams to one `eigvalsh`.  The stack
+    size changes no value: `spawn` continues the parent's children, each
+    support reads only its own uniforms, and `eigvalsh` treats each matrix
+    alone.
 
     Against the per-trial transforms of `tests/reference_diagnostics.py`
     the Lambda samples agree within 1e-13 relative (the products round
@@ -314,8 +318,8 @@ def diagnostics(
         raise DimensionMismatch(f"density has {len(density)} entries for {partition.m} blocks")
     if not 1 <= m <= spec.dim:
         raise InfeasibleBudget(f"budget m must lie in [1, K = {spec.dim}], got {m}")
-    if trials < 1:
-        raise ConfigError("diagnostics need trials >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"diagnostics need trials in [1, {MAX_TRIALS}], got {trials}")
     if not 0 < epsilon < 1:
         raise ConfigError(f"epsilon is a failure probability in (0, 1), got {epsilon}")
     _check_seed(seed)

@@ -24,6 +24,7 @@ import numpy as np
 from .density import BlockPartition, Density
 from .errors import ConfigError, InfeasibleBudget, InvalidPartition, UnnormalizedDensity
 from .support_model import _check_seed
+from .transforms import MAX_DIM
 
 IID = "iid"
 DISTINCT = "distinct"
@@ -69,11 +70,17 @@ def _iid_draw(atoms: np.ndarray, cum: np.ndarray, budget: int, rng):
 
 
 def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) -> Mask:
-    """Draw `budget` atoms from the density; deterministic given seed."""
+    """Draw `budget` atoms from the density; deterministic given seed.
+
+    An i.i.d. budget takes one uniform per draw, so it is bounded by
+    `transforms.MAX_DIM`, as every K-vector is.
+    """
     if mode not in (IID, DISTINCT):
         raise ConfigError(f"unknown mask mode {mode!r}")
     if budget < 1:
         raise InfeasibleBudget("budget must be >= 1")
+    if mode == IID and budget > MAX_DIM:
+        raise InfeasibleBudget(f"an i.i.d. budget must be <= {MAX_DIM}, got {budget}")
     rng = np.random.default_rng(_check_seed(seed))
     if mode == IID:
         return Mask(*_iid_draw(*_categorical_table(density), budget, rng), n_draws=budget)

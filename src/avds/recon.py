@@ -6,7 +6,8 @@ x - A*(Ax - y) available when the selected rows are orthonormal
 (A A* = I), and continuation that shrinks mu geometrically down to its
 configured final value.
 
-The iteration runs in the layout of `transforms.solver_plan`, entered once
+A solve is one problem: `solve_bp` takes one measurement vector y.  The
+iteration runs in the layout of `transforms.solver_plan`, entered once
 and left once per solve, in buffers allocated once: per-subband
 Walsh-Hadamard blocks for Hadamard2D x Haar MRA, the identity layout with
 the stages of `apply` for every other operator.  The plan owns the
@@ -15,18 +16,19 @@ once per solve, from the mask's rows in measurement order, with buffers
 of its own.  On the Walsh blocks, which are their own inverse, it
 computes B(where(keep, y, B v)), writing every matrix product into those
 buffers and assigning y to the measured rows between the two transforms,
-for real and complex iterates alike; on the identity layout it
-multiplies A0 v by a 0/1 vector of the mask rows and subtracts y
-scattered into the layout once.  A real iterate shrinks as
-z - clip(z, -mu, mu), a complex one as z - mu z / max(|z|, mu).  The
-stopping window takes the Huber objective from two dot products; the
-reported stage objectives keep the direct formula.  The window value can
-differ from the direct formula in its last digits, so a stage may stop at
-another iteration than a window of direct values would.  x0 = A* y and the
-final residual come from `adjoint_measure` and `measure`, so the dense
-path checks the feasibility of the answer independently.  Measurements
-must be finite and the mask rows distinct; otherwise `solve_bp` raises
-`UnsupportedSolver` before it iterates.
+for real and complex iterates alike; on the identity layout it computes
+v - A*(Av - y) as `tests/reference_recon.py` does, writing the residual
+of the measured rows into `out` before the adjoint transform.  A real
+iterate shrinks as z - clip(z, -mu, mu), a complex one as
+z - mu z / max(|z|, mu).  The stopping window takes the Huber objective
+from two dot products; the reported stage objectives keep the direct
+formula.  The window value can differ from the direct formula in its last
+digits, so a stage may stop at another iteration than a window of direct
+values would.  x0 = A* y and the final residual come from
+`adjoint_measure` and `measure`, so the dense path checks the feasibility
+of the answer independently.  Measurements must be finite and the mask
+rows distinct; otherwise `solve_bp` raises `UnsupportedSolver` before it
+iterates.
 """
 
 from __future__ import annotations
@@ -138,6 +140,7 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
     Requires an orthonormal operator (unscaled, distinct mask) so that the
     affine projection is exact; every iterate is feasible, hence the
     returned point satisfies the constraint to roundoff.  Raises
+    `DimensionMismatch` unless y is one measurement vector, and
     `UnsupportedSolver` for another operator or non-finite measurements.
     """
     if params is None:
@@ -147,6 +150,8 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
             "solve_bp needs an unscaled operator over a distinct mask (A A* = I)"
         )
     y = np.asarray(y)
+    if y.ndim != 1:
+        raise DimensionMismatch(f"solve_bp takes one measurement vector, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise UnsupportedSolver("solve_bp needs finite measurements")
     x0 = adjoint_measure(y, op)
@@ -164,7 +169,7 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
 
     plan = solver_plan(op.spec)
     project = plan.projector(op.mask.indices, y)
-    x = x0[..., plan.order].reshape(x0.shape[:-1] + plan.shape)
+    x = x0[plan.order].reshape(plan.shape)
     x_new, z, step = (np.empty_like(x) for _ in range(3))
     mag, quad = np.empty(x.shape), np.empty(x.shape)
     real = not np.iscomplexobj(x)
@@ -205,7 +210,7 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
         stage_objectives.append(_huber_objective(x, float(mus[-1])))
         converged = converged and stage_converged
     x_out = np.empty_like(x0)
-    x_out[..., plan.order] = x.reshape(x0.shape)
+    x_out[plan.order] = x.ravel()
     residual = float(np.linalg.norm(measure(x_out, op) - y))
     if not converged:
         warnings.warn(

@@ -523,9 +523,9 @@ class SolverPlan(NamedTuple):
 
     `order[i]` is the coefficient at layout position i.  `projector(rows,
     y)` builds, once per solve, `project(v, out)`: out = v - A*(Av - y)
-    for the measurements `rows` of A0, in the order of y, in buffers it
-    owns.  Its v and out have the trailing `shape`, the layout's K entries
-    in the shape its kernels read.
+    for one measurement vector y of the rows `rows` of A0, in the order of
+    y, in buffers it owns.  Its v and out have `shape`, the layout's K
+    entries in the shape its kernels read.
     """
 
     order: np.ndarray
@@ -563,9 +563,9 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
     products, against 225k in six for one H_s B H_s stack per side: more
     multiply-adds in fewer calls.  The block operator B is real, symmetric
     and its own inverse, so it is its own adjoint, and the projection
-    v - B(keep B v - y) is B(where(keep, y, B v)): one assignment of y to
-    the layout positions of its measurements between two transforms,
-    which write into buffers of the iterate's dtype.
+    v - B(keep B v - y) is B(where(keep, y, B v)): one assignment of the
+    measurement vector y to the flat layout positions of its rows between
+    two transforms, which write into buffers of the iterate's dtype.
     """
     side, levels = spec.side, spec.levels
     order, sizes = [], []
@@ -608,10 +608,10 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
             row_factors[row - (c - shared_rows), at : at + size, at : at + size] = _hadamard(size)
         start += size
     factors = (_hadamard(c), _frozen(tiles), _frozen(row_factors))
-    tail = (..., 3, slice(c - shared_rows, c), None, slice(None))  # shared rows as 1 x c
+    tail = (3, slice(c - shared_rows, c), None, slice(None))  # shared rows as 1 x c
 
     def blocks(u, out, tmp, right, left, row_right):
-        """B u into `out`, both (..., 4, c, c), through `tmp`."""
+        """B u into `out`, both (4, c, c), through `tmp`."""
         np.matmul(u, right, out=tmp)
         np.matmul(left, tmp, out=out)
         if shared_rows:
@@ -619,18 +619,14 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
 
     def projector(rows, y):
         rows = slots[rows]
-        y = np.asarray(y)
         dtype = np.result_type(y, float)
         right, left, row_right = (np.asarray(m, dtype) for m in factors)  # complex copies once
-        w = np.empty(y.shape[:-1] + shape, dtype)
+        w = np.empty(shape, dtype)
         tmp = np.empty_like(w)
-        # layout position first: the assignment then indexes the first axis,
-        # about half the cost of indexing the last one through an ellipsis
-        w_by_row, y_by_row = w.reshape(y.shape[:-1] + (-1,)).T, y.T
 
         def project(v, out):
             blocks(v, w, tmp, right, left, row_right)
-            w_by_row[rows] = y_by_row
+            w.reshape(-1)[rows] = y
             blocks(w, out, tmp, right, left, row_right)
 
         return project
@@ -639,21 +635,16 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
 
 
 def _identity_plan(spec: OperatorSpec) -> SolverPlan:
-    """The identity layout; its projection runs the stages of `apply`,
-    masks A0 v by a 0/1 vector of the measured rows and subtracts y
-    scattered once."""
+    """The identity layout; its projection runs the stages of `apply` as
+    `measure` and `adjoint_measure` do: the residual A0 v - y on the
+    measured rows, zero elsewhere, in `out`, then v - A0* out."""
 
     def projector(rows, y):
         forward, adjoint = _stages(spec, True), _stages(spec, False)
-        y = np.asarray(y)
-        keep = np.zeros(spec.dim)
-        keep[rows] = 1.0
-        y_layout = np.zeros(y.shape[:-1] + (spec.dim,), np.result_type(y, float))
-        y_layout[..., rows] = y
 
         def project(v, out):
-            np.multiply(forward(v), keep, out=out)
-            np.subtract(out, y_layout, out=out)
+            out.fill(0)
+            out[rows] = forward(v)[rows] - y
             np.subtract(v, adjoint(out), out=out)
 
         return project
@@ -669,9 +660,9 @@ def solver_plan(spec: OperatorSpec) -> SolverPlan:
     (`_walsh_haar_plan`), whose projection runs every transform in place
     around one assignment of y; every other operator the identity layout
     with the stages of `apply` (`_identity_plan`).  Each plan's
-    `projector` takes the mask's rows in measurement order, maps them to
-    its layout itself and builds the projection once per solve, with its
-    own buffers.
+    `projector` takes the mask's rows in measurement order and one
+    measurement vector, maps the rows to its layout itself and builds the
+    projection once per solve, with its own buffers.
     """
     if spec.measurement == Measurement.HADAMARD2D and spec.sparsity == Sparsity.HAAR2D:
         return _walsh_haar_plan(spec)

@@ -12,6 +12,7 @@ from avds.cli import _SHARED_KEYS, _experiment_config
 from avds.density import BlockPartition, Density, adapted_isolated, baseline_density
 from avds.errors import ConfigError, DimensionMismatch
 from avds.harness import (
+    MAX_TRIALS,
     ExperimentConfig,
     build_density,
     diagnostics,
@@ -137,6 +138,20 @@ def test_run_experiment_reproducible():
 def test_repeated_density_kinds_are_a_config_error():
     with pytest.raises(ConfigError, match="repeat"):
         small_config(density_kinds=["uniform", "uniform"])
+
+
+@pytest.mark.parametrize("trials", [0, MAX_TRIALS + 1, 10**12])
+def test_trial_counts_outside_the_bound_are_config_errors(trials):
+    # 10^12 trials would allocate 8 TB of Lambda samples, or a list of
+    # 10^12 seed sequences, before the first trial ran
+    with pytest.raises(ConfigError, match="trials"):
+        small_config(trials=trials)
+    k = 16
+    spec = OperatorSpec(Measurement.DFT1D, Sparsity.IDENTITY, k)
+    wv = normalize_weights(np.full(k, 0.25), 4)
+    dens = baseline_density("uniform", spec)
+    with pytest.raises(ConfigError, match="trials"):
+        diagnostics(spec, BlockPartition.singletons(k), dens, wv, m=8, trials=trials, seed=0)
 
 
 def test_run_experiment_full_sampling_inf():

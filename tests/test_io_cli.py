@@ -373,6 +373,18 @@ def test_cli_mask_negative_seed_is_one_error_line(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+def test_cli_mask_iid_budget_above_the_bound_is_one_error_line(tmp_path, capsys):
+    dens = str(tmp_path / "pi.avds")
+    out = tmp_path / "mask.avds"
+    tensorio.write_tensor(dens, np.full(8, 1 / 8))
+    code = run_cli(
+        "mask", "--density", dens, "--m", str(10**12), "--mode", "iid", "--out", str(out)
+    )
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == ["error: InfeasibleBudget"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("partition", ["singletons", "lines-v"])
 def test_cli_density_wrong_length_weights_are_invalid_weights(tmp_path, capsys, partition):
     w = str(tmp_path / "w.avds")
@@ -548,6 +560,8 @@ def _without(cfg, key, inner=None):
         ("experiment", dict(_EXPERIMENT_CFG, densities=["adapted", "foo"])),
         ("experiment", dict(_EXPERIMENT_CFG, densities=["uniform", "uniform"])),
         ("diagnose", dict(_DIAGNOSE_CFG, density="foo")),
+        ("diagnose", dict(_DIAGNOSE_CFG, trials=10**12)),
+        ("experiment", dict(_EXPERIMENT_CFG, trials=10**12)),
     ],
     ids=[
         "diagnose-no-spec",
@@ -587,6 +601,8 @@ def _without(cfg, key, inner=None):
         "experiment-density-unknown",
         "experiment-densities-repeated",
         "diagnose-density-unknown",
+        "diagnose-trials-unbounded",
+        "experiment-trials-unbounded",
     ],
 )
 def test_cli_config_errors_are_config_errors(tmp_path, capsys, command, config):

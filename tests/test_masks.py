@@ -9,6 +9,7 @@ from scipy import stats
 from avds.density import BlockPartition, Density
 from avds.errors import ConfigError, InfeasibleBudget, InvalidPartition, UnnormalizedDensity
 from avds.masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
+from avds.transforms import MAX_DIM
 
 
 def uniform_density(k):
@@ -82,6 +83,18 @@ def test_iid_chisquare_nonuniform():
     counts[mask.indices] = mask.multiplicities
     _, pvalue = stats.chisquare(counts, f_exp=pi * 100_000)
     assert pvalue > 0.01
+
+
+@pytest.mark.parametrize("budget", [MAX_DIM + 1, 10**12])
+def test_iid_budget_above_the_bound_is_infeasible(budget):
+    # 10^12 uniforms would take 7.3 TiB; the bound raises before any draw
+    with pytest.raises(InfeasibleBudget, match="i.i.d. budget"):
+        draw_mask(Density(np.full(8, 1 / 8), 8.0), budget, mode=IID, seed=0)
+
+
+def test_iid_budget_at_the_bound_draws():
+    mask = draw_mask(Density(np.full(8, 1 / 8), 8.0), MAX_DIM, mode=IID, seed=0)
+    assert mask.multiplicities.sum() == MAX_DIM
 
 
 def test_unnormalized_density_rejected():

@@ -95,6 +95,24 @@ def test_solver_rejects_non_finite_measurements(bad):
             solve_bp(y, op)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [DFT64, OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 8, levels=2)],
+    ids=str,
+)
+@pytest.mark.parametrize("shape", [(2, 16), ()], ids=["two-rows", "scalar"])
+def test_solver_takes_one_measurement_vector(spec, shape, monkeypatch):
+    op = MeasurementOp(spec, distinct_mask(64, 16, seed=1))
+
+    def no_transform(*args):
+        raise AssertionError("transformed before the shape check")
+
+    # x0 = A* y is the solve's first transform
+    monkeypatch.setattr("avds.recon.adjoint_measure", no_transform)
+    with pytest.raises(DimensionMismatch, match="one measurement vector"):
+        solve_bp(np.ones(shape), op)
+
+
 def test_solve_full_sampling_is_exact_inverse():
     op = MeasurementOp(DFT64, full_mask(64))
     rng = np.random.default_rng(7)
