@@ -3,8 +3,10 @@
 Per-trial randomness is derived from the master seed with
 numpy.random.SeedSequence: trial t uses `SeedSequence(master).spawn(trials)[t]`,
 whose children seed (in order) the signal draw and one mask draw per
-density kind.  Reports are therefore fully reproducible from the config
-plus the master seed.
+density kind.  The theorem diagnostics read two streams per call instead:
+`SeedSequence(seed).spawn(2)` seeds one generator for the supports and one
+for the i.i.d. masks, and trial t reads the t-th row of each.  Reports are
+therefore fully reproducible from the config plus the master seed.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from .support_model import (
     draw_signals,
     flip,
     normalize_weights,
-    sample_supports,  # noqa: F401 (bench/spans.py wraps avds.harness.sample_supports)
-    sample_supports_seeded,
+    sample_supports,
 )
 from .transforms import OperatorSpec, _bands_1d, column_pairs
 from .transforms import apply  # noqa: F401 (bench/spans.py wraps avds.harness.apply)
@@ -54,9 +55,9 @@ TAIL_TIE_TOL = 1e-9
 # Seeds and Lambda samples grow with the trial count; at this bound the
 # Lambda samples of a diagnostics call fit in 8 MB.
 MAX_TRIALS = 1 << 20
-# Entries per stack in `diagnostics` (the support rows, or the tail Grams,
-# of a stack of trials), as in density._dense_terms.
-_STACK_ENTRIES = 1 << 16
+# Entries per stack of trials in `diagnostics` (supports, column pairs); a
+# chunk of a stack (Lambda numerators, draws, tail Grams) holds half as many.
+_STACK_ENTRIES = 1 << 15
 
 
 def psnr(ref: np.ndarray, rec: np.ndarray, peak: float | None = None) -> float:
@@ -295,17 +296,17 @@ def diagnostics(
     sufficient-budget evaluations report max_k ||.||/pi_k times the
     log^3 / log^2 factors at the given epsilon (constants omitted).
 
-    A trial reads A0[:, I] once, as the pairs (u, v) of
-    `transforms.column_pairs` (a gather, no transform, on a 2D operator):
-    row r of it is u[:, r // w] * v[:, r % w].  Singleton Lambda numerators
-    are (|u|^2)^T |v|^2; block ones come from those rows.  The mask draws
-    use a categorical table built once per call.  Trials run in stacks of
-    at most 2^16 support and Gram entries, so memory stays bounded for any
-    support size and up to `MAX_TRIALS` trials: a stack draws its supports
-    in one call and passes its scaled Grams to one `eigvalsh`.  The stack
-    size changes no value: `spawn` continues the parent's children, each
-    support reads only its own uniforms, and `eigvalsh` treats each matrix
-    alone.
+    `SeedSequence(seed).spawn(2)` seeds two generators: trial t's support
+    reads the t-th row of n_free uniforms of the first (`sample_supports`),
+    its mask the t-th row of m uniforms of the second (`masks._iid_draw`).
+    A stack of trials draws both as blocks and reads A0[:, I] by one
+    `transforms.column_pairs` gather: row r is u[t, r // w] * v[t, r % w].
+    Its chunks take singleton Lambda numerators as one batched
+    |u|^2 (|v|^2)^T, block ones per trial by `eigvalsh`, and the scaled
+    Grams of the undeduplicated draws as one batched A_I* A_I.  Stacks of
+    at most `_STACK_ENTRIES` entries bound memory for any support size and
+    up to `MAX_TRIALS` trials; their size changes no value, since each
+    stream is read in order and every batched call treats trials alone.
 
     Against the per-trial transforms of `tests/reference_diagnostics.py`
     the Lambda samples agree within 1e-13 relative (the products round
@@ -326,7 +327,7 @@ def diagnostics(
     gram_terms, inf_terms = block_norm_terms(spec, partition, weights)
     pi = density.pi
     live = pi > 0
-    all_live = bool(live.all())
+    live_cols = slice(None) if live.all() else live  # skips the gather when all are live
     norm = pi[live] * m  # Lambda's denominators pi_k m over the live blocks
     mu = float(np.max(inf_terms[live] / norm))
     threshold_inf1 = float(np.max(inf_terms[live] / pi[live]))
@@ -335,40 +336,49 @@ def diagnostics(
     atoms, cum = _categorical_table(density)
 
     dist = signal_distribution(weights)
+    s = dist.sparsity  # every rejective support has this size
     singleton = partition.m == partition.dim
     splits = np.cumsum(partition.sizes)[:-1]  # blocks lie one after another in rows
-    lam = np.empty(trials)
-    hits = 0
-    # a stack holds n_stack support rows of K entries and tail Grams of S x S:
-    # every rejective support has the same size S
-    n_stack = max(1, _STACK_ENTRIES // max(dist.dim, dist.sparsity**2))
-    parent = np.random.SeedSequence(seed)
+    lam, hits = np.empty(trials), 0
+    support_rng, mask_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    # per trial, a stack holds K support and S x size (u, v) entries; a chunk
+    # K numerators, m x S draws and an S x S Gram, maybe complex, in half
+    n_stack = max(1, _STACK_ENTRIES // max(dist.dim, s * spec.size))
+    n_chunk = max(1, (_STACK_ENTRIES >> 1) // max(dist.dim, m * s, s * s))
     for first in range(0, trials, n_stack):
-        # trial t's child spawns [support draw, mask draw]
-        children = [seq.spawn(2) for seq in parent.spawn(min(n_stack, trials - first))]
-        supports = sample_supports_seeded(dist, [child[0] for child in children])
-        grams = []
-        for t, (support, (_, mask_seed)) in enumerate(zip(supports, children), first):
-            u, v = column_pairs(spec, np.flatnonzero(support))
-            width = v.shape[1]
-            # Lambda_I = max_k ||B_k[:, I]||^2 / (pi_k m)
+        n = min(n_stack, trials - first)
+        supports = sample_supports(dist, n, seed=support_rng)
+        u, v = column_pairs(spec, np.flatnonzero(supports) % dist.dim)
+        # trial t reads A0[r, I] as u[t, r // w] * v[t, r % w]
+        u, v = (f.reshape(n, s, -1).transpose(0, 2, 1).copy() for f in (u, v))
+        height, width = u.shape[1], v.shape[1]
+        draws = _iid_draw(atoms, cum, mask_rng.random((n, m)))
+        scale = (m * pi[draws]) ** -0.5  # theorem scaling, once per draw
+        for lo in range(0, n, n_chunk):
+            chunk = slice(lo, lo + n_chunk)
+            uc, vc, dc, sc = u[chunk], v[chunk], draws[chunk], scale[chunk]
+            # Lambda_I = max_k ||B_k[:, I]||^2 / (pi_k m); Grams of every draw
             if singleton:
-                block_sq = ((np.abs(u) ** 2).T @ (np.abs(v) ** 2)).ravel()
+                block_sq = np.abs(uc) ** 2 @ (np.abs(vc) ** 2).swapaxes(1, 2)  # h x w per trial
+                offsets = np.arange(len(uc))[:, None]
+                a_i = uc.reshape(-1, s)[dc // width + height * offsets]  # m x S per trial
+                a_i *= vc.reshape(-1, s)[dc % width + width * offsets]
+                a_i *= sc[:, :, None]
+                grams = a_i.conj().swapaxes(1, 2) @ a_i
             else:
-                cols = (u[:, partition.rows // width] * v[:, partition.rows % width]).T
-                block_sq = np.empty(partition.m)
-                for k, sub in enumerate(np.split(cols, splits)):
-                    gram = sub.conj().T @ sub
-                    block_sq[k] = float(
-                        np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1].real
-                    )
-            lam[t] = float(np.max((block_sq if all_live else block_sq[live]) / norm))
-            # theorem-scaled mask and its restricted Gram
-            rows, mult = _iid_draw(atoms, cum, m, np.random.default_rng(mask_seed))
-            rows, scale = partition.block_rows(rows, np.sqrt(mult / (m * pi[rows])))
-            a_i = scale[:, None] * (u[:, rows // width] * v[:, rows % width]).T
-            grams.append(a_i.conj().T @ a_i)
-        hits += _tail_hits(np.array(grams))
+                block_sq = np.empty((len(uc), partition.m))
+                grams = np.empty((len(uc), s, s), dtype=u.dtype)
+                for j, (ut, vt) in enumerate(zip(uc, vc)):
+                    cols = ut[partition.rows // width] * vt[partition.rows % width]
+                    for k, sub in enumerate(np.split(cols, splits)):
+                        gram = sub.conj().T @ sub
+                        block_sq[j, k] = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1].real
+                    rows, row_scale = partition.block_rows(dc[j], sc[j])
+                    a_i = row_scale[:, None] * ut[rows // width] * vt[rows % width]
+                    grams[j] = a_i.conj().T @ a_i
+            block_sq = block_sq.reshape(len(uc), -1)[:, live_cols]
+            lam[first : first + n][chunk] = np.max(block_sq / norm, axis=1)
+            hits += _tail_hits(grams)
     return Diagnostics(
         mu=mu,
         lambda_samples=lam,

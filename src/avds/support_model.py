@@ -213,18 +213,6 @@ def sample_supports(dist: SupportDistribution, n: int, seed=None) -> np.ndarray:
     return _sequential_supports(dist, rng.random((n, len(dist._free))))
 
 
-def sample_supports_seeded(dist: SupportDistribution, seeds) -> np.ndarray:
-    """One exact support per seed, as a boolean (len(seeds), K) matrix.
-
-    Row i equals sample_supports(dist, 1, seed=seeds[i])[0]: each row's
-    uniforms come from its own generator, and one sequential pass then
-    draws all rows together.
-    """
-    u = np.array([np.random.default_rng(seed).random(len(dist._free)) for seed in seeds])
-    # the reshape keeps two axes when there are no seeds
-    return _sequential_supports(dist, u.reshape(len(seeds), len(dist._free)))
-
-
 def _sequential_supports(dist: SupportDistribution, u: np.ndarray) -> np.ndarray:
     """Supports as a boolean (len(u), K) matrix by the sequential scheme, row i driven by u[i].
 

@@ -1,12 +1,14 @@
 """Reference diagnostics loop, test use only.
 
-This is `avds.harness.diagnostics` as it was before the support draws were
-batched and before the columns of A0 came from per-axis factors: one
-`sample_supports(dist, 1, seed=child[0])` call and one forward transform of
-a one-hot slab per trial.  The fast version must give the same tail counts,
-mu, thresholds and bounds exactly, and Lambda samples within 1e-13
-relative: its column entries are products of per-axis rows, which round
-differently from the transform.
+This is `avds.harness.diagnostics` one trial at a time, on the same two
+random streams (`SeedSequence(seed).spawn(2)`): one
+`sample_supports(dist, 1, seed=support_rng)` call, one forward transform of
+a one-hot slab and one deduplicated `draw_mask(..., IID, seed=mask_rng)`
+per trial.  The fast version must give the same tail counts, mu,
+thresholds and bounds exactly, and Lambda samples within 1e-13 relative:
+its column entries are products of per-axis rows, which round differently
+from the transform, and its Grams sum every draw where this one weights
+each distinct row by its count, which only ties at 1/2 could tell apart.
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ def reference_diagnostics(spec, partition, density, weights, m, trials=200, seed
     logk = np.log(spec.dim / epsilon)
 
     dist = signal_distribution(weights)
-    seeds = np.random.SeedSequence(seed).spawn(trials)
+    support_rng, mask_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     lam = np.empty(trials)
     hits = 0
     for t in range(trials):
-        child = seeds[t].spawn(2)
-        support = np.flatnonzero(sample_supports(dist, 1, seed=child[0])[0])
+        support = np.flatnonzero(sample_supports(dist, 1, seed=support_rng)[0])
         slab = np.zeros((support.size, spec.dim))
         slab[np.arange(support.size), support] = 1.0
         cols = apply(spec, Direction.FORWARD, slab).T  # (K, S) columns of A0
@@ -54,7 +55,7 @@ def reference_diagnostics(spec, partition, density, weights, m, trials=200, seed
                 )
         lam[t] = float(np.max(block_sq[live] / (pi[live] * m)))
         # theorem-scaled mask and its restricted Gram
-        mask = draw_mask(density, m, mode=IID, seed=child[1])
+        mask = draw_mask(density, m, mode=IID, seed=mask_rng)
         scale = np.sqrt(mask.multiplicities / (m * pi[mask.indices]))
         if singleton:
             a_i = scale[:, None] * cols[mask.indices, :]

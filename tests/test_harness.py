@@ -11,6 +11,7 @@ from reference_harness import smallest_m_reaching, synth_corpus
 from avds.cli import _SHARED_KEYS, _experiment_config
 from avds.density import BlockPartition, Density, adapted_isolated, baseline_density
 from avds.errors import ConfigError, DimensionMismatch
+from avds import harness
 from avds.harness import (
     MAX_TRIALS,
     ExperimentConfig,
@@ -254,18 +255,19 @@ def test_diagnostics_reject_a_density_of_the_wrong_length(partition):
         diagnostics(spec, part, dens, wv, m=8, trials=2, seed=0)
 
 
-def test_diagnostics_memory_does_not_grow_with_trials():
-    # trials run in stacks of 64 (tail Grams of S = 32), so the traced peak
-    # stays flat in `trials`
+@pytest.mark.parametrize("m", [32, 256])
+def test_diagnostics_memory_does_not_grow_with_trials(m):
+    # trials run in stacks of 64 and chunks sized by m x S = 1024 or 8192
+    # (both above K = 256), so the traced peak stays flat in `trials`
     spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 16, levels=2)
     part = BlockPartition.singletons(256)
     wv = normalize_weights(np.full(256, 32 / 256), 32)
     dens = baseline_density("uniform", spec, part)
-    diagnostics(spec, part, dens, wv, m=32, trials=2, seed=0)  # caches, outside the trace
+    diagnostics(spec, part, dens, wv, m=m, trials=2, seed=0)  # caches, outside the trace
     peaks = []
     for trials in (200, 2000):
         tracemalloc.start()
-        diagnostics(spec, part, dens, wv, m=32, trials=trials, seed=0)
+        diagnostics(spec, part, dens, wv, m=m, trials=trials, seed=0)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] <= 2 * peaks[0], peaks
@@ -395,6 +397,44 @@ def test_diagnose_config_matches_per_trial_reference():
             assert getattr(got, key) == getattr(want, key), key
 
 
+_LINES_CONFIG = {
+    # the line-block diagnose config that CI runs twice and compares
+    "schema_version": 1,
+    "seed": 5,
+    "spec": {"measurement": "dft2d", "sparsity": "tensor_db4", "size": 16, "levels": 2},
+    "partition": {"kind": "vertical_lines"},
+    "weights": {"source": "uniform", "sparsity": 4},
+    "density": "adapted",
+    "m": [4, 8],
+    "trials": 40,
+}
+
+
+@pytest.mark.parametrize(
+    "config,m",
+    [("diagnose", 32), ("diagnose", 256), ("lines", 4), ("lines", 8)],
+)
+def test_diagnostics_stack_size_changes_no_value(monkeypatch, config, m):
+    path = Path(__file__).resolve().parents[1] / "configs" / "diagnose_hadamard_haar.json"
+    raw = json.loads(path.read_text()) if config == "diagnose" else _LINES_CONFIG
+    shared = {key: raw[key] for key in _SHARED_KEYS if key in raw}
+    cfg = _experiment_config(dict(shared, budget=1), str(path))
+    dens = build_density(raw["density"], cfg, cfg.weights)
+    runs = []
+    # one trial per stack and chunk, a few trials per chunk, one stack for all
+    for entries in (1 << 8, 1 << 11, 1 << 20):
+        monkeypatch.setattr(harness, "_STACK_ENTRIES", entries)
+        runs.append(
+            diagnostics(
+                cfg.spec, cfg.partition, dens, cfg.weights,
+                m=m, trials=raw["trials"], seed=cfg.master_seed,
+            )
+        )
+    for run in runs[1:]:
+        assert np.array_equal(run.lambda_samples, runs[0].lambda_samples)
+        assert run.gram_tail_prob == runs[0].gram_tail_prob
+
+
 def test_phase_transition_endpoints():
     spec = OperatorSpec(Measurement.DFT1D, Sparsity.IDENTITY, 32)
     wv = normalize_weights(np.full(32, 3 / 32), 3)
@@ -436,16 +476,17 @@ def test_phase_transition_pruning():
 def test_diagnostics_tail_counts_exact_ties():
     # A0 = I, support {0}, pi = (1/2, 1/2, 0, 0), m = 4: the scaled Gram is
     # the 1 x 1 matrix mult_0 / 2, so its deviation is exactly 1/2 when row 0
-    # is drawn once or three times; rounding gives 0.5000000000000001 and
-    # 1.4999999999999998, a deviation just under 1/2.  A trial is a hit
-    # unless row 0 is drawn exactly twice.
+    # is drawn once or three times; each draw adds (1 / sqrt(2))^2, which
+    # rounds to 0.5000000000000001, so one draw deviates just under 1/2.  A
+    # trial is a hit unless row 0 is drawn exactly twice.
     spec = OperatorSpec(Measurement.IDENTITY, Sparsity.IDENTITY, 4)
     dens = Density(np.array([0.5, 0.5, 0.0, 0.0]), 1.0)
     wv = WeightVector.from_omega(np.array([1.0, 0.0, 0.0, 0.0]))
     d = diagnostics(spec, BlockPartition.singletons(4), dens, wv, m=4, trials=20, seed=0)
+    mask_rng = np.random.default_rng(np.random.SeedSequence(0).spawn(2)[1])  # the mask stream
     mult = []
-    for seq in np.random.SeedSequence(0).spawn(20):
-        mask = draw_mask(dens, 4, mode=IID, seed=seq.spawn(2)[1])
+    for _ in range(20):
+        mask = draw_mask(dens, 4, mode=IID, seed=mask_rng)
         mult.append(int(mask.multiplicities[mask.indices == 0].sum()))
     assert {1, 3} <= set(mult)
     assert d.gram_tail_prob == np.mean(np.array(mult) != 2)

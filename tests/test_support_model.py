@@ -19,7 +19,6 @@ from avds.support_model import (
     flip,
     normalize_weights,
     sample_supports,
-    sample_supports_seeded,
 )
 
 # the exact sampler and the independent rejection sampler, by name
@@ -132,20 +131,20 @@ def test_sampler_matches_distribution(method):
         np.r_[np.ones(2), np.zeros(3)],  # nothing left to draw
     ],
 )
-def test_seeded_supports_match_one_draw_per_seed(omega):
+def test_generator_seeded_draws_continue_one_stream(omega):
+    # draws from one generator read its uniforms in order, so 10 then 15
+    # supports are the 25 of one call from the same seed
     dist = SupportDistribution(WeightVector.from_omega(omega))
-    seeds = np.random.SeedSequence(8).spawn(25)
-    got = sample_supports_seeded(dist, seeds)
-    want = np.array([sample_supports(dist, 1, seed=seed)[0] for seed in seeds])
+    rng = np.random.default_rng(8)
+    got = np.concatenate([sample_supports(dist, n, seed=rng) for n in (10, 15)])
     assert got.shape == (25, omega.size)
-    assert np.array_equal(got, want)
-
+    assert np.array_equal(got, sample_supports(dist, 25, seed=8))
 
 
 def test_zero_supports_have_zero_rows():
     dist = SupportDistribution(WeightVector.from_omega(np.r_[1.0, np.full(6, 0.5)]))
     assert sample_supports(dist, 0, seed=1).shape == (0, 7)
-    assert sample_supports_seeded(dist, []).shape == (0, 7)
+    assert sample_supports(dist, 0, seed=np.random.default_rng(1)).shape == (0, 7)
 
 
 @st.composite
@@ -180,9 +179,10 @@ def _assert_matches_reference(omega, seed, n):
     assert np.array_equal(dist._esp, table)
     u = np.random.default_rng(seed).random((n, len(dist._free)))
     assert np.array_equal(sample_supports(dist, n, seed=seed), _reference_draws(dist, table, u))
-    seeds = np.random.SeedSequence(seed).spawn(3)
-    u = np.array([np.random.default_rng(s).random(len(dist._free)) for s in seeds])
-    assert np.array_equal(sample_supports_seeded(dist, seeds), _reference_draws(dist, table, u))
+    rng = np.random.default_rng(seed)
+    got = np.concatenate([sample_supports(dist, 1, seed=rng) for _ in range(3)])
+    u = np.random.default_rng(seed).random((3, len(dist._free)))
+    assert np.array_equal(got, _reference_draws(dist, table, u))
 
 
 @given(rejective_weights(), st.integers(0, 2**32 - 1))
