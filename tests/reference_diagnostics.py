@@ -8,7 +8,7 @@ per trial.  The fast version must give the same tail counts, mu,
 thresholds and bounds exactly, and Lambda samples within 1e-13 relative:
 its column entries are products of per-axis rows, which round differently
 from the transform, and its Grams sum every draw where this one weights
-each distinct row by its count, which only ties at 1/2 could tell apart.
+each distinct row by its count, which rounds differently too.
 """
 
 from __future__ import annotations
