@@ -8,10 +8,10 @@ import pytest
 from reference_diagnostics import reference_diagnostics
 from reference_harness import smallest_m_reaching, synth_corpus
 
+from avds import harness
 from avds.cli import _SHARED_KEYS, _experiment_config
 from avds.density import BlockPartition, Density, adapted_isolated, baseline_density
 from avds.errors import ConfigError, DimensionMismatch
-from avds import harness
 from avds.harness import (
     MAX_TRIALS,
     ExperimentConfig,
