@@ -1,9 +1,11 @@
 """End-to-end experiments, theorem diagnostics and phase-transition sweeps.
 
-Per-trial randomness is derived from the master seed with
-numpy.random.SeedSequence: trial t uses `SeedSequence(master).spawn(trials)[t]`,
-whose children seed (in order) the signal draw and one mask draw per
-density kind.  The theorem diagnostics read two streams per call instead:
+Experiments and phase transitions share one trial pipeline: trial t uses
+`SeedSequence(entropy).spawn(trials)[t]`, whose children seed (in order)
+the signal draw and one mask draw per density run.  An experiment runs
+every density kind on each signal (paired) from entropy = master seed; a
+transition point runs one kind from (master seed, kind index, m), so its
+kinds are unpaired.  The theorem diagnostics read two streams per call:
 `SeedSequence(seed).spawn(2)` seeds one generator for the supports and one
 for the i.i.d. masks, and trial t reads the t-th row of each.  Reports are
 therefore fully reproducible from the config plus the master seed.
@@ -212,11 +214,16 @@ def _setup(cfg: ExperimentConfig) -> tuple[dict, SupportDistribution]:
     return densities, signal_distribution(weights)
 
 
-def _trial(cfg: ExperimentConfig, x: np.ndarray, density: Density, budget: int, seed):
-    """One paired trial step: DISTINCT mask (expanded to rows), measure x, solve."""
-    mask = expand_blocks(draw_mask(density, budget, mode=DISTINCT, seed=seed), cfg.partition)
-    op = MeasurementOp(cfg.spec, mask)
-    return mask, solve_bp(measure(x, op), op, cfg.solver)
+def _trials(cfg: ExperimentConfig, dist, densities: dict, budget: int, entropy):
+    """(kind, x, mask, result) per trial and density, seeded as the module docstring says."""
+    for seed in np.random.SeedSequence(entropy).spawn(cfg.trials):
+        children = seed.spawn(1 + len(densities))
+        x = draw_signals(dist, 1, seed=children[0])[0]
+        for (kind, density), child in zip(densities.items(), children[1:]):
+            mask = draw_mask(density, budget, mode=DISTINCT, seed=child)
+            mask = expand_blocks(mask, cfg.partition)
+            op = MeasurementOp(cfg.spec, mask)
+            yield kind, x, mask, solve_bp(measure(x, op), op, cfg.solver)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -227,22 +234,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     t0 = time.perf_counter()
     densities, dist = _setup(cfg)
-    budget = cfg.resolved_budget
-
     psnr_db: dict = {kind: [] for kind in cfg.density_kinds}
     covered: dict = {kind: [] for kind in cfg.density_kinds}
     unconverged = 0
-    trial_seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.trials)
-    for trial in range(cfg.trials):
-        children = trial_seeds[trial].spawn(1 + len(cfg.density_kinds))
-        x = draw_signals(dist, 1, seed=children[0])[0]
-        peak = float(np.max(np.abs(x)))
-        for j, kind in enumerate(cfg.density_kinds):
-            mask, result = _trial(cfg, x, densities[kind], budget, children[1 + j])
-            covered[kind].append(mask.size / cfg.spec.dim)
-            if not result.converged:
-                unconverged += 1
-            psnr_db[kind].append(psnr(x, result.x, peak=peak))
+    trials = _trials(cfg, dist, densities, cfg.resolved_budget, cfg.master_seed)
+    for kind, x, mask, result in trials:
+        covered[kind].append(mask.size / cfg.spec.dim)
+        unconverged += not result.converged
+        psnr_db[kind].append(psnr(x, result.x))
 
     report = ExperimentReport(
         schema_version=REPORT_SCHEMA_VERSION,
@@ -416,41 +415,39 @@ def phase_transition(
 ) -> dict:
     """Success rate (relative l2 error <= threshold) vs budget per kind.
 
-    With prune_target set, a grid point stops early once that success
-    rate has become unreachable; the point is flagged pruned.
+    Point (kind, m) runs the trials of that kind alone from the entropy
+    (master_seed, kind index, m), so kinds are unpaired; a kind with fewer
+    atoms of positive mass than m gets a pruned 0.  With prune_target set,
+    a point stops once that success rate has become unreachable, flagged
+    pruned.  Before any solve, a prune_target outside [0, 1] or a negative
+    or non-finite threshold is a `ConfigError`, and a budget that is not
+    an integer >= 1 an `InfeasibleBudget`.
     """
+    if prune_target is not None and not 0 <= prune_target <= 1:
+        raise ConfigError(f"prune_target must lie in [0, 1], got {prune_target}")
+    if not (math.isfinite(success_threshold) and success_threshold >= 0):
+        raise ConfigError(f"success_threshold must be finite and >= 0, got {success_threshold}")
+    budgets = list(m_grid)
+    for m in budgets:
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise InfeasibleBudget(f"transition budgets must be integers >= 1, got {m!r}")
+    # without a prune_target, as with a target of 0, every trial may fail
+    max_failures = int(np.floor(cfg.trials * (1.0 - (prune_target or 0.0))))
     densities, dist = _setup(cfg)
     table: dict = {kind: [] for kind in cfg.density_kinds}
-    for kind_idx, kind in enumerate(cfg.density_kinds):
-        supported = int(np.count_nonzero(densities[kind].pi > 0))
-        for m in m_grid:
+    for kind_idx, (kind, density) in enumerate(densities.items()):
+        supported = int(np.count_nonzero(density.pi > 0))
+        for m in map(int, budgets):
             if m > supported:
-                table[kind].append(PhasePoint(int(m), 0.0, 0, pruned=True))
+                table[kind].append(PhasePoint(m, 0.0, 0, pruned=True))
                 continue
-            seeds = np.random.SeedSequence(
-                (cfg.master_seed, kind_idx, int(m))
-            ).spawn(cfg.trials)
-            successes = 0
-            failures = 0
-            run = 0
-            budget_fail = (
-                None
-                if prune_target is None
-                else int(np.floor(cfg.trials * (1.0 - prune_target)))
-            )
-            for t in range(cfg.trials):
-                children = seeds[t].spawn(2)
-                x = draw_signals(dist, 1, seed=children[0])[0]
-                result = _trial(cfg, x, densities[kind], int(m), children[1])[1]
-                err = np.linalg.norm(result.x - x) / np.linalg.norm(x)
+            successes = run = 0
+            entropy = (cfg.master_seed, kind_idx, m)
+            for _, x, _, result in _trials(cfg, dist, {kind: density}, m, entropy):
                 run += 1
-                if err <= success_threshold:
-                    successes += 1
-                else:
-                    failures += 1
-                if budget_fail is not None and failures > budget_fail:
+                err = np.linalg.norm(result.x - x) / np.linalg.norm(x)
+                successes += bool(err <= success_threshold)
+                if run - successes > max_failures:
                     break
-            table[kind].append(
-                PhasePoint(int(m), successes / run, run, pruned=run < cfg.trials)
-            )
+            table[kind].append(PhasePoint(m, successes / run, run, pruned=run < cfg.trials))
     return table

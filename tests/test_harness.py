@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from reference_diagnostics import reference_diagnostics
-from reference_harness import smallest_m_reaching, synth_corpus
+from reference_harness import reference_phase_transition, smallest_m_reaching, synth_corpus
 
 from avds import harness
 from avds.cli import _SHARED_KEYS, _experiment_config
 from avds.density import BlockPartition, Density, adapted_isolated, baseline_density
-from avds.errors import ConfigError, DimensionMismatch
+from avds.errors import ConfigError, DimensionMismatch, InfeasibleBudget
 from avds.harness import (
     MAX_TRIALS,
     ExperimentConfig,
@@ -471,6 +471,96 @@ def test_phase_transition_pruning():
     point = table["uniform"][0]
     assert point.pruned
     assert point.trials_run < 10
+
+
+def _k32_config(kinds, trials, weights=None, measurement=Measurement.DFT1D):
+    return ExperimentConfig(
+        spec=OperatorSpec(measurement, Sparsity.IDENTITY, 32),
+        weights=normalize_weights(np.full(32, 3 / 32), 3) if weights is None else weights,
+        density_kinds=kinds,
+        trials=trials,
+        master_seed=7,
+        budget=1,
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg, budgets, prune_target",
+    [
+        (_k32_config(["adapted", "uniform", "coherence"], 4), [2, 6, 12, 32], None),
+        (_k32_config(["uniform", "adapted"], 10), [2, 6, 12, 32], 0.95),
+        # 16 atoms of positive adapted mass: m = 20 is scored without a trial
+        (
+            _k32_config(
+                ["adapted", "uniform"],
+                6,
+                WeightVector.from_omega(np.r_[np.full(16, 3 / 16), np.zeros(16)]),
+                Measurement.IDENTITY,
+            ),
+            [4, 16, 20],
+            0.5,
+        ),
+    ],
+    ids=["dft1d", "dft1d-pruned", "identity-unsupported"],
+)
+def test_phase_transition_matches_the_per_kind_reference(cfg, budgets, prune_target):
+    expected = reference_phase_transition(cfg, budgets, prune_target=prune_target)
+    # a one-pass grid serves every kind
+    table = phase_transition(cfg, iter(budgets), prune_target=prune_target)
+    assert table == expected
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"prune_target": 1.5}, ConfigError),
+        ({"prune_target": -0.1}, ConfigError),
+        ({"prune_target": math.nan}, ConfigError),
+        ({"success_threshold": -1.0}, ConfigError),
+        ({"success_threshold": math.inf}, ConfigError),
+        ({"success_threshold": math.nan}, ConfigError),
+        ({"m_grid": [8, 12.9]}, InfeasibleBudget),
+        ({"m_grid": [8.0]}, InfeasibleBudget),
+        ({"m_grid": [0]}, InfeasibleBudget),
+        ({"m_grid": [np.int64(-4)]}, InfeasibleBudget),
+        ({"m_grid": [True]}, InfeasibleBudget),
+    ],
+    ids=[
+        "prune-above-1", "prune-below-0", "prune-nan",
+        "threshold-negative", "threshold-inf", "threshold-nan",
+        "m-fractional", "m-float", "m-zero", "m-negative", "m-bool",
+    ],
+)
+def test_phase_transition_rejects_bad_inputs_before_any_solve(monkeypatch, kwargs, error):
+    def no_solve(*args, **kwargs):
+        pytest.fail("phase_transition solved before checking its inputs")
+
+    monkeypatch.setattr(harness, "solve_bp", no_solve)
+    with pytest.raises(error):
+        phase_transition(_k32_config(["uniform"], 2), **{"m_grid": [8], **kwargs})
+
+
+def test_run_experiment_scores_every_kind_on_each_trials_signal(monkeypatch):
+    drawn, measured = [], []
+    harness_draw, harness_measure = harness.draw_signals, harness.measure
+
+    def draw_signals(*args, **kwargs):
+        drawn.append(harness_draw(*args, **kwargs))
+        return drawn[-1]
+
+    def measure(x, op):
+        measured.append(x)
+        return harness_measure(x, op)
+
+    monkeypatch.setattr(harness, "draw_signals", draw_signals)
+    monkeypatch.setattr(harness, "measure", measure)
+    cfg = _k32_config(["adapted", "uniform", "coherence"], 4)
+    cfg.budget = 12
+    run_experiment(cfg)
+    assert [len(signals) for signals in drawn] == [1, 1, 1, 1]
+    assert len(measured) == 12
+    for trial, signals in enumerate(drawn):
+        assert all(np.shares_memory(x, signals) for x in measured[3 * trial : 3 * trial + 3])
 
 
 def test_diagnostics_tail_counts_exact_ties():
