@@ -13,6 +13,7 @@ therefore fully reproducible from the config plus the master seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -43,7 +44,7 @@ from .support_model import (
 from .transforms import OperatorSpec, _bands_1d, column_pairs
 from .transforms import apply  # noqa: F401 (bench/spans.py wraps avds.harness.apply)
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 # PSNR values at or beyond the numerical noise floor are reported as the
 # +inf sentinel; aggregation clips at this cap so means stay ordered.
@@ -148,6 +149,13 @@ class ExperimentConfig:
         return max(1, round(self.fraction * self.partition.m))
 
     def describe(self) -> dict:
+        """The config as a report records it.
+
+        `seed_scheme` names every random stream of a run: the per-trial seeds,
+        the support draw (by inverse CDF, one uniform per free pick, see
+        `support_model.sample_supports`) and the distinct masks.  It changes
+        whenever a stream does, together with `REPORT_SCHEMA_VERSION`.
+        """
         spec = self.spec
         return {
             "spec": {
@@ -167,6 +175,7 @@ class ExperimentConfig:
             "weights": dict(self.weight_descriptor),
             "seed_scheme": (
                 "SeedSequence(master).spawn(trials); per trial: [signal, mask per kind]; "
+                "supports by inverse CDF, one uniform per free pick; "
                 "distinct masks by exponential keys"
             ),
         }
@@ -201,8 +210,21 @@ def build_density(kind: str, cfg: ExperimentConfig, weights: WeightVector) -> De
 
 
 def signal_distribution(weights: WeightVector) -> SupportDistribution:
+    """The rejective model of `weights` rescaled to an integer sum S >= 1.
+
+    One model serves every call with the same omega content and S: the last
+    one built is kept, with its arrays read-only.
+    """
     s_int = max(1, int(round(weights.sparsity)))
-    return SupportDistribution(normalize_weights(weights.omega, s_int))
+    return _signal_model(np.asarray(weights.omega, dtype=float).tobytes(), s_int)
+
+
+@functools.lru_cache(maxsize=1)
+def _signal_model(omega: bytes, s: int) -> SupportDistribution:
+    dist = SupportDistribution(normalize_weights(np.frombuffer(omega), s))
+    for array in (dist.weights.omega, dist._forced, dist._free, dist._log_odds, dist._esp):
+        array.flags.writeable = False
+    return dist
 
 
 def _setup(cfg: ExperimentConfig) -> tuple[dict, SupportDistribution]:
@@ -296,8 +318,10 @@ def diagnostics(
     log^3 / log^2 factors at the given epsilon (constants omitted).
 
     `SeedSequence(seed).spawn(2)` seeds two generators: trial t's support
-    reads the t-th row of n_free uniforms of the first (`sample_supports`),
-    its mask the t-th row of m uniforms of the second (`masks._iid_draw`).
+    reads the t-th row of R uniforms of the first, one per free pick
+    (`sample_supports`), its mask the t-th row of m uniforms of the second
+    (`masks._iid_draw`).  The support model comes from
+    `signal_distribution`, built once per weight vector.
     A stack of trials draws both as blocks and reads A0[:, I] by one
     `transforms.column_pairs` gather: row r is u[t, r // w] * v[t, r % w].
     Its chunks take singleton Lambda numerators as one batched

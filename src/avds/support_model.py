@@ -2,7 +2,7 @@
 
 A support I of fixed size S is drawn with probability proportional to
 prod_{i in I} w_i * prod_{j notin I} (1 - w_j).  The normaliser and the
-exact sequential sampler both run on elementary symmetric polynomials of
+exact draw-by-draw sampler both run on elementary symmetric polynomials of
 the odds w/(1-w), evaluated in log space with the stable two-term
 recurrence, so no enumeration over supports is ever needed.  Weights come
 from a corpus (`estimate_weights`) or a profile, rescaled to an integer
@@ -94,6 +94,8 @@ def normalize_weights(omega, s_target: float) -> WeightVector:
     if not s_target > 0:
         raise InvalidWeights(f"target sum must be positive, got {s_target}")
     omega = np.asarray(omega, dtype=float).copy()
+    if not np.all(np.isfinite(omega)):
+        raise InvalidWeights("omega entries must be finite")
     if np.any(omega < 0):
         raise InvalidWeights("omega entries must be nonnegative")
     positive = omega > 0
@@ -123,7 +125,7 @@ def normalize_weights(omega, s_target: float) -> WeightVector:
             raise InvalidWeights("cannot redistribute excess mass")
         if total_free > 0:
             w[free] = (w[free] / total_free) * deficit
-    if abs(w.sum() - s_target) > 1e-9:
+    if not abs(w.sum() - s_target) <= 1e-9:  # NaN fails too
         raise InvalidWeights("normalisation failed to reach the target sum")
     return WeightVector(omega=w, sparsity=float(s_target))
 
@@ -207,40 +209,61 @@ def _check_seed(seed):
     return seed
 
 
+def _check_count(n):
+    """`n`, checked: a support count that is not an integer >= 0 is a ConfigError."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ConfigError(f"a support count must be an integer >= 0, got {n!r}")
+    return int(n)
+
+
 def sample_supports(dist: SupportDistribution, n: int, seed=None) -> np.ndarray:
-    """Draw n exact supports as a boolean (n, K) matrix; deterministic given seed."""
-    rng = np.random.default_rng(_check_seed(seed))
-    return _sequential_supports(dist, rng.random((n, len(dist._free))))
+    """Draw n exact supports as a boolean (n, K) matrix; deterministic given seed.
 
-
-def _sequential_supports(dist: SupportDistribution, u: np.ndarray) -> np.ndarray:
-    """Supports as a boolean (len(u), K) matrix by the sequential scheme, row i driven by u[i].
-
-    Forced indices are set in every row.  With r indices left, free index
-    t is taken when u[i, t] < p_r[t] = odds_t e_{r-1}(suffix t+1) / e_r(suffix t),
-    and always at t = n_free - r, where as many slots as indices remain.
-    The scan runs in inclusion rounds: in round k every row has r = R - k
-    indices left, so all rows share the column p_r, and each jumps from its
-    scan position to its next accepted or forced index.  The rows are
-    independent: each row's draws depend on its uniforms only.
+    Row i reads the i-th row of `rng.random((n, R))`, one uniform per free
+    pick (R = S minus the forced indices).  A count that is not an integer
+    >= 0 is a ConfigError.
     """
+    n = _check_count(n)
+    rng = np.random.default_rng(_check_seed(seed))
+    return _inverse_cdf_supports(dist, rng.random((n, dist._r)))
+
+
+def _inverse_cdf_supports(dist: SupportDistribution, u: np.ndarray) -> np.ndarray:
+    """Supports as a boolean (len(u), K) matrix, pick k of row i driven by u[i, k].
+
+    Forced indices are set in every row.  The sequential scheme takes free
+    index t, with r picks left, with probability
+    p_r[t] = odds_t e_{r-1}(odds[t+1:]) / e_r(odds[t:]).  Since
+    1 - p_r[t] = e_r(odds[t+1:]) / e_r(odds[t:]), the skip probabilities
+    telescope: from position pos, the next pick t has
+    P(t' <= t) = 1 - e_r(odds[t+1:]) / e_r(odds[pos:]).  By inversion, the
+    next pick is the first t >= pos with E[t + 1, r] <= E[pos, r] + log u.
+    Column r of the log-ESP table E never increases down the table, also in
+    floating point (`logaddexp` is at least its larger argument), so one
+    `searchsorted` per round serves every row: with c entries of the column
+    at most the target, t = max(n_free - c, pos).  E[n_free - r + 1, r] = -inf
+    stops the search at or before the last feasible index (the forced pick,
+    and u = 0); the max keeps t at pos for u within rounding of 1.  The
+    rounds count positions from the end, q = n_free - pos, so that
+    n_free - t = min(c, q) is one call.
+    """
+    esp = dist._esp
+    n_free = len(dist._free)
+    descending = np.arange(n_free, -1, -1)  # sorts every column ascending
+    ends = np.empty(u.shape[::-1], dtype=np.int64)  # n_free - t for pick k of row i at [k, i]
+    q = np.full(len(u), n_free)  # n_free - pos
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u.T)
+    for k, r in enumerate(range(dist._r, 0, -1)):
+        column = esp[:, r]
+        target = column[::-1][q]  # E[pos, r]
+        target += log_u[k]
+        count = column.searchsorted(target, side="right", sorter=descending)
+        np.minimum(count, q, out=ends[k])
+        q = ends[k] - 1
     out = np.zeros((len(u), dist.dim), dtype=bool)
     out[:, dist._forced] = True
-    esp = dist._esp
-    log_odds = dist._log_odds
-    n_free = len(dist._free)
-    rows = np.arange(len(u))
-    pos = np.zeros(len(u), dtype=np.int64)  # next index each row scans
-    for r in range(dist._r, 0, -1):
-        # every row has pos <= n_free - r; the initial value serves zero rows
-        lo, last = int(pos.min(initial=n_free - r)), n_free - r
-        log_p = log_odds[lo : last + 1] + esp[lo + 1 : last + 2, r - 1] - esp[lo : last + 1, r]
-        take = u[:, lo : last + 1] < np.exp(np.minimum(log_p, 0.0))
-        take &= np.arange(lo, last + 1) >= pos[:, None]
-        take[:, -1] = True
-        pos = lo + np.argmax(take, axis=1)
-        out[rows, dist._free[pos]] = True
-        pos += 1
+    out[np.arange(len(u)), dist._free[n_free - ends]] = True
     return out
 
 

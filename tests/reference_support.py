@@ -1,9 +1,13 @@
 """Independent oracles for the support model, test use only.
 
-`_log_suffix_esp` (the row-by-row ESP table) and `_sequential_supports`
-(one Python step per free index) are the kernels the vectorised ones
-replaced, copied verbatim; the avds versions must reproduce the table and
-every draw bit for bit.  `rejection_supports` (Bernoulli draws kept when
+`_log_suffix_esp` (the row-by-row ESP table) is the kernel the vectorised
+one replaced, copied verbatim; the avds table must reproduce it bit for
+bit.  `inverse_cdf_supports` (one row and one pick at a time, by a linear
+scan) is the inverse-CDF rule written out; the avds sampler must reproduce
+every draw of it bit for bit.  `_sequential_supports` (one Python step per
+free index, one uniform per free index) is the sequential scheme the
+inverse-CDF sampler replaced, copied verbatim: it draws from the same law
+on another stream.  It, `rejection_supports` (Bernoulli draws kept when
 they have exactly S successes), `support_prob` (the closed form) and
 `sequential_path_log_prob` (the sampler's path probability) check the
 exact sampler's law.
@@ -53,6 +57,28 @@ def _sequential_supports(dist: SupportDistribution, u: np.ndarray, out: np.ndarr
             include = (u[:, t] < p) | must
             out[include, dist._free[t]] = True
             remaining = remaining - include.astype(np.int64)
+    return out
+
+
+def inverse_cdf_supports(dist: SupportDistribution, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the free indices of `out` by the inverse-CDF rule, row i's pick k driven by u[i, k].
+
+    With r picks left and the previous pick before position pos, the next
+    pick is the first free index t >= pos with E[t + 1, r] <= E[pos, r] + log u,
+    found by scanning t upwards from pos.
+    """
+    esp = dist._esp
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u)
+    for i in range(len(u)):
+        pos = 0
+        for k, r in enumerate(range(dist._r, 0, -1)):
+            target = esp[pos, r] + log_u[i, k]
+            t = pos
+            while esp[t + 1, r] > target:
+                t += 1
+            out[i, dist._free[t]] = True
+            pos = t + 1
     return out
 
 

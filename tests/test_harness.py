@@ -8,7 +8,7 @@ import pytest
 from reference_diagnostics import reference_diagnostics
 from reference_harness import reference_phase_transition, smallest_m_reaching, synth_corpus
 
-from avds import harness
+from avds import harness, support_model
 from avds.cli import _SHARED_KEYS, _experiment_config
 from avds.density import BlockPartition, Density, adapted_isolated, baseline_density
 from avds.errors import ConfigError, DimensionMismatch, InfeasibleBudget
@@ -433,6 +433,70 @@ def test_diagnostics_stack_size_changes_no_value(monkeypatch, config, m):
     for run in runs[1:]:
         assert np.array_equal(run.lambda_samples, runs[0].lambda_samples)
         assert run.gram_tail_prob == runs[0].gram_tail_prob
+
+
+def _counting_builds(monkeypatch):
+    """Count the support models the harness builds, through the name it looks up."""
+    builds = []
+
+    def build(weights):
+        builds.append(weights)
+        return support_model.SupportDistribution(weights)
+
+    monkeypatch.setattr(harness, "SupportDistribution", build)
+    harness._signal_model.cache_clear()
+    return builds
+
+
+def test_signal_model_is_built_once_per_weight_content(monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    omega = normalize_weights(np.random.default_rng(4).uniform(0.05, 0.5, 64), 4).omega
+    first = harness.signal_distribution(WeightVector(omega.copy(), 4.0))
+    # a distinct vector with equal omega shares the model
+    assert harness.signal_distribution(WeightVector.from_omega(omega.copy())) is first
+    assert len(builds) == 1
+    swapped = omega.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    second = harness.signal_distribution(WeightVector.from_omega(swapped))
+    assert second is not first and len(builds) == 2
+    assert np.array_equal(second.weights.omega, normalize_weights(swapped, 4).omega)
+    # another sparsity is another model
+    third = harness.signal_distribution(WeightVector(swapped, 5.0))
+    assert third.sparsity == 5 and len(builds) == 3
+
+
+def test_signal_model_arrays_refuse_writes():
+    harness._signal_model.cache_clear()
+    free = normalize_weights(np.random.default_rng(5).uniform(0.1, 0.9, 30), 3).omega
+    omega = np.r_[1.0, 0.0, free]
+    dist = harness.signal_distribution(WeightVector.from_omega(omega))
+    for array in (dist.weights.omega, dist._forced, dist._free, dist._log_odds, dist._esp):
+        assert len(array)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_memo_cold_and_warm_give_equal_outputs(monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    cfg = small_config()
+    cold = run_experiment(cfg).to_json(include_timing=False)
+    warm = run_experiment(cfg).to_json(include_timing=False)
+    assert cold == warm and len(builds) == 1
+
+    spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 8, levels=2)
+    part = BlockPartition.singletons(spec.dim)
+    wv = normalize_weights(np.random.default_rng(6).uniform(0.05, 0.6, spec.dim), 4)
+    dens = adapted_isolated(spec, wv)
+    runs = []
+    for _ in range(2):
+        harness._signal_model.cache_clear()
+        cold = diagnostics(spec, part, dens, wv, m=16, trials=20, seed=3)
+        warm = diagnostics(spec, part, dens, wv, m=16, trials=20, seed=3)
+        runs += [cold, warm]
+    assert len(builds) == 3
+    for run in runs[1:]:
+        assert np.array_equal(run.lambda_samples, runs[0].lambda_samples)
+        assert (run.mu, run.gram_tail_prob) == (runs[0].mu, runs[0].gram_tail_prob)
 
 
 def test_phase_transition_endpoints():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_support import sequential_path_log_prob, support_prob
 
+from avds import support_model
 from avds.errors import ConfigError, InvalidWeights
 from avds.support_model import (
     MAX_ESP_ENTRIES,
@@ -164,24 +165,24 @@ def rejective_weights(draw):
 
 
 def _reference_draws(dist, table, u):
-    """Supports of the reference sequential sampler on the reference table."""
-    model = SimpleNamespace(_esp=table, _log_odds=dist._log_odds, _free=dist._free, _r=dist._r)
+    """Supports of the reference inverse-CDF sampler on the reference table."""
+    model = SimpleNamespace(_esp=table, _free=dist._free, _r=dist._r)
     out = np.zeros((len(u), dist.dim), dtype=bool)
     out[:, dist._forced] = True
-    if dist._r:
-        reference_support._sequential_supports(model, u, out)
-    return out
+    return reference_support.inverse_cdf_supports(model, u, out)
 
 
 def _assert_matches_reference(omega, seed, n):
     dist = SupportDistribution(WeightVector.from_omega(omega))
     table = reference_support._log_suffix_esp(dist._log_odds, dist._r)
     assert np.array_equal(dist._esp, table)
-    u = np.random.default_rng(seed).random((n, len(dist._free)))
+    # the sampler's premise: no column increases down the table
+    assert np.all(dist._esp[1:] <= dist._esp[:-1])
+    u = np.random.default_rng(seed).random((n, dist._r))
     assert np.array_equal(sample_supports(dist, n, seed=seed), _reference_draws(dist, table, u))
     rng = np.random.default_rng(seed)
     got = np.concatenate([sample_supports(dist, 1, seed=rng) for _ in range(3)])
-    u = np.random.default_rng(seed).random((3, len(dist._free)))
+    u = np.random.default_rng(seed).random((3, dist._r))
     assert np.array_equal(got, _reference_draws(dist, table, u))
 
 
@@ -199,6 +200,72 @@ def test_draws_match_reference_at_scale(seed):
     raw[rng.random(600) < 0.1] = 0.0
     omega = normalize_weights(raw, int(rng.integers(1, 60))).omega
     _assert_matches_reference(omega, seed, n=4)
+
+
+def _support_codes(masks):
+    """One integer per support: bit k set when index k is in it."""
+    return masks.astype(np.int64) @ (1 << np.arange(masks.shape[1], dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [
+        # one forced and one impossible index around six free ones, r = 3
+        np.r_[0.3, 1.0, 0.7, 0.0, 0.2, 0.5, 0.4, 0.9],
+        # two forced, two impossible, r = 2 over four skewed free weights
+        np.r_[0.0, 0.05, 1.0, 0.95, 0.0, 0.6, 1.0, 0.4],
+    ],
+)
+def test_inverse_cdf_law_matches_sequential_scheme_and_closed_form(omega):
+    dist = SupportDistribution(WeightVector.from_omega(omega))
+    codes, probs = [], []
+    for sup in itertools.combinations(range(dist.dim), dist.sparsity):
+        p = support_prob(dist, list(sup))
+        if p > 0:
+            codes.append(sum(1 << k for k in sup))
+            probs.append(p)
+    assert np.isclose(sum(probs), 1.0, atol=1e-12)
+    index_of = {code: i for i, code in enumerate(codes)}
+    n = 100_000
+    new = sample_supports(dist, n, seed=31)
+    old = np.zeros((n, dist.dim), dtype=bool)
+    old[:, dist._forced] = True
+    u = np.random.default_rng(32).random((n, len(dist._free)))
+    reference_support._sequential_supports(dist, u, old)
+    freq = {}
+    for name, masks in (("inverse_cdf", new), ("sequential", old)):
+        counts = np.zeros(len(codes))
+        for code, count in zip(*np.unique(_support_codes(masks), return_counts=True)):
+            counts[index_of[int(code)]] += count  # a support outside the law raises KeyError
+        freq[name] = counts / n
+    # noise alone gives a distance of about 0.005 at these atom counts
+    assert 0.5 * np.abs(freq["inverse_cdf"] - probs).sum() <= 0.015
+    assert 0.5 * np.abs(freq["sequential"] - probs).sum() <= 0.015
+    assert 0.5 * np.abs(freq["inverse_cdf"] - freq["sequential"]).sum() <= 0.02
+
+
+def test_inverse_cdf_edge_uniforms():
+    omega = normalize_weights(np.r_[0.3, 0.6, 0.45, 0.5, 0.7, 0.35, 0.55, 0.4], 4).omega
+    omega = np.r_[1.0, 0.0, omega]  # a forced and an impossible index first
+    dist = SupportDistribution(WeightVector.from_omega(omega))
+    free, r = dist._free, dist._r
+    # u = 0 takes the last feasible index in every round: the last r free ones
+    got = support_model._inverse_cdf_supports(dist, np.zeros((2, r)))
+    assert np.array_equal(np.flatnonzero(got[0]), np.r_[0, free[-r:]])
+    assert np.array_equal(got[0], got[1])
+    # the largest uniform below 1 takes the current position: the first r free ones
+    got = support_model._inverse_cdf_supports(dist, np.full((1, r), np.nextafter(1.0, 0.0)))
+    assert np.array_equal(np.flatnonzero(got[0]), np.r_[0, free[:r]])
+    # no rows, no draws
+    assert support_model._inverse_cdf_supports(dist, np.zeros((0, r))).shape == (0, dist.dim)
+
+
+def test_all_forced_model_draws_its_forced_indices():
+    dist = SupportDistribution(WeightVector.from_omega([1.0, 0.0, 1.0, 1.0, 0.0]))
+    assert dist._r == 0
+    got = sample_supports(dist, 3, seed=4)
+    assert np.array_equal(got, np.tile([True, False, True, True, False], (3, 1)))
+    assert sample_supports(dist, 0, seed=4).shape == (0, 5)
 
 
 def test_samplers_agree_with_each_other():
@@ -357,3 +424,26 @@ def test_draw_signals_negative_seed_is_a_config_error(seed):
     dist = SupportDistribution(WeightVector.from_omega(np.full(8, 0.25)))
     with pytest.raises(ConfigError, match="seed"):
         draw_signals(dist, 2, seed=seed)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, True, "2", None])
+def test_support_count_must_be_a_non_negative_integer(n):
+    dist = SupportDistribution(WeightVector.from_omega(np.full(6, 0.5)))
+    with pytest.raises(ConfigError):
+        sample_supports(dist, n, seed=1)
+    with pytest.raises(ConfigError):
+        draw_signals(dist, n, seed=1)
+
+
+def test_support_count_accepts_numpy_integers():
+    dist = SupportDistribution(WeightVector.from_omega(np.full(6, 0.5)))
+    want = sample_supports(dist, 4, seed=1)
+    assert np.array_equal(sample_supports(dist, np.int64(4), seed=1), want)
+
+
+@pytest.mark.parametrize(
+    "omega", [[0.5, np.nan, 0.5], [np.inf, 0.5, 0.5], [0.5, -np.inf, 0.5], [np.nan] * 3]
+)
+def test_normalize_weights_rejects_non_finite_entries(omega):
+    with pytest.raises(InvalidWeights):
+        normalize_weights(omega, 1)
