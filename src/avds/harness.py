@@ -346,7 +346,7 @@ def diagnostics(
         raise ConfigError(f"diagnostics need trials in [1, {MAX_TRIALS}], got {trials}")
     if not 0 < epsilon < 1:
         raise ConfigError(f"epsilon is a failure probability in (0, 1), got {epsilon}")
-    _check_seed(seed)
+    _check_seed(seed, numpy_seeds=False)  # SeedSequence(seed) takes entropy only
     gram_terms, inf_terms = block_norm_terms(spec, partition, weights)
     pi = density.pi
     live = pi > 0

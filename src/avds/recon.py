@@ -76,8 +76,8 @@ class MeasurementOp:
 def measure(x: np.ndarray, op: MeasurementOp) -> np.ndarray:
     """y = A x via fast transforms plus row selection."""
     x = np.asarray(x)
-    if x.shape[-1] != op.dim:
-        raise DimensionMismatch(f"expected length {op.dim}, got {x.shape[-1]}")
+    if x.shape[-1:] != (op.dim,):
+        raise DimensionMismatch(f"expected last axis {op.dim}, got shape {x.shape}")
     z = apply(op.spec, Direction.FORWARD, x)
     return z[..., op.mask.indices]
 
@@ -85,7 +85,7 @@ def measure(x: np.ndarray, op: MeasurementOp) -> np.ndarray:
 def adjoint_measure(y: np.ndarray, op: MeasurementOp) -> np.ndarray:
     """x = A* y (scatter to the masked rows, then the adjoint transform)."""
     y = np.asarray(y)
-    if y.shape[-1] != op.mask.size:
+    if y.shape[-1:] != (op.mask.size,):
         raise DimensionMismatch("measurement length does not match the mask")
     z = np.zeros(y.shape[:-1] + (op.dim,), dtype=np.result_type(y.dtype, float))
     z[..., op.mask.indices] = y

@@ -202,10 +202,17 @@ class SupportDistribution:
         return self.sparsity - len(self._forced)
 
 
-def _check_seed(seed):
-    """`seed`, checked: a negative integer seed is a ConfigError (numpy's is a ValueError)."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ConfigError(f"a seed must be a non-negative integer, got {seed}")
+def _check_seed(seed, numpy_seeds: bool = True):
+    """`seed`, checked: None, an integer >= 0 or, if `numpy_seeds`, a
+    SeedSequence or Generator; anything else is a ConfigError (numpy's
+    would be a ValueError or TypeError).  numpy.random is looked up at
+    call time, so that importing avds does not load it."""
+    if seed is None or (
+        numpy_seeds and isinstance(seed, (np.random.SeedSequence, np.random.Generator))
+    ):
+        return seed
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"a seed must be None, an integer >= 0 or a numpy seed, got {seed!r}")
     return seed
 
 

@@ -9,21 +9,26 @@ Each wavelet is described once, as a periodic two-channel filter bank run
 by index gathers (`_filter_bank`): per level, a cached (taps, n/2) index
 array and the filters give the analysis step, and the transposed gather
 its synthesis, O(taps) work per entry.  A 1D wavelet runs these gathers
-level by level next to the 1D DFT (numpy.fft).  A 2D operator multiplies
-by cached dense per-axis factors built from them: the Hadamard matrix H
-(Sylvester recursion), the single-level step S_n and the multilevel
-analysis W_n, each the gather applied to the identity.  It folds its real
-per-axis measurement M (H, or I for the identity and the DFT) into its
-outermost wavelet factor, one composite F = M W_out^T per axis, where
-W_out is all of W for a tensor wavelet, the finest step S_side for the
-square MRA and I without a wavelet.  The forward transform runs the
-remaining MRA levels J..2 as S_s^T X S_s on the shrinking s x s LL block,
-then F X F^T, then the DFT; the adjoint runs the inverse DFT, F^T Y F,
-then the levels 2..J.  2D factors are side x side arrays (O(side^3) work
-per grid).  All stages act on the trailing axis/axes of their input, so
-batches of vectors transform in one call.  Since every 2D stage acts
-alike on both axes, each column of a 2D A0 is the Kronecker product of
-two per-axis rows, which `_column_factors` tables once per spec and
+level by level next to the 1D DFT (numpy.fft), on real or complex input.
+A 2D operator is one per-axis map, tabled once per spec by
+`_column_factors` from dense factors built by the gathers: the Hadamard
+matrix H (Sylvester recursion), the single-level step S_n and the
+multilevel analysis W_n, each the gather applied to the identity.  Its
+outer part is G = D M W_out^T per axis: D the orthonormal DFT matrix for
+DFT2D (else I), M = H for Hadamard (else I), and W_out all of W for a
+tensor wavelet, the finest step S_side for the square MRA and I without a
+wavelet.  The forward transform runs the remaining MRA levels J..2 as
+S_s^T X S_s on the shrinking s x s LL block, then G X G^T; the adjoint
+runs G^H Y conj(G), then the levels 2..J.  The DFT is folded into G, so
+numpy.fft runs only for the 1D DFT and for DFT2D without a wavelet, where
+dense complex factors are slower than `fft2`.  A real operator (Hadamard
+or identity measurement) on complex input multiplies complex arrays by its
+real factors: about twice the time of its real and imaginary parts as two
+real inputs.  No pipeline path feeds it one.  2D factors are side x side
+arrays (O(side^3) work per grid).  All stages act on the trailing
+axis/axes of their input, so batches of vectors transform in one call.
+Since every 2D stage acts alike on both axes, each column of a 2D A0 is
+the Kronecker product of two per-axis rows of that table, which
 `column_pairs`, the one reader of A0's columns, gathers from.
 Operators are limited to K <= MAX_DIM = 2^20.
 
@@ -46,8 +51,8 @@ c = side/2 (about 262k multiply-adds in two calls per transform at side 64
 and J = 3, against 598k for the dense factors), each written into buffers
 the projection owns; for every other operator the identity layout with
 the stages of `apply`, resolved once per spec.
-`apply` itself keeps the dense factors: per call the two gathers into and
-out of the block layout cost more than they save.
+`apply` itself keeps the dense per-axis factors: per call the two gathers
+into and out of the block layout cost more than they save.
 """
 
 from __future__ import annotations
@@ -232,7 +237,7 @@ def _analysis(name: str, x: np.ndarray, levels: int) -> np.ndarray:
     Layout [a_J, d_J, d_{J-1}, ..., d_1]; each level filters the current
     approximation, the first n entries, into [a, d].
     """
-    y = np.array(x, dtype=np.float64)
+    y = np.array(x, dtype=np.result_type(x, float))
     n = y.shape[-1]
     for _ in range(levels):
         index, filters = _filter_bank(name, n)[:2]
@@ -243,7 +248,7 @@ def _analysis(name: str, x: np.ndarray, levels: int) -> np.ndarray:
 
 def _synthesis(name: str, y: np.ndarray, levels: int) -> np.ndarray:
     """Inverse (and transpose) of `_analysis`, coarsest level first."""
-    x = np.array(y, dtype=np.float64)
+    x = np.array(y, dtype=np.result_type(y, float))
     n = x.shape[-1] >> (levels - 1)
     for _ in range(levels):
         index, filters = _filter_bank(name, n)[2:]
@@ -282,9 +287,9 @@ def _step_pair(name: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _with_transpose(_wavelet_factor(name, n, 1))
 
 
-def _sandwich(pair, img: np.ndarray, transpose: bool, out=None) -> np.ndarray:
-    """F X F^T, or F^T X F if `transpose`, on the trailing two axes; pair = (F, F^T)."""
-    left, right = pair[::-1] if transpose else pair
+def _sandwich(pair, img: np.ndarray, out=None) -> np.ndarray:
+    """L X R on the trailing two axes; pair = (L, R)."""
+    left, right = pair
     return np.matmul(left, img @ right, out=out)
 
 
@@ -299,140 +304,44 @@ def _grid(x: np.ndarray, side: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# stages: every stage but the DFT multiplies by real factors
+# the per-axis map: one table, read by `apply` and by the column readers
 
-@lru_cache(maxsize=None)
-def _grid_factors(spec: OperatorSpec) -> tuple:
-    """Factors of the real 2D stages: the outer pair (F, F^T), then the
-    pairs (S_s, S_s^T) of the square-MRA levels inside F, finest first.
-
-    F = M W_out^T per axis.  M is the real measurement: the Hadamard
-    matrix, or the identity for the identity and DFT measurements (the DFT
-    runs on numpy.fft outside these stages).  W_out is the outermost
-    wavelet analysis: all of W for a tensor wavelet, only the finest step
-    S_side for the square MRA, the identity without a wavelet.  The outer
-    pair is None when F = I.
-    """
-    side, spar = spec.side, spec.sparsity
-    factor = _hadamard(side) if spec.measurement == Measurement.HADAMARD2D else None
-    inner = ()
-    if spar != Sparsity.IDENTITY:
-        name, levels = _WAVELET_NAME[spar], spec.levels
-        if spar in _MRA_SPARSITIES:
-            inner = tuple(_step_pair(name, side >> j) for j in range(1, levels))
-            levels = 1
-        w_t = _wavelet_factor(name, side, levels).T
-        factor = w_t if factor is None else factor @ w_t
-    return (None if factor is None else _with_transpose(factor)), inner
-
-
-def _grid_stages(factors: tuple, x: np.ndarray, forward: bool) -> np.ndarray:
-    """Forward: the MRA levels J..2 on the shrinking LL block, then F X F^T.
-    Adjoint: F^T Y F, then the levels 2..J."""
-    outer, inner = factors
-    img = _grid(x, outer[0].shape[0])
-    if not forward:
-        img = _sandwich(outer, img, transpose=True)
-    if inner:
-        # the levels run in place: copy the caller's array, not F^T Y F
-        img = img.astype(np.float64, copy=forward)
-        for pair in inner[::-1] if forward else inner:
-            block = img[..., : len(pair[0]), : len(pair[0])]
-            _sandwich(pair, block, transpose=forward, out=block)
-    if forward:
-        img = _sandwich(outer, img, transpose=False)
-    return img.reshape(x.shape)
-
-
-def _split_complex(stage):
-    """`stage` on real input; on complex input, two real passes.
-
-    The factors are real: two real passes cost half of one complex pass.
-    Their results fill the parts of one complex array.
-    """
-
-    def run(x):
-        if not np.iscomplexobj(x):
-            return stage(x)
-        real = stage(x.real)
-        out = np.empty(real.shape, dtype=np.result_type(real, 1j))
-        out.real = real
-        out.imag = stage(x.imag)
-        return out
-
-    return run
-
-
-def _dft(spec: OperatorSpec, x: np.ndarray, forward: bool) -> np.ndarray:
-    if not spec.is_2d:
-        return (np.fft.fft if forward else np.fft.ifft)(x, norm="ortho")
-    fn = np.fft.fft2 if forward else np.fft.ifft2
-    return fn(_grid(x, spec.side), norm="ortho").reshape(x.shape)
-
-
-@lru_cache(maxsize=None)
-def _stages(spec: OperatorSpec, forward: bool):
-    """`apply` for one spec and direction, its stages resolved once.
-
-    Forward: the real stages (2D factors or 1D synthesis), then the DFT;
-    adjoint: the inverse DFT, then the real stages (2D factors or 1D
-    analysis).  Either may be absent.
-    """
-    real = None
-    if spec.is_2d:
-        factors = _grid_factors(spec)
-        if factors[0] is not None:
-            def real(v):
-                return _grid_stages(factors, v, forward)
-    elif spec.sparsity != Sparsity.IDENTITY:
-        name, levels = _WAVELET_NAME[spec.sparsity], spec.levels
-        transform = _synthesis if forward else _analysis  # Psi* x, Psi y
-
-        def real(v):
-            return transform(name, v, levels)
-    steps = [] if real is None else [_split_complex(real)]
-    if spec.measurement in (Measurement.DFT1D, Measurement.DFT2D):
-        def dft(v):
-            return _dft(spec, v, forward)
-        steps.insert(len(steps) if forward else 0, dft)
-
-    def run(x):
-        for step in steps:
-            x = step(x)
-        return x
-
-    return run
-
-
-def separable_factor(spec: OperatorSpec) -> np.ndarray | None:
-    """Dense 1D factor phi with A0 = phi (x) phi, or None if non-separable.
-
-    phi is the outer factor F = M W^T of `apply`, times the orthonormal
-    DFT matrix for the DFT measurement: the transposed one table of
-    `_column_factors`, copied for the caller.
-    """
-    if not spec.is_2d or spec.sparsity in _MRA_SPARSITIES:
-        return None
-    return np.array(_column_factors(spec)[0].T, order="C")
+def _inner_steps(spec: OperatorSpec) -> tuple:
+    """Pairs (S_s, S_s^T) of the square-MRA levels inside the outer
+    factor, s = side/2 .. side >> (J - 1), finest first; none otherwise."""
+    if spec.sparsity not in _MRA_SPARSITIES:
+        return ()
+    name = _WAVELET_NAME[spec.sparsity]
+    return tuple(_step_pair(name, spec.side >> j) for j in range(1, spec.levels))
 
 
 @lru_cache(maxsize=None)
 def _column_factors(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-axis rows (P, iu, iv) of a 2D A0: A0[:, l] = kron(P[iu[l]], P[iv[l]]).
 
-    Column l is the transposed grid e_p e_q^T, (p, q) = divmod(l, side),
-    and every stage of `apply` maps an outer product g h^T to (T g)(T h)^T
-    with one per-axis map T.  For a tensor wavelet or none, T = D F for all
-    of the grid (D the orthonormal DFT matrix for DFT2D, else I), so P is
-    the one table T^T, iu = p and iv = q.  The square MRA's levels act on
-    the shrinking LL block only, so the steps that reach (p, q) start at
-    its level, max(band p, band q) as in `energy_classes`: P stacks one
-    table per level, the rows p < side >> (j - 1) of the synthesis from
-    level j (the steps S_s^T, s = side >> (j - 1) .. side/2, then D F), and
-    the coarsest table serves LL_J as well.
+    The one place that composes the per-axis map.  Its outer part is
+    G = D F, F = M W_out^T: M the Hadamard matrix (else I), W_out the
+    outermost wavelet analysis (all of W for a tensor wavelet, the finest
+    step S_side for the square MRA, I without a wavelet) and D the
+    orthonormal DFT matrix for DFT2D (else I).  Column l is the transposed
+    grid e_p e_q^T, (p, q) = divmod(l, side), and every stage of `apply`
+    maps an outer product g h^T to (T g)(T h)^T with one per-axis map T.
+    For a tensor wavelet or none, T = G for all of the grid, so P is the
+    one table G^T, iu = p and iv = q.  The square MRA's levels act on the
+    shrinking LL block only, so the steps that reach (p, q) start at its
+    level, max(band p, band q) as in `energy_classes`: P stacks one table
+    per level, the rows p < side >> (j - 1) of the synthesis from level j
+    (the steps S_s^T, s = side >> (j - 1) .. side/2, then G), and the
+    coarsest table serves LL_J as well.  The first table is G^T whole,
+    which `apply` reads through `_grid_factors`.
     """
-    side = spec.side
-    outer, inner = _grid_factors(spec)
+    side, spar = spec.side, spec.sparsity
+    factor = _hadamard(side) if spec.measurement == Measurement.HADAMARD2D else None
+    if spar != Sparsity.IDENTITY:
+        levels = 1 if spar in _MRA_SPARSITIES else spec.levels
+        w_t = _wavelet_factor(_WAVELET_NAME[spar], side, levels).T
+        factor = w_t if factor is None else factor @ w_t
+    inner = _inner_steps(spec)
     depth = len(inner) + 1
     tables = []
     for j in range(1, depth + 1):
@@ -441,8 +350,8 @@ def _column_factors(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndar
         for pair in inner[: j - 1][::-1]:
             s = len(pair[0])
             rows[:, :s] = rows[:, :s] @ pair[0]
-        if outer is not None:
-            rows = rows @ outer[1]
+        if factor is not None:
+            rows = rows @ np.ascontiguousarray(factor.T)
         if spec.measurement == Measurement.DFT2D:
             rows = np.fft.fft(rows, axis=-1, norm="ortho")
         tables.append(rows)
@@ -470,6 +379,80 @@ def column_pairs(spec: OperatorSpec, cols) -> tuple[np.ndarray, np.ndarray]:
     slab = np.zeros((len(cols), spec.dim))
     slab[np.arange(len(cols)), cols] = 1.0
     return apply(spec, Direction.FORWARD, slab), np.ones((len(cols), 1))
+
+
+def separable_factor(spec: OperatorSpec) -> np.ndarray | None:
+    """Dense 1D factor phi with A0 = phi (x) phi, or None if non-separable.
+
+    phi is the per-axis map G = D F of `_column_factors` (the DFT matrix D
+    already folded in for DFT2D): its one table transposed, copied for the
+    caller.
+    """
+    if not spec.is_2d or spec.sparsity in _MRA_SPARSITIES:
+        return None
+    return np.array(_column_factors(spec)[0].T, order="C")
+
+
+@lru_cache(maxsize=None)
+def _grid_factors(spec: OperatorSpec) -> tuple:
+    """`apply`'s 2D factors, read from the first table P_1 = G^T: the
+    forward pair (G, G^T), the adjoint pair (G^H, conj G), and the inner
+    MRA step pairs.  For a real G the adjoint pair is the forward pair
+    reversed, so a real operator multiplies by exactly G and G^T."""
+    g_t = _column_factors(spec)[0][: spec.side]
+    forward = _with_transpose(g_t.T)
+    adjoint = _with_transpose(g_t.conj()) if np.iscomplexobj(g_t) else forward[::-1]
+    return forward, adjoint, _inner_steps(spec)
+
+
+def _grid_stages(outer, inner: tuple, x: np.ndarray, forward: bool) -> np.ndarray:
+    """Forward: the MRA levels J..2 on the shrinking LL block, then the
+    outer pair, G X G^T.  Adjoint: the outer pair, G^H Y conj(G), then the
+    levels 2..J."""
+    img = _grid(x, len(outer[0]))
+    if not forward:
+        img = _sandwich(outer, img)
+    if inner:
+        # the levels run in place: copy the caller's array, not G^H Y conj(G)
+        img = img.astype(np.result_type(img, float), copy=forward)
+        for pair in inner[::-1] if forward else inner:
+            block = img[..., : len(pair[0]), : len(pair[0])]
+            _sandwich(pair[::-1] if forward else pair, block, out=block)  # S^T X S, S X S^T
+    if forward:
+        img = _sandwich(outer, img)
+    return img.reshape(x.shape)
+
+
+@lru_cache(maxsize=None)
+def _stages(spec: OperatorSpec, forward: bool):
+    """`apply` for one spec and direction, its stages resolved once.
+
+    2D: DFT2D without a wavelet on numpy.fft, every other operator through
+    `_grid_factors`.  1D: forward the synthesis, then the DFT; adjoint the
+    inverse DFT, then the analysis.  Either may be absent.
+    """
+    if spec.measurement == Measurement.DFT2D and spec.sparsity == Sparsity.IDENTITY:
+        fft2, side = (np.fft.fft2 if forward else np.fft.ifft2), spec.side
+        return lambda x: fft2(_grid(x, side), norm="ortho").reshape(x.shape)
+    if spec.is_2d:
+        forward_pair, adjoint_pair, inner = _grid_factors(spec)
+        outer = forward_pair if forward else adjoint_pair
+        return lambda x: _grid_stages(outer, inner, x, forward)
+    steps = []
+    if spec.sparsity != Sparsity.IDENTITY:
+        name, levels = _WAVELET_NAME[spec.sparsity], spec.levels
+        transform = _synthesis if forward else _analysis  # Psi* x, Psi y
+        steps.append(lambda v: transform(name, v, levels))
+    if spec.measurement == Measurement.DFT1D:
+        fft = np.fft.fft if forward else np.fft.ifft
+        steps.insert(len(steps) if forward else 0, lambda v: fft(v, norm="ortho"))
+
+    def run(x):
+        for step in steps:
+            x = step(x)
+        return x
+
+    return run
 
 
 def _bands_1d(n: int, levels: int | None) -> np.ndarray:
@@ -676,10 +659,8 @@ def apply(spec: OperatorSpec, direction: Direction, x: np.ndarray) -> np.ndarray
     exact inverses of each other up to floating point roundoff.
     """
     x = np.asarray(x)
-    if x.shape[-1] != spec.dim:
-        raise DimensionMismatch(
-            f"expected last axis {spec.dim}, got {x.shape[-1]}"
-        )
+    if x.shape[-1:] != (spec.dim,):
+        raise DimensionMismatch(f"expected last axis {spec.dim}, got shape {x.shape}")
     return _stages(spec, direction == Direction.FORWARD)(x)
 
 
@@ -687,9 +668,15 @@ def rows_batch(spec: OperatorSpec, indices) -> np.ndarray:
     """Rows a_k of A0 for the given indices, stacked as a matrix.
 
     Computed as conj(A0* e_k), one adjoint transform per batch; no dense
-    K x K matrix is formed.
+    K x K matrix is formed.  Indices other than a 1-D integer array (or an
+    empty list) are a DimensionMismatch.
     """
-    indices = np.asarray(indices, dtype=np.int64)
+    indices = np.asarray(indices)
+    if indices.ndim != 1 or (indices.size and indices.dtype.kind not in "iu"):
+        raise DimensionMismatch(
+            f"row indices must be a 1-D integer array, got {indices.dtype} of shape {indices.shape}"
+        )
+    indices = indices.astype(np.int64)
     if indices.size and (indices.min() < 0 or indices.max() >= spec.dim):
         raise DimensionMismatch("row index out of range")
     slab = np.zeros((len(indices), spec.dim))

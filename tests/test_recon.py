@@ -248,3 +248,12 @@ def test_window_objective_is_the_huber_objective(case, complex_vector):
     want = _huber_objective(x, mu)
     got = _window_objective(x, mu, np.empty(x.shape), np.empty(x.shape))
     assert abs(got - want) <= 1e-13 * want
+
+
+def test_a_scalar_measures_nothing():
+    spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 4, levels=1)
+    op = MeasurementOp(spec, Mask(np.array([0, 3]), np.ones(2, dtype=np.int64)))
+    with pytest.raises(DimensionMismatch):
+        measure(3.0, op)
+    with pytest.raises(DimensionMismatch):
+        adjoint_measure(np.float64(1.0), op)

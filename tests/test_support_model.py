@@ -447,3 +447,43 @@ def test_support_count_accepts_numpy_integers():
 def test_normalize_weights_rejects_non_finite_entries(omega):
     with pytest.raises(InvalidWeights):
         normalize_weights(omega, 1)
+
+
+def _seeded_calls():
+    """Every entry point that takes a seed, each a call of seed only."""
+    from avds.density import BlockPartition, baseline_density
+    from avds.harness import diagnostics
+    from avds.masks import draw_mask
+    from avds.transforms import Measurement, OperatorSpec, Sparsity
+
+    spec = OperatorSpec(Measurement.DFT1D, Sparsity.IDENTITY, 16)
+    dist = SupportDistribution(normalize_weights(np.full(16, 0.25), 4))
+    density = baseline_density("uniform", spec)
+    part = BlockPartition.singletons(16)
+    return {
+        "sample_supports": lambda seed: sample_supports(dist, 2, seed=seed),
+        "draw_signals": lambda seed: draw_signals(dist, 2, seed=seed),
+        "draw_mask": lambda seed: draw_mask(density, 3, seed=seed),
+        "diagnostics": lambda seed: diagnostics(
+            spec, part, density, dist.weights, m=8, trials=2, seed=seed
+        ),
+    }
+
+
+@pytest.mark.parametrize("call", ["sample_supports", "draw_signals", "draw_mask", "diagnostics"])
+@pytest.mark.parametrize(
+    "seed",
+    [2.5, "3", -1.0, np.float64(2), b"3"],
+    ids=["float", "str", "neg-float", "np-float", "bytes"],
+)
+def test_a_seed_that_is_not_an_integer_is_a_config_error(call, seed):
+    with pytest.raises(ConfigError, match="seed"):
+        _seeded_calls()[call](seed)
+
+
+def test_every_accepted_seed_kind_keeps_its_stream():
+    dist = SupportDistribution(normalize_weights(np.full(16, 0.25), 4))
+    want = sample_supports(dist, 3, seed=3)
+    for seed in (np.int64(3), np.uint8(3), np.random.SeedSequence(3), np.random.default_rng(3)):
+        assert np.array_equal(sample_supports(dist, 3, seed=seed), want), seed
+    assert sample_supports(dist, 3, seed=None).shape == want.shape

@@ -124,13 +124,20 @@ def test_cached_factors_are_read_only():
     from avds import transforms
 
     grid = OperatorSpec(Measurement.HADAMARD2D, Sparsity.DB4_2D, 8, levels=2)
+    dft = OperatorSpec(Measurement.DFT2D, Sparsity.DB4_2D, 8, levels=2)
+    # apply's forward and adjoint pairs, complex for the DFT
+    pairs = [pair for spec in (grid, dft) for pair in transforms._grid_factors(spec)[:2]]
+    assert all(np.iscomplexobj(m) for pair in pairs[2:] for m in pair)
+    for pair in pairs:
+        assert all(m.flags.c_contiguous for m in pair)
     for factor in (
         transforms._hadamard(8),
         transforms._wavelet_factor("db4", 8, 2),
         *transforms._filter_bank("db4", 8),
         *transforms._step_pair("db4", 4),
-        *transforms._grid_factors(grid)[0],
+        *(m for pair in pairs for m in pair),
         *transforms._column_factors(grid),
+        *transforms._column_factors(dft),
     ):
         with pytest.raises(ValueError):
             factor[0] = 1.0

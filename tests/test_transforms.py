@@ -165,6 +165,34 @@ def test_errors():
         OperatorSpec(Measurement.DFT1D, Sparsity.HAAR1D, 8, levels=9)
 
 
+@pytest.mark.parametrize(
+    "indices",
+    [[1.5], [[1, 2]], np.array(3), [True, False], np.array([0.0, 1.0])],
+    ids=["float", "2-d", "0-d", "bool", "float-array"],
+)
+def test_rows_batch_takes_only_a_1d_integer_index_array(indices):
+    # a float index was truncated to its row, and a 2-D one summed its rows
+    spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 8, levels=2)
+    with pytest.raises(DimensionMismatch, match="1-D integer"):
+        rows_batch(spec, indices)
+
+
+def test_rows_batch_accepts_empty_and_unsigned_indices():
+    spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 8, levels=2)
+    assert rows_batch(spec, []).shape == (0, 64)
+    assert np.array_equal(rows_batch(spec, np.uint8([3, 5])), rows_batch(spec, [3, 5]))
+
+
+@pytest.mark.parametrize(
+    "x", [3.0, np.float64(2.0), np.array(1 + 1j)], ids=["float", "numpy", "0-d"]
+)
+@pytest.mark.parametrize("spec", all_specs_small(), ids=str)
+def test_a_scalar_input_is_a_dimension_mismatch(spec, x):
+    for direction in Direction:
+        with pytest.raises(DimensionMismatch):
+            apply(spec, direction, x)
+
+
 def test_default_levels():
     assert OperatorSpec(Measurement.DFT1D, Sparsity.DB4_1D, 64).levels == 6
     assert OperatorSpec(Measurement.DFT2D, Sparsity.DB4_2D, 64).levels == 3
