@@ -1,11 +1,12 @@
 """End-to-end experiments, theorem diagnostics and phase-transition sweeps.
 
-Experiments and phase transitions share one trial pipeline: trial t uses
-`SeedSequence(entropy).spawn(trials)[t]`, whose children seed (in order)
-the signal draw and one mask draw per density run.  An experiment runs
-every density kind on each signal (paired) from entropy = master seed; a
-transition point runs one kind from (master seed, kind index, m), so its
-kinds are unpaired.  The theorem diagnostics read two streams per call:
+Experiments and phase transitions share one trial pipeline and one seed
+scheme: trial t at budget m uses
+`SeedSequence((master seed, m)).spawn(trials)[t]`, whose two children seed
+the signal draw and the mask draw.  Every density kind draws its distinct
+mask from that one mask child, so kinds are paired on signals and on mask
+keys, and an experiment at budget m runs exactly the trials of the
+transition point at m.  The theorem diagnostics read two streams per call:
 `SeedSequence(seed).spawn(2)` seeds one generator for the supports and one
 for the i.i.d. masks, and trial t reads the t-th row of each.  Reports are
 therefore fully reproducible from the config plus the master seed.
@@ -35,6 +36,7 @@ from .recon import MeasurementOp, SolverParams, measure, solve_bp
 from .support_model import (
     SupportDistribution,
     WeightVector,
+    _check_count,
     _check_seed,
     draw_signals,
     flip,
@@ -44,7 +46,7 @@ from .support_model import (
 from .transforms import OperatorSpec, _bands_1d, column_pairs
 from .transforms import apply  # noqa: F401 (bench/spans.py wraps avds.harness.apply)
 
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 # PSNR values at or beyond the numerical noise floor are reported as the
 # +inf sentinel; aggregation clips at this cap so means stay ordered.
@@ -129,23 +131,24 @@ class ExperimentConfig:
     weight_descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.trials <= MAX_TRIALS:
+        self.trials = _check_count(self.trials, "trials", 1)
+        if self.trials > MAX_TRIALS:
             raise ConfigError(f"trials must lie in [1, {MAX_TRIALS}], got {self.trials}")
-        if self.master_seed < 0:
-            raise ConfigError("the master seed must be >= 0")
+        self.master_seed = _check_count(self.master_seed, "the master seed")
         if len(set(self.density_kinds)) < len(self.density_kinds):
             # one kind's trials would be pooled under one report key
             raise ConfigError(f"density kinds repeat: {self.density_kinds}")
-        if self.budget is None:
-            if self.fraction is None or not 0 < self.fraction <= 1:
-                raise ConfigError("need a budget or a fraction in (0, 1]")
+        if self.budget is not None:
+            self.budget = _check_count(self.budget, "the budget", 1, InfeasibleBudget)
+        elif self.fraction is None or not 0 < self.fraction <= 1:
+            raise ConfigError("need a budget or a fraction in (0, 1]")
         if self.partition is None:
             self.partition = BlockPartition.singletons(self.spec.dim)
 
     @property
     def resolved_budget(self) -> int:
         if self.budget is not None:
-            return int(self.budget)
+            return self.budget
         return max(1, round(self.fraction * self.partition.m))
 
     def describe(self) -> dict:
@@ -174,9 +177,10 @@ class ExperimentConfig:
             "solver": asdict(self.solver),
             "weights": dict(self.weight_descriptor),
             "seed_scheme": (
-                "SeedSequence(master).spawn(trials); per trial: [signal, mask per kind]; "
+                "SeedSequence((master, budget)).spawn(trials); per trial: [signal, mask], "
+                "the mask child shared by every kind; "
                 "supports by inverse CDF, one uniform per free pick; "
-                "distinct masks by exponential keys"
+                "distinct masks by exponential keys, one per atom"
             ),
         }
 
@@ -236,13 +240,13 @@ def _setup(cfg: ExperimentConfig) -> tuple[dict, SupportDistribution]:
     return densities, signal_distribution(weights)
 
 
-def _trials(cfg: ExperimentConfig, dist, densities: dict, budget: int, entropy):
+def _trials(cfg: ExperimentConfig, dist, densities: dict, budget: int):
     """(kind, x, mask, result) per trial and density, seeded as the module docstring says."""
-    for seed in np.random.SeedSequence(entropy).spawn(cfg.trials):
-        children = seed.spawn(1 + len(densities))
-        x = draw_signals(dist, 1, seed=children[0])[0]
-        for (kind, density), child in zip(densities.items(), children[1:]):
-            mask = draw_mask(density, budget, mode=DISTINCT, seed=child)
+    for seed in np.random.SeedSequence((cfg.master_seed, budget)).spawn(cfg.trials):
+        signal_seed, mask_seed = seed.spawn(2)
+        x = draw_signals(dist, 1, seed=signal_seed)[0]
+        for kind, density in densities.items():
+            mask = draw_mask(density, budget, mode=DISTINCT, seed=mask_seed)
             mask = expand_blocks(mask, cfg.partition)
             op = MeasurementOp(cfg.spec, mask)
             yield kind, x, mask, solve_bp(measure(x, op), op, cfg.solver)
@@ -251,16 +255,16 @@ def _trials(cfg: ExperimentConfig, dist, densities: dict, budget: int, entropy):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Draw signal / density / mask / measure / solve / score per trial.
 
-    The same per-trial signal is scored under every density kind so the
-    comparison is paired.  Fully deterministic given the master seed.
+    Every density kind is scored on each trial's signal, with masks keyed
+    by the trial's one mask child, so the comparison is paired.  Fully
+    deterministic given the master seed.
     """
     t0 = time.perf_counter()
     densities, dist = _setup(cfg)
     psnr_db: dict = {kind: [] for kind in cfg.density_kinds}
     covered: dict = {kind: [] for kind in cfg.density_kinds}
     unconverged = 0
-    trials = _trials(cfg, dist, densities, cfg.resolved_budget, cfg.master_seed)
-    for kind, x, mask, result in trials:
+    for kind, x, mask, result in _trials(cfg, dist, densities, cfg.resolved_budget):
         covered[kind].append(mask.size / cfg.spec.dim)
         unconverged += not result.converged
         psnr_db[kind].append(psnr(x, result.x))
@@ -340,9 +344,9 @@ def diagnostics(
         raise DimensionMismatch("diagnostics are limited to K <= 4096")
     if len(density) != partition.m:
         raise DimensionMismatch(f"density has {len(density)} entries for {partition.m} blocks")
-    if not 1 <= m <= spec.dim:
+    if _check_count(m, "budget m", 1, InfeasibleBudget) > spec.dim:
         raise InfeasibleBudget(f"budget m must lie in [1, K = {spec.dim}], got {m}")
-    if not 1 <= trials <= MAX_TRIALS:
+    if _check_count(trials, "trials", 1) > MAX_TRIALS:
         raise ConfigError(f"diagnostics need trials in [1, {MAX_TRIALS}], got {trials}")
     if not 0 < epsilon < 1:
         raise ConfigError(f"epsilon is a failure probability in (0, 1), got {epsilon}")
@@ -439,8 +443,8 @@ def phase_transition(
 ) -> dict:
     """Success rate (relative l2 error <= threshold) vs budget per kind.
 
-    Point (kind, m) runs the trials of that kind alone from the entropy
-    (master_seed, kind index, m), so kinds are unpaired; a kind with fewer
+    Point (kind, m) runs the trials of that kind alone, seeded as the
+    experiment at budget m seeds them, so kinds are paired; a kind with fewer
     atoms of positive mass than m gets a pruned 0.  With prune_target set,
     a point stops once that success rate has become unreachable, flagged
     pruned.  Before any solve, a prune_target outside [0, 1] or a negative
@@ -451,23 +455,19 @@ def phase_transition(
         raise ConfigError(f"prune_target must lie in [0, 1], got {prune_target}")
     if not (math.isfinite(success_threshold) and success_threshold >= 0):
         raise ConfigError(f"success_threshold must be finite and >= 0, got {success_threshold}")
-    budgets = list(m_grid)
-    for m in budgets:
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-            raise InfeasibleBudget(f"transition budgets must be integers >= 1, got {m!r}")
+    budgets = [_check_count(m, "a transition budget", 1, InfeasibleBudget) for m in m_grid]
     # without a prune_target, as with a target of 0, every trial may fail
     max_failures = int(np.floor(cfg.trials * (1.0 - (prune_target or 0.0))))
     densities, dist = _setup(cfg)
     table: dict = {kind: [] for kind in cfg.density_kinds}
-    for kind_idx, (kind, density) in enumerate(densities.items()):
+    for kind, density in densities.items():
         supported = int(np.count_nonzero(density.pi > 0))
-        for m in map(int, budgets):
+        for m in budgets:
             if m > supported:
                 table[kind].append(PhasePoint(m, 0.0, 0, pruned=True))
                 continue
             successes = run = 0
-            entropy = (cfg.master_seed, kind_idx, m)
-            for _, x, _, result in _trials(cfg, dist, {kind: density}, m, entropy):
+            for _, x, _, result in _trials(cfg, dist, {kind: density}, m):
                 run += 1
                 err = np.linalg.norm(result.x - x) / np.linalg.norm(x)
                 successes += bool(err <= success_threshold)

@@ -10,7 +10,9 @@ lower index, in one helper, `_iid_draw`, shared by `draw_mask` and by
 mode draws the same law in one pass with exponential keys (Efraimidis &
 Spirakis, 2006): atom k gets log E_k - log pi_k with E_k ~ Exp(1), and the
 m smallest keys are kept, so no budget up to the positive-mass atoms
-needs more than one key per atom.  Every partition, the singletons
+needs more than one key per atom.  E_k is drawn for every entry of pi,
+so densities keyed by one seed share each atom's E_k whatever their zero
+sets, and equal densities draw equal masks.  Every partition, the singletons
 included, expands through one gather, `BlockPartition.block_rows`; an
 expanded mask covers `mask.size / K` of the rows.
 """
@@ -23,7 +25,7 @@ import numpy as np
 
 from .density import BlockPartition, Density
 from .errors import ConfigError, InfeasibleBudget, InvalidPartition, UnnormalizedDensity
-from .support_model import _check_seed
+from .support_model import _check_count, _check_seed
 from .transforms import MAX_DIM
 
 IID = "iid"
@@ -36,7 +38,7 @@ class Mask:
 
     indices: np.ndarray          # sorted unique atom indices
     multiplicities: np.ndarray   # draw counts per index (all 1 in distinct mode)
-    n_draws: int = 0             # i.i.d. draws; keys drawn (positive-mass atoms) if distinct
+    n_draws: int = 0             # i.i.d. draws; keys kept (positive-mass atoms) if distinct
 
     def __post_init__(self) -> None:
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -73,13 +75,13 @@ def _iid_draw(atoms: np.ndarray, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) -> Mask:
     """Draw `budget` atoms from the density; deterministic given seed.
 
-    An i.i.d. budget takes one uniform per draw, so it is bounded by
+    A budget that is not an integer >= 1 is an `InfeasibleBudget`.  An
+    i.i.d. budget takes one uniform per draw, so it is bounded by
     `transforms.MAX_DIM`, as every K-vector is.
     """
     if mode not in (IID, DISTINCT):
         raise ConfigError(f"unknown mask mode {mode!r}")
-    if budget < 1:
-        raise InfeasibleBudget("budget must be >= 1")
+    budget = _check_count(budget, "a mask budget", 1, InfeasibleBudget)
     if mode == IID and budget > MAX_DIM:
         raise InfeasibleBudget(f"an i.i.d. budget must be <= {MAX_DIM}, got {budget}")
     rng = np.random.default_rng(_check_seed(seed))
@@ -91,7 +93,7 @@ def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) ->
         raise InfeasibleBudget(
             f"budget {budget} exceeds the {atoms.size} atoms with positive mass"
         )
-    keys = np.log(rng.standard_exponential(atoms.size)) - np.log(density.pi[atoms])
+    keys = np.log(rng.standard_exponential(density.pi.size)[atoms]) - np.log(density.pi[atoms])
     chosen = np.sort(atoms[np.argpartition(keys, budget - 1)[:budget]])
     return Mask(chosen, np.ones(budget, dtype=np.int64), n_draws=atoms.size)
 

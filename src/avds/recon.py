@@ -36,7 +36,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -100,10 +100,11 @@ class SolverParams:
     max_inner: int = 3000
 
     def __post_init__(self) -> None:
-        if min(self.continuation_steps, self.max_inner) < 1 or min(
-            self.final_mu_factor, self.inner_tol
-        ) <= 0:
-            raise UnsupportedSolver("solver parameters must be positive")
+        counts = (self.continuation_steps, self.max_inner)
+        scales = (self.final_mu_factor, self.inner_tol)
+        # as ranges, so that NaN, which fails every comparison, fails the check
+        if not (all(1 <= n < inf for n in counts) and all(0 < v < inf for v in scales)):
+            raise UnsupportedSolver(f"solver parameters must be finite and positive: {self}")
 
 
 @dataclass

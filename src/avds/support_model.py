@@ -216,10 +216,11 @@ def _check_seed(seed, numpy_seeds: bool = True):
     return seed
 
 
-def _check_count(n):
-    """`n`, checked: a support count that is not an integer >= 0 is a ConfigError."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ConfigError(f"a support count must be an integer >= 0, got {n!r}")
+def _check_count(n, what: str = "a support count", least: int = 0, error=ConfigError) -> int:
+    """`n` as an int, checked: a count that is not an integer >= `least` (a
+    bool, a float, a string) is an `error`; numpy integers pass."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise error(f"{what} must be an integer >= {least}, got {n!r}")
     return int(n)
 
 

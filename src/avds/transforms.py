@@ -429,7 +429,8 @@ def _stages(spec: OperatorSpec, forward: bool):
 
     2D: DFT2D without a wavelet on numpy.fft, every other operator through
     `_grid_factors`.  1D: forward the synthesis, then the DFT; adjoint the
-    inverse DFT, then the analysis.  Either may be absent.
+    inverse DFT, then the analysis.  Either may be absent; with both absent
+    the one step is a copy, so no result is the caller's array.
     """
     if spec.measurement == Measurement.DFT2D and spec.sparsity == Sparsity.IDENTITY:
         fft2, side = (np.fft.fft2 if forward else np.fft.ifft2), spec.side
@@ -446,6 +447,7 @@ def _stages(spec: OperatorSpec, forward: bool):
     if spec.measurement == Measurement.DFT1D:
         fft = np.fft.fft if forward else np.fft.ifft
         steps.insert(len(steps) if forward else 0, lambda v: fft(v, norm="ortho"))
+    steps = steps or [np.copy]
 
     def run(x):
         for step in steps:

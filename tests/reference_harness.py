@@ -58,20 +58,20 @@ def reference_phase_transition(
 ) -> dict:
     """Success rate (relative l2 error <= threshold) vs budget per kind.
 
-    With prune_target set, a grid point stops early once that success
-    rate has become unreachable; the point is flagged pruned.
+    Trial t at budget m reads `SeedSequence((master_seed, m)).spawn(trials)[t]`,
+    children [signal, mask], for every kind.  With prune_target set, a grid
+    point stops early once that success rate has become unreachable; the
+    point is flagged pruned.
     """
     densities, dist = _setup(cfg)
     table: dict = {kind: [] for kind in cfg.density_kinds}
-    for kind_idx, kind in enumerate(cfg.density_kinds):
+    for kind in cfg.density_kinds:
         supported = int(np.count_nonzero(densities[kind].pi > 0))
         for m in m_grid:
             if m > supported:
                 table[kind].append(PhasePoint(int(m), 0.0, 0, pruned=True))
                 continue
-            seeds = np.random.SeedSequence(
-                (cfg.master_seed, kind_idx, int(m))
-            ).spawn(cfg.trials)
+            seeds = np.random.SeedSequence((cfg.master_seed, int(m))).spawn(cfg.trials)
             successes = 0
             failures = 0
             run = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -22,7 +23,7 @@ from avds.harness import (
     run_experiment,
     scale_profile_weights,
 )
-from avds.masks import IID, draw_mask
+from avds.masks import DISTINCT, IID, draw_mask
 from avds.recon import SolverParams
 from avds.support_model import (
     WeightVector,
@@ -625,6 +626,89 @@ def test_run_experiment_scores_every_kind_on_each_trials_signal(monkeypatch):
     assert len(measured) == 12
     for trial, signals in enumerate(drawn):
         assert all(np.shares_memory(x, signals) for x in measured[3 * trial : 3 * trial + 3])
+
+
+def _equal_densities_config(kinds):
+    # levels=1 with uniform weights: the adapted and coherence densities are
+    # the same array, so paired kinds must give the same results
+    return ExperimentConfig(
+        spec=OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 32, levels=1),
+        weights=WeightVector.from_omega(np.full(1024, 16 / 1024)),
+        density_kinds=kinds,
+        trials=3,
+        master_seed=0,
+        budget=128,
+    )
+
+
+def test_equal_densities_give_equal_experiments_and_transitions():
+    cfg = _equal_densities_config(["adapted", "coherence"])
+    densities, _ = harness._setup(cfg)
+    assert np.array_equal(densities["adapted"].pi, densities["coherence"].pi)
+    report = run_experiment(cfg)
+    assert report.psnr_db["adapted"] == report.psnr_db["coherence"]
+    table = phase_transition(cfg, [64, 128])
+    assert table["adapted"] == table["coherence"]
+
+
+@pytest.mark.parametrize(
+    "cfg, budgets",
+    [
+        (_k32_config(["adapted", "uniform", "coherence"], 6), [4, 8, 12]),
+        (_equal_densities_config(["adapted", "uniform"]), [128]),
+    ],
+    ids=["dft1d", "hadamard-haar"],
+)
+def test_a_transition_point_runs_the_experiments_trials(cfg, budgets):
+    # +-1 signals with S nonzeros: relative error <= 1e-3 is a PSNR of at
+    # least 60 + 10 log10(K / S) dB
+    s = round(cfg.weights.sparsity)
+    floor_db = 60 + 10 * math.log10(cfg.spec.dim / s)
+    table = phase_transition(cfg, budgets)
+    for i, m in enumerate(budgets):
+        report = run_experiment(dataclasses.replace(cfg, budget=m))
+        for kind, scores in report.psnr_db.items():
+            rate = np.mean(np.asarray(scores) >= floor_db)
+            assert table[kind][i].success_rate == rate, (kind, m)
+
+
+def _count_calls():
+    k = 16
+    spec = OperatorSpec(Measurement.DFT1D, Sparsity.IDENTITY, k)
+    dens = baseline_density("uniform", spec)
+    wv = normalize_weights(np.full(k, 0.25), 4)
+    part = BlockPartition.singletons(k)
+    return {
+        "mask-distinct": lambda n: draw_mask(dens, n, mode=DISTINCT, seed=0),
+        "mask-iid": lambda n: draw_mask(dens, n, mode=IID, seed=0),
+        "diagnostics-m": lambda n: diagnostics(spec, part, dens, wv, m=n, trials=2, seed=0),
+        "diagnostics-trials": lambda n: diagnostics(spec, part, dens, wv, m=4, trials=n),
+        "config-budget": lambda n: small_config(budget=n),
+        "config-trials": lambda n: small_config(trials=n),
+        "config-seed": lambda n: small_config(master_seed=n),
+    }
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(3), "3", True], ids=repr)
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        ("mask-distinct", InfeasibleBudget),
+        ("mask-iid", InfeasibleBudget),
+        ("diagnostics-m", InfeasibleBudget),
+        ("diagnostics-trials", ConfigError),
+        ("config-budget", InfeasibleBudget),
+        ("config-trials", ConfigError),
+        ("config-seed", ConfigError),
+    ],
+)
+def test_counts_that_are_not_integers_are_rejected(call, error, value):
+    # a budget is an InfeasibleBudget, as in phase_transition, and a trial
+    # count or a master seed a ConfigError; numpy integers pass
+    run = _count_calls()[call]
+    with pytest.raises(error):
+        run(value)
+    run(np.int64(3))
 
 
 def test_diagnostics_tail_counts_exact_ties():

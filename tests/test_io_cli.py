@@ -712,7 +712,7 @@ def test_reports_hold_exactly_their_schema_fields(tmp_path, capsys):
     timed = json.loads(capsys.readouterr().out)
     assert run_cli("experiment", "--config", str(path), "--no-timing") == 0
     untimed = json.loads(capsys.readouterr().out)
-    assert timed["schema_version"] == 3
+    assert timed["schema_version"] == 4
     assert set(timed) == {
         "schema_version", "config", "psnr_db", "psnr_mean", "psnr_sd",
         "covered_fraction", "density_info", "unconverged_solves", "wall_clock_s",

@@ -269,7 +269,7 @@ def test_distinct_masks_follow_successive_sampling_law(draw, budget):
 @pytest.mark.parametrize("seed", range(40))
 def test_distinct_masks_are_budget_positive_atoms(seed):
     # skewed densities with zero atoms; budgets from 1 up to every atom.
-    # n_draws is the number of keys drawn: one per positive-mass atom
+    # n_draws is the number of keys kept: one per positive-mass atom
     dens = skewed_density(seed)
     atoms = np.flatnonzero(dens.pi)
     for budget in sorted({1, max(1, atoms.size // 2), max(1, atoms.size - 1), atoms.size}):
@@ -279,6 +279,19 @@ def test_distinct_masks_are_budget_positive_atoms(seed):
         assert np.all(np.isin(mask.indices, atoms))
         assert np.all(mask.multiplicities == 1)
         assert mask.n_draws == atoms.size
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_distinct_keys_belong_to_atoms_not_to_positive_ranks(seed):
+    # atom k keeps its E_k whatever the zero set: with atom 0 zeroed and the
+    # rest rescaled, every other key shifts by one constant, so the atoms
+    # of the full mask other than 0 are among the masked density's picks
+    full = Density(np.full(16, 1 / 16), 16.0)
+    zeroed = Density(np.r_[0.0, np.full(15, 1 / 15)], 15.0)
+    for budget in (1, 4, 8):
+        kept = draw_mask(full, budget, mode=DISTINCT, seed=seed).indices
+        picks = draw_mask(zeroed, budget, mode=DISTINCT, seed=seed).indices
+        assert np.all(np.isin(kept[kept != 0], picks))
 
 
 def test_near_full_budget_takes_every_positive_atom():

@@ -66,6 +66,24 @@ def test_projector_exactness():
     assert np.linalg.norm(again - u) <= 1e-10 * np.linalg.norm(u)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("final_mu_factor", np.nan),
+        ("final_mu_factor", np.inf),
+        ("inner_tol", np.nan),
+        ("inner_tol", np.inf),
+        ("continuation_steps", np.nan),
+        ("max_inner", np.nan),
+    ],
+)
+def test_solver_params_must_be_finite(field, value):
+    # NaN passed min(...) <= 0: a NaN final mu ran every solve to the
+    # iteration cap, and a NaN tolerance never stopped a stage
+    with pytest.raises(UnsupportedSolver, match="finite"):
+        SolverParams(**{field: value})
+
+
 def test_solver_rejects_repeated_draws():
     dens = Density(np.full(64, 1.0 / 64), 64.0)
     mask = draw_mask(dens, 80, mode=IID, seed=9)

@@ -193,6 +193,18 @@ def test_a_scalar_input_is_a_dimension_mismatch(spec, x):
             apply(spec, direction, x)
 
 
+@pytest.mark.parametrize("spec", all_specs_small(), ids=str)
+def test_apply_never_returns_the_callers_array(spec):
+    # identity x identity has no stage; a caller writing into the result
+    # must not write into its input
+    x = np.arange(2 * spec.dim, dtype=float).reshape(2, spec.dim)
+    for direction in Direction:
+        y = apply(spec, direction, x)
+        assert not np.shares_memory(x, y)
+        if (spec.measurement, spec.sparsity) == (Measurement.IDENTITY, Sparsity.IDENTITY):
+            assert np.array_equal(y, x)
+
+
 def test_default_levels():
     assert OperatorSpec(Measurement.DFT1D, Sparsity.DB4_1D, 64).levels == 6
     assert OperatorSpec(Measurement.DFT2D, Sparsity.DB4_2D, 64).levels == 3
