@@ -27,9 +27,6 @@ from .recon import MeasurementOp, SolverParams, measure, solve_bp
 from .support_model import WeightVector, estimate_weights, flip
 from .transforms import Direction, Measurement, OperatorSpec, Sparsity, apply
 
-# the density names `avds density --kind` and the configs accept
-_DENSITY_KINDS = ("adapted", "uniform", "coherence", "polynomial")
-
 _SPARSITY_ALIASES = {
     "haar2d_multilevel": "haar2d",
     "db4_2d_multilevel": "db4_2d",
@@ -45,7 +42,7 @@ def _operator_spec(measurement, sparsity, size, levels=None) -> OperatorSpec:
             Measurement(measurement),
             Sparsity(_SPARSITY_ALIASES.get(sparsity, sparsity)),
             int(size),
-            levels=levels,
+            levels=None if levels is None else int(levels),
         )
     except ValueError as exc:
         raise ConfigError(f"spec {measurement}:{sparsity}:{size}: {exc}") from exc
@@ -234,15 +231,6 @@ def _optional(value, check, key: str):
     return None if value is None else check(value, key)
 
 
-def _density_names(value, key: str) -> list:
-    """A non-empty list of names from `_DENSITY_KINDS`."""
-    if not isinstance(value, list) or not value or not all(v in _DENSITY_KINDS for v in value):
-        raise ConfigError(
-            f"{key} must be a non-empty list of names from {_DENSITY_KINDS}, got {value!r}"
-        )
-    return list(value)
-
-
 def _experiment_config(raw: dict, path: str) -> ExperimentConfig:
     """ExperimentConfig from a checked config object."""
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -269,19 +257,14 @@ def _experiment_config(raw: dict, path: str) -> ExperimentConfig:
         weights, descriptor = _resolve_weights(
             _section(raw, "weights", path, default={}), spec, base_dir
         )
-        flip_coefficients = raw.get("flip", False)
-        if not isinstance(flip_coefficients, bool):
-            raise ConfigError(f"{path}: flip must be true or false")
         return ExperimentConfig(
             spec=spec,
             weights=weights,
-            density_kinds=_density_names(
-                raw.get("densities", ["adapted", "uniform"]), "densities"
-            ),
+            density_kinds=raw.get("densities", ["adapted", "uniform"]),
             trials=_integer(raw.get("trials", 1), "trials"),
             master_seed=_integer(raw.get("seed", 0), "seed"),
             partition=partition,
-            fraction=_optional(raw.get("fraction"), _number, "fraction"),
+            fraction=raw.get("fraction"),
             budget=_optional(raw.get("budget"), _integer, "budget"),
             solver=SolverParams(
                 **{
@@ -289,7 +272,7 @@ def _experiment_config(raw: dict, path: str) -> ExperimentConfig:
                     for key, value in solver_entry.items()
                 }
             ),
-            flip_coefficients=flip_coefficients,
+            flip_coefficients=raw.get("flip", False),
             weight_descriptor=descriptor,
         )
 
@@ -415,14 +398,13 @@ def _cmd_diagnose(args) -> int:
         if not budgets:
             raise ConfigError(f"{path}: m must hold at least one budget")
         budgets = [_integer(m, "m") for m in budgets]
-        trials = _integer(raw.get("trials", 200), "trials")
         epsilon = _number(raw.get("epsilon", 0.01), "epsilon")
-    kind = raw.get("density", "adapted")
-    if kind not in _DENSITY_KINDS:
-        raise ConfigError(f"{path}: density must be one of {_DENSITY_KINDS}, got {kind!r}")
-    # the shared sections in the experiment schema, whose budget is unused here
+    # the experiment schema: the density as the one kind, its budget unused here
     shared = {key: raw[key] for key in _SHARED_KEYS if key in raw}
-    cfg = _experiment_config(dict(shared, budget=1), path)
+    kind = raw.get("density", "adapted")
+    cfg = _experiment_config(
+        dict(shared, budget=1, densities=[kind], trials=raw.get("trials", 200)), path
+    )
     dens = harness.build_density(kind, cfg, cfg.weights)
     out = []
     for m in budgets:
@@ -432,7 +414,7 @@ def _cmd_diagnose(args) -> int:
             dens,
             cfg.weights,
             m=m,
-            trials=trials,
+            trials=cfg.trials,
             seed=cfg.master_seed,
             epsilon=epsilon,
         )
@@ -467,11 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="compute a sampling density")
     p.add_argument("--spec", required=True)
     p.add_argument("--weights")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=_DENSITY_KINDS,
-    )
+    p.add_argument("--kind", required=True, choices=harness.DENSITY_KINDS)
     p.add_argument("--partition")
     p.add_argument("--out", required=True)
     p.add_argument("--png-log", dest="png_log")

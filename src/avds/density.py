@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPartition, InvalidSpec, InvalidWeights
+from .errors import InvalidPartition, InvalidSpec, InvalidWeights, _check_count
 from .support_model import WeightVector
 from .transforms import (
     Measurement,
@@ -150,7 +150,9 @@ class BlockPartition:
     @classmethod
     def squares(cls, side: int, block_side: int) -> "BlockPartition":
         """Squares of block_side^2 indices, column-major over the grid, each in increasing order."""
-        if not 1 <= block_side <= side or side % block_side != 0:
+        side = _check_count(side, "grid side", 1, InvalidPartition)
+        block_side = _check_count(block_side, "block side", 1, InvalidPartition)
+        if block_side > side or side % block_side:
             raise InvalidPartition(f"block side {block_side} must lie in [1, {side}] and divide it")
         n = side // block_side
         # grid[c, r] = c*side + r; square (bc, br) is grid[bc*b : .., br*b : ..]

@@ -2,8 +2,11 @@
 
 The CLI prints ``type(err).__name__`` as its machine-parsable error class,
 so every error raised on a documented failure path derives from AvdsError
-and carries a human-readable message.
+and carries a human-readable message.  `_check_count` is the one check of
+a count argument, raising the caller's error class.
 """
+
+from numbers import Integral
 
 
 class AvdsError(Exception):
@@ -44,3 +47,11 @@ class FormatError(AvdsError):
 
 class ConfigError(AvdsError):
     """Run configuration is invalid or contains unknown keys."""
+
+
+def _check_count(n, what: str = "a support count", least: int = 0, error=ConfigError) -> int:
+    """`n` as an int, checked: a count that is not an integer >= `least` (a
+    bool, a float, a string) is an `error`; numpy integers pass."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < least:
+        raise error(f"{what} must be an integer >= {least}, got {n!r}")
+    return int(n)

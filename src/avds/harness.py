@@ -19,6 +19,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .density import (
     BlockPartition,
     Density,
     adapted_blocks,
-    adapted_isolated,
+    adapted_isolated,  # noqa: F401 (bench/spans.py wraps avds.harness.adapted_isolated)
     baseline_density,
     block_norm_terms,
 )
@@ -47,6 +48,9 @@ from .transforms import OperatorSpec, _bands_1d, column_pairs
 from .transforms import apply  # noqa: F401 (bench/spans.py wraps avds.harness.apply)
 
 REPORT_SCHEMA_VERSION = 4
+
+# A trial recovers its signal when the relative l2 error is at most this.
+RECOVERY_REL_ERR = 1e-3
 
 # PSNR values at or beyond the numerical noise floor are reported as the
 # +inf sentinel; aggregation clips at this cap so means stay ordered.
@@ -118,6 +122,9 @@ def scale_profile_weights(
 
 @dataclass
 class ExperimentConfig:
+    """The settings of one run, each checked here once, so that library
+    callers get the errors of the CLI loader, which builds its configs here."""
+
     spec: OperatorSpec
     weights: WeightVector
     density_kinds: list
@@ -135,9 +142,19 @@ class ExperimentConfig:
         if self.trials > MAX_TRIALS:
             raise ConfigError(f"trials must lie in [1, {MAX_TRIALS}], got {self.trials}")
         self.master_seed = _check_count(self.master_seed, "the master seed")
-        if len(set(self.density_kinds)) < len(self.density_kinds):
+        kinds = self.density_kinds
+        known = isinstance(kinds, (list, tuple)) and all(k in DENSITY_KINDS for k in kinds)
+        if not (known and kinds):
+            raise ConfigError(f"need a non-empty list of kinds from {DENSITY_KINDS}, got {kinds!r}")
+        if len(set(kinds)) < len(kinds):
             # one kind's trials would be pooled under one report key
-            raise ConfigError(f"density kinds repeat: {self.density_kinds}")
+            raise ConfigError(f"density kinds repeat: {kinds}")
+        if not isinstance(self.flip_coefficients, bool):
+            raise ConfigError(f"flip must be true or false, got {self.flip_coefficients!r}")
+        if self.fraction is not None:
+            if isinstance(self.fraction, bool) or not isinstance(self.fraction, Real):
+                raise ConfigError(f"the fraction must be a number, got {self.fraction!r}")
+            self.fraction = float(self.fraction)
         if self.budget is not None:
             self.budget = _check_count(self.budget, "the budget", 1, InfeasibleBudget)
         elif self.fraction is None or not 0 < self.fraction <= 1:
@@ -204,13 +221,14 @@ class ExperimentReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
+# The densities a run compares: the adapted one and the three baselines.
+DENSITY_KINDS = ("adapted", "uniform", "coherence", "polynomial")
+
+
 def build_density(kind: str, cfg: ExperimentConfig, weights: WeightVector) -> Density:
-    part = cfg.partition
     if kind == "adapted":
-        if part.m == part.dim:
-            return adapted_isolated(cfg.spec, weights)
-        return adapted_blocks(cfg.spec, part, weights)
-    return baseline_density(kind, cfg.spec, part)
+        return adapted_blocks(cfg.spec, cfg.partition, weights)
+    return baseline_density(kind, cfg.spec, cfg.partition)
 
 
 def signal_distribution(weights: WeightVector) -> SupportDistribution:
@@ -438,23 +456,20 @@ class PhasePoint:
 def phase_transition(
     cfg: ExperimentConfig,
     m_grid,
-    success_threshold: float = 1e-3,
     prune_target: float | None = None,
 ) -> dict:
-    """Success rate (relative l2 error <= threshold) vs budget per kind.
+    """Success rate (relative l2 error <= `RECOVERY_REL_ERR`) vs budget per kind.
 
     Point (kind, m) runs the trials of that kind alone, seeded as the
     experiment at budget m seeds them, so kinds are paired; a kind with fewer
     atoms of positive mass than m gets a pruned 0.  With prune_target set,
     a point stops once that success rate has become unreachable, flagged
-    pruned.  Before any solve, a prune_target outside [0, 1] or a negative
-    or non-finite threshold is a `ConfigError`, and a budget that is not
-    an integer >= 1 an `InfeasibleBudget`.
+    pruned.  Before any solve, a prune_target outside [0, 1] is a
+    `ConfigError`, and a budget that is not an integer >= 1 an
+    `InfeasibleBudget`.
     """
     if prune_target is not None and not 0 <= prune_target <= 1:
         raise ConfigError(f"prune_target must lie in [0, 1], got {prune_target}")
-    if not (math.isfinite(success_threshold) and success_threshold >= 0):
-        raise ConfigError(f"success_threshold must be finite and >= 0, got {success_threshold}")
     budgets = [_check_count(m, "a transition budget", 1, InfeasibleBudget) for m in m_grid]
     # without a prune_target, as with a target of 0, every trial may fail
     max_failures = int(np.floor(cfg.trials * (1.0 - (prune_target or 0.0))))
@@ -470,7 +485,7 @@ def phase_transition(
             for _, x, _, result in _trials(cfg, dist, {kind: density}, m):
                 run += 1
                 err = np.linalg.norm(result.x - x) / np.linalg.norm(x)
-                successes += bool(err <= success_threshold)
+                successes += bool(err <= RECOVERY_REL_ERR)
                 if run - successes > max_failures:
                     break
             table[kind].append(PhasePoint(m, successes / run, run, pruned=run < cfg.trials))

@@ -40,7 +40,7 @@ from math import inf, sqrt
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedSolver
+from .errors import DimensionMismatch, UnsupportedSolver, _check_count
 from .masks import Mask
 from .transforms import Direction, OperatorSpec, apply, solver_plan
 
@@ -100,11 +100,13 @@ class SolverParams:
     max_inner: int = 3000
 
     def __post_init__(self) -> None:
-        counts = (self.continuation_steps, self.max_inner)
+        for name in ("continuation_steps", "max_inner"):
+            count = _check_count(getattr(self, name), f"finite count {name}", 1, UnsupportedSolver)
+            object.__setattr__(self, name, count)  # a numpy integer would not serialise
         scales = (self.final_mu_factor, self.inner_tol)
         # as ranges, so that NaN, which fails every comparison, fails the check
-        if not (all(1 <= n < inf for n in counts) and all(0 < v < inf for v in scales)):
-            raise UnsupportedSolver(f"solver parameters must be finite and positive: {self}")
+        if any(isinstance(v, bool) or not 0 < v < inf for v in scales):
+            raise UnsupportedSolver(f"solver scales must be finite and positive: {self}")
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidWeights
+from .errors import InvalidWeights, _check_count
 
 _SUM_TOL = 1e-6
 
@@ -211,17 +211,7 @@ def _check_seed(seed, numpy_seeds: bool = True):
         numpy_seeds and isinstance(seed, (np.random.SeedSequence, np.random.Generator))
     ):
         return seed
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"a seed must be None, an integer >= 0 or a numpy seed, got {seed!r}")
-    return seed
-
-
-def _check_count(n, what: str = "a support count", least: int = 0, error=ConfigError) -> int:
-    """`n` as an int, checked: a count that is not an integer >= `least` (a
-    bool, a float, a string) is an `error`; numpy integers pass."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
-        raise error(f"{what} must be an integer >= {least}, got {n!r}")
-    return int(n)
+    return _check_count(seed, "a seed that is not None or a numpy seed")
 
 
 def sample_supports(dist: SupportDistribution, n: int, seed=None) -> np.ndarray:

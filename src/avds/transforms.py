@@ -65,7 +65,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec
+from .errors import DimensionMismatch, InvalidSpec, _check_count
 
 
 class Measurement(str, Enum):
@@ -155,8 +155,10 @@ class OperatorSpec:
         spar = Sparsity(self.sparsity)
         object.__setattr__(self, "measurement", meas)
         object.__setattr__(self, "sparsity", spar)
-        if not _is_pow2(self.size) or self.size < 2:
-            raise InvalidSpec(f"size must be a power of two >= 2, got {self.size}")
+        size = _check_count(self.size, "size", 2, InvalidSpec)
+        if not _is_pow2(size):
+            raise InvalidSpec(f"size must be a power of two >= 2, got {size}")
+        object.__setattr__(self, "size", size)
         if self.dim > MAX_DIM:
             raise InvalidSpec(f"K = {self.dim} exceeds the limit K <= {MAX_DIM}")
         if meas == Measurement.DFT1D and spar in _2D_SPARSITIES:
@@ -172,9 +174,9 @@ class OperatorSpec:
             else:
                 levels = max(1, int(log2(self.size)) - 3)
         else:
-            levels = int(levels)
+            levels = _check_count(levels, "levels", 1, InvalidSpec)
             max_levels = int(log2(self.size))
-            if not 1 <= levels <= max_levels:
+            if levels > max_levels:
                 raise InvalidSpec(
                     f"levels must lie in [1, {max_levels}], got {levels}"
                 )

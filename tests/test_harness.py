@@ -10,9 +10,16 @@ from reference_diagnostics import reference_diagnostics
 from reference_harness import reference_phase_transition, smallest_m_reaching, synth_corpus
 
 from avds import harness, support_model
-from avds.cli import _SHARED_KEYS, _experiment_config
+from avds.cli import _SHARED_KEYS, _experiment_config, parse_spec
 from avds.density import BlockPartition, Density, adapted_isolated, baseline_density
-from avds.errors import ConfigError, DimensionMismatch, InfeasibleBudget
+from avds.errors import (
+    ConfigError,
+    DimensionMismatch,
+    InfeasibleBudget,
+    InvalidPartition,
+    InvalidSpec,
+    UnsupportedSolver,
+)
 from avds.harness import (
     MAX_TRIALS,
     ExperimentConfig,
@@ -140,6 +147,40 @@ def test_run_experiment_reproducible():
 def test_repeated_density_kinds_are_a_config_error():
     with pytest.raises(ConfigError, match="repeat"):
         small_config(density_kinds=["uniform", "uniform"])
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"fraction": True},
+        {"fraction": "half"},
+        {"density_kinds": []},
+        {"density_kinds": "uniform"},
+        {"density_kinds": ["bogus"]},
+        {"flip_coefficients": "yes"},
+    ],
+    ids=["fraction-bool", "fraction-str", "kinds-empty", "kinds-str", "kinds-unknown", "flip-str"],
+)
+def test_run_settings_are_checked_when_the_config_is_built(setting):
+    # the checks the CLI loader relied on hold for library callers too: before,
+    # fraction=True ran at full sampling, an empty kind list returned an empty
+    # report and a string kind list failed in setup on the kind 'u'
+    with pytest.raises(ConfigError):
+        small_config(**setting)
+
+
+def test_a_tuple_of_kinds_loads_and_singletons_build_the_isolated_density():
+    cfg = small_config(density_kinds=("adapted", "polynomial"), budget=4, fraction=None)
+    assert cfg.density_kinds == ("adapted", "polynomial")
+    assert cfg.partition.m == cfg.spec.dim
+    got = build_density("adapted", cfg, cfg.weights)
+    assert np.array_equal(got.pi, adapted_isolated(cfg.spec, cfg.weights).pi)
+
+
+def test_numpy_integer_solver_counts_serialise_in_the_report():
+    # they passed the solver's checks but ended the report in json's TypeError
+    cfg = small_config(solver=SolverParams(continuation_steps=np.int64(2), max_inner=np.int64(5)))
+    assert json.loads(json.dumps(cfg.describe()))["solver"]["max_inner"] == 5
 
 
 @pytest.mark.parametrize("trials", [0, MAX_TRIALS + 1, 10**12])
@@ -581,9 +622,6 @@ def test_phase_transition_matches_the_per_kind_reference(cfg, budgets, prune_tar
         ({"prune_target": 1.5}, ConfigError),
         ({"prune_target": -0.1}, ConfigError),
         ({"prune_target": math.nan}, ConfigError),
-        ({"success_threshold": -1.0}, ConfigError),
-        ({"success_threshold": math.inf}, ConfigError),
-        ({"success_threshold": math.nan}, ConfigError),
         ({"m_grid": [8, 12.9]}, InfeasibleBudget),
         ({"m_grid": [8.0]}, InfeasibleBudget),
         ({"m_grid": [0]}, InfeasibleBudget),
@@ -592,7 +630,6 @@ def test_phase_transition_matches_the_per_kind_reference(cfg, budgets, prune_tar
     ],
     ids=[
         "prune-above-1", "prune-below-0", "prune-nan",
-        "threshold-negative", "threshold-inf", "threshold-nan",
         "m-fractional", "m-float", "m-zero", "m-negative", "m-bool",
     ],
 )
@@ -709,6 +746,35 @@ def test_counts_that_are_not_integers_are_rejected(call, error, value):
     with pytest.raises(error):
         run(value)
     run(np.int64(3))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: OperatorSpec(Measurement.DFT2D, Sparsity.HAAR2D, 16, levels=2.5), InvalidSpec),
+        (lambda: OperatorSpec(Measurement.DFT2D, Sparsity.HAAR2D, 16, levels=True), InvalidSpec),
+        (lambda: OperatorSpec(Measurement.DFT2D, Sparsity.HAAR2D, 16.0), InvalidSpec),
+        (lambda: BlockPartition.squares(16, 2.0), InvalidPartition),
+        (lambda: BlockPartition.squares(16, True), InvalidPartition),
+        (lambda: SolverParams(max_inner=2.5), UnsupportedSolver),
+        (lambda: SolverParams(continuation_steps=2.5), UnsupportedSolver),
+        (lambda: SolverParams(max_inner=True), UnsupportedSolver),
+        (lambda: SolverParams(final_mu_factor=True), UnsupportedSolver),
+        (lambda: draw_mask(Density(np.full(8, 1 / 8), 8.0), 3, seed=True), ConfigError),
+        (lambda: parse_spec("dft2d:haar2d:16:2.5"), ConfigError),
+    ],
+    ids=[
+        "levels-float", "levels-bool", "size-float", "square-side-float", "square-side-bool",
+        "max-inner-float", "continuation-float", "max-inner-bool", "mu-factor-bool",
+        "seed-bool", "cli-levels-float",
+    ],
+)
+def test_library_counts_of_the_wrong_type_raise_their_class(call, error):
+    # before, levels=2.5 ran 2 levels and levels=True 1, a float size or square
+    # side ended in a bare TypeError, a float solver count failed inside
+    # solve_bp, and seed=True drew the mask of seed 1
+    with pytest.raises(error):
+        call()
 
 
 def test_diagnostics_tail_counts_exact_ties():
