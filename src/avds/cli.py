@@ -14,33 +14,25 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import harness, tensorio
 from .density import BlockPartition, Density, adapted_blocks, baseline_density
 from .errors import AvdsError, ConfigError, DimensionMismatch, FormatError
-from .harness import ExperimentConfig, diagnostics, run_experiment
+from .harness import ExperimentConfig, diagnose_rows, run_experiment
 from .masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
 from .support_model import WeightVector, estimate_weights, flip
 from .transforms import Direction, Measurement, OperatorSpec, Sparsity, apply
 
-_SPARSITY_ALIASES = {
-    "haar2d_multilevel": "haar2d",
-    "db4_2d_multilevel": "db4_2d",
-    "tensor-haar": "tensor_haar",
-    "tensor-db4": "tensor_db4",
-}
-
-
 def _operator_spec(measurement, sparsity, size, levels=None) -> OperatorSpec:
-    """OperatorSpec from command-line or config values, sparsity aliases allowed."""
+    """OperatorSpec from command-line or config values."""
     try:
         return OperatorSpec(
             Measurement(measurement),
-            Sparsity(_SPARSITY_ALIASES.get(sparsity, sparsity)),
+            Sparsity(sparsity),
             int(size),
             levels=None if levels is None else int(levels),
         )
@@ -81,6 +73,14 @@ def _read_vector(path: str, real: bool = False) -> np.ndarray:
     return vec
 
 
+def _image_coefficients(path: str, spec: OperatorSpec) -> np.ndarray:
+    """Sparsity coefficients of the PGM image at `path`, on the grid of a 2D spec."""
+    img = tensorio.read_pgm(path)
+    if spec.is_2d and img.shape != (spec.side, spec.side):
+        raise FormatError(f"{path}: image shape {img.shape} does not match the spec")
+    return apply(replace(spec, measurement=Measurement.IDENTITY), Direction.ADJOINT, img.T.ravel())
+
+
 def _load_corpus(directory: str, spec: OperatorSpec) -> np.ndarray:
     """Coefficient vectors from a directory of .avds vectors or .pgm images."""
     paths = sorted(
@@ -89,16 +89,9 @@ def _load_corpus(directory: str, spec: OperatorSpec) -> np.ndarray:
     )
     if not paths:
         raise FormatError(f"no .avds or .pgm files under {directory}")
-    analysis = replace(spec, measurement=Measurement.IDENTITY)
     rows = []
     for path in paths:
-        if path.endswith(".avds"):
-            vec = _read_vector(path)
-        else:
-            img = tensorio.read_pgm(path)
-            if spec.is_2d and img.shape != (spec.side, spec.side):
-                raise FormatError(f"{path}: image shape {img.shape} does not match spec")
-            vec = apply(analysis, Direction.ADJOINT, img.T.ravel())
+        vec = _read_vector(path) if path.endswith(".avds") else _image_coefficients(path, spec)
         if vec.size != spec.dim:
             raise FormatError(f"{path}: length {vec.size} does not match K={spec.dim}")
         rows.append(vec)
@@ -350,15 +343,10 @@ def _cmd_reconstruct(args) -> int:
     spec = parse_spec(args.spec)
     if args.image_out and not spec.is_2d:
         raise ConfigError("--image-out needs a 2D --spec")
-    sparsity_only = replace(spec, measurement=Measurement.IDENTITY)
     mask = _read_mask(args.mask)
     op = MeasurementOp(spec, mask)
     if args.image:
-        img = tensorio.read_pgm(args.image)
-        if spec.is_2d and img.shape != (spec.side, spec.side):
-            raise FormatError(f"image shape {img.shape} does not match the spec")
-        coeffs = apply(sparsity_only, Direction.ADJOINT, img.T.ravel())
-        y = measure(coeffs, op)
+        y = measure(_image_coefficients(args.image, spec), op)
     elif args.input:
         y = _read_vector(args.input)
     else:
@@ -367,7 +355,7 @@ def _cmd_reconstruct(args) -> int:
     result = solve_bp(y, op, params)
     tensorio.write_tensor(args.out, result.x)
     if args.image_out:
-        rec = apply(sparsity_only, Direction.FORWARD, result.x)
+        rec = apply(replace(spec, measurement=Measurement.IDENTITY), Direction.FORWARD, result.x)
         side = spec.side
         img = np.abs(rec.reshape(side, side)).T
         peak = img.max() if img.max() > 0 else 1.0
@@ -405,23 +393,7 @@ def _cmd_diagnose(args) -> int:
     cfg = _experiment_config(
         dict(shared, budget=1, densities=[kind], trials=raw.get("trials", 200)), path
     )
-    dens = harness.build_density(kind, cfg, cfg.weights)
-    out = []
-    for m in budgets:
-        diag = diagnostics(
-            cfg.spec,
-            cfg.partition,
-            dens,
-            cfg.weights,
-            m=m,
-            trials=cfg.trials,
-            seed=cfg.master_seed,
-            epsilon=epsilon,
-        )
-        row = asdict(diag)
-        lam = row.pop("lambda_samples")
-        out.append(dict(row, lambda_mean=float(np.mean(lam)), lambda_max=float(np.max(lam))))
-    print(json.dumps(out, sort_keys=True, indent=2))
+    print(json.dumps(diagnose_rows(cfg, budgets, epsilon), sort_keys=True, indent=2))
     return 0
 
 

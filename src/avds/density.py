@@ -43,6 +43,7 @@ import numpy as np
 from .errors import InvalidPartition, InvalidSpec, InvalidWeights, _check_count
 from .support_model import WeightVector
 from .transforms import (
+    MAX_DIM,
     Measurement,
     OperatorSpec,
     column_pairs,
@@ -131,6 +132,7 @@ class BlockPartition:
 
     @classmethod
     def singletons(cls, k: int) -> "BlockPartition":
+        k = _bounded(k, "K", 1)
         return cls(np.arange(k).reshape(k, 1), kind="singletons")
 
     @classmethod
@@ -140,17 +142,19 @@ class BlockPartition:
         With column-major vectorisation these are the rows phi_k (x) phi of
         a separable operator, i.e. vertical lines of the frequency grid.
         """
+        side = _bounded(side, "grid side", 2)
         return cls(np.arange(side * side).reshape(side, side), kind="vertical_lines")
 
     @classmethod
     def horizontal_lines(cls, side: int) -> "BlockPartition":
         """Grid rows: block k holds flat indices {k, k+side, k+2*side, ...}."""
+        side = _bounded(side, "grid side", 2)
         return cls(np.arange(side * side).reshape(side, side).T, kind="horizontal_lines")
 
     @classmethod
     def squares(cls, side: int, block_side: int) -> "BlockPartition":
         """Squares of block_side^2 indices, column-major over the grid, each in increasing order."""
-        side = _check_count(side, "grid side", 1, InvalidPartition)
+        side = _bounded(side, "grid side", 2)
         block_side = _check_count(block_side, "block side", 1, InvalidPartition)
         if block_side > side or side % block_side:
             raise InvalidPartition(f"block side {block_side} must lie in [1, {side}] and divide it")
@@ -158,6 +162,15 @@ class BlockPartition:
         # grid[c, r] = c*side + r; square (bc, br) is grid[bc*b : .., br*b : ..]
         grid = np.arange(side * side).reshape(n, block_side, n, block_side)
         return cls(grid.transpose(0, 2, 1, 3).reshape(n * n, -1), kind=f"squares:{block_side}")
+
+
+def _bounded(n, what: str, power: int) -> int:
+    """`n` as an int >= 1 whose K = n**power is at most `transforms.MAX_DIM`,
+    checked before anything is allocated."""
+    n = _check_count(n, what, 1, InvalidPartition)
+    if n**power > MAX_DIM:
+        raise InvalidPartition(f"{n**power} indices exceed the limit K <= {MAX_DIM}")
+    return n
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,11 @@ scheme: trial t at budget m uses
 the signal draw and the mask draw.  Every density kind draws its distinct
 mask from that one mask child, so kinds are paired on signals and on mask
 keys, and an experiment at budget m runs exactly the trials of the
-transition point at m.  The theorem diagnostics read two streams per call:
-`SeedSequence(seed).spawn(2)` seeds one generator for the supports and one
-for the i.i.d. masks, and trial t reads the t-th row of each.  Reports are
-therefore fully reproducible from the config plus the master seed.
+transition point at m.  The theorem diagnostics read two streams per
+budget: `SeedSequence(seed).spawn(2)` seeds one generator for the supports
+and one for the i.i.d. masks, and trial t reads the t-th row of each.
+Reports are therefore fully reproducible from the config plus the master
+seed.
 """
 
 from __future__ import annotations
@@ -154,7 +155,10 @@ class ExperimentConfig:
         if self.fraction is not None:
             if isinstance(self.fraction, bool) or not isinstance(self.fraction, Real):
                 raise ConfigError(f"the fraction must be a number, got {self.fraction!r}")
-            self.fraction = float(self.fraction)
+            try:
+                self.fraction = float(self.fraction)
+            except OverflowError as exc:
+                raise ConfigError("the fraction lies beyond the float range") from exc
         if self.budget is not None:
             self.budget = _check_count(self.budget, "the budget", 1, InfeasibleBudget)
         elif self.fraction is None or not 0 < self.fraction <= 1:
@@ -358,12 +362,22 @@ def diagnostics(
     differently); mu, the thresholds, the bounds and the tail count are
     exact.
     """
+    return _diagnostics(spec, partition, density, weights, [m], trials, seed, epsilon)[0]
+
+
+def _diagnostics(spec, partition, density, weights, budgets, trials, seed, epsilon) -> list:
+    """`diagnostics` at each budget in turn, each seeded as a call at that budget alone.
+
+    The checks, the block terms, both thresholds, the mask table and the
+    support model are built once for all budgets.
+    """
     if spec.dim > 4096:
         raise DimensionMismatch("diagnostics are limited to K <= 4096")
     if len(density) != partition.m:
         raise DimensionMismatch(f"density has {len(density)} entries for {partition.m} blocks")
-    if _check_count(m, "budget m", 1, InfeasibleBudget) > spec.dim:
-        raise InfeasibleBudget(f"budget m must lie in [1, K = {spec.dim}], got {m}")
+    for m in budgets:
+        if _check_count(m, "budget m", 1, InfeasibleBudget) > spec.dim:
+            raise InfeasibleBudget(f"budget m must lie in [1, K = {spec.dim}], got {m}")
     if _check_count(trials, "trials", 1) > MAX_TRIALS:
         raise ConfigError(f"diagnostics need trials in [1, {MAX_TRIALS}], got {trials}")
     if not 0 < epsilon < 1:
@@ -373,8 +387,6 @@ def diagnostics(
     pi = density.pi
     live = pi > 0
     live_cols = slice(None) if live.all() else live  # skips the gather when all are live
-    norm = pi[live] * m  # Lambda's denominators pi_k m over the live blocks
-    mu = float(np.max(inf_terms[live] / norm))
     threshold_inf1 = float(np.max(inf_terms[live] / pi[live]))
     threshold_gram = float(np.max(gram_terms[live] / pi[live]))
     logk = np.log(spec.dim / epsilon)
@@ -384,56 +396,82 @@ def diagnostics(
     s = dist.sparsity  # every rejective support has this size
     singleton = partition.m == partition.dim
     splits = np.cumsum(partition.sizes)[:-1]  # blocks lie one after another in rows
-    lam, hits = np.empty(trials), 0
-    support_rng, mask_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     # per trial, a stack holds K support and S x size (u, v) entries; a chunk
     # K numerators, m x S draws and an S x S Gram, maybe complex, in half
     n_stack = max(1, _STACK_ENTRIES // max(dist.dim, s * spec.size))
-    n_chunk = max(1, (_STACK_ENTRIES >> 1) // max(dist.dim, m * s, s * s))
-    for first in range(0, trials, n_stack):
-        n = min(n_stack, trials - first)
-        supports = sample_supports(dist, n, seed=support_rng)
-        u, v = column_pairs(spec, np.flatnonzero(supports) % dist.dim)
-        # trial t reads A0[r, I] as u[t, r // w] * v[t, r % w]
-        u, v = (f.reshape(n, s, -1).transpose(0, 2, 1).copy() for f in (u, v))
-        height, width = u.shape[1], v.shape[1]
-        draws = _iid_draw(atoms, cum, mask_rng.random((n, m)))
-        scale = (m * pi[draws]) ** -0.5  # theorem scaling, once per draw
-        for lo in range(0, n, n_chunk):
-            chunk = slice(lo, lo + n_chunk)
-            uc, vc, dc, sc = u[chunk], v[chunk], draws[chunk], scale[chunk]
-            # Lambda_I = max_k ||B_k[:, I]||^2 / (pi_k m); Grams of every draw
-            if singleton:
-                block_sq = np.abs(uc) ** 2 @ (np.abs(vc) ** 2).swapaxes(1, 2)  # h x w per trial
-                offsets = np.arange(len(uc))[:, None]
-                a_i = uc.reshape(-1, s)[dc // width + height * offsets]  # m x S per trial
-                a_i *= vc.reshape(-1, s)[dc % width + width * offsets]
-                a_i *= sc[:, :, None]
-                grams = a_i.conj().swapaxes(1, 2) @ a_i
-            else:
-                block_sq = np.empty((len(uc), partition.m))
-                grams = np.empty((len(uc), s, s), dtype=u.dtype)
-                for j, (ut, vt) in enumerate(zip(uc, vc)):
-                    cols = ut[partition.rows // width] * vt[partition.rows % width]
-                    for k, sub in enumerate(np.split(cols, splits)):
-                        gram = sub.conj().T @ sub
-                        block_sq[j, k] = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1].real
-                    rows, row_scale = partition.block_rows(dc[j], sc[j])
-                    a_i = row_scale[:, None] * ut[rows // width] * vt[rows % width]
-                    grams[j] = a_i.conj().T @ a_i
-            block_sq = block_sq.reshape(len(uc), -1)[:, live_cols]
-            lam[first : first + n][chunk] = np.max(block_sq / norm, axis=1)
-            hits += _tail_hits(grams)
-    return Diagnostics(
-        mu=mu,
-        lambda_samples=lam,
-        gram_tail_prob=hits / trials,
-        m=m,
-        threshold_inf1=threshold_inf1,
-        threshold_gram=threshold_gram,
-        m_bound_inf1=threshold_inf1 * logk**3,
-        m_bound_gram=threshold_gram * logk**2,
-    )
+    out = []
+    for m in budgets:
+        norm = pi[live] * m  # Lambda's denominators pi_k m over the live blocks
+        n_chunk = max(1, (_STACK_ENTRIES >> 1) // max(dist.dim, m * s, s * s))
+        lam, hits = np.empty(trials), 0
+        support_rng, mask_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+        for first in range(0, trials, n_stack):
+            n = min(n_stack, trials - first)
+            supports = sample_supports(dist, n, seed=support_rng)
+            u, v = column_pairs(spec, np.flatnonzero(supports) % dist.dim)
+            # trial t reads A0[r, I] as u[t, r // w] * v[t, r % w]
+            u, v = (f.reshape(n, s, -1).transpose(0, 2, 1).copy() for f in (u, v))
+            height, width = u.shape[1], v.shape[1]
+            draws = _iid_draw(atoms, cum, mask_rng.random((n, m)))
+            scale = (m * pi[draws]) ** -0.5  # theorem scaling, once per draw
+            for lo in range(0, n, n_chunk):
+                chunk = slice(lo, lo + n_chunk)
+                uc, vc, dc, sc = u[chunk], v[chunk], draws[chunk], scale[chunk]
+                # Lambda_I = max_k ||B_k[:, I]||^2 / (pi_k m); Grams of every draw
+                if singleton:
+                    block_sq = np.abs(uc) ** 2 @ (np.abs(vc) ** 2).swapaxes(1, 2)  # h x w
+                    offsets = np.arange(len(uc))[:, None]
+                    a_i = uc.reshape(-1, s)[dc // width + height * offsets]  # m x S per trial
+                    a_i *= vc.reshape(-1, s)[dc % width + width * offsets]
+                    a_i *= sc[:, :, None]
+                    grams = a_i.conj().swapaxes(1, 2) @ a_i
+                else:
+                    block_sq = np.empty((len(uc), partition.m))
+                    grams = np.empty((len(uc), s, s), dtype=u.dtype)
+                    for j, (ut, vt) in enumerate(zip(uc, vc)):
+                        cols = ut[partition.rows // width] * vt[partition.rows % width]
+                        for k, sub in enumerate(np.split(cols, splits)):
+                            gram = sub.conj().T @ sub
+                            gram = 0.5 * (gram + gram.conj().T)
+                            block_sq[j, k] = np.linalg.eigvalsh(gram)[-1].real
+                        rows, row_scale = partition.block_rows(dc[j], sc[j])
+                        a_i = row_scale[:, None] * ut[rows // width] * vt[rows % width]
+                        grams[j] = a_i.conj().T @ a_i
+                block_sq = block_sq.reshape(len(uc), -1)[:, live_cols]
+                lam[first : first + n][chunk] = np.max(block_sq / norm, axis=1)
+                hits += _tail_hits(grams)
+        out.append(
+            Diagnostics(
+                mu=float(np.max(inf_terms[live] / norm)),
+                lambda_samples=lam,
+                gram_tail_prob=hits / trials,
+                m=m,
+                threshold_inf1=threshold_inf1,
+                threshold_gram=threshold_gram,
+                m_bound_inf1=threshold_inf1 * logk**3,
+                m_bound_gram=threshold_gram * logk**2,
+            )
+        )
+    return out
+
+
+def diagnose_rows(cfg: ExperimentConfig, budgets, epsilon: float) -> list:
+    """The rows `avds diagnose` prints, one per budget of `budgets`.
+
+    The run builds the density of the config's first kind once, then runs
+    `diagnostics` at every budget on one set of block terms and one support
+    model.  A row holds the `Diagnostics` fields, with the Lambda samples
+    given as their mean and max.
+    """
+    density = build_density(cfg.density_kinds[0], cfg, cfg.weights)
+    rows = []
+    for diag in _diagnostics(
+        cfg.spec, cfg.partition, density, cfg.weights, budgets, cfg.trials, cfg.master_seed, epsilon
+    ):
+        row = asdict(diag)
+        lam = row.pop("lambda_samples")
+        rows.append(dict(row, lambda_mean=float(np.mean(lam)), lambda_max=float(np.max(lam))))
+    return rows
 
 
 def _tail_hits(grams: np.ndarray) -> int:

@@ -37,6 +37,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from math import inf, sqrt
+from numbers import Real
 
 import numpy as np
 
@@ -105,7 +106,7 @@ class SolverParams:
             object.__setattr__(self, name, count)  # a numpy integer would not serialise
         scales = (self.final_mu_factor, self.inner_tol)
         # as ranges, so that NaN, which fails every comparison, fails the check
-        if any(isinstance(v, bool) or not 0 < v < inf for v in scales):
+        if any(isinstance(v, bool) or not isinstance(v, Real) or not 0 < v < inf for v in scales):
             raise UnsupportedSolver(f"solver scales must be finite and positive: {self}")
 
 

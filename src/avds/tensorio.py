@@ -3,7 +3,8 @@
 Tensor layout: magic "AVDS", version byte, dtype byte (0 = real float64,
 1 = complex stored as interleaved float64 re/im pairs), ndim byte, dims
 as unsigned 64-bit little-endian, then the payload as little-endian
-float64 in column-major order.  Round trips are bit exact.
+float64 in column-major order.  Round trips are bit exact, complex
+entries included: each part keeps its sign, infinity or NaN.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import FormatError
 
 _MAGIC = b"AVDS"
 _VERSION = 1
+_DTYPES = ("<f8", "<c16")  # by dtype byte
 
 
 def atomic_write(path: str, payload: bytes) -> None:
@@ -39,15 +41,9 @@ def tensor_bytes(array: np.ndarray) -> bytes:
     array = np.asarray(array)
     if array.ndim == 0:
         array = array.reshape(1)
-    if np.iscomplexobj(array):
-        dtype_byte = 1
-        flat = np.asarray(array, dtype=np.complex128).flatten(order="F")
-        payload = np.empty(2 * flat.size, dtype="<f8")
-        payload[0::2] = flat.real
-        payload[1::2] = flat.imag
-    else:
-        dtype_byte = 0
-        payload = np.asarray(array, dtype=np.float64).flatten(order="F").astype("<f8")
+    dtype_byte = int(np.iscomplexobj(array))
+    # a "<c16" entry is its "<f8" real and imaginary parts, bit for bit
+    payload = np.asarray(array, dtype=_DTYPES[dtype_byte]).flatten(order="F")
     header = _MAGIC + struct.pack("<BBB", _VERSION, dtype_byte, array.ndim)
     header += struct.pack(f"<{array.ndim}Q", *array.shape)
     return header + payload.tobytes()
@@ -80,12 +76,7 @@ def read_tensor(path: str) -> np.ndarray:
         raise FormatError(
             f"{path}: truncated payload at byte {len(data)}, expected {expected}"
         )
-    raw = np.frombuffer(data, dtype="<f8", count=count * (2 if dtype_byte else 1),
-                        offset=offset)
-    if dtype_byte:
-        flat = raw[0::2] + 1j * raw[1::2]
-    else:
-        flat = raw
+    flat = np.frombuffer(data, dtype=_DTYPES[dtype_byte], count=count, offset=offset)
     try:
         return flat.reshape(dims, order="F").copy()
     except ValueError as exc:  # an empty payload whose dims numpy cannot hold

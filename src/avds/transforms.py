@@ -151,8 +151,11 @@ class OperatorSpec:
     levels: int | None = None
 
     def __post_init__(self) -> None:
-        meas = Measurement(self.measurement)
-        spar = Sparsity(self.sparsity)
+        try:
+            meas = Measurement(self.measurement)
+            spar = Sparsity(self.sparsity)
+        except ValueError as exc:
+            raise InvalidSpec(str(exc)) from exc
         object.__setattr__(self, "measurement", meas)
         object.__setattr__(self, "sparsity", spar)
         size = _check_count(self.size, "size", 2, InvalidSpec)

@@ -84,12 +84,12 @@ def _short_experiment(cfg):
     return _real_run_experiment(dataclasses.replace(cfg, trials=1, solver=solver))
 
 
-def _short_diagnostics(*args, trials=200, **kwargs):
-    return _real_diagnostics(*args, trials=min(trials, 2), **kwargs)
+def _short_diagnose(cfg, budgets, epsilon):
+    return _real_diagnose_rows(dataclasses.replace(cfg, trials=min(cfg.trials, 2)), budgets, epsilon)
 
 
 _real_run_experiment = avds.cli.run_experiment
-_real_diagnostics = avds.cli.diagnostics
+_real_diagnose_rows = avds.cli.diagnose_rows
 
 
 @given(mutants())
@@ -99,7 +99,7 @@ _real_diagnostics = avds.cli.diagnostics
 def test_mutated_config_loads_or_prints_one_error_class(monkeypatch, capsys, mutant):
     name, cfg = mutant
     monkeypatch.setattr(avds.cli, "run_experiment", _short_experiment)
-    monkeypatch.setattr(avds.cli, "diagnostics", _short_diagnostics)
+    monkeypatch.setattr(avds.cli, "diagnose_rows", _short_diagnose)
     command = "diagnose" if name.startswith("diagnose") else "experiment"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{name}.json"

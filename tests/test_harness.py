@@ -439,6 +439,51 @@ def test_diagnose_config_matches_per_trial_reference():
             assert getattr(got, key) == getattr(want, key), key
 
 
+_SQUARES_CONFIG = {
+    # the square-block diagnose config that CI runs twice and compares
+    "schema_version": 1,
+    "seed": 3,
+    "spec": {"measurement": "hadamard2d", "sparsity": "haar2d", "size": 16, "levels": 2},
+    "partition": {"kind": "squares", "block_side": 4},
+    "weights": {"source": "uniform", "sparsity": 6},
+    "density": "coherence",
+    "m": [4, 8, 12],
+    "trials": 40,
+}
+
+
+def _rows_one_call_per_budget(cfg, budgets, epsilon):
+    """The rows of a diagnose run, one `diagnostics` call per budget."""
+    dens = build_density(cfg.density_kinds[0], cfg, cfg.weights)
+    rows = []
+    for m in budgets:
+        diag = diagnostics(
+            cfg.spec, cfg.partition, dens, cfg.weights,
+            m=m, trials=cfg.trials, seed=cfg.master_seed, epsilon=epsilon,
+        )
+        row = dataclasses.asdict(diag)
+        lam = row.pop("lambda_samples")
+        rows.append(dict(row, lambda_mean=float(np.mean(lam)), lambda_max=float(np.max(lam))))
+    return rows
+
+
+@pytest.mark.parametrize("config", ["diagnose", "squares"])
+def test_a_diagnose_run_gives_the_rows_of_one_call_per_budget(config):
+    path = Path(__file__).resolve().parents[1] / "configs" / "diagnose_hadamard_haar.json"
+    raw = json.loads(path.read_text()) if config == "diagnose" else _SQUARES_CONFIG
+    shared = {key: raw[key] for key in _SHARED_KEYS if key in raw}
+    cfg = _experiment_config(
+        dict(shared, budget=1, densities=[raw["density"]], trials=raw["trials"]), str(path)
+    )
+    assert cfg.partition.kind == ("singletons" if config == "diagnose" else "squares:4")
+    got = harness.diagnose_rows(cfg, raw["m"], 0.05)
+    want = _rows_one_call_per_budget(cfg, raw["m"], 0.05)
+    assert [sorted(row) for row in got] == [sorted(row) for row in want]
+    for got_row, want_row in zip(got, want):
+        for key, value in want_row.items():
+            assert got_row[key] == value, key
+
+
 _LINES_CONFIG = {
     # the line-block diagnose config that CI runs twice and compares
     "schema_version": 1,
@@ -773,6 +818,33 @@ def test_library_counts_of_the_wrong_type_raise_their_class(call, error):
     # before, levels=2.5 ran 2 levels and levels=True 1, a float size or square
     # side ended in a bare TypeError, a float solver count failed inside
     # solve_bp, and seed=True drew the mask of seed 1
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: BlockPartition.singletons(2**22), InvalidPartition),
+        (lambda: BlockPartition.vertical_lines(2**11), InvalidPartition),
+        (lambda: BlockPartition.horizontal_lines(2**11), InvalidPartition),
+        (lambda: BlockPartition.squares(2**11, 2**11), InvalidPartition),
+        (lambda: BlockPartition.vertical_lines(4.0), InvalidPartition),
+        (lambda: OperatorSpec("bogus", "identity", 16), InvalidSpec),
+        (lambda: OperatorSpec("dft1d", "bogus", 16), InvalidSpec),
+        (lambda: SolverParams(inner_tol="1e-7"), UnsupportedSolver),
+        (lambda: small_config(budget=2, fraction=10**400), ConfigError),
+    ],
+    ids=[
+        "singletons-beyond-max-dim", "vertical-lines-beyond-max-dim",
+        "horizontal-lines-beyond-max-dim", "squares-beyond-max-dim", "line-side-float",
+        "measurement-name", "sparsity-name", "solver-scale-string", "fraction-overflow",
+    ],
+)
+def test_library_inputs_end_in_their_error_class(call, error):
+    # before, a partition of K > MAX_DIM was allocated (2^22 indices here),
+    # an unknown name ended in a bare ValueError, a string scale or a float
+    # line side in a bare TypeError and a huge fraction in an OverflowError
     with pytest.raises(error):
         call()
 

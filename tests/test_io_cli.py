@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from avds import tensorio
+from avds import density, tensorio
 from avds.cli import load_experiment_config, main, parse_partition, parse_spec
 from avds.errors import ConfigError, FormatError
 from avds.transforms import Measurement, Sparsity
@@ -27,6 +27,13 @@ def test_tensor_roundtrip_real_and_complex(tmp_path):
     cplx = rng.normal(size=(2, 3, 2)) + 1j * rng.normal(size=(2, 3, 2))
     tensorio.write_tensor(path, cplx)
     assert np.array_equal(tensorio.read_tensor(path), cplx)
+
+
+def test_tensor_roundtrip_keeps_non_finite_and_signed_zero_parts(tmp_path):
+    path = str(tmp_path / "t.avds")
+    cplx = np.array([complex(1, np.inf), complex(2, -0.0), complex(3, np.nan), complex(-0.0, 1)])
+    tensorio.write_tensor(path, cplx)
+    assert np.array_equal(tensorio.read_tensor(path).view(np.uint64), cplx.view(np.uint64))
 
 
 def test_tensor_header_layout(tmp_path):
@@ -133,7 +140,7 @@ def test_pgm_truncated(tmp_path):
 # ----------------------------------------------------------------- spec parsing
 
 def test_parse_spec_variants():
-    spec = parse_spec("dft2d:db4_2d_multilevel:64:3")
+    spec = parse_spec("dft2d:db4_2d:64:3")
     assert spec.measurement == Measurement.DFT2D
     assert spec.sparsity == Sparsity.DB4_2D
     assert spec.levels == 3
@@ -141,6 +148,8 @@ def test_parse_spec_variants():
     assert spec.dim == 1024
     with pytest.raises(ConfigError):
         parse_spec("nope:identity:8")
+    with pytest.raises(ConfigError):  # the earlier alias of db4_2d
+        parse_spec("dft2d:db4_2d_multilevel:64:3")
     with pytest.raises(ConfigError):
         parse_spec("dft1d:identity")
 
@@ -641,6 +650,22 @@ def test_cli_diagnose_runs(tmp_path, capsys):
     assert run_cli("diagnose", "--config", str(path)) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [row["m"] for row in rows] == [4, 8]
+
+
+def test_cli_diagnose_builds_its_block_terms_at_most_twice(monkeypatch, capsys):
+    # once for the density, once for the thresholds: not once per budget
+    calls = []
+    real = density._norm_terms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(density, "_norm_terms", counted)
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "diagnose_hadamard_haar.json")
+    assert run_cli("diagnose", "--config", path) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 4
+    assert 1 <= len(calls) <= 2
 
 
 def test_cli_import_loads_no_scipy():
