@@ -244,6 +244,7 @@ def _experiment_config(raw: dict, path: str) -> ExperimentConfig:
             block_side = _integer(part_entry["block_side"], "block_side")
             partition = BlockPartition.squares(spec.side, block_side)
         elif kind in _PARTITION_NAMES:
+            _section(raw, "partition", path, {"kind"}, default={})  # block_side is for squares
             partition = parse_partition(_PARTITION_NAMES[kind], spec)
         else:
             raise ConfigError(f"{path}: unknown partition kind {kind!r}")

@@ -81,9 +81,10 @@ class BlockPartition:
     """Disjoint cover of {0..K-1} by measurement blocks.
 
     Built from a list of index arrays, or from a 2D array holding one
-    equal-sized block per row.  Either is stored one way: `rows`, the
-    blocks' indices one block after another, and `sizes`, so block k is
-    rows[starts[k] : starts[k] + sizes[k]] with starts the running sum.
+    equal-sized block per row.  Either is stored one way: `table`, whose
+    row k holds block k's indices and is padded with K after its
+    `sizes[k]` entries.  `rows` holds the same indices one block after
+    another, for the checks here and the class-table sums.
     """
 
     def __init__(self, blocks, kind: str):
@@ -111,7 +112,11 @@ class BlockPartition:
         if self.sizes.size == k and not np.array_equal(self.rows, np.arange(k)):
             raise InvalidPartition("one-row blocks must be [0], [1], ..., [K-1]")
         self.dim = k
-        self._starts = np.cumsum(self.sizes) - self.sizes
+        width = int(self.sizes.max())
+        if self.sizes.size * width > MAX_DIM:  # the table is bounded as every K-vector is
+            raise InvalidPartition(f"blocks padded to {width} rows exceed {MAX_DIM} table entries")
+        self.table = np.full((self.sizes.size, width), k)
+        self.table[np.arange(width) < self.sizes[:, None]] = self.rows
 
     @property
     def m(self) -> int:
@@ -119,16 +124,13 @@ class BlockPartition:
 
     @property
     def blocks(self) -> list:
-        """Block k's indices as entry k of a list of views into `rows`."""
-        return np.split(self.rows, self._starts[1:])
+        """Block k's indices as entry k of a list of views into `table`."""
+        return [row[:size] for row, size in zip(self.table, self.sizes)]
 
     def block_rows(self, block_ids, *per_block):
         """Rows of blocks `block_ids` (in range), in order; each per-block value once per row."""
-        sizes = self.sizes[block_ids]
-        ends = np.cumsum(sizes)
-        offset = np.repeat(self._starts[block_ids] - (ends - sizes), sizes)
-        rows = self.rows[offset + np.arange(offset.size)]
-        return (rows, *(np.repeat(value, sizes) for value in per_block))
+        rows = self.table[block_ids]
+        return (rows[rows < self.dim], *(np.repeat(v, self.sizes[block_ids]) for v in per_block))
 
     @classmethod
     def singletons(cls, k: int) -> "BlockPartition":
@@ -229,7 +231,7 @@ def _grid_lines(partition: BlockPartition, side: int) -> tuple[np.ndarray, np.nd
     """Per block (axis, line): (0, c) for all of grid column c, (1, r) for grid row r, else -1s."""
     axis, line = np.full((2, partition.m), -1)
     ids = np.flatnonzero(partition.sizes == side)
-    idx = partition.block_rows(ids)[0].reshape(ids.size, side)
+    idx = partition.table[ids, :side]
     # rows first, so that a block that is both (on a 1 x 1 grid) counts as a column
     for a, coord in ((1, idx % side), (0, idx // side)):
         full = np.all(coord == coord[:, :1], axis=1)
@@ -264,12 +266,13 @@ def _norm_terms(spec: OperatorSpec, partition: BlockPartition, weights: WeightVe
         u, v = column_pairs(spec, np.unique(labels, return_index=True)[1])
         energy = (np.abs(u[:, :, None] * v[:, None, :]) ** 2).reshape(len(u), spec.dim)
         live = np.bincount(labels, weights=positive) > 0
-        sums = np.add.reduceat(energy[live][:, partition.rows], partition._starts, axis=1)
+        starts = np.cumsum(partition.sizes) - partition.sizes  # of each block in `rows`
+        sums = np.add.reduceat(energy[live][:, partition.rows], starts, axis=1)
         terms[1] = np.where(np.isnan(terms[1]), sums.max(axis=0), terms[1])
         if gram:
             one_row = np.isnan(terms[0]) & (partition.sizes == 1)
             row_gram = np.bincount(labels, weights=omega) @ energy
-            terms[0, one_row] = row_gram[partition.rows[partition._starts[one_row]]]
+            terms[0, one_row] = row_gram[partition.table[one_row, 0]]
     rest = np.flatnonzero(np.isnan(terms[0 if gram else 1 :]).any(axis=0))
     if rest.size:
         dense = np.array(_dense_terms(spec, partition, rest, weights, gram))
@@ -302,8 +305,8 @@ def _dense_terms(
         group = np.flatnonzero(sizes == size)
         n = max(1, (1 << 16) // int(size * spec.dim))
         for stack in np.split(group, np.arange(n, group.size, n)):
-            rows = partition.block_rows(block_ids[stack])[0]
-            mat = rows_batch(spec, rows).reshape(stack.size, size, spec.dim)
+            rows = partition.table[block_ids[stack], :size]
+            mat = rows_batch(spec, rows.ravel()).reshape(stack.size, size, spec.dim)
             conj = mat.conj()
             if gram:
                 terms[0, stack] = np.linalg.eigvalsh((mat * omega) @ conj.swapaxes(1, 2))[:, -1]

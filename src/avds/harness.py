@@ -32,7 +32,7 @@ from .density import (
     baseline_density,
     block_norm_terms,
 )
-from .errors import ConfigError, DimensionMismatch, InfeasibleBudget
+from .errors import ConfigError, DimensionMismatch, InfeasibleBudget, InvalidPartition
 from .masks import DISTINCT, _categorical_table, _iid_draw, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
 from .support_model import (
@@ -66,7 +66,8 @@ TAIL_TIE_TOL = 1e-9
 # Lambda samples of a diagnostics call fit in 8 MB.
 MAX_TRIALS = 1 << 20
 # Entries per stack of trials in `diagnostics` (supports, column pairs); a
-# chunk of a stack (Lambda numerators, draws, tail Grams) holds half as many.
+# chunk of a stack (Lambda numerators, the drawn blocks' rows, tail Grams)
+# holds half as many, with block numerators counted as the block table times S.
 _STACK_ENTRIES = 1 << 15
 
 
@@ -153,18 +154,19 @@ class ExperimentConfig:
         if not isinstance(self.flip_coefficients, bool):
             raise ConfigError(f"flip must be true or false, got {self.flip_coefficients!r}")
         if self.fraction is not None:
-            if isinstance(self.fraction, bool) or not isinstance(self.fraction, Real):
-                raise ConfigError(f"the fraction must be a number, got {self.fraction!r}")
-            try:
-                self.fraction = float(self.fraction)
-            except OverflowError as exc:
-                raise ConfigError("the fraction lies beyond the float range") from exc
+            frac = self.fraction
+            # compared before float(): a huge integer is out of range, not an overflow
+            if isinstance(frac, bool) or not isinstance(frac, Real) or not 0 < frac <= 1:
+                raise ConfigError(f"the fraction must be a number in (0, 1], got {frac!r}")
+            self.fraction = float(frac)
         if self.budget is not None:
             self.budget = _check_count(self.budget, "the budget", 1, InfeasibleBudget)
-        elif self.fraction is None or not 0 < self.fraction <= 1:
+        elif self.fraction is None:
             raise ConfigError("need a budget or a fraction in (0, 1]")
         if self.partition is None:
             self.partition = BlockPartition.singletons(self.spec.dim)
+        elif self.partition.dim != self.spec.dim:
+            raise InvalidPartition("partition does not match the operator dimension")
 
     @property
     def resolved_budget(self) -> int:
@@ -349,18 +351,24 @@ def diagnostics(
     (`masks._iid_draw`).  The support model comes from
     `signal_distribution`, built once per weight vector.
     A stack of trials draws both as blocks and reads A0[:, I] by one
-    `transforms.column_pairs` gather: row r is u[t, r // w] * v[t, r % w].
-    Its chunks take singleton Lambda numerators as one batched
-    |u|^2 (|v|^2)^T, block ones per trial by `eigvalsh`, and the scaled
-    Grams of the undeduplicated draws as one batched A_I* A_I.  Stacks of
-    at most `_STACK_ENTRIES` entries bound memory for any support size and
-    up to `MAX_TRIALS` trials; their size changes no value, since each
-    stream is read in order and every batched call treats trials alone.
+    `transforms.column_pairs` gather: row r is u[t, r // w] * v[t, r % w],
+    and the padding index K of `BlockPartition.table` reads a zero row of u.
+    Every partition runs one path.  A chunk takes isolated-row Lambda
+    numerators as one batched |u|^2 (|v|^2)^T, and block ones by one
+    stacked `eigvalsh` of each block's Gram on its shorter side (B B* when
+    a block has fewer rows than the support, else B* B; both have the
+    largest eigenvalue ||B||^2).  It gathers the rows of every drawn block,
+    `table[draws]`, at once, and takes the scaled Grams of the
+    undeduplicated draws as one batched A_I* A_I, so it calls `eigvalsh`
+    at most twice.  Stacks of at most `_STACK_ENTRIES` entries bound memory
+    for any support size and up to `MAX_TRIALS` trials; their size changes
+    no value, since each stream is read in order and every batched call
+    treats trials alone.
 
     Against the per-trial transforms of `tests/reference_diagnostics.py`
-    the Lambda samples agree within 1e-13 relative (the products round
-    differently); mu, the thresholds, the bounds and the tail count are
-    exact.
+    the Lambda samples agree within 1e-13 relative (the products, and the
+    Grams of blocks shorter than the support, round differently); mu, the
+    thresholds, the bounds and the tail count are exact.
     """
     return _diagnostics(spec, partition, density, weights, [m], trials, seed, epsilon)[0]
 
@@ -394,15 +402,17 @@ def _diagnostics(spec, partition, density, weights, budgets, trials, seed, epsil
 
     dist = signal_distribution(weights)
     s = dist.sparsity  # every rejective support has this size
-    singleton = partition.m == partition.dim
-    splits = np.cumsum(partition.sizes)[:-1]  # blocks lie one after another in rows
+    table, b = partition.table, partition.table.shape[1]
+    pad = int(partition.sizes.min() < b)  # u's zero row h, read by the padding index K
     # per trial, a stack holds K support and S x size (u, v) entries; a chunk
-    # K numerators, m x S draws and an S x S Gram, maybe complex, in half
+    # the Lambda numerators (K if b = 1, else the table times S), m x b x S
+    # draws and an S x S Gram, maybe complex, in half
     n_stack = max(1, _STACK_ENTRIES // max(dist.dim, s * spec.size))
+    numer = table.size * (s if b > 1 else 1)
     out = []
     for m in budgets:
         norm = pi[live] * m  # Lambda's denominators pi_k m over the live blocks
-        n_chunk = max(1, (_STACK_ENTRIES >> 1) // max(dist.dim, m * s, s * s))
+        n_chunk = max(1, (_STACK_ENTRIES >> 1) // max(numer, m * b * s, s * s))
         lam, hits = np.empty(trials), 0
         support_rng, mask_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
         for first in range(0, trials, n_stack):
@@ -410,36 +420,33 @@ def _diagnostics(spec, partition, density, weights, budgets, trials, seed, epsil
             supports = sample_supports(dist, n, seed=support_rng)
             u, v = column_pairs(spec, np.flatnonzero(supports) % dist.dim)
             # trial t reads A0[r, I] as u[t, r // w] * v[t, r % w]
-            u, v = (f.reshape(n, s, -1).transpose(0, 2, 1).copy() for f in (u, v))
+            u, v = (f.reshape(n, s, -1).transpose(0, 2, 1) for f in (u, v))
+            u = np.concatenate((u, np.zeros((n, pad, s), u.dtype)), axis=1)
+            v = v.copy()
             height, width = u.shape[1], v.shape[1]
             draws = _iid_draw(atoms, cum, mask_rng.random((n, m)))
             scale = (m * pi[draws]) ** -0.5  # theorem scaling, once per draw
             for lo in range(0, n, n_chunk):
                 chunk = slice(lo, lo + n_chunk)
-                uc, vc, dc, sc = u[chunk], v[chunk], draws[chunk], scale[chunk]
-                # Lambda_I = max_k ||B_k[:, I]||^2 / (pi_k m); Grams of every draw
-                if singleton:
+                uc, vc, sc = u[chunk], v[chunk], scale[chunk]
+                # Lambda_I = max_k ||B_k[:, I]||^2 / (pi_k m), the norm from the shorter side
+                if b == 1:
                     block_sq = np.abs(uc) ** 2 @ (np.abs(vc) ** 2).swapaxes(1, 2)  # h x w
-                    offsets = np.arange(len(uc))[:, None]
-                    a_i = uc.reshape(-1, s)[dc // width + height * offsets]  # m x S per trial
-                    a_i *= vc.reshape(-1, s)[dc % width + width * offsets]
-                    a_i *= sc[:, :, None]
-                    grams = a_i.conj().swapaxes(1, 2) @ a_i
                 else:
-                    block_sq = np.empty((len(uc), partition.m))
-                    grams = np.empty((len(uc), s, s), dtype=u.dtype)
-                    for j, (ut, vt) in enumerate(zip(uc, vc)):
-                        cols = ut[partition.rows // width] * vt[partition.rows % width]
-                        for k, sub in enumerate(np.split(cols, splits)):
-                            gram = sub.conj().T @ sub
-                            gram = 0.5 * (gram + gram.conj().T)
-                            block_sq[j, k] = np.linalg.eigvalsh(gram)[-1].real
-                        rows, row_scale = partition.block_rows(dc[j], sc[j])
-                        a_i = row_scale[:, None] * ut[rows // width] * vt[rows % width]
-                        grams[j] = a_i.conj().T @ a_i
+                    cols = uc[:, table // width] * vc[:, table % width]  # m x b x S per trial
+                    cols_h = cols.conj().swapaxes(2, 3)
+                    short = cols @ cols_h if b < s else cols_h @ cols
+                    short = 0.5 * (short + short.conj().swapaxes(2, 3))
+                    block_sq = np.linalg.eigvalsh(short)[..., -1]
                 block_sq = block_sq.reshape(len(uc), -1)[:, live_cols]
                 lam[first : first + n][chunk] = np.max(block_sq / norm, axis=1)
-                hits += _tail_hits(grams)
+                # the scaled Gram of every drawn block's rows, padding rows zero
+                rows = table[draws[chunk]].reshape(len(uc), -1)  # m x b per trial
+                offsets = np.arange(len(uc))[:, None]
+                a_i = uc.reshape(-1, s)[rows // width + height * offsets]
+                a_i *= vc.reshape(-1, s)[rows % width + width * offsets]
+                a_i *= np.repeat(sc, b, axis=1)[:, :, None]
+                hits += _tail_hits(a_i.conj().swapaxes(1, 2) @ a_i)
         out.append(
             Diagnostics(
                 mu=float(np.max(inf_terms[live] / norm)),

@@ -169,6 +169,13 @@ def test_run_settings_are_checked_when_the_config_is_built(setting):
         small_config(**setting)
 
 
+@pytest.mark.parametrize("fraction", [math.nan, math.inf, -3, 7, 0], ids=str)
+def test_a_fraction_given_with_a_budget_is_checked(fraction):
+    # before, the budget ran and describe() recorded the fraction as given
+    with pytest.raises(ConfigError, match="fraction"):
+        small_config(budget=4, fraction=fraction)
+
+
 def test_a_tuple_of_kinds_loads_and_singletons_build_the_isolated_density():
     cfg = small_config(density_kinds=("adapted", "polynomial"), budget=4, fraction=None)
     assert cfg.density_kinds == ("adapted", "polynomial")
@@ -395,6 +402,13 @@ def test_diagnostics_tail_decreases_with_m():
             np.full(256, 64 / 256),
             "uniform",
         ),
+        # blocks of 4 rows, shorter than the support (S = 8)
+        (
+            OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 16, levels=2),
+            BlockPartition.squares(16, 2),
+            np.full(256, 8 / 256),
+            "uniform",
+        ),
     ],
     ids=[
         "hadamard-haar",
@@ -406,6 +420,7 @@ def test_diagnostics_tail_decreases_with_m():
         "unequal",
         "zero-rows",
         "two-stacks",
+        "short-squares",
     ],
 )
 def test_diagnostics_match_per_trial_reference(spec, part, omega, kind):
@@ -497,15 +512,28 @@ _LINES_CONFIG = {
 }
 
 
+# the lines config's operator with one block of two lines: the rows of the
+# others are padded in the block table
+_UNEQUAL_LINES = BlockPartition(
+    [np.arange(32)] + [np.arange(16 * k, 16 * k + 16) for k in range(2, 16)], kind="unequal"
+)
+
+
 @pytest.mark.parametrize(
     "config,m",
-    [("diagnose", 32), ("diagnose", 256), ("lines", 4), ("lines", 8)],
+    [
+        ("diagnose", 32), ("diagnose", 256), ("lines", 4), ("lines", 8),
+        ("squares", 4), ("squares", 12), ("unequal", 4), ("unequal", 8),
+    ],
 )
 def test_diagnostics_stack_size_changes_no_value(monkeypatch, config, m):
     path = Path(__file__).resolve().parents[1] / "configs" / "diagnose_hadamard_haar.json"
-    raw = json.loads(path.read_text()) if config == "diagnose" else _LINES_CONFIG
+    raws = {"lines": _LINES_CONFIG, "squares": _SQUARES_CONFIG, "unequal": _LINES_CONFIG}
+    raw = json.loads(path.read_text()) if config == "diagnose" else raws[config]
     shared = {key: raw[key] for key in _SHARED_KEYS if key in raw}
     cfg = _experiment_config(dict(shared, budget=1), str(path))
+    if config == "unequal":
+        cfg = dataclasses.replace(cfg, partition=_UNEQUAL_LINES)
     dens = build_density(raw["density"], cfg, cfg.weights)
     runs = []
     # one trial per stack and chunk, a few trials per chunk, one stack for all
@@ -520,6 +548,26 @@ def test_diagnostics_stack_size_changes_no_value(monkeypatch, config, m):
     for run in runs[1:]:
         assert np.array_equal(run.lambda_samples, runs[0].lambda_samples)
         assert run.gram_tail_prob == runs[0].gram_tail_prob
+
+
+def test_diagnostics_call_eigvalsh_at_most_twice_per_chunk(monkeypatch):
+    # CI's square-block config: one stacked call for the block Lambda
+    # numerators and one for the tail Grams per chunk, where the per-block
+    # loop made one call per block per trial (16 x 40 per budget)
+    spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 16, levels=2)
+    part = BlockPartition.squares(16, 4)
+    wv = normalize_weights(np.full(256, 6 / 256), 6)
+    dens = baseline_density("coherence", spec, part)
+    terms = harness.block_norm_terms(spec, part, wv)
+    monkeypatch.setattr(harness, "block_norm_terms", lambda *args: terms)
+    calls, chunks = [], []
+    eigvalsh, tail_hits = np.linalg.eigvalsh, harness._tail_hits
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    monkeypatch.setattr(harness, "_tail_hits", lambda g: chunks.append(len(g)) or tail_hits(g))
+    for m in (4, 8, 12):
+        diagnostics(spec, part, dens, wv, m=m, trials=40, seed=3)
+    assert sum(chunks) == 3 * 40
+    assert len(calls) <= 2 * len(chunks), (len(calls), len(chunks))
 
 
 def _counting_builds(monkeypatch):
@@ -834,17 +882,27 @@ def test_library_counts_of_the_wrong_type_raise_their_class(call, error):
         (lambda: OperatorSpec("dft1d", "bogus", 16), InvalidSpec),
         (lambda: SolverParams(inner_tol="1e-7"), UnsupportedSolver),
         (lambda: small_config(budget=2, fraction=10**400), ConfigError),
+        (lambda: small_config(partition=BlockPartition.singletons(16)), InvalidPartition),
+        (lambda: small_config(partition=BlockPartition.vertical_lines(4)), InvalidPartition),
+        (
+            lambda: BlockPartition([np.arange(1024), *np.arange(1024, 2048)[:, None]], "x"),
+            InvalidPartition,
+        ),
     ],
     ids=[
         "singletons-beyond-max-dim", "vertical-lines-beyond-max-dim",
         "horizontal-lines-beyond-max-dim", "squares-beyond-max-dim", "line-side-float",
         "measurement-name", "sparsity-name", "solver-scale-string", "fraction-overflow",
+        "singletons-of-another-dim", "lines-of-another-dim", "padded-table-beyond-max-dim",
     ],
 )
 def test_library_inputs_end_in_their_error_class(call, error):
     # before, a partition of K > MAX_DIM was allocated (2^22 indices here),
     # an unknown name ended in a bare ValueError, a string scale or a float
-    # line side in a bare TypeError and a huge fraction in an OverflowError
+    # line side in a bare TypeError and a huge fraction in an OverflowError;
+    # a partition of K = 16 ran on the K = 64 operator, reporting a coverage
+    # of rows it does not own; 1025 blocks padded to 1024 rows would take
+    # 2^20 + 2^10 table entries for K = 2048
     with pytest.raises(error):
         call()
 

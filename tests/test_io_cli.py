@@ -571,6 +571,8 @@ def _without(cfg, key, inner=None):
         ("diagnose", dict(_DIAGNOSE_CFG, density="foo")),
         ("diagnose", dict(_DIAGNOSE_CFG, trials=10**12)),
         ("experiment", dict(_EXPERIMENT_CFG, trials=10**12)),
+        ("experiment", dict(_EXPERIMENT_CFG, partition=dict(kind="vertical_lines", block_side=2))),
+        ("experiment", dict(_EXPERIMENT_CFG, partition={"kind": "singletons", "block_side": 2})),
     ],
     ids=[
         "diagnose-no-spec",
@@ -612,6 +614,8 @@ def _without(cfg, key, inner=None):
         "diagnose-density-unknown",
         "diagnose-trials-unbounded",
         "experiment-trials-unbounded",
+        "experiment-lines-with-block-side",
+        "experiment-singletons-with-block-side",
     ],
 )
 def test_cli_config_errors_are_config_errors(tmp_path, capsys, command, config):
