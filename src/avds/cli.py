@@ -21,7 +21,7 @@ import numpy as np
 from . import harness, tensorio
 from .density import BlockPartition, Density, adapted_blocks, baseline_density
 from .errors import AvdsError, ConfigError, DimensionMismatch, FormatError
-from .harness import ExperimentConfig, diagnose_rows, run_experiment
+from .harness import ExperimentConfig, _fraction_budget, diagnose_rows, run_experiment
 from .masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
 from .support_model import WeightVector, estimate_weights, flip
@@ -47,20 +47,43 @@ def parse_spec(text: str) -> OperatorSpec:
     return _operator_spec(*parts)
 
 
+# Each named partition by its report label: the integer options it takes,
+# and its builder from the spec and those options' values.
+_PARTITIONS = {
+    "singletons": ((), lambda spec: BlockPartition.singletons(spec.dim)),
+    "vertical_lines": ((), lambda spec: BlockPartition.vertical_lines(spec.side)),
+    "horizontal_lines": ((), lambda spec: BlockPartition.horizontal_lines(spec.side)),
+    "squares": (("block_side",), lambda spec, b: BlockPartition.squares(spec.side, b)),
+}
+_CLI_PARTITIONS = {
+    None: "singletons",
+    "singletons": "singletons",
+    "lines-v": "vertical_lines",
+    "lines-h": "horizontal_lines",
+}
+
+
+def _named_partition(kind, spec: OperatorSpec, options: dict) -> BlockPartition:
+    """The partition labelled `kind`, from exactly the options it takes."""
+    if kind not in _PARTITIONS:
+        raise ConfigError(f"unknown partition {kind!r}")
+    keys, build = _PARTITIONS[kind]
+    if set(options) != set(keys):
+        raise ConfigError(f"partition {kind} takes the options {list(keys)}: {sorted(options)}")
+    return build(spec, *(_integer(options[key], key) for key in keys))
+
+
 def parse_partition(text: str | None, spec: OperatorSpec) -> BlockPartition:
-    if text in (None, "singletons"):
-        return BlockPartition.singletons(spec.dim)
-    if text == "lines-v":
-        return BlockPartition.vertical_lines(spec.side)
-    if text == "lines-h":
-        return BlockPartition.horizontal_lines(spec.side)
-    if text.startswith("squares:"):
+    """The partition named on a command line: singletons (default), lines-v, lines-h, squares:N."""
+    if text is not None and text.startswith("squares:"):
         try:
-            block_side = int(text.split(":", 1)[1])
+            block_side = int(text.removeprefix("squares:"))
         except ValueError as exc:
             raise ConfigError(f"partition {text!r}: the square side is not an integer") from exc
-        return BlockPartition.squares(spec.side, block_side)
-    raise ConfigError(f"unknown partition {text!r}")
+        return _named_partition("squares", spec, {"block_side": block_side})
+    if text not in _CLI_PARTITIONS:
+        raise ConfigError(f"unknown partition {text!r}")
+    return _named_partition(_CLI_PARTITIONS[text], spec, {})
 
 
 def _read_vector(path: str, real: bool = False) -> np.ndarray:
@@ -162,11 +185,6 @@ _CONFIG_KEYS = _SHARED_KEYS | {"trials", "fraction", "budget", "flip", "densitie
 _DIAG_KEYS = _SHARED_KEYS | {"density", "m", "trials", "epsilon"}
 _SOLVER_KEYS = {f.name for f in fields(SolverParams)}
 _SOLVER_INT_KEYS = {"continuation_steps", "max_inner"}
-_PARTITION_NAMES = {
-    "singletons": None,
-    "vertical_lines": "lines-v",
-    "horizontal_lines": "lines-h",
-}
 
 
 @contextmanager
@@ -228,9 +246,7 @@ def _experiment_config(raw: dict, path: str) -> ExperimentConfig:
     """ExperimentConfig from a checked config object."""
     base_dir = os.path.dirname(os.path.abspath(path))
     spec_entry = _section(raw, "spec", path, {"measurement", "sparsity", "size", "levels"})
-    part_entry = _section(
-        raw, "partition", path, {"kind", "block_side"}, default={"kind": "singletons"}
-    )
+    part_entry = dict(_section(raw, "partition", path, default={}))
     solver_entry = _section(raw, "solver", path, _SOLVER_KEYS, default={})
     with _config_errors(path):
         spec = _operator_spec(
@@ -239,15 +255,7 @@ def _experiment_config(raw: dict, path: str) -> ExperimentConfig:
             _integer(spec_entry["size"], "spec size"),
             _optional(spec_entry.get("levels"), _integer, "spec levels"),
         )
-        kind = part_entry.get("kind", "singletons")
-        if kind == "squares":
-            block_side = _integer(part_entry["block_side"], "block_side")
-            partition = BlockPartition.squares(spec.side, block_side)
-        elif kind in _PARTITION_NAMES:
-            _section(raw, "partition", path, {"kind"}, default={})  # block_side is for squares
-            partition = parse_partition(_PARTITION_NAMES[kind], spec)
-        else:
-            raise ConfigError(f"{path}: unknown partition kind {kind!r}")
+        partition = _named_partition(part_entry.pop("kind", "singletons"), spec, part_entry)
         weights, descriptor = _resolve_weights(
             _section(raw, "weights", path, default={}), spec, base_dir
         )
@@ -322,9 +330,7 @@ def _cmd_mask(args) -> int:
     if args.m is not None:
         budget = args.m
     elif args.fraction is not None:
-        if not 0 < args.fraction <= 1:
-            raise ConfigError(f"--fraction must lie in (0, 1], got {args.fraction}")
-        budget = max(1, round(args.fraction * pi.size))
+        budget = _fraction_budget(args.fraction, pi.size)
     else:
         raise ConfigError("need --m or --fraction")
     mode = DISTINCT if args.mode == "distinct" else IID
@@ -472,12 +478,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AvdsError as err:
-        print(f"error: {type(err).__name__}")
-        print(str(err), file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
-        print("error: FileNotFound")
+    except (AvdsError, OSError) as err:
+        if isinstance(err, AvdsError):
+            name = type(err).__name__
+        else:
+            name = "FileNotFound" if isinstance(err, FileNotFoundError) else "OSError"
+        print(f"error: {name}")
         print(str(err), file=sys.stderr)
         return 1
 

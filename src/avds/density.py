@@ -80,52 +80,47 @@ class Density:
 class BlockPartition:
     """Disjoint cover of {0..K-1} by measurement blocks.
 
-    Built from a list of index arrays, or from a 2D array holding one
-    equal-sized block per row.  Either is stored one way: `table`, whose
-    row k holds block k's indices and is padded with K after its
-    `sizes[k]` entries.  `rows` holds the same indices one block after
-    another, for the checks here and the class-table sums.
+    Built from a list of integer index arrays, or from a 2D integer array
+    holding one equal-sized block per row.  Either is stored one way:
+    `table`, whose row k holds block k's indices and is padded with K after
+    its `sizes[k]` entries, so `table[table < K]` lists the blocks one after
+    another.
     """
 
     def __init__(self, blocks, kind: str):
         if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
-            self.rows = blocks.astype(np.int64).ravel()
-            self.sizes = np.full(blocks.shape[0], blocks.shape[1], dtype=np.int64)
+            sizes = np.full(blocks.shape[0], blocks.shape[1], dtype=np.int64)
+            blocks = [blocks.ravel()]
         else:
-            blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
-            if any(b.ndim != 1 for b in blocks):
-                raise InvalidPartition("every block must be a 1D list of indices")
-            self.rows = np.concatenate(blocks) if blocks else np.array([], np.int64)
-            self.sizes = np.array([b.size for b in blocks], dtype=np.int64)
-        self.kind = kind
-        if np.any(self.sizes == 0):
+            blocks = [np.asarray(b) for b in blocks]
+            sizes = np.array([b.size for b in blocks], dtype=np.int64)
+        if np.any(sizes == 0):
             raise InvalidPartition("every block must hold at least one index")
-        k = self.rows.size
+        # the rule of `rows_batch`: a float or bool index is never cast to a row
+        if any(b.ndim != 1 or b.dtype.kind not in "iu" for b in blocks):
+            raise InvalidPartition("every block must be a 1D list of indices of an integer type")
+        rows = np.concatenate(blocks or [np.array([], np.int64)]).astype(np.int64, copy=False)
+        k = rows.size
         seen = np.zeros(k, dtype=bool)
-        if k == 0 or self.rows.min() < 0 or self.rows.max() >= k:
+        if k == 0 or rows.min() < 0 or rows.max() >= k:
             raise InvalidPartition("blocks must cover exactly {0..K-1}")
-        seen[self.rows] = True
+        seen[rows] = True
         # K indices that reach all K values are also pairwise distinct
         if not seen.all():
             raise InvalidPartition("blocks must be disjoint and cover {0..K-1}")
         # K non-empty blocks hold one row each; isolated-row code reads block k as row k
-        if self.sizes.size == k and not np.array_equal(self.rows, np.arange(k)):
+        if sizes.size == k and not np.array_equal(rows, np.arange(k)):
             raise InvalidPartition("one-row blocks must be [0], [1], ..., [K-1]")
-        self.dim = k
-        width = int(self.sizes.max())
-        if self.sizes.size * width > MAX_DIM:  # the table is bounded as every K-vector is
+        width = int(sizes.max())
+        if sizes.size * width > MAX_DIM:  # the table is bounded as every K-vector is
             raise InvalidPartition(f"blocks padded to {width} rows exceed {MAX_DIM} table entries")
-        self.table = np.full((self.sizes.size, width), k)
-        self.table[np.arange(width) < self.sizes[:, None]] = self.rows
+        self.table = np.full((sizes.size, width), k)
+        self.table[np.arange(width) < sizes[:, None]] = rows
+        self.sizes, self.dim, self.kind = sizes, k, kind
 
     @property
     def m(self) -> int:
         return int(self.sizes.size)
-
-    @property
-    def blocks(self) -> list:
-        """Block k's indices as entry k of a list of views into `table`."""
-        return [row[:size] for row, size in zip(self.table, self.sizes)]
 
     def block_rows(self, block_ids, *per_block):
         """Rows of blocks `block_ids` (in range), in order; each per-block value once per row."""
@@ -266,8 +261,9 @@ def _norm_terms(spec: OperatorSpec, partition: BlockPartition, weights: WeightVe
         u, v = column_pairs(spec, np.unique(labels, return_index=True)[1])
         energy = (np.abs(u[:, :, None] * v[:, None, :]) ** 2).reshape(len(u), spec.dim)
         live = np.bincount(labels, weights=positive) > 0
-        starts = np.cumsum(partition.sizes) - partition.sizes  # of each block in `rows`
-        sums = np.add.reduceat(energy[live][:, partition.rows], starts, axis=1)
+        table = partition.table
+        starts = np.cumsum(partition.sizes) - partition.sizes  # of each block in the flat order
+        sums = np.add.reduceat(energy[live][:, table[table < spec.dim]], starts, axis=1)
         terms[1] = np.where(np.isnan(terms[1]), sums.max(axis=0), terms[1])
         if gram:
             one_row = np.isnan(terms[0]) & (partition.sizes == 1)

@@ -122,6 +122,14 @@ def scale_profile_weights(
     return WeightVector.from_omega(omega)
 
 
+def _fraction_budget(fraction, atoms: int) -> int:
+    """The budget max(1, round(fraction * atoms)) of a number `fraction` in (0, 1]."""
+    # compared before float(): a huge integer is out of range, not an overflow
+    if isinstance(fraction, bool) or not isinstance(fraction, Real) or not 0 < fraction <= 1:
+        raise ConfigError(f"the fraction must be a number in (0, 1], got {fraction!r}")
+    return max(1, round(fraction * atoms))
+
+
 @dataclass
 class ExperimentConfig:
     """The settings of one run, each checked here once, so that library
@@ -154,11 +162,8 @@ class ExperimentConfig:
         if not isinstance(self.flip_coefficients, bool):
             raise ConfigError(f"flip must be true or false, got {self.flip_coefficients!r}")
         if self.fraction is not None:
-            frac = self.fraction
-            # compared before float(): a huge integer is out of range, not an overflow
-            if isinstance(frac, bool) or not isinstance(frac, Real) or not 0 < frac <= 1:
-                raise ConfigError(f"the fraction must be a number in (0, 1], got {frac!r}")
-            self.fraction = float(frac)
+            _fraction_budget(self.fraction, 1)  # checks the fraction
+            self.fraction = float(self.fraction)
         if self.budget is not None:
             self.budget = _check_count(self.budget, "the budget", 1, InfeasibleBudget)
         elif self.fraction is None:
@@ -172,7 +177,7 @@ class ExperimentConfig:
     def resolved_budget(self) -> int:
         if self.budget is not None:
             return self.budget
-        return max(1, round(self.fraction * self.partition.m))
+        return _fraction_budget(self.fraction, self.partition.m)
 
     def describe(self) -> dict:
         """The config as a report records it.

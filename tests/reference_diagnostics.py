@@ -31,6 +31,7 @@ def reference_diagnostics(spec, partition, density, weights, m, trials=200, seed
     threshold_inf1 = float(np.max(inf_terms[live] / pi[live]))
     threshold_gram = float(np.max(gram_terms[live] / pi[live]))
     logk = np.log(spec.dim / epsilon)
+    blocks = [row[:size] for row, size in zip(partition.table, partition.sizes)]
 
     dist = signal_distribution(weights)
     support_rng, mask_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
@@ -47,7 +48,7 @@ def reference_diagnostics(spec, partition, density, weights, m, trials=200, seed
             block_sq = np.sum(np.abs(cols) ** 2, axis=1)
         else:
             block_sq = np.empty(partition.m)
-            for k, idx in enumerate(partition.blocks):
+            for k, idx in enumerate(blocks):
                 sub = cols[idx, :]
                 gram = sub.conj().T @ sub
                 block_sq[k] = float(
@@ -61,7 +62,7 @@ def reference_diagnostics(spec, partition, density, weights, m, trials=200, seed
             a_i = scale[:, None] * cols[mask.indices, :]
         else:
             a_i = np.concatenate(
-                [s * cols[partition.blocks[k], :] for s, k in zip(scale, mask.indices)],
+                [s * cols[blocks[k], :] for s, k in zip(scale, mask.indices)],
                 axis=0,
             )
         gram = a_i.conj().T @ a_i

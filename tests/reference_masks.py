@@ -67,7 +67,7 @@ def reference_expand_blocks(mask: Mask, partition: BlockPartition) -> Mask:
     flats = []
     mults = []
     for idx, count in zip(mask.indices, mask.multiplicities):
-        block = partition.blocks[idx]
+        block = partition.table[idx, : partition.sizes[idx]]
         flats.append(block)
         mults.append(np.full(block.size, count, dtype=np.int64))
     flat = np.concatenate(flats) if flats else np.array([], dtype=np.int64)

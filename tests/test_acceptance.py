@@ -325,7 +325,7 @@ def test_criterion_9_block_pipeline():
         # double-check the reported extrema.
         for kind in ("adapted", "uniform"):
             assert rep.density_info[kind]["min"] >= 0
-        block_rows = len(part.blocks[0])
+        block_rows = part.table.shape[1]
         covered = rep.covered_fraction["adapted"]
         assert abs(covered - 0.20) <= block_rows / spec.dim
         results[part.kind] = rep.psnr_mean

@@ -78,7 +78,7 @@ def _partition(side: int, case: str, seed: int) -> BlockPartition:
     if case == "horizontal":
         return BlockPartition.horizontal_lines(side)
     if case == "permuted":
-        blocks = BlockPartition.vertical_lines(side).blocks
+        blocks = BlockPartition.vertical_lines(side).table
         order = np.random.default_rng(seed).permutation(side)
         return BlockPartition([blocks[k] for k in order], kind="vertical_lines")
     return BlockPartition.squares(side, max(2, side // 4))
@@ -143,8 +143,8 @@ def test_lines_are_read_from_the_block_indices():
     # over the remaining columns: lines take the closed form block by block
     spec = next(s for s in _specs(Measurement.DFT2D, Sparsity.TENSOR_HAAR) if s.dim == 64)
     side = spec.side
-    squares = BlockPartition.squares(side, 2).blocks
-    lines = BlockPartition.vertical_lines(side).blocks[: side // 2]
+    squares = list(BlockPartition.squares(side, 2).table)
+    lines = BlockPartition.vertical_lines(side).table[: side // 2]
     part = BlockPartition(
         [lines[3], squares[-1], lines[0], lines[2]] + squares[side:-1] + [lines[1]],
         kind="mixed",

@@ -86,7 +86,9 @@ def test_dense_terms_match_reference(spec):
             if part_case == "singletons":
                 want = _streamed_terms(spec, wv.omega)
             else:
-                want = reference_dense_terms(spec, part.blocks, wv, phi)
+                want = reference_dense_terms(
+                    spec, [part.block_rows([b])[0] for b in range(part.m)], wv, phi
+                )
             for g, w in zip(got, want):
                 np.testing.assert_allclose(
                     g, w, rtol=1e-12, atol=1e-12 * w.max(), err_msg=f"{part_case} {weight_case}"

@@ -45,19 +45,19 @@ def dense_density(spec, part, wv):
 
 def test_vertical_lines_are_grid_columns():
     part = BlockPartition.vertical_lines(4)
-    assert [list(b) for b in part.blocks[:2]] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+    assert part.table[:2].tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
 
 def test_horizontal_lines_are_strided():
     part = BlockPartition.horizontal_lines(4)
-    assert list(part.blocks[1]) == [1, 5, 9, 13]
+    assert part.table[1].tolist() == [1, 5, 9, 13]
 
 
 def test_squares_partition_covers():
     part = BlockPartition.squares(4, 2)
     assert part.m == 4
-    assert sorted(np.concatenate(part.blocks).tolist()) == list(range(16))
-    assert all(len(b) == 4 for b in part.blocks)
+    assert sorted(part.table.ravel().tolist()) == list(range(16))
+    assert part.table.shape == (4, 4)
 
 
 def test_invalid_partition_rejected():
@@ -76,7 +76,15 @@ def test_empty_block_rejected():
 
 
 def test_block_that_is_not_an_index_list_rejected():
-    for blocks in ([0, 1, 2], np.arange(4), [[0, 1], [[2, 3]]]):
+    floats = [[0.7, 1.2], [2.9, 3.0]]  # would be cast to the blocks [0, 1] and [2, 3]
+    for blocks in (
+        [0, 1, 2],
+        np.arange(4),
+        [[0, 1], [[2, 3]]],
+        floats,
+        np.array(floats),
+        [[False, True]],
+    ):
         with pytest.raises(InvalidPartition, match="1D list of indices"):
             BlockPartition(blocks, kind="x")
 
@@ -109,7 +117,7 @@ def test_block_array_partition_is_checked_like_a_block_list(blocks, kind):
 def test_singletons_are_one_row_per_block():
     part = BlockPartition.singletons(5)
     assert part.m == part.dim == 5
-    assert [list(b) for b in part.blocks] == [[0], [1], [2], [3], [4]]
+    assert part.table.tolist() == [[0], [1], [2], [3], [4]]
 
 
 @pytest.mark.parametrize("side", range(2, 65))
@@ -127,7 +135,7 @@ def test_grid_constructors_and_lines_match_the_block_loops(side):
     ]
     for part, blocks in built:
         want = BlockPartition(blocks, part.kind)
-        assert np.array_equal(part.rows, want.rows)
+        assert np.array_equal(part.table, want.table)
         assert np.array_equal(part.sizes, want.sizes)
         axis, line = _grid_lines(part, side)
         got = [None if a < 0 else (a, n) for a, n in zip(axis.tolist(), line.tolist())]
@@ -174,12 +182,12 @@ def test_block_rows_return_the_input_blocks(case, side, seed):
         forms.append(BlockPartition(np.array(blocks), case))
     ids = np.random.default_rng(seed).integers(0, len(blocks), size=2 * len(blocks))
     for part in forms:
-        assert np.array_equal(part.rows, forms[0].rows)
+        assert np.array_equal(part.table, forms[0].table)
         assert np.array_equal(part.sizes, forms[0].sizes)
         assert part.m == len(blocks) and part.dim == side * side
         for k, block in enumerate(blocks):
             assert np.array_equal(part.block_rows([k])[0], block)
-            assert np.array_equal(part.blocks[k], block)
+            assert np.array_equal(part.table[k, : part.sizes[k]], block)
         rows, pos = part.block_rows(ids, np.arange(ids.size))
         assert np.array_equal(rows, np.concatenate([blocks[k] for k in ids]))
         assert np.array_equal(pos, np.repeat(np.arange(ids.size), [blocks[k].size for k in ids]))

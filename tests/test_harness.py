@@ -932,7 +932,7 @@ def test_diagnostics_lambda_invariant_under_block_permutation():
     wv = normalize_weights(np.full(16, 3 / 16), 3)
     part = BlockPartition.vertical_lines(4)
     shuffled = BlockPartition(
-        [part.blocks[i] for i in (2, 0, 3, 1)], kind="vertical_lines"
+        [part.table[i] for i in (2, 0, 3, 1)], kind="vertical_lines"
     )
     dens = baseline_density("uniform", spec, part)
     d1 = diagnostics(spec, part, dens, wv, m=6, trials=5, seed=4)

@@ -154,6 +154,25 @@ def test_parse_spec_variants():
         parse_spec("dft1d:identity")
 
 
+@pytest.mark.parametrize(
+    "text,entry",
+    [
+        ("singletons", {"kind": "singletons"}),
+        ("lines-v", {"kind": "vertical_lines"}),
+        ("lines-h", {"kind": "horizontal_lines"}),
+        ("squares:2", {"kind": "squares", "block_side": 2}),
+    ],
+)
+def test_cli_and_config_name_one_partition_alike(tmp_path, text, entry):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(_EXPERIMENT_CFG, partition=entry)))
+    got = load_experiment_config(str(path)).partition
+    want = parse_partition(text, parse_spec("dft2d:identity:4"))
+    assert got.kind == want.kind and got.kind.startswith(entry["kind"])
+    assert np.array_equal(got.table, want.table)
+    assert np.array_equal(got.sizes, want.sizes)
+
+
 def test_parse_partition():
     spec = parse_spec("dft2d:identity:8")
     assert parse_partition("lines-v", spec).kind == "vertical_lines"
@@ -243,6 +262,29 @@ def test_cli_error_class_line(tmp_path, capsys):
     assert out.out.strip() == "error: FileNotFound"
 
 
+@pytest.mark.parametrize("case", ["config", "weights", "density", "out"])
+def test_cli_directory_in_place_of_a_file_is_one_os_error_line(tmp_path, capsys, case):
+    # reading a directory, or replacing one by the written file, is an IsADirectoryError
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_EXPERIMENT_CFG, trials=1, densities=["uniform"])))
+    pi = tmp_path / "pi.avds"
+    tensorio.write_tensor(str(pi), np.full(16, 1 / 16))
+    argv = {
+        "config": ["experiment", "--config", str(directory)],
+        "weights": [
+            "density", "--spec", "dft2d:identity:4", "--kind", "adapted",
+            "--weights", str(directory), "--out", str(tmp_path / "o.avds"),
+        ],
+        "density": ["mask", "--density", str(directory), "--m", "2", "--out", str(pi)],
+        "out": ["experiment", "--config", str(cfg), "--out", str(directory)],
+    }[case]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().out.splitlines() == ["error: OSError"]
+    assert not list(tmp_path.glob(".avds-tmp-*"))
+
+
 @pytest.mark.parametrize(
     "indices,error",
     [
@@ -293,7 +335,7 @@ def test_cli_mask_rejects_a_nan_density(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("fraction", ["-0.5", "0", "1.5"])
+@pytest.mark.parametrize("fraction", ["-0.5", "0", "1.5", "nan"])
 def test_cli_mask_rejects_a_fraction_outside_the_unit_interval(tmp_path, capsys, fraction):
     dens = str(tmp_path / "pi.avds")
     out = tmp_path / "mask.avds"

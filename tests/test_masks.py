@@ -192,7 +192,7 @@ def test_block_expansion_matches_per_block_reference(name, mode):
         # the helper keeps drawn-block order and repeats any per-block value
         scale = rng.standard_normal(mask.size)
         rows, mult, scale_rows = part.block_rows(mask.indices, mask.multiplicities, scale)
-        in_order = [part.blocks[k] for k in mask.indices]
+        in_order = [part.table[k, : part.sizes[k]] for k in mask.indices]
         assert np.array_equal(rows, np.concatenate(in_order))
         assert np.array_equal(mult[np.argsort(rows)], want.multiplicities)
         per_row = [np.full(b.size, s) for s, b in zip(scale, in_order)]
