@@ -385,8 +385,8 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_diagnose(args) -> int:
-    path = args.config
+def _diagnose_config(path: str):
+    """The run a diagnose config file asks for: (ExperimentConfig, budgets, epsilon)."""
     raw = _read_config(path, _DIAG_KEYS)
     with _config_errors(path):
         budgets = raw["m"] if isinstance(raw["m"], list) else [raw["m"]]
@@ -400,7 +400,11 @@ def _cmd_diagnose(args) -> int:
     cfg = _experiment_config(
         dict(shared, budget=1, densities=[kind], trials=raw.get("trials", 200)), path
     )
-    print(json.dumps(diagnose_rows(cfg, budgets, epsilon), sort_keys=True, indent=2))
+    return cfg, budgets, epsilon
+
+
+def _cmd_diagnose(args) -> int:
+    print(json.dumps(diagnose_rows(*_diagnose_config(args.config)), sort_keys=True, indent=2))
     return 0
 
 

@@ -160,6 +160,7 @@ def test_line_blocks_extract_no_rows(monkeypatch):
         raise AssertionError("line blocks of a separable operator extract no rows")
 
     monkeypatch.setattr(density, "rows_batch", no_rows)
+    density._TERMS_MEMO.clear()  # a kept result would skip the build under test
     for part_case in ("vertical", "horizontal", "permuted"):
         block_norm_terms(spec, _partition(16, part_case, seed=0), _weights(16, "zero_rows", 0))
 
@@ -201,6 +202,7 @@ def test_class_squares_coherence_extracts_no_rows(monkeypatch):
         raise AssertionError("the class table gives every sup term without extracting rows")
 
     monkeypatch.setattr(density, "rows_batch", no_rows)
+    density._TERMS_MEMO.clear()  # a kept result would skip the build under test
     for spar in (Sparsity.TENSOR_DB4, Sparsity.DB4_2D):
         spec = OperatorSpec(Measurement.DFT2D, spar, 16, levels=2)
         for block_side in (2, 4, 16):

@@ -10,6 +10,7 @@ from reference_density import (
 )
 from reference_transforms import dense_matrix
 
+from avds import density
 from avds.density import (
     BlockPartition,
     Density,
@@ -419,3 +420,64 @@ def test_density_rejects_non_finite_entries(bad):
     # NaN compares false everywhere, so the sum check alone lets it through
     with pytest.raises(InvalidSpec):
         Density(pi=np.array([0.5, bad, 0.5]), normalizer=1.0)
+
+
+def _counting_term_builds(monkeypatch):
+    """Count the block-term builds behind the memo, starting from an empty memo."""
+    builds = []
+    build = density._build_terms
+    monkeypatch.setattr(density, "_build_terms", lambda *args: builds.append(args) or build(*args))
+    density._TERMS_MEMO.clear()
+    return builds
+
+
+def _memo_case():
+    spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 16, levels=2)
+    return spec, BlockPartition.squares(16, 4), random_weights(256, 6, seed=3)
+
+
+def test_block_terms_memo_hits_on_equal_content(monkeypatch):
+    builds = _counting_term_builds(monkeypatch)
+    spec, part, wv = _memo_case()
+    first = block_norm_terms(spec, part, wv)
+    # new objects of equal content: spec, partition (from a list) and weights
+    again = block_norm_terms(
+        OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 16, levels=2),
+        BlockPartition(list(part.table), kind="another label"),
+        WeightVector(wv.omega.copy(), wv.sparsity),
+    )
+    assert len(builds) == 1
+    for got, want in zip(again, first):
+        assert np.array_equal(got, want)
+    # the density and a second call share the build
+    adapted_blocks(spec, part, wv)
+    assert len(builds) == 1
+
+
+def test_block_terms_memo_misses_on_other_content(monkeypatch):
+    builds = _counting_term_builds(monkeypatch)
+    spec, part, wv = _memo_case()
+    block_norm_terms(spec, part, wv)
+    omega = wv.omega.copy()
+    omega[[0, 1]] = omega[[1, 0]]
+    block_norm_terms(spec, part, WeightVector.from_omega(omega))  # another omega
+    block_norm_terms(spec, BlockPartition.squares(16, 2), wv)  # another partition
+    density._norm_terms(spec, part, wv, gram=False)  # no Gram terms
+    assert len(builds) == 4
+    # the memo keeps the last two: the first content was dropped
+    block_norm_terms(spec, BlockPartition.squares(16, 2), wv)
+    assert len(builds) == 4
+    block_norm_terms(spec, part, wv)
+    assert len(builds) == 5
+
+
+def test_block_terms_memo_hands_out_copies(monkeypatch):
+    builds = _counting_term_builds(monkeypatch)
+    spec, part, wv = _memo_case()
+    gram, sup = block_norm_terms(spec, part, wv)
+    want = gram.copy(), sup.copy()
+    gram[:] = -1.0
+    sup[0] = np.nan
+    for got, ref in zip(block_norm_terms(spec, part, wv), want):
+        assert np.array_equal(got, ref)
+    assert len(builds) == 1

@@ -699,19 +699,21 @@ def test_cli_diagnose_runs(tmp_path, capsys):
 
 
 def test_cli_diagnose_builds_its_block_terms_at_most_twice(monkeypatch, capsys):
-    # once for the density, once for the thresholds: not once per budget
+    # from an empty memo, once: the adapted density and the thresholds share
+    # one build, and no budget builds its own
     calls = []
-    real = density._norm_terms
+    real = density._build_terms
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(density, "_norm_terms", counted)
+    monkeypatch.setattr(density, "_build_terms", counted)
+    density._TERMS_MEMO.clear()
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "diagnose_hadamard_haar.json")
     assert run_cli("diagnose", "--config", path) == 0
     assert len(json.loads(capsys.readouterr().out)) == 4
-    assert 1 <= len(calls) <= 2
+    assert len(calls) == 1
 
 
 def test_cli_import_loads_no_scipy():
