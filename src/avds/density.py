@@ -74,6 +74,8 @@ class Density:
 
     def __post_init__(self) -> None:
         self.pi = np.asarray(self.pi, dtype=float)
+        if self.pi.ndim != 1:
+            raise InvalidSpec(f"a density is a 1D vector, got shape {self.pi.shape}")
         if not np.all(np.isfinite(self.pi)):
             raise InvalidSpec("density entries must be finite")
         if np.any(self.pi < -1e-15):

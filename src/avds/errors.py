@@ -3,10 +3,11 @@
 The CLI prints ``type(err).__name__`` as its machine-parsable error class,
 so every error raised on a documented failure path derives from AvdsError
 and carries a human-readable message.  `_check_count` is the one check of
-a count argument, raising the caller's error class.
+a count argument and `_check_real` of a real-number argument, each raising
+the caller's error class.
 """
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class AvdsError(Exception):
@@ -55,3 +56,11 @@ def _check_count(n, what: str = "a support count", least: int = 0, error=ConfigE
     if isinstance(n, bool) or not isinstance(n, Integral) or n < least:
         raise error(f"{what} must be an integer >= {least}, got {n!r}")
     return int(n)
+
+
+def _check_real(x, what: str, error) -> float:
+    """`x` as a float: a value that is not a real number (a bool, a string,
+    None, a complex number) is an `error`; numpy scalars pass."""
+    if isinstance(x, bool) or not isinstance(x, Real):
+        raise error(f"{what} must be a real number, got {x!r}")
+    return float(x)

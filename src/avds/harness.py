@@ -32,7 +32,13 @@ from .density import (
     baseline_density,
     block_norm_terms,
 )
-from .errors import ConfigError, DimensionMismatch, InfeasibleBudget, InvalidPartition
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    InfeasibleBudget,
+    InvalidPartition,
+    _check_real,
+)
 from .masks import DISTINCT, _categorical_table, _iid_draw, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
 from .support_model import (
@@ -65,9 +71,9 @@ TAIL_TIE_TOL = 1e-9
 # Seeds and Lambda samples grow with the trial count; at this bound the
 # Lambda samples of a diagnostics call fit in 8 MB.
 MAX_TRIALS = 1 << 20
-# Entries per stack of trials in `diagnostics` (supports, column pairs); a
-# chunk of a stack (Lambda numerators, the drawn blocks' rows, tail Grams)
-# holds half as many, with block numerators counted as the block table times S.
+# Entries per stack of trials in `diagnostics` (supports, column pairs, tail
+# Grams); a chunk of a stack (Lambda numerators, the drawn blocks' rows) holds
+# half as many, with block numerators counted as the block table times S.
 _STACK_ENTRIES = 1 << 15
 
 
@@ -77,10 +83,12 @@ def psnr(ref: np.ndarray, rec: np.ndarray, peak: float | None = None) -> float:
     rec = np.asarray(rec)
     if ref.shape != rec.shape:
         raise DimensionMismatch("reference and reconstruction shapes differ")
+    if ref.size == 0:
+        raise DimensionMismatch("reference and reconstruction are empty")
     if peak is None:
         peak = float(np.max(np.abs(ref)))
-    if peak <= 0:
-        raise DimensionMismatch("peak must be positive")
+    if not _check_real(peak, "peak", DimensionMismatch) > 0:
+        raise DimensionMismatch(f"peak must be positive, got {peak}")
     mse = float(np.mean(np.abs(ref - rec) ** 2))
     if mse <= (peak * _NOISE_FLOOR_REL) ** 2:
         return math.inf
@@ -363,9 +371,10 @@ def diagnostics(
     stacked `eigvalsh` of each block's Gram on its shorter side (B B* when
     a block has fewer rows than the support, else B* B; both have the
     largest eigenvalue ||B||^2).  It gathers the rows of every drawn block,
-    `table[draws]`, at once, and takes the scaled Grams of the
-    undeduplicated draws as one batched A_I* A_I, whose tail `_tail_hits`
-    sends to `eigvalsh` only on trials the bounds leave undecided.  The
+    `table[draws]`, at once, and writes the scaled Grams of the
+    undeduplicated draws, one batched A_I* A_I, into the stack's Gram
+    buffer.  `_tail_hits` screens the stack's Grams in one call and sends
+    to `eigvalsh` only the trials its bound leaves undecided.  The
     draws read their scaling 1/sqrt(m pi_k) from a table of one entry per
     block.  Stacks of at most `_STACK_ENTRIES` entries bound memory
     for any support size and up to `MAX_TRIALS` trials; their size changes
@@ -411,17 +420,17 @@ def _diagnostics(spec, partition, density, weights, budgets, trials, seed, epsil
     s = dist.sparsity  # every rejective support has this size
     table, b = partition.table, partition.table.shape[1]
     pad = int(partition.sizes.min() < b)  # u's zero row h, read by the padding index K
-    # per trial, a stack holds K support and S x size (u, v) entries; a chunk
-    # the Lambda numerators (K if b = 1, else the table times S), m x b x S
-    # draws and an S x S Gram, maybe complex, in half
-    n_stack = max(1, _STACK_ENTRIES // max(dist.dim, s * spec.size))
+    # per trial, a stack holds K support, S x size (u, v) and S x S Gram
+    # entries, maybe complex; a chunk the Lambda numerators (K if b = 1, else
+    # the table times S) and m x b x S draws, in half
+    n_stack = max(1, _STACK_ENTRIES // max(dist.dim, s * spec.size, s * s))
     numer = table.size * (s if b > 1 else 1)
     out = []
     for m in budgets:
         norm = pi[live] * m  # Lambda's denominators pi_k m over the live blocks
         atom_scale = np.zeros(partition.m)
         atom_scale[atoms] = (m * pi[atoms]) ** -0.5  # the theorem scaling of a drawn block
-        n_chunk = max(1, (_STACK_ENTRIES >> 1) // max(numer, m * b * s, s * s))
+        n_chunk = max(1, (_STACK_ENTRIES >> 1) // max(numer, m * b * s))
         lam, hits = np.empty(trials), 0
         support_rng, mask_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
         for first in range(0, trials, n_stack):
@@ -435,6 +444,7 @@ def _diagnostics(spec, partition, density, weights, budgets, trials, seed, epsil
             height, width = u.shape[1], v.shape[1]
             draws = _iid_draw(atoms, cum, mask_rng.random((n, m)))
             scale = atom_scale[draws]
+            grams = np.empty((n, s, s), u.dtype)  # the stack's tail Grams, screened at once
             for lo in range(0, n, n_chunk):
                 chunk = slice(lo, lo + n_chunk)
                 uc, vc, sc = u[chunk], v[chunk], scale[chunk]
@@ -456,7 +466,8 @@ def _diagnostics(spec, partition, density, weights, budgets, trials, seed, epsil
                 a_i = np.take(uc.reshape(-1, s), rows // width + height * offsets, axis=0)
                 a_i *= np.take(vc.reshape(-1, s), rows % width + width * offsets, axis=0)
                 a_i *= (sc if b == 1 else np.repeat(sc, b, axis=1))[:, :, None]
-                hits += _tail_hits(a_i.conj().swapaxes(1, 2) @ a_i)
+                np.matmul(a_i.conj().swapaxes(1, 2), a_i, out=grams[chunk])
+            hits += _tail_hits(grams)
         out.append(
             Diagnostics(
                 mu=float(np.max(inf_terms[live] / norm)),

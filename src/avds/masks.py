@@ -24,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import BlockPartition, Density
-from .errors import ConfigError, InfeasibleBudget, InvalidPartition, UnnormalizedDensity
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    InfeasibleBudget,
+    InvalidPartition,
+    UnnormalizedDensity,
+)
 from .support_model import _check_count, _check_seed
 from .transforms import MAX_DIM
 
@@ -41,8 +47,19 @@ class Mask:
     n_draws: int = 0             # i.i.d. draws; keys kept (positive-mass atoms) if distinct
 
     def __post_init__(self) -> None:
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.multiplicities = np.asarray(self.multiplicities, dtype=np.int64)
+        # the indices follow the rule of `rows_batch`
+        indices, mult = np.asarray(self.indices), np.asarray(self.multiplicities)
+        if indices.ndim != 1 or (indices.size and indices.dtype.kind not in "iu"):
+            raise DimensionMismatch(
+                f"mask indices must be a 1-D integer array, got {indices.dtype} "
+                f"of shape {indices.shape}"
+            )
+        if mult.shape != indices.shape or mult.dtype.kind not in "iuf" or not np.all(mult >= 1):
+            raise DimensionMismatch("mask multiplicities must be counts >= 1, one per index")
+        if not np.all(np.isfinite(mult)) or np.any(mult % 1 != 0):
+            raise DimensionMismatch("mask multiplicities must be whole counts")
+        self.indices = indices.astype(np.int64)
+        self.multiplicities = mult.astype(np.int64)
 
     @property
     def size(self) -> int:

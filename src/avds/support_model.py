@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidWeights, _check_count
+from .errors import InvalidWeights, _check_count, _check_real
 
 _SUM_TOL = 1e-6
 
@@ -35,7 +35,7 @@ class WeightVector:
 
     @classmethod
     def from_omega(cls, omega) -> "WeightVector":
-        omega = np.asarray(omega, dtype=float)
+        omega = _real_entries(omega)
         if omega.ndim != 1 or omega.size == 0:
             raise InvalidWeights("omega must be a nonempty 1D vector")
         if not np.all((omega >= -1e-12) & (omega <= 1 + 1e-12)):  # NaN fails too
@@ -54,6 +54,14 @@ class WeightVector:
         return int(self.omega.size)
 
 
+def _real_entries(omega) -> np.ndarray:
+    """A float copy of `omega`; entries that are not real numbers are `InvalidWeights`."""
+    omega = np.asarray(omega)
+    if omega.dtype.kind not in "biuf":
+        raise InvalidWeights(f"omega entries must be real numbers, got {omega.dtype}")
+    return omega.astype(float)
+
+
 def flip(v: np.ndarray) -> np.ndarray:
     """Exact index reversal of a coefficient vector; involutive."""
     return np.asarray(v)[::-1].copy()
@@ -68,7 +76,7 @@ def estimate_weights(corpus, threshold: float, mode: str = "absolute") -> Weight
     corpus = np.atleast_2d(np.asarray(corpus))
     if corpus.size == 0:
         raise InvalidWeights("corpus is empty")
-    if threshold <= 0:
+    if _check_real(threshold, "threshold", InvalidWeights) <= 0:
         raise InvalidWeights("threshold must be positive")
     mags = np.abs(corpus)
     if mode == "absolute":
@@ -91,9 +99,9 @@ def normalize_weights(omega, s_target: float) -> WeightVector:
     proportionally over the remaining entries until the sum constraint
     holds to 1e-9.
     """
-    if not s_target > 0:
+    if not _check_real(s_target, "target sum", InvalidWeights) > 0:
         raise InvalidWeights(f"target sum must be positive, got {s_target}")
-    omega = np.asarray(omega, dtype=float).copy()
+    omega = _real_entries(omega)
     if not np.all(np.isfinite(omega)):
         raise InvalidWeights("omega entries must be finite")
     if np.any(omega < 0):

@@ -10,7 +10,7 @@ from reference_diagnostics import reference_diagnostics
 from reference_harness import reference_phase_transition, smallest_m_reaching, synth_corpus
 
 from avds import harness, support_model
-from avds.cli import _SHARED_KEYS, _experiment_config, parse_spec
+from avds.cli import _diagnose_config, parse_spec
 from avds.density import BlockPartition, Density, adapted_isolated, baseline_density
 from avds.errors import (
     ConfigError,
@@ -18,6 +18,7 @@ from avds.errors import (
     InfeasibleBudget,
     InvalidPartition,
     InvalidSpec,
+    InvalidWeights,
     UnsupportedSolver,
 )
 from avds.harness import (
@@ -30,7 +31,7 @@ from avds.harness import (
     run_experiment,
     scale_profile_weights,
 )
-from avds.masks import DISTINCT, IID, draw_mask
+from avds.masks import DISTINCT, IID, Mask, draw_mask
 from avds.recon import SolverParams
 from avds.support_model import (
     WeightVector,
@@ -437,34 +438,32 @@ def test_diagnostics_match_per_trial_reference(spec, part, omega, kind):
             assert getattr(got, key) == getattr(want, key), key
 
 
+_DIAGNOSE_CONFIGS = {
+    # committed diagnose configs by the name of their partition
+    "diagnose": "diagnose_hadamard_haar",
+    "lines": "diagnose_dft2d_lines",
+    "squares": "diagnose_hadamard_squares",
+}
+
+
+def _diagnose_run(name):
+    """(config, budgets) of a committed diagnose config, read as `avds diagnose` reads it."""
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{_DIAGNOSE_CONFIGS[name]}.json"
+    cfg, budgets, _ = _diagnose_config(str(path))
+    return cfg, budgets
+
+
 def test_diagnose_config_matches_per_trial_reference():
-    # configs/diagnose_hadamard_haar.json at full size, read as `avds diagnose` reads it
-    path = Path(__file__).resolve().parents[1] / "configs" / "diagnose_hadamard_haar.json"
-    raw = json.loads(path.read_text())
-    shared = {key: raw[key] for key in _SHARED_KEYS if key in raw}
-    cfg = _experiment_config(dict(shared, budget=1), str(path))
-    dens = build_density(raw["density"], cfg, cfg.weights)
+    cfg, budgets = _diagnose_run("diagnose")
+    dens = build_density(cfg.density_kinds[0], cfg, cfg.weights)
     args = (cfg.spec, cfg.partition, dens, cfg.weights)
-    assert (raw["m"], raw["trials"], cfg.master_seed) == ([32, 64, 128, 256], 200, 17)
-    for m in raw["m"]:
-        got = diagnostics(*args, m=m, trials=raw["trials"], seed=cfg.master_seed)
-        want = reference_diagnostics(*args, m=m, trials=raw["trials"], seed=cfg.master_seed)
+    assert (budgets, cfg.trials, cfg.master_seed) == ([32, 64, 128, 256], 200, 17)
+    for m in budgets:
+        got = diagnostics(*args, m=m, trials=cfg.trials, seed=cfg.master_seed)
+        want = reference_diagnostics(*args, m=m, trials=cfg.trials, seed=cfg.master_seed)
         np.testing.assert_allclose(got.lambda_samples, want.lambda_samples, rtol=1e-13, atol=0)
         for key in ("mu", "gram_tail_prob", "threshold_inf1", "threshold_gram"):
             assert getattr(got, key) == getattr(want, key), key
-
-
-_SQUARES_CONFIG = {
-    # the square-block diagnose config that CI runs twice and compares
-    "schema_version": 1,
-    "seed": 3,
-    "spec": {"measurement": "hadamard2d", "sparsity": "haar2d", "size": 16, "levels": 2},
-    "partition": {"kind": "squares", "block_side": 4},
-    "weights": {"source": "uniform", "sparsity": 6},
-    "density": "coherence",
-    "m": [4, 8, 12],
-    "trials": 40,
-}
 
 
 def _rows_one_call_per_budget(cfg, budgets, epsilon):
@@ -484,32 +483,14 @@ def _rows_one_call_per_budget(cfg, budgets, epsilon):
 
 @pytest.mark.parametrize("config", ["diagnose", "squares"])
 def test_a_diagnose_run_gives_the_rows_of_one_call_per_budget(config):
-    path = Path(__file__).resolve().parents[1] / "configs" / "diagnose_hadamard_haar.json"
-    raw = json.loads(path.read_text()) if config == "diagnose" else _SQUARES_CONFIG
-    shared = {key: raw[key] for key in _SHARED_KEYS if key in raw}
-    cfg = _experiment_config(
-        dict(shared, budget=1, densities=[raw["density"]], trials=raw["trials"]), str(path)
-    )
+    cfg, budgets = _diagnose_run(config)
     assert cfg.partition.kind == ("singletons" if config == "diagnose" else "squares:4")
-    got = harness.diagnose_rows(cfg, raw["m"], 0.05)
-    want = _rows_one_call_per_budget(cfg, raw["m"], 0.05)
+    got = harness.diagnose_rows(cfg, budgets, 0.05)
+    want = _rows_one_call_per_budget(cfg, budgets, 0.05)
     assert [sorted(row) for row in got] == [sorted(row) for row in want]
     for got_row, want_row in zip(got, want):
         for key, value in want_row.items():
             assert got_row[key] == value, key
-
-
-_LINES_CONFIG = {
-    # the line-block diagnose config that CI runs twice and compares
-    "schema_version": 1,
-    "seed": 5,
-    "spec": {"measurement": "dft2d", "sparsity": "tensor_db4", "size": 16, "levels": 2},
-    "partition": {"kind": "vertical_lines"},
-    "weights": {"source": "uniform", "sparsity": 4},
-    "density": "adapted",
-    "m": [4, 8],
-    "trials": 40,
-}
 
 
 # the lines config's operator with one block of two lines: the rows of the
@@ -527,14 +508,10 @@ _UNEQUAL_LINES = BlockPartition(
     ],
 )
 def test_diagnostics_stack_size_changes_no_value(monkeypatch, config, m):
-    path = Path(__file__).resolve().parents[1] / "configs" / "diagnose_hadamard_haar.json"
-    raws = {"lines": _LINES_CONFIG, "squares": _SQUARES_CONFIG, "unequal": _LINES_CONFIG}
-    raw = json.loads(path.read_text()) if config == "diagnose" else raws[config]
-    shared = {key: raw[key] for key in _SHARED_KEYS if key in raw}
-    cfg = _experiment_config(dict(shared, budget=1), str(path))
+    cfg, _ = _diagnose_run("lines" if config == "unequal" else config)
     if config == "unequal":
         cfg = dataclasses.replace(cfg, partition=_UNEQUAL_LINES)
-    dens = build_density(raw["density"], cfg, cfg.weights)
+    dens = build_density(cfg.density_kinds[0], cfg, cfg.weights)
     runs = []
     # one trial per stack and chunk, a few trials per chunk, one stack for all
     for entries in (1 << 8, 1 << 11, 1 << 20):
@@ -542,7 +519,7 @@ def test_diagnostics_stack_size_changes_no_value(monkeypatch, config, m):
         runs.append(
             diagnostics(
                 cfg.spec, cfg.partition, dens, cfg.weights,
-                m=m, trials=raw["trials"], seed=cfg.master_seed,
+                m=m, trials=cfg.trials, seed=cfg.master_seed,
             )
         )
     for run in runs[1:]:
@@ -550,24 +527,26 @@ def test_diagnostics_stack_size_changes_no_value(monkeypatch, config, m):
         assert run.gram_tail_prob == runs[0].gram_tail_prob
 
 
-def test_diagnostics_call_eigvalsh_at_most_twice_per_chunk(monkeypatch):
-    # CI's square-block config: one stacked call for the block Lambda
-    # numerators and one for the tail Grams per chunk, where the per-block
-    # loop made one call per block per trial (16 x 40 per budget)
-    spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 16, levels=2)
-    part = BlockPartition.squares(16, 4)
-    wv = normalize_weights(np.full(256, 6 / 256), 6)
-    dens = baseline_density("coherence", spec, part)
-    terms = harness.block_norm_terms(spec, part, wv)
+def test_diagnostics_screen_the_gram_tail_once_per_stack(monkeypatch):
+    # the square-block diagnose config: one stacked eigvalsh for the block
+    # Lambda numerators per chunk, and one tail screen per stack of trials
+    # (a single stack of 40 here, split into 4 chunks), where it screened
+    # each chunk's Grams in a call of its own
+    cfg, budgets = _diagnose_run("squares")
+    dens = build_density(cfg.density_kinds[0], cfg, cfg.weights)
+    terms = harness.block_norm_terms(cfg.spec, cfg.partition, cfg.weights)
     monkeypatch.setattr(harness, "block_norm_terms", lambda *args: terms)
-    calls, chunks = [], []
+    calls, stacks = [], []
     eigvalsh, tail_hits = np.linalg.eigvalsh, harness._tail_hits
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    monkeypatch.setattr(harness, "_tail_hits", lambda g: chunks.append(len(g)) or tail_hits(g))
-    for m in (4, 8, 12):
-        diagnostics(spec, part, dens, wv, m=m, trials=40, seed=3)
-    assert sum(chunks) == 3 * 40
-    assert len(calls) <= 2 * len(chunks), (len(calls), len(chunks))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.ndim) or eigvalsh(a))
+    monkeypatch.setattr(harness, "_tail_hits", lambda g: stacks.append(len(g)) or tail_hits(g))
+    for m in budgets:
+        diagnostics(
+            cfg.spec, cfg.partition, dens, cfg.weights, m=m, trials=cfg.trials, seed=cfg.master_seed
+        )
+    assert stacks == [cfg.trials] * len(budgets) == [40] * 3
+    # the tail's Grams are (trials, S, S), the block numerators' (trials, blocks, b, b)
+    assert calls.count(3) <= len(stacks) and calls.count(4) <= 3 * 4, calls
 
 
 def _counting_builds(monkeypatch):
@@ -888,12 +867,32 @@ def test_library_counts_of_the_wrong_type_raise_their_class(call, error):
             lambda: BlockPartition([np.arange(1024), *np.arange(1024, 2048)[:, None]], "x"),
             InvalidPartition,
         ),
+        (lambda: estimate_weights(np.ones((2, 4)), "0.5"), InvalidWeights),
+        (lambda: estimate_weights(np.ones((2, 4)), None), InvalidWeights),
+        (lambda: normalize_weights(np.full(8, 0.5), "3"), InvalidWeights),
+        (lambda: scale_profile_weights(8, 1, 0.9, 0.5, s_target="3"), InvalidWeights),
+        (lambda: normalize_weights(["0.5", "0.5"], 1), InvalidWeights),
+        (lambda: WeightVector.from_omega(["a", 0.5]), InvalidWeights),
+        (lambda: WeightVector.from_omega(np.array([0.5j, 0.5])), InvalidWeights),
+        (lambda: psnr(np.ones(4), np.zeros(4), peak="1"), DimensionMismatch),
+        (lambda: psnr(np.ones(4), np.zeros(4), peak=math.nan), DimensionMismatch),
+        (lambda: psnr(np.array([]), np.array([])), DimensionMismatch),
+        (lambda: Density(np.full((2, 2), 0.25), 1.0), InvalidSpec),
+        (lambda: Mask([0.5, 1.5], [1, 1]), DimensionMismatch),
+        (lambda: Mask([0, 1], [1, 0]), DimensionMismatch),
+        (lambda: Mask([0, 1], [1, 1.5]), DimensionMismatch),
+        (lambda: Mask([0, 1], [1]), DimensionMismatch),
     ],
     ids=[
         "singletons-beyond-max-dim", "vertical-lines-beyond-max-dim",
         "horizontal-lines-beyond-max-dim", "squares-beyond-max-dim", "line-side-float",
         "measurement-name", "sparsity-name", "solver-scale-string", "fraction-overflow",
         "singletons-of-another-dim", "lines-of-another-dim", "padded-table-beyond-max-dim",
+        "threshold-string", "threshold-none", "target-string", "profile-target-string",
+        "normalize-omega-strings", "omega-string", "omega-complex",
+        "psnr-peak-string", "psnr-peak-nan", "psnr-empty", "density-2d",
+        "mask-float-indices", "mask-zero-multiplicity", "mask-fractional-multiplicity",
+        "mask-lengths-differ",
     ],
 )
 def test_library_inputs_end_in_their_error_class(call, error):
@@ -902,7 +901,13 @@ def test_library_inputs_end_in_their_error_class(call, error):
     # line side in a bare TypeError and a huge fraction in an OverflowError;
     # a partition of K = 16 ran on the K = 64 operator, reporting a coverage
     # of rows it does not own; 1025 blocks padded to 1024 rows would take
-    # 2^20 + 2^10 table entries for K = 2048
+    # 2^20 + 2^10 table entries for K = 2048.  A string threshold, target or
+    # peak ended in a bare TypeError, string omega entries in a ValueError
+    # and complex ones in a TypeError (an array: a ComplexWarning and its
+    # real part), a NaN peak gave a NaN PSNR and empty arrays a ValueError; a
+    # 2D density, float mask indices (truncated) and multiplicities below 1
+    # or fractional were accepted, and mismatched lengths ended in a numpy
+    # broadcast ValueError once expanded
     with pytest.raises(error):
         call()
 
