@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPartition, InvalidSpec, InvalidWeights, _check_count
+from .errors import InvalidPartition, InvalidSpec, InvalidWeights
+from .errors import _check_count, _check_real, _check_reals
 from .support_model import WeightVector
 from .transforms import (
     MAX_DIM,
@@ -73,7 +74,7 @@ class Density:
     normalizer: float
 
     def __post_init__(self) -> None:
-        self.pi = np.asarray(self.pi, dtype=float)
+        self.pi = _check_reals(self.pi, "density entries", InvalidSpec)
         if self.pi.ndim != 1:
             raise InvalidSpec(f"a density is a 1D vector, got shape {self.pi.shape}")
         if not np.all(np.isfinite(self.pi)):
@@ -82,6 +83,8 @@ class Density:
             raise InvalidSpec("density entries must be nonnegative")
         if abs(self.pi.sum() - 1.0) > 1e-9:
             raise InvalidSpec("density must sum to one")
+        if not 0 < _check_real(self.normalizer, "the normalizer", InvalidSpec) < np.inf:
+            raise InvalidSpec(f"the normalizer must be positive and finite, got {self.normalizer}")
 
     def __len__(self) -> int:
         return int(self.pi.size)

@@ -3,11 +3,14 @@
 The CLI prints ``type(err).__name__`` as its machine-parsable error class,
 so every error raised on a documented failure path derives from AvdsError
 and carries a human-readable message.  `_check_count` is the one check of
-a count argument and `_check_real` of a real-number argument, each raising
-the caller's error class.
+a count argument, `_check_real` of a real-number argument and
+`_check_reals` of an array of real numbers, each raising the caller's
+error class.
 """
 
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class AvdsError(Exception):
@@ -64,3 +67,12 @@ def _check_real(x, what: str, error) -> float:
     if isinstance(x, bool) or not isinstance(x, Real):
         raise error(f"{what} must be a real number, got {x!r}")
     return float(x)
+
+
+def _check_reals(x, what: str, error) -> np.ndarray:
+    """`x` as a float array: entries that are not real numbers (strings,
+    complex numbers, objects) are an `error`; bools and integers pass."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise error(f"{what} must be real numbers, got {x.dtype}")
+    return x.astype(float, copy=False)

@@ -51,7 +51,7 @@ from .support_model import (
     normalize_weights,
     sample_supports,
 )
-from .transforms import OperatorSpec, _bands_1d, column_pairs
+from .transforms import OperatorSpec, _bands_1d, _grid_bands, column_pairs
 from .transforms import apply  # noqa: F401 (bench/spans.py wraps avds.harness.apply)
 
 REPORT_SCHEMA_VERSION = 4
@@ -87,8 +87,8 @@ def psnr(ref: np.ndarray, rec: np.ndarray, peak: float | None = None) -> float:
         raise DimensionMismatch("reference and reconstruction are empty")
     if peak is None:
         peak = float(np.max(np.abs(ref)))
-    if not _check_real(peak, "peak", DimensionMismatch) > 0:
-        raise DimensionMismatch(f"peak must be positive, got {peak}")
+    if not 0 < _check_real(peak, "peak", DimensionMismatch) < math.inf:
+        raise DimensionMismatch(f"peak must be positive and finite, got {peak}")
     mse = float(np.mean(np.abs(ref - rec) ** 2))
     if mse <= (peak * _NOISE_FLOOR_REL) ** 2:
         return math.inf
@@ -116,15 +116,15 @@ def scale_profile_weights(
     """
     if levels < 0 or side >> levels == 0:
         raise ConfigError(f"a weight profile of side {side} cannot have {levels} levels")
-    f1 = _bands_1d(side, levels)  # 0 on the approximation, 1 on the coarsest details
+    # per axis 0 on the approximation, 1 on the coarsest details; column-major
+    rows, cols = _grid_bands(_bands_1d(side, levels))
     if layout == "mra2d":
-        f2 = np.maximum(f1[:, None], f1[None, :])
+        f = np.maximum(rows, cols)
     elif layout == "tensor2d":
-        f2 = f1[:, None] + f1[None, :]
+        f = rows + cols
     else:
         raise ConfigError(f"unknown weight profile layout {layout!r}")
-    w = np.clip(base * decay ** f2.astype(float), 0.0, 1.0)
-    omega = w.T.ravel()  # column-major vec
+    omega = np.clip(base * decay ** f.astype(float), 0.0, 1.0)
     if s_target is not None:
         return normalize_weights(omega, s_target)
     return WeightVector.from_omega(omega)

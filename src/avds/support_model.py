@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidWeights, _check_count, _check_real
+from .errors import InvalidWeights, _check_count, _check_real, _check_reals
 
 _SUM_TOL = 1e-6
 
@@ -35,7 +35,7 @@ class WeightVector:
 
     @classmethod
     def from_omega(cls, omega) -> "WeightVector":
-        omega = _real_entries(omega)
+        omega = _check_reals(omega, "omega entries", InvalidWeights)
         if omega.ndim != 1 or omega.size == 0:
             raise InvalidWeights("omega must be a nonempty 1D vector")
         if not np.all((omega >= -1e-12) & (omega <= 1 + 1e-12)):  # NaN fails too
@@ -52,14 +52,6 @@ class WeightVector:
 
     def __len__(self) -> int:
         return int(self.omega.size)
-
-
-def _real_entries(omega) -> np.ndarray:
-    """A float copy of `omega`; entries that are not real numbers are `InvalidWeights`."""
-    omega = np.asarray(omega)
-    if omega.dtype.kind not in "biuf":
-        raise InvalidWeights(f"omega entries must be real numbers, got {omega.dtype}")
-    return omega.astype(float)
 
 
 def flip(v: np.ndarray) -> np.ndarray:
@@ -101,7 +93,7 @@ def normalize_weights(omega, s_target: float) -> WeightVector:
     """
     if not _check_real(s_target, "target sum", InvalidWeights) > 0:
         raise InvalidWeights(f"target sum must be positive, got {s_target}")
-    omega = _real_entries(omega)
+    omega = _check_reals(omega, "omega entries", InvalidWeights)
     if not np.all(np.isfinite(omega)):
         raise InvalidWeights("omega entries must be finite")
     if np.any(omega < 0):

@@ -127,7 +127,8 @@ def _pgm_tokens(data: bytes, need: int):
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Read binary (P5) or ASCII (P2) PGM, scaled to [0, 1]."""
+    """Read binary (P5) or ASCII (P2) PGM, scaled to [0, 1]; a sample outside
+    [0, maxval] is a FormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] not in (b"P5", b"P2"):
@@ -160,6 +161,9 @@ def read_pgm(path: str) -> np.ndarray:
             raise FormatError(
                 f"{path}: truncated payload, {pixels.size} of {count} samples"
             )
+    bad = np.flatnonzero((pixels < 0) | (pixels > maxval))
+    if bad.size:
+        raise FormatError(f"{path}: sample {bad[0]} is {pixels[bad[0]]}, outside [0, {maxval}]")
     return pixels.reshape(height, width).astype(float) / maxval
 
 

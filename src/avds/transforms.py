@@ -35,6 +35,9 @@ Operators are limited to K <= MAX_DIM = 2^20.
 2D objects are vectorised column-major: flat index r of a side x side grid
 maps to (row, col) = (r % side, r // side).
 
+The square-MRA subbands are described once: `_grid_bands` gives the
+(row band, column band) of each flat index from the per-axis bands, and
+`_mra_classes` labels a band pair with one of the 3J + 1 subbands.
 `energy_classes` labels the columns of A0 by wavelet subband where the
 modulus |a_{k,l}|^2 depends on l only through that label (DFT with any
 wavelet, Hadamard with Haar), and returns None for the other pairs.
@@ -45,12 +48,15 @@ rows, so at every level A0 is a fixed permutation of a block-diagonal
 matrix, one Walsh-Hadamard block H_s (x) H_s per s x s subband (each block
 one energy class).  `solver_plan` gives basis pursuit the layout to iterate
 in, and the projection onto {x : Ax = y} that a solve builds there once:
-for this operator the subbands as contiguous blocks, the whole block
-operator two matrix products, since H_s (x) H_s = H_{s^2/c} (x) H_c with
-c = side/2 (about 262k multiply-adds in two calls per transform at side 64
-and J = 3, against 598k for the dense factors), each written into buffers
-the projection owns; for every other operator the identity layout with
-the stages of `apply`, resolved once per spec.
+for this operator the subbands as contiguous blocks, found by two stable
+sorts by the subband label, of the coefficients by their Haar bands and
+of the measurements by their Walsh bands (per axis, J minus the position
+of the index's lowest set bit, at most J); the whole block operator two
+matrix products, since H_s (x) H_s = H_{s^2/c} (x) H_c with c = side/2
+(about 262k multiply-adds in two calls per transform at side 64 and J =
+3, against 598k for the dense factors), each written into buffers the
+projection owns; for every other operator the identity layout with the
+stages of `apply`, resolved once per spec.
 `apply` itself keeps the dense per-axis factors: per call the two gathers
 into and out of the block layout cost more than they save.
 """
@@ -361,10 +367,9 @@ def _column_factors(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndar
             rows = np.fft.fft(rows, axis=-1, norm="ortho")
         tables.append(rows)
     offsets = np.cumsum([0] + [len(t) for t in tables])
-    band = _bands_1d(side, spec.levels)
     # (p, q) at level j = J + 1 - max(band p, band q, 1) takes table j - 1;
     # clipped to the one table when there are no MRA levels
-    level = np.clip(np.maximum(band[:, None], band[None, :]).ravel(), 1, depth)
+    level = np.clip(np.maximum(*_grid_bands(_bands_1d(side, spec.levels))), 1, depth)
     start = offsets[depth - level]
     p, q = np.divmod(np.arange(side * side), side)
     return _frozen(np.concatenate(tables)), _frozen(start + p), _frozen(start + q)
@@ -475,6 +480,25 @@ def _bands_1d(n: int, levels: int | None) -> np.ndarray:
     return np.frexp(np.arange(n) // (n >> levels))[1].astype(np.int64)
 
 
+def _grid_bands(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row band, column band) of each flat index r of a side x side grid,
+    the cell (r % side, r // side), from the per-axis bands `band`."""
+    side = len(band)
+    return np.tile(band, side), np.repeat(band, side)
+
+
+def _mra_classes(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The 3J + 1 square-MRA subbands of the band pairs (rows, cols).
+
+    Level f = max(rows, cols) >= 1 has three quadrants, numbered by which
+    of the two axes is high-pass there: 0 the row axis, 1 the column axis,
+    2 both; quadrant q of level f is class 3(f - 1) + 1 + q, LL_J class 0.
+    """
+    level = np.maximum(rows, cols)
+    quadrant = (rows == level).astype(np.int64) + 2 * (cols == level) - 1
+    return np.where(level == 0, 0, 3 * (level - 1) + 1 + quadrant)
+
+
 def energy_classes(spec: OperatorSpec) -> np.ndarray | None:
     """Labels l -> c such that |a_{k,l}|^2 depends on column l only through c.
 
@@ -484,9 +508,9 @@ def energy_classes(spec: OperatorSpec) -> np.ndarray | None:
     Walsh-Hadamard transform turns into a sign.  So every column of A0 in
     a subband has the same modulus profile, and the subbands are the
     classes: J + 1 in 1D, (J + 1)^2 for tensor wavelets, 3J + 1 for the
-    square MRA, one without a wavelet.  Returns None where no such
-    invariance holds: the identity measurement, and Hadamard with DB4,
-    whose periodised filters straddle dyadic blocks.
+    square MRA (`_mra_classes`), one without a wavelet.  Returns None where
+    no such invariance holds: the identity measurement, and Hadamard with
+    DB4, whose periodised filters straddle dyadic blocks.
     """
     meas, spar = spec.measurement, spec.sparsity
     if meas == Measurement.IDENTITY or (
@@ -496,16 +520,10 @@ def energy_classes(spec: OperatorSpec) -> np.ndarray | None:
     if not spec.is_2d:
         return _bands_1d(spec.size, spec.levels)
     band = _bands_1d(spec.side, spec.levels)
-    # flat index r is grid cell (r % side, r // side)
-    rows = np.tile(band, spec.side)
-    cols = np.repeat(band, spec.side)
-    if spar not in _MRA_SPARSITIES:
-        return rows * (band.max() + 1) + cols
-    # square MRA: level f = max(band) >= 1 has three quadrants, by which of
-    # the two axes is high-pass there; LL_J is class 0
-    level = np.maximum(rows, cols)
-    quadrant = (rows == level).astype(np.int64) + 2 * (cols == level) - 1
-    return np.where(level == 0, 0, 3 * (level - 1) + 1 + quadrant)
+    rows, cols = _grid_bands(band)
+    if spar in _MRA_SPARSITIES:
+        return _mra_classes(rows, cols)
+    return rows * (band.max() + 1) + cols
 
 
 class SolverPlan(NamedTuple):
@@ -529,57 +547,52 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
     Sylvester order and the Haar step satisfy H_n S_n^T = R_n
     diag(H_{n/2}, H_{n/2}), R_n sending row k of the first half to 2k and
     row k of the second to 2k + 1: the Hadamard transform of a Haar
-    synthesis is the Hadamard transforms of its two halves, interleaved.  At every MRA
-    level the three detail quadrants stop there and the LL block recurses,
-    so A0 maps each s x s subband B to H_s B H_s and places the result on
-    its own set of measurements: measurement (a, b) lies in the quadrant
-    of the first level t at which a or b is odd, at ((a >> t) & 1,
-    (b >> t) & 1), entry (a >> t + 1, b >> t + 1), or in LL_J at
-    (a >> J, b >> J).
+    synthesis is the Hadamard transforms of its two halves, interleaved.  At
+    every MRA level the three detail quadrants stop there and the LL block
+    recurses, so A0 maps each s x s subband B to H_s B H_s and places the
+    result on its own set of measurements.  Per axis, the interleavings
+    send the details d_j to the indices whose lowest set bit is bit j - 1,
+    so a measurement index i has Walsh band J - min(t, J), t its trailing
+    zeros (i = 0 counts as J), where a coefficient has Haar band
+    `_bands_1d`.  The subband of a measurement is then the `_mra_classes`
+    class of its Walsh band pair, as that of a coefficient is of its Haar
+    band pair, and within a subband both run in flat-index order.
 
-    The layout holds the subbands as contiguous s x s blocks, finest
-    first, LL_J last.  Block B (row-major) maps to H_s B H_s, which is
-    H_s (x) H_s = H_{s^2} on its vector, and in Sylvester order H_{s^2} =
-    H_{s^2/c} (x) H_c for every power of two c <= s^2.  With c = side/2
-    the layout is a stack of four c x c tiles U, and the whole operator is
-    two products, T U H_c: one shared H_c on the right, and on the left T,
-    four c-square tiles, each block-diagonal with the H_{s^2/c} of the
-    subbands in its rows.  Blocks are finest first with power-of-two
-    sizes, so none straddles a tile.  Subbands with s^2 < c share rows:
-    the last 4 (side >> j0)^2 entries, one or two rows, j0 the first such
-    level.  No block straddles a row either, so each shared row takes one
-    product with its own block-diagonal c x c factor, and zeros in its
-    tile.  At side 64, J = 3 this is 262k multiply-adds in two matrix
-    products, against 225k in six for one H_s B H_s stack per side: more
-    multiply-adds in fewer calls.  The block operator B is real, symmetric
-    and its own inverse, so it is its own adjoint, and the projection
-    v - B(keep B v - y) is B(where(keep, y, B v)): one assignment of the
-    measurement vector y to the flat layout positions of its rows between
-    two transforms, which write into buffers of the iterate's dtype.
+    So the layout is two stable sorts by one class rank, finest level
+    first, quadrants 1, 0, 2, LL_J last: the coefficients by their Haar
+    classes give `order`, contiguous s x s blocks (row-major), and the
+    measurements by their Walsh classes give, inverted, the layout slot of
+    each measurement.  Block B maps to H_s B H_s, which is H_s (x) H_s =
+    H_{s^2} on its vector, and in Sylvester order H_{s^2} = H_{s^2/c} (x)
+    H_c for every power of two c <= s^2.  With c = side/2 the layout is a
+    stack of four c x c tiles U, and the whole operator is two products, T
+    U H_c: one shared H_c on the right, and on the left T, four c-square
+    tiles, each block-diagonal with the H_{s^2/c} of the subbands in its
+    rows.  Blocks are finest first with power-of-two sizes, so none
+    straddles a tile.  Subbands with s^2 < c share rows: the last 4 (side
+    >> j0)^2 entries, one or two rows, j0 the first such level.  No block
+    straddles a row either, so each shared row takes one product with its
+    own block-diagonal c x c factor, and zeros in its tile.  At side 64, J
+    = 3 this is 262k multiply-adds in two matrix products, against 225k in
+    six for one H_s B H_s stack per side: more multiply-adds in fewer
+    calls.  The block operator B is real, symmetric and its own inverse, so
+    it is its own adjoint, and the projection v - B(keep B v - y) is
+    B(where(keep, y, B v)): one assignment of the measurement vector y to
+    the flat layout positions of its rows between two transforms, which
+    write into buffers of the iterate's dtype.
     """
     side, levels = spec.side, spec.levels
-    order, sizes = [], []
-    for j in range(1, levels + 1):
-        s = side >> j
-        corners = ((s, 0), (0, s), (s, s), (0, 0))[: 3 + (j == levels)]
-        i = np.arange(s)
-        order += [((r + i)[:, None] * side + c + i).ravel() for r, c in corners]
-        sizes += [s * s] * len(corners)
-    order = np.concatenate(order)
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-
-    # grid cell (a, b) of flat index a * side + b; both axes transform alike
-    a, b = np.divmod(np.arange(side * side), side)
-    low = a | b | (1 << levels)
-    t = np.frexp(low & -low)[1] - 1  # trailing zeros, at most J
-    coarsest = t == levels
-    half = side >> (t + 1)
-    cell = [
-        np.where(coarsest, v >> levels, ((v >> t) & 1) * half + (v >> (t + 1)))
-        for v in (a, b)
-    ]
-    slots = position[cell[0] * side + cell[1]]  # layout position of each measurement
+    # the classes in layout order: finest level first, quadrants 1, 0, 2, LL_J last
+    ranked = [3 * f - 2 + q for f in range(levels, 0, -1) for q in (1, 0, 2)] + [0]
+    rank = np.argsort(ranked)
+    haar = _mra_classes(*_grid_bands(_bands_1d(side, levels)))
+    order = np.argsort(rank[haar], kind="stable")
+    sizes = np.bincount(haar)[ranked].tolist()
+    # Walsh band J - min(trailing zeros, J); bit J stands in for index 0
+    low = np.arange(side) | (1 << levels)
+    walsh = _mra_classes(*_grid_bands(levels + 1 - np.frexp(low & -low)[1]))
+    slots = np.empty_like(order)  # layout position of each measurement
+    slots[np.argsort(rank[walsh], kind="stable")] = np.arange(order.size)
 
     # U = the layout as four c x c tiles; the shared rows end the last one
     c = side // 2
@@ -587,8 +600,7 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
     tiles = np.zeros(shape)
     shared_rows = sum(size for size in sizes if size < c) // c
     row_factors = np.zeros((shared_rows, c, c))
-    start = 0
-    for size in sizes:
+    for start, size in zip(np.cumsum([0] + sizes), sizes):
         q, row = divmod(start // c, c)
         if size >= c:
             n = size // c
@@ -596,7 +608,6 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
         else:
             at = start % c
             row_factors[row - (c - shared_rows), at : at + size, at : at + size] = _hadamard(size)
-        start += size
     factors = (_hadamard(c), _frozen(tiles), _frozen(row_factors))
     tail = (3, slice(c - shared_rows, c), None, slice(None))  # shared rows as 1 x c
 

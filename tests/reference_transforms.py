@@ -13,6 +13,10 @@ because nothing in the package used it.
 `row_energies` is the dense |a_{k,l}|^2 table that `avds.density` read
 before isolated-row terms moved to subband energy classes, kept as an
 independent check of densities and trace identities.
+
+`reference_walsh_haar_layout` is the corner walk that built the
+Hadamard x Haar solver layout before it became a stable sort by subband
+class, kept as the oracle of `avds.transforms.solver_plan`'s order.
 """
 
 from __future__ import annotations
@@ -236,3 +240,21 @@ def dense_matrix(spec: OperatorSpec, limit: int = 4096) -> np.ndarray:
     if spec.dim > limit:
         raise InvalidSpec(f"refusing to build dense operator with K={spec.dim}")
     return rows_batch(spec, np.arange(spec.dim))
+
+
+def reference_walsh_haar_layout(side: int, levels: int) -> tuple[np.ndarray, list]:
+    """(order, sizes) of the Walsh-Haar solver layout by its corner walk.
+
+    Level j = 1..J takes the three detail quadrants of side s = side >> j
+    at the corners (s, 0), (0, s), (s, s) of the grid cell (a, b) of flat
+    index a * side + b, and the last level LL_J at (0, 0) as well; each
+    quadrant is one s x s block, row-major.
+    """
+    order, sizes = [], []
+    for j in range(1, levels + 1):
+        s = side >> j
+        corners = ((s, 0), (0, s), (s, s), (0, 0))[: 3 + (j == levels)]
+        i = np.arange(s)
+        order += [((r + i)[:, None] * side + c + i).ravel() for r, c in corners]
+        sizes += [s * s] * len(corners)
+    return np.concatenate(order), sizes

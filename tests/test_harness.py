@@ -876,8 +876,14 @@ def test_library_counts_of_the_wrong_type_raise_their_class(call, error):
         (lambda: WeightVector.from_omega(np.array([0.5j, 0.5])), InvalidWeights),
         (lambda: psnr(np.ones(4), np.zeros(4), peak="1"), DimensionMismatch),
         (lambda: psnr(np.ones(4), np.zeros(4), peak=math.nan), DimensionMismatch),
+        (lambda: psnr(np.ones(4), np.zeros(4), peak=math.inf), DimensionMismatch),
         (lambda: psnr(np.array([]), np.array([])), DimensionMismatch),
         (lambda: Density(np.full((2, 2), 0.25), 1.0), InvalidSpec),
+        (lambda: Density(["a", "b"], 1.0), InvalidSpec),
+        (lambda: Density(np.array([0.5 + 0.5j, 0.5]), 1.0), InvalidSpec),
+        (lambda: Density([0.5, 0.5], "x"), InvalidSpec),
+        (lambda: Density([0.5, 0.5], math.inf), InvalidSpec),
+        (lambda: Density([0.5, 0.5], 0.0), InvalidSpec),
         (lambda: Mask([0.5, 1.5], [1, 1]), DimensionMismatch),
         (lambda: Mask([0, 1], [1, 0]), DimensionMismatch),
         (lambda: Mask([0, 1], [1, 1.5]), DimensionMismatch),
@@ -890,7 +896,9 @@ def test_library_counts_of_the_wrong_type_raise_their_class(call, error):
         "singletons-of-another-dim", "lines-of-another-dim", "padded-table-beyond-max-dim",
         "threshold-string", "threshold-none", "target-string", "profile-target-string",
         "normalize-omega-strings", "omega-string", "omega-complex",
-        "psnr-peak-string", "psnr-peak-nan", "psnr-empty", "density-2d",
+        "psnr-peak-string", "psnr-peak-nan", "psnr-peak-inf", "psnr-empty", "density-2d",
+        "density-strings", "density-complex", "normalizer-string", "normalizer-inf",
+        "normalizer-zero",
         "mask-float-indices", "mask-zero-multiplicity", "mask-fractional-multiplicity",
         "mask-lengths-differ",
     ],
@@ -904,10 +912,13 @@ def test_library_inputs_end_in_their_error_class(call, error):
     # 2^20 + 2^10 table entries for K = 2048.  A string threshold, target or
     # peak ended in a bare TypeError, string omega entries in a ValueError
     # and complex ones in a TypeError (an array: a ComplexWarning and its
-    # real part), a NaN peak gave a NaN PSNR and empty arrays a ValueError; a
-    # 2D density, float mask indices (truncated) and multiplicities below 1
-    # or fractional were accepted, and mismatched lengths ended in a numpy
-    # broadcast ValueError once expanded
+    # real part), a NaN peak gave a NaN PSNR, an infinite one an infinite
+    # PSNR, and empty arrays a ValueError; a 2D density, float mask indices
+    # (truncated) and multiplicities below 1 or fractional were accepted, and
+    # mismatched lengths ended in a numpy broadcast ValueError once expanded;
+    # string density entries ended in a bare ValueError, complex ones lost
+    # their imaginary part, and a string, infinite or zero normalizer was
+    # stored
     with pytest.raises(error):
         call()
 

@@ -128,6 +128,22 @@ def test_pgm_ascii(tmp_path):
     assert np.array_equal(img, [[0.0, 1.0], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize(
+    "payload, sample",
+    [
+        (b"P2\n2 2\n255\n0 300 -4 255\n", "sample 1 is 300"),
+        (b"P5\n1 1\n300\n" + (1000).to_bytes(2, "big"), "sample 0 is 1000"),
+    ],
+    ids=["ascii", "binary-16bit"],
+)
+def test_pgm_sample_outside_maxval(tmp_path, payload, sample):
+    # before, these read as [[0, 1.176], [-0.016, 1]] and [[3.33]]
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(payload)
+    with pytest.raises(FormatError, match=sample):
+        tensorio.read_pgm(str(path))
+
+
 def test_pgm_truncated(tmp_path):
     path = str(tmp_path / "bad.pgm")
     tensorio.write_pgm(path, np.ones((4, 4)))

@@ -1,8 +1,9 @@
 """The solver's per-spec layout (`transforms.solver_plan`) against `apply`.
 
 Hadamard2D x Haar MRA iterates as one Walsh-Hadamard block per wavelet
-subband.  At every side 2..64 and every depth: the coefficient order is
-a permutation, a full mask in shuffled measurement order projects onto
+subband.  At every side 2..256 and every depth the coefficient order and
+its blocks are those of the reference corner walk.  At every side 2..64
+and every depth: a full mask in shuffled measurement order projects onto
 A0* y in that order to 1e-12 ||x||, and each block holds exactly one
 `energy_classes` class.  Every other pair keeps the identity layout, and
 its projection is `measure` and `adjoint_measure` bit for bit.  Every
@@ -13,6 +14,7 @@ and full masks.  A projection takes one measurement vector.
 
 import numpy as np
 import pytest
+from reference_transforms import reference_walsh_haar_layout
 from test_transform_oracle import PAIRS, _specs
 
 from avds.masks import Mask
@@ -30,25 +32,32 @@ from avds.transforms import (
 WALSH_HAAR = (Measurement.HADAMARD2D, Sparsity.HAAR2D)
 
 
-def _walsh_haar_specs():
-    for side in (2, 4, 8, 16, 32, 64):
+def _walsh_haar_specs(sides=(2, 4, 8, 16, 32, 64)):
+    for side in sides:
         for levels in range(1, side.bit_length()):
             yield OperatorSpec(*WALSH_HAAR, side, levels=levels)
 
 
 def _blocks(spec):
-    """(start, stop) of each subband block: finest side first, 3 blocks per
-    side and LL_J as a fourth block of the coarsest side."""
-    start = 0
-    for j in range(1, spec.levels + 1):
-        size = (spec.side >> j) ** 2
-        for _ in range(3 + (j == spec.levels)):
-            yield start, start + size
-            start += size
+    """(start, stop) of each subband block of the reference layout."""
+    sizes = np.array(reference_walsh_haar_layout(spec.side, spec.levels)[1])
+    stops = np.cumsum(sizes)
+    return zip(stops - sizes, stops)
 
 
 def _is_permutation(index, k):
     return np.array_equal(np.sort(index), np.arange(k))
+
+
+@pytest.mark.parametrize("spec", list(_walsh_haar_specs([1 << n for n in range(1, 9)])), ids=str)
+def test_walsh_haar_layout_is_the_corner_walk(spec):
+    order, sizes = reference_walsh_haar_layout(spec.side, spec.levels)
+    got = solver_plan(spec).order
+    assert np.array_equal(got, order)
+    # the blocks are the runs of one class in the layout
+    labels = energy_classes(spec)[got]
+    stops = np.flatnonzero(np.append(labels[1:] != labels[:-1], True)) + 1
+    assert np.array_equal(np.diff(stops, prepend=0), sizes)
 
 
 @pytest.mark.parametrize("spec", list(_walsh_haar_specs()), ids=str)
