@@ -20,7 +20,7 @@ import numpy as np
 
 from . import harness, tensorio
 from .density import BlockPartition, Density, adapted_blocks, baseline_density
-from .errors import AvdsError, ConfigError, DimensionMismatch, FormatError
+from .errors import AvdsError, ConfigError, DimensionMismatch, FormatError, _check_real
 from .harness import ExperimentConfig, _fraction_budget, diagnose_rows, run_experiment
 from .masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
@@ -158,23 +158,25 @@ def _resolve_weights(entry: dict, spec: OperatorSpec, base_dir: str) -> tuple:
     if unknown:
         raise ConfigError(f"unknown weight keys {sorted(unknown)}")
     if source == "uniform":
-        s = _number(entry["sparsity"], "weights sparsity")
+        s = _check_real(entry["sparsity"], "weights sparsity", ConfigError)
         wv = WeightVector.from_omega(np.full(spec.dim, s / spec.dim))
     elif source == "tensor":
         wv = WeightVector.from_omega(_read_vector(os.path.join(base_dir, entry["path"]), real=True))
     elif source == "corpus":
         corpus = _load_corpus(os.path.join(base_dir, entry["path"]), spec)
         wv = estimate_weights(
-            corpus, _number(entry["threshold"], "threshold"), mode=entry.get("mode", "absolute")
+            corpus,
+            _check_real(entry["threshold"], "threshold", ConfigError),
+            mode=entry.get("mode", "absolute"),
         )
     else:
         wv = harness.scale_profile_weights(
             spec.side,
             spec.levels or 1,
-            base=_number(entry["base"], "base"),
-            decay=_number(entry["decay"], "decay"),
+            base=_check_real(entry["base"], "base", ConfigError),
+            decay=_check_real(entry["decay"], "decay", ConfigError),
             layout=entry.get("layout", "mra2d"),
-            s_target=_optional(entry.get("sparsity"), _number, "weights sparsity"),
+            s_target=_optional(entry.get("sparsity"), _check_real, "weights sparsity", ConfigError),
         )
     return wv, dict(entry)
 
@@ -231,15 +233,8 @@ def _integer(value, key: str) -> int:
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
-def _number(value, key: str) -> float:
-    """A numeric config value, never a bool."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ConfigError(f"{key} must be a number, got {value!r}")
-
-
-def _optional(value, check, key: str):
-    return None if value is None else check(value, key)
+def _optional(value, check, *args):
+    return None if value is None else check(value, *args)
 
 
 def _experiment_config(raw: dict, path: str) -> ExperimentConfig:
@@ -270,7 +265,9 @@ def _experiment_config(raw: dict, path: str) -> ExperimentConfig:
             budget=_optional(raw.get("budget"), _integer, "budget"),
             solver=SolverParams(
                 **{
-                    key: (_integer if key in _SOLVER_INT_KEYS else _number)(value, key)
+                    key: _integer(value, key)
+                    if key in _SOLVER_INT_KEYS
+                    else _check_real(value, key, ConfigError)
                     for key, value in solver_entry.items()
                 }
             ),
@@ -393,7 +390,7 @@ def _diagnose_config(path: str):
         if not budgets:
             raise ConfigError(f"{path}: m must hold at least one budget")
         budgets = [_integer(m, "m") for m in budgets]
-        epsilon = _number(raw.get("epsilon", 0.01), "epsilon")
+        epsilon = _check_real(raw.get("epsilon", 0.01), "epsilon", ConfigError)
     # the experiment schema: the density as the one kind, its budget unused here
     shared = {key: raw[key] for key in _SHARED_KEYS if key in raw}
     kind = raw.get("density", "adapted")

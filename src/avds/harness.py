@@ -37,7 +37,6 @@ from .errors import (
     DimensionMismatch,
     InfeasibleBudget,
     InvalidPartition,
-    _check_real,
 )
 from .masks import DISTINCT, _categorical_table, _iid_draw, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
@@ -77,18 +76,18 @@ MAX_TRIALS = 1 << 20
 _STACK_ENTRIES = 1 << 15
 
 
-def psnr(ref: np.ndarray, rec: np.ndarray, peak: float | None = None) -> float:
-    """10 log10(peak^2 / MSE); exact (or noise-floor) matches give +inf."""
+def psnr(ref: np.ndarray, rec: np.ndarray) -> float:
+    """10 log10(peak^2 / MSE) with peak max |ref|; exact (or noise-floor)
+    matches give +inf."""
     ref = np.asarray(ref)
     rec = np.asarray(rec)
     if ref.shape != rec.shape:
         raise DimensionMismatch("reference and reconstruction shapes differ")
     if ref.size == 0:
         raise DimensionMismatch("reference and reconstruction are empty")
-    if peak is None:
-        peak = float(np.max(np.abs(ref)))
-    if not 0 < _check_real(peak, "peak", DimensionMismatch) < math.inf:
-        raise DimensionMismatch(f"peak must be positive and finite, got {peak}")
+    peak = float(np.max(np.abs(ref)))
+    if not 0 < peak < math.inf:
+        raise DimensionMismatch(f"the reference peak must be positive and finite, got {peak}")
     mse = float(np.mean(np.abs(ref - rec) ** 2))
     if mse <= (peak * _NOISE_FLOOR_REL) ** 2:
         return math.inf
@@ -263,7 +262,7 @@ def signal_distribution(weights: WeightVector) -> SupportDistribution:
 @functools.lru_cache(maxsize=1)
 def _signal_model(omega: bytes, s: int) -> SupportDistribution:
     dist = SupportDistribution(normalize_weights(np.frombuffer(omega), s))
-    for array in (dist.weights.omega, dist._forced, dist._free, dist._log_odds, dist._esp):
+    for array in (dist.weights.omega, dist._forced, dist._free, dist._esp):
         array.flags.writeable = False
     return dist
 

@@ -21,12 +21,11 @@ v - A*(Av - y) as `tests/reference_recon.py` does, writing the residual
 of the measured rows into `out` before the adjoint transform.  A real
 iterate shrinks as z - clip(z, -mu, mu), a complex one as
 z - mu z / max(|z|, mu).  The stopping window takes the Huber objective
-from two dot products; the reported stage objectives keep the direct
-formula.  The window value can differ from the direct formula in its last
-digits, so a stage may stop at another iteration than a window of direct
-values would.  x0 = A* y and the final residual come from
-`adjoint_measure` and `measure`, so the dense path checks the feasibility
-of the answer independently.  Measurements must be finite and the mask
+from two dot products.  The window value can differ from the direct
+formula of `tests/reference_recon.py` in its last digits, so a stage may
+stop at another iteration than a window of direct values would.  x0 = A* y
+and the final residual come from `adjoint_measure` and `measure`, so the
+dense path checks the feasibility of the answer independently.  Measurements must be finite and the mask
 rows distinct; otherwise `solve_bp` raises `UnsupportedSolver` before it
 iterates.
 """
@@ -116,22 +115,15 @@ class BPResult:
     converged: bool
     inner_iterations: int
     residual: float
-    stage_objectives: list
-
-
-def _huber_objective(x: np.ndarray, mu: float) -> float:
-    """sum(|x|^2 / (2 mu) where |x| < mu, else |x| - mu / 2)."""
-    a = np.abs(x)
-    return float(np.where(a < mu, a * a / (2 * mu), a - mu / 2).sum())
 
 
 def _window_objective(x: np.ndarray, mu: float, mag, low) -> float:
-    """`_huber_objective` from two dot products, in the given buffers.
+    """The Huber objective sum(|x|^2 / (2 mu) where |x| < mu, else
+    |x| - mu / 2) from two dot products, in the given buffers.
 
     With a = |x| and q = min(a, mu), the sum is (2<a, q> - <q, q>) / (2 mu):
-    each term q (2a - q) >= 0, so nothing cancels.  It may differ from
-    `_huber_objective` in the last digits, so it serves only the stopping
-    window.
+    each term q (2a - q) >= 0, so nothing cancels.  It may differ in the
+    last digits from the direct formula, which the tests compare it with.
     """
     np.abs(x, out=mag)
     np.minimum(mag, mu, out=low)
@@ -161,7 +153,7 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
     x0 = adjoint_measure(y, op)
     peak = float(np.max(np.abs(x0))) if x0.size else 0.0
     if peak == 0.0:
-        return BPResult(np.zeros_like(x0), True, 0, 0.0, [])
+        return BPResult(np.zeros_like(x0), True, 0, 0.0)
 
     mu_first = 0.9 * peak
     mu_last = params.final_mu_factor * peak
@@ -180,7 +172,6 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
 
     total_iters = 0
     converged = True
-    stage_objectives = []
     for mu in mus:
         np.copyto(z, x)
         t = 1.0
@@ -211,7 +202,6 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
                 if spread <= params.inner_tol * max(abs(window[-1]), 1e-30):
                     stage_converged = True
                     break
-        stage_objectives.append(_huber_objective(x, float(mus[-1])))
         converged = converged and stage_converged
     x_out = np.empty_like(x0)
     x_out[plan.order] = x.ravel()
@@ -222,4 +212,4 @@ def solve_bp(y: np.ndarray, op: MeasurementOp, params: SolverParams | None = Non
             RuntimeWarning,
             stacklevel=2,
         )
-    return BPResult(x_out, converged, total_iters, residual, stage_objectives)
+    return BPResult(x_out, converged, total_iters, residual)

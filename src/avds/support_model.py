@@ -1,13 +1,15 @@
 """Rejective (conditional Bernoulli) support model.
 
 A support I of fixed size S is drawn with probability proportional to
-prod_{i in I} w_i * prod_{j notin I} (1 - w_j).  The normaliser and the
-exact draw-by-draw sampler both run on elementary symmetric polynomials of
-the odds w/(1-w), evaluated in log space with the stable two-term
-recurrence, so no enumeration over supports is ever needed.  Weights come
-from a corpus (`estimate_weights`) or a profile, rescaled to an integer
-sum (`normalize_weights`); `sample_supports` and `draw_signals` then
-draw supports and signals from the model.
+prod_{i in I} w_i * prod_{j notin I} (1 - w_j).  The exact draw-by-draw
+sampler runs on elementary symmetric polynomials of the odds w/(1-w),
+evaluated in log space with the stable two-term recurrence, so no
+enumeration over supports is ever needed; the normaliser, which the
+sampler never reads, is left to the test oracle
+(`tests/reference_support.support_prob`).  Weights come from a corpus
+(`estimate_weights`) or a profile, rescaled to an integer sum
+(`normalize_weights`); `sample_supports` and `draw_signals` then draw
+supports and signals from the model.
 """
 
 from __future__ import annotations
@@ -148,14 +150,13 @@ def _log_suffix_esp(log_odds: np.ndarray, r_max: int) -> np.ndarray:
 
 @dataclass
 class SupportDistribution:
-    """Rejective sampling model with cached normaliser and ESP tables."""
+    """Rejective sampling model: the forced and free indices and the
+    log-ESP table of the free odds, all that the sampler reads."""
 
     weights: WeightVector
     _forced: np.ndarray = field(init=False, repr=False)
     _free: np.ndarray = field(init=False, repr=False)
-    _log_odds: np.ndarray = field(init=False, repr=False)
     _esp: np.ndarray = field(init=False, repr=False)
-    log_normalizer: float = field(init=False)
 
     def __post_init__(self) -> None:
         omega = self.weights.omega
@@ -179,19 +180,12 @@ class SupportDistribution:
             )
         with np.errstate(divide="ignore"):
             w_free = omega[self._free]
-            self._log_odds = np.log(w_free) - np.log1p(-w_free)
-        self._esp = _log_suffix_esp(self._log_odds, r)
-        log_e_r = self._esp[0, r] if r >= 0 else -np.inf
-        self.log_normalizer = -(np.log1p(-omega[self._free]).sum() + log_e_r)
+            log_odds = np.log(w_free) - np.log1p(-w_free)
+        self._esp = _log_suffix_esp(log_odds, r)
 
     @property
     def sparsity(self) -> int:
         return int(round(self.weights.sparsity))
-
-    @property
-    def normalizer(self) -> float:
-        """The constant c of the model; may overflow for extreme weights."""
-        return float(np.exp(self.log_normalizer))
 
     @property
     def dim(self) -> int:

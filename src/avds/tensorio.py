@@ -85,20 +85,17 @@ def read_tensor(path: str) -> np.ndarray:
 
 # ------------------------------------------------------------------------ PGM
 
-def write_pgm(path: str, image: np.ndarray, maxval: int = 255) -> None:
-    """Binary PGM (P5) of an image with values in [0, 1]."""
+def write_pgm(path: str, image: np.ndarray) -> None:
+    """8-bit binary PGM (P5) of an image with values in [0, 1]; a NaN pixel
+    is a FormatError and writes no file."""
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise FormatError("PGM images must be 2D")
-    if not 1 <= maxval <= 65535:
-        raise FormatError("maxval must lie in [1, 65535]")
-    quant = np.clip(np.rint(np.clip(image, 0.0, 1.0) * maxval), 0, maxval)
-    header = f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode()
-    if maxval > 255:
-        body = quant.astype(">u2").tobytes()
-    else:
-        body = quant.astype(np.uint8).tobytes()
-    atomic_write(path, header + body)
+    if np.isnan(image).any():
+        raise FormatError("PGM images must not hold NaN pixels")
+    quant = np.rint(np.clip(image, 0.0, 1.0) * 255).astype(np.uint8)
+    header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode()
+    atomic_write(path, header + quant.tobytes())
 
 
 def _pgm_tokens(data: bytes, need: int):

@@ -4,7 +4,9 @@
 iterated in the per-spec layout of `avds.transforms.solver_plan`: one
 `measure` and one `adjoint_measure` call per projection, fresh arrays
 every step.  The layout solver must match it bit for bit where the layout
-is the identity, and to roundoff on Hadamard2D x Haar MRA.
+is the identity, and to roundoff on Hadamard2D x Haar MRA.  Its stopping
+window reads `_huber_objective`, the direct Huber formula, which
+`avds.recon._window_objective` must match to roundoff.
 
 `check_fuchs` is the Fuchs dual certificate, the independent oracle for
 which planted signals basis pursuit must recover.
@@ -52,7 +54,7 @@ def reference_solve_bp(
     x0 = adjoint_measure(y, op)
     peak = float(np.max(np.abs(x0))) if x0.size else 0.0
     if peak == 0.0:
-        return BPResult(np.zeros_like(x0), True, 0, 0.0, [])
+        return BPResult(np.zeros_like(x0), True, 0, 0.0)
 
     mu_first = 0.9 * peak
     mu_last = params.final_mu_factor * peak
@@ -68,7 +70,6 @@ def reference_solve_bp(
     x = x0
     total_iters = 0
     converged = True
-    stage_objectives = []
     for mu in mus:
         z = x
         t = 1.0
@@ -88,7 +89,6 @@ def reference_solve_bp(
                 if spread <= params.inner_tol * max(abs(window[-1]), 1e-30):
                     stage_converged = True
                     break
-        stage_objectives.append(_huber_objective(x, float(mus[-1])))
         converged = converged and stage_converged
     residual = float(np.linalg.norm(measure(x, op) - y))
     if not converged:
@@ -97,7 +97,7 @@ def reference_solve_bp(
             RuntimeWarning,
             stacklevel=2,
         )
-    return BPResult(x, converged, total_iters, residual, stage_objectives)
+    return BPResult(x, converged, total_iters, residual)
 
 
 def check_fuchs(spec: OperatorSpec, mask: Mask, support, signs) -> float:

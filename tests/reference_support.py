@@ -10,7 +10,9 @@ inverse-CDF sampler replaced, copied verbatim: it draws from the same law
 on another stream.  It, `rejection_supports` (Bernoulli draws kept when
 they have exactly S successes), `support_prob` (the closed form) and
 `sequential_path_log_prob` (the sampler's path probability) check the
-exact sampler's law.
+exact sampler's law.  The oracles derive the free log-odds
+(`free_log_odds`) and the model's normaliser from the weights themselves:
+the model keeps only the log-ESP table its sampler reads.
 """
 
 import numpy as np
@@ -35,13 +37,20 @@ def _log_suffix_esp(log_odds: np.ndarray, r_max: int) -> np.ndarray:
     return table
 
 
+def free_log_odds(dist: SupportDistribution) -> np.ndarray:
+    """log(w / (1 - w)) of the free weights, in the order of `dist._free`."""
+    w_free = dist.weights.omega[dist._free]
+    with np.errstate(divide="ignore"):
+        return np.log(w_free) - np.log1p(-w_free)
+
+
 def _sequential_supports(dist: SupportDistribution, u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill the free indices of `out` by the sequential scheme, row i driven by u[i].
 
     The rows are independent: each row's draws depend on its uniforms only.
     """
     esp = dist._esp
-    log_odds = dist._log_odds
+    log_odds = free_log_odds(dist)
     n_free = len(dist._free)
     remaining = np.full(len(out), dist._r, dtype=np.int64)
     with np.errstate(invalid="ignore"):
@@ -134,11 +143,9 @@ def support_prob(dist: SupportDistribution, support) -> float:
         return 0.0
     free_in = dist._free[inside[dist._free]]
     free_out = dist._free[~inside[dist._free]]
-    log_p = (
-        np.log(omega[free_in]).sum()
-        + np.log1p(-omega[free_out]).sum()
-        + dist.log_normalizer
-    )
+    # the model's constant c: 1 / (prod_free (1 - w) * e_r(free odds))
+    log_normalizer = -(np.log1p(-omega[dist._free]).sum() + dist._esp[0, dist._r])
+    log_p = np.log(omega[free_in]).sum() + np.log1p(-omega[free_out]).sum() + log_normalizer
     return float(np.exp(log_p))
 
 
@@ -155,7 +162,7 @@ def sequential_path_log_prob(dist: SupportDistribution, support) -> float:
     if len(support) != dist.sparsity or np.any(~inside[dist._forced]):
         return -np.inf
     esp = dist._esp
-    log_odds = dist._log_odds
+    log_odds = free_log_odds(dist)
     n_free = len(dist._free)
     r = dist._r
     total = 0.0

@@ -45,18 +45,11 @@ def test_psnr_basics():
     ref = np.ones((4, 4))
     assert psnr(ref, ref) == math.inf
     rec = ref + 1.0
-    assert psnr(ref, rec, peak=1.0) == pytest.approx(0.0, abs=1e-12)
+    assert psnr(ref, rec) == pytest.approx(0.0, abs=1e-12)
     noise = np.full((4, 4), np.sqrt(1e-3))
-    assert psnr(ref, ref + noise, peak=1.0) == pytest.approx(30.0, abs=1e-9)
+    assert psnr(ref, ref + noise) == pytest.approx(30.0, abs=1e-9)
     with pytest.raises(DimensionMismatch):
         psnr(np.ones(3), np.ones(4))
-
-
-def test_psnr_symmetry_with_fixed_peak():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=16)
-    b = rng.normal(size=16)
-    assert psnr(a, b, peak=2.0) == pytest.approx(psnr(b, a, peak=2.0))
 
 
 def test_synth_corpus_properties():
@@ -584,7 +577,7 @@ def test_signal_model_arrays_refuse_writes():
     free = normalize_weights(np.random.default_rng(5).uniform(0.1, 0.9, 30), 3).omega
     omega = np.r_[1.0, 0.0, free]
     dist = harness.signal_distribution(WeightVector.from_omega(omega))
-    for array in (dist.weights.omega, dist._forced, dist._free, dist._log_odds, dist._esp):
+    for array in (dist.weights.omega, dist._forced, dist._free, dist._esp):
         assert len(array)
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -874,9 +867,7 @@ def test_library_counts_of_the_wrong_type_raise_their_class(call, error):
         (lambda: normalize_weights(["0.5", "0.5"], 1), InvalidWeights),
         (lambda: WeightVector.from_omega(["a", 0.5]), InvalidWeights),
         (lambda: WeightVector.from_omega(np.array([0.5j, 0.5])), InvalidWeights),
-        (lambda: psnr(np.ones(4), np.zeros(4), peak="1"), DimensionMismatch),
-        (lambda: psnr(np.ones(4), np.zeros(4), peak=math.nan), DimensionMismatch),
-        (lambda: psnr(np.ones(4), np.zeros(4), peak=math.inf), DimensionMismatch),
+        (lambda: psnr(np.array([1.0, math.inf]), np.zeros(2)), DimensionMismatch),
         (lambda: psnr(np.array([]), np.array([])), DimensionMismatch),
         (lambda: Density(np.full((2, 2), 0.25), 1.0), InvalidSpec),
         (lambda: Density(["a", "b"], 1.0), InvalidSpec),
@@ -896,7 +887,7 @@ def test_library_counts_of_the_wrong_type_raise_their_class(call, error):
         "singletons-of-another-dim", "lines-of-another-dim", "padded-table-beyond-max-dim",
         "threshold-string", "threshold-none", "target-string", "profile-target-string",
         "normalize-omega-strings", "omega-string", "omega-complex",
-        "psnr-peak-string", "psnr-peak-nan", "psnr-peak-inf", "psnr-empty", "density-2d",
+        "psnr-reference-inf", "psnr-empty", "density-2d",
         "density-strings", "density-complex", "normalizer-string", "normalizer-inf",
         "normalizer-zero",
         "mask-float-indices", "mask-zero-multiplicity", "mask-fractional-multiplicity",
@@ -909,12 +900,12 @@ def test_library_inputs_end_in_their_error_class(call, error):
     # line side in a bare TypeError and a huge fraction in an OverflowError;
     # a partition of K = 16 ran on the K = 64 operator, reporting a coverage
     # of rows it does not own; 1025 blocks padded to 1024 rows would take
-    # 2^20 + 2^10 table entries for K = 2048.  A string threshold, target or
-    # peak ended in a bare TypeError, string omega entries in a ValueError
-    # and complex ones in a TypeError (an array: a ComplexWarning and its
-    # real part), a NaN peak gave a NaN PSNR, an infinite one an infinite
-    # PSNR, and empty arrays a ValueError; a 2D density, float mask indices
-    # (truncated) and multiplicities below 1 or fractional were accepted, and
+    # 2^20 + 2^10 table entries for K = 2048.  A string threshold or target
+    # ended in a bare TypeError, string omega entries in a ValueError and
+    # complex ones in a TypeError (an array: a ComplexWarning and its real
+    # part), an infinite PSNR peak gave an infinite PSNR, and empty arrays a
+    # ValueError; a 2D density, float mask indices (truncated) and
+    # multiplicities below 1 or fractional were accepted, and
     # mismatched lengths ended in a numpy broadcast ValueError once expanded;
     # string density entries ended in a bare ValueError, complex ones lost
     # their imaginary part, and a string, infinite or zero normalizer was

@@ -108,17 +108,26 @@ def test_tensor_roundtrip_fuzz(tmp_path_factory, arr):
 def test_pgm_roundtrip_binary(tmp_path):
     path = str(tmp_path / "img.pgm")
     img = np.array([[0.0, 1.0], [1.0, 0.0]])
-    tensorio.write_pgm(path, img, maxval=255)
+    tensorio.write_pgm(path, img)
+    assert open(path, "rb").read(11) == b"P5\n2 2\n255\n"
     assert np.array_equal(tensorio.read_pgm(path), img)
 
 
+def test_pgm_nan_pixel_is_a_format_error(tmp_path):
+    # before, the NaN went through an unchecked cast to uint8
+    path = tmp_path / "nan.pgm"
+    with pytest.raises(FormatError, match="NaN"):
+        tensorio.write_pgm(str(path), np.array([[np.nan, 0.5]]))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pgm_16bit(tmp_path):
-    path = str(tmp_path / "img16.pgm")
-    img = np.array([[0.0, 1.0], [0.25, 0.5]])
-    tensorio.write_pgm(path, img, maxval=65535)
-    back = tensorio.read_pgm(path)
+    path = tmp_path / "img16.pgm"
+    samples = np.array([[0, 65535], [16384, 32768]], dtype=">u2")
+    path.write_bytes(b"P5\n2 2\n65535\n" + samples.tobytes())
+    back = tensorio.read_pgm(str(path))
     assert back[0, 1] == 1.0
-    assert np.max(np.abs(back - img)) <= 1.0 / 65535
+    assert np.array_equal(back, samples / 65535)
 
 
 def test_pgm_ascii(tmp_path):
@@ -268,6 +277,40 @@ def test_cli_mask_determinism(tmp_path):
     run_cli("mask", "--density", dens, "--m", "16", "--seed", "3", "--out", m1)
     run_cli("mask", "--density", dens, "--m", "16", "--seed", "3", "--out", m2)
     assert open(m1, "rb").read() == open(m2, "rb").read()
+
+
+# One coherence density per density path, and an IID block mask drawn
+# from the last one (expanded with multiplicities) twice.
+@pytest.mark.parametrize(
+    "spec, partition",
+    [
+        ("dft2d:tensor_db4:64:3", "lines-v"),
+        ("dft2d:tensor_db4:64:3", "squares:8"),
+        ("hadamard2d:db4_2d:32:2", "squares:4"),
+        ("hadamard2d:db4_2d:32:2", "singletons"),
+        ("dft1d:db4_1d:1024", None),
+        ("hadamard2d:haar2d:32:2", "squares:4"),
+    ],
+    ids=[
+        "block-line-closed-form", "block-class-table", "block-dense-fallback",
+        "isolated-dense-fallback", "isolated-1d-class-table", "iid-block-mask",
+    ],
+)
+def test_cli_coherence_density_paths(tmp_path, spec, partition):
+    out = str(tmp_path / "coh.avds")
+    part_args = [] if partition is None else ["--partition", partition]
+    assert run_cli("density", "--spec", spec, "--kind", "coherence", *part_args, "--out", out) == 0
+    pi = tensorio.read_tensor(out)
+    assert pi.shape == (parse_partition(partition, parse_spec(spec)).m,)
+    assert pi.min() >= 0 and abs(pi.sum() - 1) <= 1e-12
+    if spec.startswith("hadamard2d:haar2d"):
+        masks = [str(tmp_path / f"mask-{run}.avds") for run in (1, 2)]
+        for mask in masks:
+            assert run_cli(
+                "mask", "--density", out, "--m", "8", "--mode", "iid", "--seed", "3",
+                "--spec", spec, *part_args, "--out", mask,
+            ) == 0
+        assert open(masks[0], "rb").read() == open(masks[1], "rb").read()
 
 
 def test_cli_error_class_line(tmp_path, capsys):

@@ -74,11 +74,9 @@ def test_identity_layout_is_bit_identical(spec, fraction, sparsity, complex_sign
         assert got.converged == want.converged
         if np.iscomplexobj(got.x):
             assert np.array_equal(got.x, want.x)
-            assert got.stage_objectives == want.stage_objectives
             assert got.residual == want.residual
         else:
             assert np.linalg.norm(got.x - want.x) <= 1e-12 * np.linalg.norm(want.x)
-            assert np.allclose(got.stage_objectives, want.stage_objectives, rtol=1e-12, atol=0)
             assert got.residual <= 1e-9 * np.linalg.norm(y)
     if params is not None:
         assert not got.converged

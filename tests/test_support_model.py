@@ -174,7 +174,7 @@ def _reference_draws(dist, table, u):
 
 def _assert_matches_reference(omega, seed, n):
     dist = SupportDistribution(WeightVector.from_omega(omega))
-    table = reference_support._log_suffix_esp(dist._log_odds, dist._r)
+    table = reference_support._log_suffix_esp(reference_support.free_log_odds(dist), dist._r)
     assert np.array_equal(dist._esp, table)
     # the sampler's premise: no column increases down the table
     assert np.all(dist._esp[1:] <= dist._esp[:-1])
