@@ -8,10 +8,10 @@ file in the same commit and says why in CHANGES.md.
 
 One test per config runs `avds.cli.main` in process from cold memos, twice:
 - the two runs print the same bytes (the second one on warm memos);
-- `blocks_lines` and `flip_test` take their second run at 2 trials, whose
-  PSNRs must be the first two of each kind bit for bit, since trial t's
-  seed does not depend on the trial count, and whose densities and
-  coverage must be the same;
+- a slow stem (see `SLOW`) takes its second run at 2 trials, whose PSNRs
+  must be the first two of each kind bit for bit, since trial t's seed
+  does not depend on the trial count, and whose densities and coverage
+  must be the same;
 - each budget of a diagnose config, run alone from cold memos, prints its
   row of the full run;
 - a stem that starts with `paired` names kinds whose densities are the same
@@ -25,6 +25,12 @@ One test per config runs `avds.cli.main` in process from cold memos, twice:
 
 A slow test regenerates each fast report under OpenBLAS's Sandybridge
 kernels, in a child process, and holds it to the same comparison.
+
+This is the one place the committed experiments run: acceptance criteria
+7, 9 and 10 read `figure1_stated`, `figure1_uniform_supports`,
+`blocks_lines`, `blocks_squares` and `diagnose_hadamard_haar` without
+running them.  A fast test checks that no two configs describe the same
+run, so each run has one committed config and one report.
 """
 
 import contextlib
@@ -41,11 +47,12 @@ import numpy as np
 import pytest
 
 from avds import density, harness
-from avds.cli import main
+from avds.cli import _diagnose_config, load_experiment_config, main
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
-SLOW = {"blocks_lines", "flip_test"}  # about 9 s and 19 s a run
+# About 10 s, 13 s, 4 s and 19 s a cold run on one BLAS thread (2-core x86-64).
+SLOW = {"blocks_lines", "blocks_squares", "figure1_stated", "flip_test"}
 DIAGNOSE_REL_TOL = 1e-12
 # Regenerated under OpenBLAS's SkylakeX, Haswell, Sandybridge and Nehalem
 # kernels, the experiment reports' floats moved by at most 6.3e-11 relative
@@ -129,6 +136,23 @@ def test_committed_report_matches_a_fresh_run(path, tmp_path):
         assert len(psnr) > 1 and len(psnr[0]) == raw["trials"]
         assert all(p == psnr[0] for p in psnr[1:])
     _matches_committed(stem, text)
+
+
+def _run_key(path: Path) -> str:
+    """The run a config asks for: its command and described config, and a
+    diagnose config's budgets and epsilon."""
+    if path.stem.startswith("diagnose"):
+        cfg, budgets, epsilon = _diagnose_config(str(path))
+        return json.dumps(["diagnose", cfg.describe(), budgets, epsilon], sort_keys=True)
+    return json.dumps(["experiment", load_experiment_config(str(path)).describe()], sort_keys=True)
+
+
+def test_no_two_configs_describe_the_same_run():
+    seen: dict = {}
+    for path in CONFIGS:
+        key = _run_key(path)
+        assert key not in seen, f"{path.stem} runs what {seen[key]} runs"
+        seen[key] = path.stem
 
 
 def _openblas_dynamic_arch() -> bool:
