@@ -37,6 +37,8 @@ from .errors import (
     DimensionMismatch,
     InfeasibleBudget,
     InvalidPartition,
+    InvalidWeights,
+    _check_real,
 )
 from .masks import DISTINCT, _categorical_table, _iid_draw, draw_mask, expand_blocks
 from .recon import MeasurementOp, SolverParams, measure, solve_bp
@@ -50,7 +52,7 @@ from .support_model import (
     normalize_weights,
     sample_supports,
 )
-from .transforms import OperatorSpec, _bands_1d, _grid_bands, column_pairs
+from .transforms import MAX_DIM, OperatorSpec, _bands_1d, _grid_bands, column_pairs
 from .transforms import apply  # noqa: F401 (bench/spans.py wraps avds.harness.apply)
 
 REPORT_SCHEMA_VERSION = 4
@@ -111,10 +113,17 @@ def scale_profile_weights(
     Fineness f of a coefficient counts detail levels away from the
     approximation band (0 = approximation, `levels` = finest details);
     mra2d uses max(f_row, f_col), tensor2d uses f_row + f_col.  Weight is
-    base * decay^f, optionally rescaled to sum to s_target.
+    base * decay^f, optionally rescaled to sum to s_target.  The grid, as an
+    operator's, holds at most `MAX_DIM` coefficients.
     """
-    if levels < 0 or side >> levels == 0:
+    side = _check_count(side, "the profile side", 1)
+    levels = _check_count(levels, "the profile levels")
+    if side >> levels == 0:
         raise ConfigError(f"a weight profile of side {side} cannot have {levels} levels")
+    if side * side > MAX_DIM:
+        raise ConfigError(f"a {side} x {side} profile exceeds the limit K <= {MAX_DIM}")
+    base = _check_real(base, "the profile base", InvalidWeights)
+    decay = _check_real(decay, "the profile decay", InvalidWeights)
     # per axis 0 on the approximation, 1 on the coarsest details; column-major
     rows, cols = _grid_bands(_bands_1d(side, levels))
     if layout == "mra2d":
@@ -360,8 +369,9 @@ def diagnostics(
     `SeedSequence(seed).spawn(2)` seeds two generators: trial t's support
     reads the t-th row of R uniforms of the first, one per free pick
     (`sample_supports`), its mask the t-th row of m uniforms of the second
-    (`masks._iid_draw`).  The support model comes from
-    `signal_distribution`, built once per weight vector.
+    (`masks._iid_draw`).  The block terms (`block_norm_terms`) and the
+    support model (`signal_distribution`) are memoised by content, so calls
+    at several budgets on one config build each once.
     A stack of trials draws both as blocks and reads A0[:, I] by one
     `transforms.column_pairs` gather: row r is u[t, r // w] * v[t, r % w],
     and the padding index K of `BlockPartition.table` reads a zero row of u.
@@ -385,35 +395,28 @@ def diagnostics(
     Grams of blocks shorter than the support, round differently); mu, the
     thresholds, the bounds and the tail count are exact.
     """
-    return _diagnostics(spec, partition, density, weights, [m], trials, seed, epsilon)[0]
-
-
-def _diagnostics(spec, partition, density, weights, budgets, trials, seed, epsilon) -> list:
-    """`diagnostics` at each budget in turn, each seeded as a call at that budget alone.
-
-    The checks, the block terms, both thresholds, the mask table and the
-    support model are built once for all budgets.
-    """
     if spec.dim > 4096:
         raise DimensionMismatch("diagnostics are limited to K <= 4096")
     if len(density) != partition.m:
         raise DimensionMismatch(f"density has {len(density)} entries for {partition.m} blocks")
-    for m in budgets:
-        if _check_count(m, "budget m", 1, InfeasibleBudget) > spec.dim:
-            raise InfeasibleBudget(f"budget m must lie in [1, K = {spec.dim}], got {m}")
+    if _check_count(m, "budget m", 1, InfeasibleBudget) > spec.dim:
+        raise InfeasibleBudget(f"budget m must lie in [1, K = {spec.dim}], got {m}")
     if _check_count(trials, "trials", 1) > MAX_TRIALS:
         raise ConfigError(f"diagnostics need trials in [1, {MAX_TRIALS}], got {trials}")
-    if not 0 < epsilon < 1:
+    if not 0 < _check_real(epsilon, "epsilon", ConfigError) < 1:
         raise ConfigError(f"epsilon is a failure probability in (0, 1), got {epsilon}")
     _check_seed(seed, numpy_seeds=False)  # SeedSequence(seed) takes entropy only
     gram_terms, inf_terms = block_norm_terms(spec, partition, weights)
     pi = density.pi
     live = pi > 0
     live_cols = slice(None) if live.all() else live  # skips the gather when all are live
+    norm = pi[live] * m  # Lambda's denominators pi_k m over the live blocks
     threshold_inf1 = float(np.max(inf_terms[live] / pi[live]))
     threshold_gram = float(np.max(gram_terms[live] / pi[live]))
     logk = np.log(spec.dim / epsilon)
     atoms, cum = _categorical_table(density)
+    atom_scale = np.zeros(partition.m)
+    atom_scale[atoms] = (m * pi[atoms]) ** -0.5  # the theorem scaling of a drawn block
 
     dist = signal_distribution(weights)
     s = dist.sparsity  # every rejective support has this size
@@ -423,79 +426,69 @@ def _diagnostics(spec, partition, density, weights, budgets, trials, seed, epsil
     # entries, maybe complex; a chunk the Lambda numerators (K if b = 1, else
     # the table times S) and m x b x S draws, in half
     n_stack = max(1, _STACK_ENTRIES // max(dist.dim, s * spec.size, s * s))
-    numer = table.size * (s if b > 1 else 1)
-    out = []
-    for m in budgets:
-        norm = pi[live] * m  # Lambda's denominators pi_k m over the live blocks
-        atom_scale = np.zeros(partition.m)
-        atom_scale[atoms] = (m * pi[atoms]) ** -0.5  # the theorem scaling of a drawn block
-        n_chunk = max(1, (_STACK_ENTRIES >> 1) // max(numer, m * b * s))
-        lam, hits = np.empty(trials), 0
-        support_rng, mask_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-        for first in range(0, trials, n_stack):
-            n = min(n_stack, trials - first)
-            supports = sample_supports(dist, n, seed=support_rng)
-            u, v = column_pairs(spec, np.flatnonzero(supports) % dist.dim)
-            # trial t reads A0[r, I] as u[t, r // w] * v[t, r % w]
-            u, v = (f.reshape(n, s, -1).transpose(0, 2, 1) for f in (u, v))
-            u = np.concatenate((u, np.zeros((n, pad, s), u.dtype)), axis=1)
-            v = v.copy()
-            height, width = u.shape[1], v.shape[1]
-            draws = _iid_draw(atoms, cum, mask_rng.random((n, m)))
-            scale = atom_scale[draws]
-            grams = np.empty((n, s, s), u.dtype)  # the stack's tail Grams, screened at once
-            for lo in range(0, n, n_chunk):
-                chunk = slice(lo, lo + n_chunk)
-                uc, vc, sc = u[chunk], v[chunk], scale[chunk]
-                # Lambda_I = max_k ||B_k[:, I]||^2 / (pi_k m), the norm from the shorter side
-                if b == 1:
-                    block_sq = np.abs(uc) ** 2 @ (np.abs(vc) ** 2).swapaxes(1, 2)  # h x w
-                else:
-                    cols = uc[:, table // width] * vc[:, table % width]  # m x b x S per trial
-                    cols_h = cols.conj().swapaxes(2, 3)
-                    short = cols @ cols_h if b < s else cols_h @ cols
-                    short = 0.5 * (short + short.conj().swapaxes(2, 3))
-                    block_sq = np.linalg.eigvalsh(short)[..., -1]
-                block_sq = block_sq.reshape(len(uc), -1)[:, live_cols]
-                lam[first : first + n][chunk] = np.max(block_sq / norm, axis=1)
-                # the scaled Gram of every drawn block's rows, padding rows zero
-                rows = np.take(table, draws[chunk], axis=0).reshape(len(uc), -1)  # m x b per trial
-                offsets = np.arange(len(uc))[:, None]
-                # np.take: the row gathers of fancy indexing at a third of its cost
-                a_i = np.take(uc.reshape(-1, s), rows // width + height * offsets, axis=0)
-                a_i *= np.take(vc.reshape(-1, s), rows % width + width * offsets, axis=0)
-                a_i *= (sc if b == 1 else np.repeat(sc, b, axis=1))[:, :, None]
-                np.matmul(a_i.conj().swapaxes(1, 2), a_i, out=grams[chunk])
-            hits += _tail_hits(grams)
-        out.append(
-            Diagnostics(
-                mu=float(np.max(inf_terms[live] / norm)),
-                lambda_samples=lam,
-                gram_tail_prob=hits / trials,
-                m=m,
-                threshold_inf1=threshold_inf1,
-                threshold_gram=threshold_gram,
-                m_bound_inf1=threshold_inf1 * logk**3,
-                m_bound_gram=threshold_gram * logk**2,
-            )
-        )
-    return out
+    n_chunk = max(1, (_STACK_ENTRIES >> 1) // max(table.size * (s if b > 1 else 1), m * b * s))
+    lam, hits = np.empty(trials), 0
+    support_rng, mask_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    for first in range(0, trials, n_stack):
+        n = min(n_stack, trials - first)
+        supports = sample_supports(dist, n, seed=support_rng)
+        u, v = column_pairs(spec, np.flatnonzero(supports) % dist.dim)
+        # trial t reads A0[r, I] as u[t, r // w] * v[t, r % w]
+        u, v = (f.reshape(n, s, -1).transpose(0, 2, 1) for f in (u, v))
+        u = np.concatenate((u, np.zeros((n, pad, s), u.dtype)), axis=1)
+        v = v.copy()
+        height, width = u.shape[1], v.shape[1]
+        draws = _iid_draw(atoms, cum, mask_rng.random((n, m)))
+        scale = atom_scale[draws]
+        grams = np.empty((n, s, s), u.dtype)  # the stack's tail Grams, screened at once
+        for lo in range(0, n, n_chunk):
+            chunk = slice(lo, lo + n_chunk)
+            uc, vc, sc = u[chunk], v[chunk], scale[chunk]
+            # Lambda_I = max_k ||B_k[:, I]||^2 / (pi_k m), the norm from the shorter side
+            if b == 1:
+                block_sq = np.abs(uc) ** 2 @ (np.abs(vc) ** 2).swapaxes(1, 2)  # h x w
+            else:
+                cols = uc[:, table // width] * vc[:, table % width]  # m x b x S per trial
+                cols_h = cols.conj().swapaxes(2, 3)
+                short = cols @ cols_h if b < s else cols_h @ cols
+                short = 0.5 * (short + short.conj().swapaxes(2, 3))
+                block_sq = np.linalg.eigvalsh(short)[..., -1]
+            block_sq = block_sq.reshape(len(uc), -1)[:, live_cols]
+            lam[first : first + n][chunk] = np.max(block_sq / norm, axis=1)
+            # the scaled Gram of every drawn block's rows, padding rows zero
+            rows = np.take(table, draws[chunk], axis=0).reshape(len(uc), -1)  # m x b per trial
+            offsets = np.arange(len(uc))[:, None]
+            # np.take: the row gathers of fancy indexing at a third of its cost
+            a_i = np.take(uc.reshape(-1, s), rows // width + height * offsets, axis=0)
+            a_i *= np.take(vc.reshape(-1, s), rows % width + width * offsets, axis=0)
+            a_i *= (sc if b == 1 else np.repeat(sc, b, axis=1))[:, :, None]
+            np.matmul(a_i.conj().swapaxes(1, 2), a_i, out=grams[chunk])
+        hits += _tail_hits(grams)
+    return Diagnostics(
+        mu=float(np.max(inf_terms[live] / norm)),
+        lambda_samples=lam,
+        gram_tail_prob=hits / trials,
+        m=m,
+        threshold_inf1=threshold_inf1,
+        threshold_gram=threshold_gram,
+        m_bound_inf1=threshold_inf1 * logk**3,
+        m_bound_gram=threshold_gram * logk**2,
+    )
 
 
 def diagnose_rows(cfg: ExperimentConfig, budgets, epsilon: float) -> list:
     """The rows `avds diagnose` prints, one per budget of `budgets`.
 
-    The run builds the density of the config's first kind once, then runs
-    `diagnostics` at every budget on one set of block terms and one support
-    model.  A row holds the `Diagnostics` fields, with the Lambda samples
-    given as their mean and max.
+    The run builds the density of the config's first kind once, then calls
+    `diagnostics` at each budget; the memos share one set of block terms and
+    one support model across the calls.  A row holds the `Diagnostics`
+    fields, with the Lambda samples given as their mean and max.
     """
     density = build_density(cfg.density_kinds[0], cfg, cfg.weights)
+    inputs = (cfg.spec, cfg.partition, density, cfg.weights)
     rows = []
-    for diag in _diagnostics(
-        cfg.spec, cfg.partition, density, cfg.weights, budgets, cfg.trials, cfg.master_seed, epsilon
-    ):
-        row = asdict(diag)
+    for m in budgets:
+        row = asdict(diagnostics(*inputs, m, cfg.trials, cfg.master_seed, epsilon))
         lam = row.pop("lambda_samples")
         rows.append(dict(row, lambda_mean=float(np.mean(lam)), lambda_max=float(np.max(lam))))
     return rows

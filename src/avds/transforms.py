@@ -674,12 +674,16 @@ def apply(spec: OperatorSpec, direction: Direction, x: np.ndarray) -> np.ndarray
     """Apply A0 (Forward) or A0* (Adjoint) to vectors along the last axis.
 
     Forward computes Phi(Psi* x); Adjoint computes Psi(Phi* y).  Both are
-    exact inverses of each other up to floating point roundoff.
+    exact inverses of each other up to floating point roundoff.  A
+    direction that is not a `Direction` member (a string too) is an
+    InvalidSpec.
     """
+    if not isinstance(direction, Direction):
+        raise InvalidSpec(f"direction must be a Direction member, got {direction!r}")
     x = np.asarray(x)
     if x.shape[-1:] != (spec.dim,):
         raise DimensionMismatch(f"expected last axis {spec.dim}, got shape {x.shape}")
-    return _stages(spec, direction == Direction.FORWARD)(x)
+    return _stages(spec, direction is Direction.FORWARD)(x)
 
 
 def rows_batch(spec: OperatorSpec, indices) -> np.ndarray:

@@ -38,7 +38,7 @@ from avds.support_model import (
     estimate_weights,
     normalize_weights,
 )
-from avds.transforms import Measurement, OperatorSpec, Sparsity
+from avds.transforms import Measurement, OperatorSpec, Sparsity, apply
 
 
 def test_psnr_basics():
@@ -791,6 +791,17 @@ def _count_calls():
     }
 
 
+def _small_diagnostics(**kw):
+    """`diagnostics` at m = 4 on K = 16, uniform weights and density; `kw` overrides."""
+    spec = OperatorSpec(Measurement.DFT1D, Sparsity.IDENTITY, 16)
+    args = dict(
+        spec=spec, partition=BlockPartition.singletons(16),
+        density=baseline_density("uniform", spec), weights=normalize_weights(np.full(16, 0.25), 4),
+        m=4, trials=2, seed=0,
+    )
+    return diagnostics(**dict(args, **kw))
+
+
 @pytest.mark.parametrize("value", [2.5, np.float64(3), "3", True], ids=repr)
 @pytest.mark.parametrize(
     "call, error",
@@ -879,6 +890,13 @@ def test_library_counts_of_the_wrong_type_raise_their_class(call, error):
         (lambda: Mask([0, 1], [1, 0]), DimensionMismatch),
         (lambda: Mask([0, 1], [1, 1.5]), DimensionMismatch),
         (lambda: Mask([0, 1], [1]), DimensionMismatch),
+        (lambda: apply(parse_spec("dft2d:haar2d:8:2"), "forward", np.ones(64)), InvalidSpec),
+        (lambda: _small_diagnostics(epsilon="0.1"), ConfigError),
+        (lambda: _small_diagnostics(epsilon=None), ConfigError),
+        (lambda: scale_profile_weights(2**11, 3, 0.9, 0.5), ConfigError),
+        (lambda: scale_profile_weights(8.0, 1, 0.9, 0.5), ConfigError),
+        (lambda: scale_profile_weights(8, 1.0, 0.9, 0.5), ConfigError),
+        (lambda: scale_profile_weights(8, 1, "0.9", 0.5), InvalidWeights),
     ],
     ids=[
         "singletons-beyond-max-dim", "vertical-lines-beyond-max-dim",
@@ -891,7 +909,9 @@ def test_library_counts_of_the_wrong_type_raise_their_class(call, error):
         "density-strings", "density-complex", "normalizer-string", "normalizer-inf",
         "normalizer-zero",
         "mask-float-indices", "mask-zero-multiplicity", "mask-fractional-multiplicity",
-        "mask-lengths-differ",
+        "mask-lengths-differ", "apply-direction-string", "epsilon-string", "epsilon-none",
+        "profile-beyond-max-dim", "profile-side-float", "profile-levels-float",
+        "profile-base-string",
     ],
 )
 def test_library_inputs_end_in_their_error_class(call, error):
@@ -909,7 +929,10 @@ def test_library_inputs_end_in_their_error_class(call, error):
     # mismatched lengths ended in a numpy broadcast ValueError once expanded;
     # string density entries ended in a bare ValueError, complex ones lost
     # their imaginary part, and a string, infinite or zero normalizer was
-    # stored
+    # stored.  A string direction ran the adjoint, a string or None epsilon
+    # ended in a bare TypeError, as did a float profile side or level count
+    # (a string base in numpy's UFuncTypeError), and a 2^11 profile side
+    # built all 2^22 weights
     with pytest.raises(error):
         call()
 

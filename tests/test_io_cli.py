@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from avds import density, tensorio
+from avds import density, harness, tensorio
 from avds.cli import load_experiment_config, main, parse_partition, parse_spec
 from avds.errors import ConfigError, FormatError
 from avds.transforms import Measurement, Sparsity
@@ -757,22 +757,39 @@ def test_cli_diagnose_runs(tmp_path, capsys):
     assert [row["m"] for row in rows] == [4, 8]
 
 
-def test_cli_diagnose_builds_its_block_terms_at_most_twice(monkeypatch, capsys):
-    # from an empty memo, once: the adapted density and the thresholds share
-    # one build, and no budget builds its own
-    calls = []
-    real = density._build_terms
+def _counting(monkeypatch, module, name):
+    """The calls to `module.name` from here on, one list entry each."""
+    calls, real = [], getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(density, "_build_terms", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_cli_diagnose_builds_its_block_terms_at_most_twice(monkeypatch, capsys):
+    # from empty memos, once: the adapted density and the thresholds share
+    # one build of the block terms, and the run one support model; the run
+    # calls `diagnostics` once per budget, and the memos share the builds
+    terms = _counting(monkeypatch, density, "_build_terms")
+    models = _counting(monkeypatch, harness, "SupportDistribution")
+    calls = _counting(monkeypatch, harness, "diagnostics")
     density._TERMS_MEMO.clear()
+    harness._signal_model.cache_clear()
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "diagnose_hadamard_haar.json")
     assert run_cli("diagnose", "--config", path) == 0
     assert len(json.loads(capsys.readouterr().out)) == 4
-    assert len(calls) == 1
+    assert (len(calls), len(terms), len(models)) == (4, 1, 1)
+
+
+def test_cli_diagnose_budget_beyond_k_is_one_error_line(tmp_path, capsys):
+    # the rows print after the last budget, so an earlier budget's row does not
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(_DIAGNOSE_CFG, m=[4, 17])))
+    assert run_cli("diagnose", "--config", str(path)) == 1
+    assert capsys.readouterr().out.splitlines() == ["error: InfeasibleBudget"]
 
 
 def test_cli_import_loads_no_scipy():
