@@ -390,13 +390,13 @@ def _diagnose_config(path: str):
         if not budgets:
             raise ConfigError(f"{path}: m must hold at least one budget")
         budgets = [_integer(m, "m") for m in budgets]
-        epsilon = _check_real(raw.get("epsilon", 0.01), "epsilon", ConfigError)
+        epsilon = raw.get("epsilon", harness._DIAGNOSE_EPSILON)
+        epsilon = _check_real(epsilon, "epsilon", ConfigError)
     # the experiment schema: the density as the one kind, its budget unused here
     shared = {key: raw[key] for key in _SHARED_KEYS if key in raw}
     kind = raw.get("density", "adapted")
-    cfg = _experiment_config(
-        dict(shared, budget=1, densities=[kind], trials=raw.get("trials", 200)), path
-    )
+    trials = raw.get("trials", harness._DIAGNOSE_TRIALS)
+    cfg = _experiment_config(dict(shared, budget=1, densities=[kind], trials=trials), path)
     return cfg, budgets, epsilon
 
 
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.add_argument("--image")
     p.add_argument("--image-out", dest="image_out")
-    p.add_argument("--max-inner", dest="max_inner", type=int, default=3000)
+    p.add_argument("--max-inner", dest="max_inner", type=int, default=SolverParams.max_inner)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct)
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPartition, InvalidSpec, InvalidWeights
-from .errors import _check_count, _check_real, _check_reals
+from .errors import _check_count, _check_indices, _check_real, _check_reals
 from .support_model import WeightVector
 from .transforms import (
     MAX_DIM,
@@ -109,9 +109,8 @@ class BlockPartition:
             sizes = np.array([b.size for b in blocks], dtype=np.int64)
         if np.any(sizes == 0):
             raise InvalidPartition("every block must hold at least one index")
-        # the rule of `rows_batch`: a float or bool index is never cast to a row
-        if any(b.ndim != 1 or b.dtype.kind not in "iu" for b in blocks):
-            raise InvalidPartition("every block must be a 1D list of indices of an integer type")
+        for b in blocks:
+            _check_indices(b, "every block", InvalidPartition)
         rows = np.concatenate(blocks or [np.array([], np.int64)]).astype(np.int64, copy=False)
         k = rows.size
         seen = np.zeros(k, dtype=bool)

@@ -3,9 +3,9 @@
 The CLI prints ``type(err).__name__`` as its machine-parsable error class,
 so every error raised on a documented failure path derives from AvdsError
 and carries a human-readable message.  `_check_count` is the one check of
-a count argument, `_check_real` of a real-number argument and
-`_check_reals` of an array of real numbers, each raising the caller's
-error class.
+a count argument, `_check_real` of a real-number argument,
+`_check_reals` of an array of real numbers and `_check_indices` of an
+array of indices, each raising the caller's error class.
 """
 
 from numbers import Integral, Real
@@ -76,3 +76,13 @@ def _check_reals(x, what: str, error) -> np.ndarray:
     if x.dtype.kind not in "biuf":
         raise error(f"{what} must be real numbers, got {x.dtype}")
     return x.astype(float, copy=False)
+
+
+def _check_indices(x, what: str, error) -> np.ndarray:
+    """`x` as an array of indices: one that is not 1-D, or not empty and of
+    no integer type, is an `error`, so a float or bool index is never cast
+    to an index."""
+    x = np.asarray(x)
+    if x.ndim != 1 or (x.size and x.dtype.kind not in "iu"):
+        raise error(f"{what} must be a 1-D integer array, got {x.dtype} of shape {x.shape}")
+    return x

@@ -76,6 +76,9 @@ MAX_TRIALS = 1 << 20
 # Grams); a chunk of a stack (Lambda numerators, the drawn blocks' rows) holds
 # half as many, with block numerators counted as the block table times S.
 _STACK_ENTRIES = 1 << 15
+# A diagnose run's defaults, for `diagnostics` and the CLI's diagnose
+# configs: trials per budget and the failure probability epsilon.
+_DIAGNOSE_TRIALS, _DIAGNOSE_EPSILON = 200, 0.01
 
 
 def psnr(ref: np.ndarray, rec: np.ndarray) -> float:
@@ -355,9 +358,9 @@ def diagnostics(
     density: Density,
     weights: WeightVector,
     m: int,
-    trials: int = 200,
+    trials: int = _DIAGNOSE_TRIALS,
     seed=None,
-    epsilon: float = 0.01,
+    epsilon: float = _DIAGNOSE_EPSILON,
 ) -> Diagnostics:
     """Empirical Lambda_I / mu and the Gram deviation tail at budget m.
 

@@ -30,6 +30,7 @@ from .errors import (
     InfeasibleBudget,
     InvalidPartition,
     UnnormalizedDensity,
+    _check_indices,
 )
 from .support_model import _check_count, _check_seed
 from .transforms import MAX_DIM
@@ -47,13 +48,8 @@ class Mask:
     n_draws: int = 0             # i.i.d. draws; keys kept (positive-mass atoms) if distinct
 
     def __post_init__(self) -> None:
-        # the indices follow the rule of `rows_batch`
-        indices, mult = np.asarray(self.indices), np.asarray(self.multiplicities)
-        if indices.ndim != 1 or (indices.size and indices.dtype.kind not in "iu"):
-            raise DimensionMismatch(
-                f"mask indices must be a 1-D integer array, got {indices.dtype} "
-                f"of shape {indices.shape}"
-            )
+        indices = _check_indices(self.indices, "mask indices", DimensionMismatch)
+        mult = np.asarray(self.multiplicities)
         if mult.shape != indices.shape or mult.dtype.kind not in "iuf" or not np.all(mult >= 1):
             raise DimensionMismatch("mask multiplicities must be counts >= 1, one per index")
         if not np.all(np.isfinite(mult)) or np.any(mult % 1 != 0):

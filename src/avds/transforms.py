@@ -10,15 +10,15 @@ by index gathers (`_filter_bank`): per level, a cached (taps, n/2) index
 array and the filters give the analysis step, and the transposed gather
 its synthesis, O(taps) work per entry.  A 1D wavelet runs these gathers
 level by level next to the 1D DFT (numpy.fft), on real or complex input.
-A 2D operator is one per-axis map, tabled once per spec by
-`_column_factors` from dense factors built by the gathers: the Hadamard
-matrix H (Sylvester recursion), the single-level step S_n and the
-multilevel analysis W_n, each the gather applied to the identity.  Its
-outer part is G = D M W_out^T per axis: D the orthonormal DFT matrix for
-DFT2D (else I), M = H for Hadamard (else I), and W_out all of W for a
-tensor wavelet, the finest step S_side for the square MRA and I without a
-wavelet.  The forward transform runs the remaining MRA levels J..2 as
-S_s^T X S_s on the shrinking s x s LL block, then G X G^T; the adjoint
+A 2D operator is one per-axis map, tabled by `_column_factors` from dense
+factors built by the gathers: the Hadamard matrix H (Sylvester
+recursion), the single-level step S_n and the multilevel analysis W_n,
+each the gather applied to the identity.  Its outer part is G = D M
+W_out^T per axis: D the orthonormal DFT matrix for DFT2D (else I), M = H
+for Hadamard (else I), and W_out all of W for a tensor wavelet, the
+finest step S_side for the square MRA and I without a wavelet.  The
+forward transform runs the remaining MRA levels J..2 as S_s^T X S_s on
+the shrinking s x s LL block, then G X G^T; the adjoint
 runs G^H Y conj(G), then the levels 2..J.  The DFT is folded into G, so
 numpy.fft runs only for the 1D DFT and for DFT2D without a wavelet, where
 dense complex factors are slower than `fft2`.  A real operator (Hadamard
@@ -56,22 +56,31 @@ matrix products, since H_s (x) H_s = H_{s^2/c} (x) H_c with c = side/2
 (about 262k multiply-adds in two calls per transform at side 64 and J =
 3, against 598k for the dense factors), each written into buffers the
 projection owns; for every other operator the identity layout with the
-stages of `apply`, resolved once per spec.
+stages of `apply`.
 `apply` itself keeps the dense per-axis factors: per call the two gathers
 into and out of the block layout cost more than they save.
+
+Only the builds that calls reuse are cached.  Three are per spec and kept
+for the last `_SPECS_KEPT` specs used: the per-axis table
+(`_column_factors`), the stages of `apply` in both directions (`_stages`)
+and the solver layout (`solver_plan`).  The dense factors H, W_n and S_n
+are built again on a miss.  The filter-bank gathers (`_filter_bank`) stay
+for every (wavelet, length) used, at most 2 x 20 of them: one full-depth
+1D transform reads log2 K of them, so a small bound would evict inside
+one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import log2, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, _check_count
+from .errors import DimensionMismatch, InvalidSpec, _check_count, _check_indices
 
 
 class Measurement(str, Enum):
@@ -210,6 +219,12 @@ class OperatorSpec:
 # ----------------------------------------------------------------------
 # cached arrays, shared read-only by every caller
 
+# Specs whose per-spec builds stay cached: a run uses one operator, and
+# the test suite, which sweeps every spec up to K = 1024, ran no slower at
+# 4 than with every build kept.
+_SPECS_KEPT = 4
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -270,32 +285,25 @@ def _synthesis(name: str, y: np.ndarray, levels: int) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=None)
 def _wavelet_factor(name: str, n: int, levels: int) -> np.ndarray:
     """Dense multilevel analysis matrix W_n, the analysis of every e_l.
 
     For the side of a 2D grid; a 1D signal runs the gathers directly.
     """
-    return _frozen(np.ascontiguousarray(_analysis(name, np.eye(n), levels).T))
+    return np.ascontiguousarray(_analysis(name, np.eye(n), levels).T)
 
 
-@lru_cache(maxsize=None)
 def _hadamard(n: int) -> np.ndarray:
     """Orthonormal Walsh-Hadamard matrix in Sylvester order (symmetric)."""
     h = np.ones((1, 1))
     while len(h) < n:
         h = np.block([[h, h], [h, -h]])
-    return _frozen(h / sqrt(n))
+    return h / sqrt(n)
 
 
 def _with_transpose(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mat, mat^T), both C-contiguous: BLAS reads a transposed view slower."""
     return _frozen(np.ascontiguousarray(mat)), _frozen(np.ascontiguousarray(mat.T))
-
-
-@lru_cache(maxsize=None)
-def _step_pair(name: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return _with_transpose(_wavelet_factor(name, n, 1))
 
 
 def _sandwich(pair, img: np.ndarray, out=None) -> np.ndarray:
@@ -323,10 +331,12 @@ def _inner_steps(spec: OperatorSpec) -> tuple:
     if spec.sparsity not in _MRA_SPARSITIES:
         return ()
     name = _WAVELET_NAME[spec.sparsity]
-    return tuple(_step_pair(name, spec.side >> j) for j in range(1, spec.levels))
+    return tuple(
+        _with_transpose(_wavelet_factor(name, spec.side >> j, 1)) for j in range(1, spec.levels)
+    )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPECS_KEPT)
 def _column_factors(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-axis rows (P, iu, iv) of a 2D A0: A0[:, l] = kron(P[iu[l]], P[iv[l]]).
 
@@ -344,7 +354,7 @@ def _column_factors(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndar
     per level, the rows p < side >> (j - 1) of the synthesis from level j
     (the steps S_s^T, s = side >> (j - 1) .. side/2, then G), and the
     coarsest table serves LL_J as well.  The first table is G^T whole,
-    which `apply` reads through `_grid_factors`.
+    which `apply` reads through `_stages`.
     """
     side, spar = spec.side, spec.sparsity
     factor = _hadamard(side) if spec.measurement == Measurement.HADAMARD2D else None
@@ -403,18 +413,6 @@ def separable_factor(spec: OperatorSpec) -> np.ndarray | None:
     return np.array(_column_factors(spec)[0].T, order="C")
 
 
-@lru_cache(maxsize=None)
-def _grid_factors(spec: OperatorSpec) -> tuple:
-    """`apply`'s 2D factors, read from the first table P_1 = G^T: the
-    forward pair (G, G^T), the adjoint pair (G^H, conj G), and the inner
-    MRA step pairs.  For a real G the adjoint pair is the forward pair
-    reversed, so a real operator multiplies by exactly G and G^T."""
-    g_t = _column_factors(spec)[0][: spec.side]
-    forward = _with_transpose(g_t.T)
-    adjoint = _with_transpose(g_t.conj()) if np.iscomplexobj(g_t) else forward[::-1]
-    return forward, adjoint, _inner_steps(spec)
-
-
 def _grid_stages(outer, inner: tuple, x: np.ndarray, forward: bool) -> np.ndarray:
     """Forward: the MRA levels J..2 on the shrinking LL block, then the
     outer pair, G X G^T.  Adjoint: the outer pair, G^H Y conj(G), then the
@@ -433,38 +431,47 @@ def _grid_stages(outer, inner: tuple, x: np.ndarray, forward: bool) -> np.ndarra
     return img.reshape(x.shape)
 
 
-@lru_cache(maxsize=None)
-def _stages(spec: OperatorSpec, forward: bool):
-    """`apply` for one spec and direction, its stages resolved once.
+@lru_cache(maxsize=_SPECS_KEPT)
+def _stages(spec: OperatorSpec) -> tuple[Callable, Callable]:
+    """`apply` for one spec, (forward, adjoint), its stages resolved once.
 
-    2D: DFT2D without a wavelet on numpy.fft, every other operator through
-    `_grid_factors`.  1D: forward the synthesis, then the DFT; adjoint the
-    inverse DFT, then the analysis.  Either may be absent; with both absent
-    the one step is a copy, so no result is the caller's array.
+    2D: DFT2D without a wavelet on numpy.fft; every other operator by
+    `_grid_stages`, on the forward pair (G, G^T) and the adjoint pair (G^H,
+    conj G), read from the first table P_1 = G^T of `_column_factors`, and
+    the inner MRA step pairs.  For a real G the adjoint pair is the forward
+    pair reversed, so a real operator multiplies by exactly G and G^T.  1D:
+    forward the synthesis, then the DFT; adjoint the inverse DFT, then the
+    analysis.  Either may be absent; with both absent the one step is a
+    copy, so no result is the caller's array.
     """
     if spec.measurement == Measurement.DFT2D and spec.sparsity == Sparsity.IDENTITY:
-        fft2, side = (np.fft.fft2 if forward else np.fft.ifft2), spec.side
-        return lambda x: fft2(_grid(x, side), norm="ortho").reshape(x.shape)
+        side = spec.side
+        return tuple(
+            lambda x, fft2=fft2: fft2(_grid(x, side), norm="ortho").reshape(x.shape)
+            for fft2 in (np.fft.fft2, np.fft.ifft2)
+        )
     if spec.is_2d:
-        forward_pair, adjoint_pair, inner = _grid_factors(spec)
-        outer = forward_pair if forward else adjoint_pair
-        return lambda x: _grid_stages(outer, inner, x, forward)
-    steps = []
-    if spec.sparsity != Sparsity.IDENTITY:
-        name, levels = _WAVELET_NAME[spec.sparsity], spec.levels
-        transform = _synthesis if forward else _analysis  # Psi* x, Psi y
-        steps.append(lambda v: transform(name, v, levels))
-    if spec.measurement == Measurement.DFT1D:
-        fft = np.fft.fft if forward else np.fft.ifft
-        steps.insert(len(steps) if forward else 0, lambda v: fft(v, norm="ortho"))
-    steps = steps or [np.copy]
+        g_t = _column_factors(spec)[0][: spec.side]
+        forward = _with_transpose(g_t.T)
+        adjoint = _with_transpose(g_t.conj()) if np.iscomplexobj(g_t) else forward[::-1]
+        inner = _inner_steps(spec)
+        return (
+            partial(_grid_stages, forward, inner, forward=True),
+            partial(_grid_stages, adjoint, inner, forward=False),
+        )
+    name = _WAVELET_NAME.get(spec.sparsity)  # None without a wavelet
+    dft = spec.measurement == Measurement.DFT1D
 
-    def run(x):
-        for step in steps:
-            x = step(x)
-        return x
+    def run_1d(x, forward):
+        if dft and not forward:
+            x = np.fft.ifft(x, norm="ortho")
+        if name:
+            x = (_synthesis if forward else _analysis)(name, x, spec.levels)  # Psi* x, Psi y
+        if dft and forward:
+            x = np.fft.fft(x, norm="ortho")
+        return x if name or dft else np.copy(x)
 
-    return run
+    return partial(run_1d, forward=True), partial(run_1d, forward=False)
 
 
 def _bands_1d(n: int, levels: int | None) -> np.ndarray:
@@ -608,7 +615,7 @@ def _walsh_haar_plan(spec: OperatorSpec) -> SolverPlan:
         else:
             at = start % c
             row_factors[row - (c - shared_rows), at : at + size, at : at + size] = _hadamard(size)
-    factors = (_hadamard(c), _frozen(tiles), _frozen(row_factors))
+    factors = tuple(map(_frozen, (_hadamard(c), tiles, row_factors)))
     tail = (3, slice(c - shared_rows, c), None, slice(None))  # shared rows as 1 x c
 
     def blocks(u, out, tmp, right, left, row_right):
@@ -641,7 +648,7 @@ def _identity_plan(spec: OperatorSpec) -> SolverPlan:
     measured rows, zero elsewhere, in `out`, then v - A0* out."""
 
     def projector(rows, y):
-        forward, adjoint = _stages(spec, True), _stages(spec, False)
+        forward, adjoint = _stages(spec)
 
         def project(v, out):
             out.fill(0)
@@ -653,9 +660,9 @@ def _identity_plan(spec: OperatorSpec) -> SolverPlan:
     return SolverPlan(_frozen(np.arange(spec.dim)), (spec.dim,), projector)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPECS_KEPT)
 def solver_plan(spec: OperatorSpec) -> SolverPlan:
-    """The layout basis pursuit iterates in, resolved once per spec.
+    """The layout basis pursuit iterates in, kept for the last `_SPECS_KEPT` specs.
 
     Hadamard2D x Haar MRA gets its per-subband Walsh blocks
     (`_walsh_haar_plan`), whose projection runs every transform in place
@@ -683,7 +690,7 @@ def apply(spec: OperatorSpec, direction: Direction, x: np.ndarray) -> np.ndarray
     x = np.asarray(x)
     if x.shape[-1:] != (spec.dim,):
         raise DimensionMismatch(f"expected last axis {spec.dim}, got shape {x.shape}")
-    return _stages(spec, direction is Direction.FORWARD)(x)
+    return _stages(spec)[direction is Direction.ADJOINT](x)
 
 
 def rows_batch(spec: OperatorSpec, indices) -> np.ndarray:
@@ -693,12 +700,7 @@ def rows_batch(spec: OperatorSpec, indices) -> np.ndarray:
     K x K matrix is formed.  Indices other than a 1-D integer array (or an
     empty list) are a DimensionMismatch.
     """
-    indices = np.asarray(indices)
-    if indices.ndim != 1 or (indices.size and indices.dtype.kind not in "iu"):
-        raise DimensionMismatch(
-            f"row indices must be a 1-D integer array, got {indices.dtype} of shape {indices.shape}"
-        )
-    indices = indices.astype(np.int64)
+    indices = _check_indices(indices, "row indices", DimensionMismatch).astype(np.int64)
     if indices.size and (indices.min() < 0 or indices.max() >= spec.dim):
         raise DimensionMismatch("row index out of range")
     slab = np.zeros((len(indices), spec.dim))

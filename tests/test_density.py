@@ -86,7 +86,7 @@ def test_block_that_is_not_an_index_list_rejected():
         np.array(floats),
         [[False, True]],
     ):
-        with pytest.raises(InvalidPartition, match="1D list of indices"):
+        with pytest.raises(InvalidPartition, match="1-D integer array"):
             BlockPartition(blocks, kind="x")
 
 

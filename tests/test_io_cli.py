@@ -757,6 +757,16 @@ def test_cli_diagnose_runs(tmp_path, capsys):
     assert [row["m"] for row in rows] == [4, 8]
 
 
+def test_cli_diagnose_defaults_to_200_trials_at_epsilon_001(tmp_path, capsys):
+    # the CLI and `diagnostics` read one definition of each default
+    path, printed = tmp_path / "cfg.json", []
+    for cfg in (_without(_DIAGNOSE_CFG, "trials"), dict(_DIAGNOSE_CFG, trials=200, epsilon=0.01)):
+        path.write_text(json.dumps(cfg))
+        assert run_cli("diagnose", "--config", str(path)) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
 def _counting(monkeypatch, module, name):
     """The calls to `module.name` from here on, one list entry each."""
     calls, real = [], getattr(module, name)

@@ -7,9 +7,15 @@ from reference_masks import reference_expand_blocks
 from scipy import stats
 
 from avds.density import BlockPartition, Density
-from avds.errors import ConfigError, InfeasibleBudget, InvalidPartition, UnnormalizedDensity
+from avds.errors import (
+    ConfigError,
+    DimensionMismatch,
+    InfeasibleBudget,
+    InvalidPartition,
+    UnnormalizedDensity,
+)
 from avds.masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
-from avds.transforms import MAX_DIM
+from avds.transforms import MAX_DIM, Measurement, OperatorSpec, Sparsity, rows_batch
 
 
 def uniform_density(k):
@@ -210,6 +216,38 @@ def test_block_expansion_of_an_empty_mask():
     for part in (BlockPartition.singletons(4), BlockPartition.vertical_lines(2)):
         out = expand_blocks(empty, part)
         assert out.size == 0 and out.multiplicities.size == 0
+
+
+# each entry point of an index array, called on one array, and its error class
+INDEX_ENTRY_POINTS = {
+    "rows_batch": (
+        lambda x: rows_batch(OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 4), x),
+        DimensionMismatch,
+    ),
+    "Mask": (lambda x: Mask(x, np.ones(x.shape, np.int64)), DimensionMismatch),
+    "BlockPartition": (lambda x: BlockPartition([x], kind="x"), InvalidPartition),
+}
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [np.array([0.0, 1.0]), np.array([True, False]), np.array([[0, 1]]), np.array([], float)],
+    ids=["float", "bool", "2-d", "empty-float"],
+)
+@pytest.mark.parametrize("entry", INDEX_ENTRY_POINTS)
+def test_one_index_rule_for_rows_masks_and_blocks(entry, indices):
+    # a float or bool index is never cast to an index, and an empty array of
+    # any dtype holds none
+    call, error = INDEX_ENTRY_POINTS[entry]
+    if indices.size:
+        with pytest.raises(error, match="must be a 1-D integer array"):
+            call(indices)
+    elif entry == "BlockPartition":
+        # the rule passes it; a block must also hold an index
+        with pytest.raises(InvalidPartition, match="at least one index"):
+            call(indices)
+    else:
+        call(indices)
 
 
 def skewed_density(seed):

@@ -21,6 +21,7 @@ from avds.transforms import (
     column_pairs,
     rows_batch,
     separable_factor,
+    solver_plan,
 )
 
 
@@ -125,22 +126,69 @@ def test_cached_factors_are_read_only():
 
     grid = OperatorSpec(Measurement.HADAMARD2D, Sparsity.DB4_2D, 8, levels=2)
     dft = OperatorSpec(Measurement.DFT2D, Sparsity.DB4_2D, 8, levels=2)
-    # apply's forward and adjoint pairs, complex for the DFT
-    pairs = [pair for spec in (grid, dft) for pair in transforms._grid_factors(spec)[:2]]
-    assert all(np.iscomplexobj(m) for pair in pairs[2:] for m in pair)
+    # apply's forward and adjoint stages: the outer pair, complex for the
+    # DFT, and the inner MRA step pairs
+    stages = [stage.args for spec in (grid, dft) for stage in transforms._stages(spec)]
+    assert all(np.iscomplexobj(m) for outer, _ in stages[2:] for m in outer)
+    pairs = [pair for outer, inner in stages for pair in (outer, *inner)]
     for pair in pairs:
         assert all(m.flags.c_contiguous for m in pair)
+    walsh = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 8, levels=2)
     for factor in (
-        transforms._hadamard(8),
-        transforms._wavelet_factor("db4", 8, 2),
         *transforms._filter_bank("db4", 8),
-        *transforms._step_pair("db4", 4),
         *(m for pair in pairs for m in pair),
         *transforms._column_factors(grid),
         *transforms._column_factors(dft),
+        transforms.solver_plan(walsh).order,
     ):
         with pytest.raises(ValueError):
             factor[0] = 1.0
     spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.IDENTITY, 8)
     separable_factor(spec)[0, 0] = 0.0  # callers get their own copy
-    assert transforms._hadamard(8)[0, 0] > 0
+    assert transforms._column_factors(spec)[0][0, 0] > 0
+
+
+def _per_spec_builds(spec):
+    """Every per-spec build of `spec` as arrays: its table, column pairs,
+    solver layout and projection, and both transforms."""
+    rng = np.random.default_rng(spec.dim)
+    x = rng.standard_normal((2, spec.dim))
+    y = apply(spec, Direction.FORWARD, x)
+    plan = solver_plan(spec)
+    rows = rng.permutation(spec.dim)[: spec.dim // 3]
+    v, out = rng.standard_normal(plan.shape), np.empty(plan.shape, complex)
+    plan.projector(rows, y[0, rows])(v, out)
+    return (
+        *_column_factors(spec),
+        *column_pairs(spec, rng.permutation(spec.dim)),
+        plan.order,
+        np.array(plan.shape),
+        out,
+        y,
+        apply(spec, Direction.ADJOINT, y),
+    )
+
+
+def test_per_spec_builds_keep_the_last_specs_and_rebuild_equal():
+    from avds import transforms
+
+    caches = (_column_factors, transforms._stages, solver_plan)
+    pairs = ((Measurement.HADAMARD2D, Sparsity.HAAR2D), (Measurement.DFT2D, Sparsity.DB4_2D))
+    specs = [
+        OperatorSpec(*pair, side, levels=j)
+        for side in (8, 16, 32)
+        for j in range(1, side.bit_length())
+        for pair in pairs  # both solver layouts
+    ][: transforms._SPECS_KEPT + 3]
+    assert len(specs) > transforms._SPECS_KEPT
+    first = _per_spec_builds(specs[0])
+    for spec in specs[1:]:
+        _per_spec_builds(spec)
+        assert all(cache.cache_info().currsize <= transforms._SPECS_KEPT for cache in caches)
+    misses = [cache.cache_info().misses for cache in caches]
+    again = _per_spec_builds(specs[0])
+    # evicted from every cache, so built again, to the same arrays
+    assert [cache.cache_info().misses for cache in caches] == [n + 1 for n in misses]
+    assert len(again) == len(first)
+    for got, want in zip(again, first):
+        assert np.array_equal(got, want)
