@@ -11,6 +11,11 @@ budget: `SeedSequence(seed).spawn(2)` seeds one generator for the supports
 and one for the i.i.d. masks, and trial t reads the t-th row of each.
 Reports are therefore fully reproducible from the config plus the master
 seed.
+
+`_trials` scores each solve once, into a `_Trial` record: the kind, the
+rows its mask covers, the PSNR, recovery (relative l2 error at most
+`RECOVERY_REL_ERR`) and convergence.  Experiments and transitions only
+reduce these records.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,6 +184,12 @@ class ExperimentConfig:
         if len(set(kinds)) < len(kinds):
             # one kind's trials would be pooled under one report key
             raise ConfigError(f"density kinds repeat: {kinds}")
+        for name, kind in (
+            ("spec", OperatorSpec), ("weights", WeightVector),
+            ("solver", SolverParams), ("weight_descriptor", dict),
+        ):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if not isinstance(self.flip_coefficients, bool):
             raise ConfigError(f"flip must be true or false, got {self.flip_coefficients!r}")
         if self.fraction is not None:
@@ -288,8 +300,18 @@ def _setup(cfg: ExperimentConfig) -> tuple[dict, SupportDistribution]:
     return densities, signal_distribution(weights)
 
 
+class _Trial(NamedTuple):
+    """One solve's outcome; `covered` is the fraction of the K rows its mask holds."""
+
+    kind: str
+    covered: float
+    psnr_db: float
+    recovered: bool
+    converged: bool
+
+
 def _trials(cfg: ExperimentConfig, dist, densities: dict, budget: int):
-    """(kind, x, mask, result) per trial and density, seeded as the module docstring says."""
+    """A `_Trial` per trial and density, seeded as the module docstring says."""
     for seed in np.random.SeedSequence((cfg.master_seed, budget)).spawn(cfg.trials):
         signal_seed, mask_seed = seed.spawn(2)
         x = draw_signals(dist, 1, seed=signal_seed)[0]
@@ -297,11 +319,14 @@ def _trials(cfg: ExperimentConfig, dist, densities: dict, budget: int):
             mask = draw_mask(density, budget, mode=DISTINCT, seed=mask_seed)
             mask = expand_blocks(mask, cfg.partition)
             op = MeasurementOp(cfg.spec, mask)
-            yield kind, x, mask, solve_bp(measure(x, op), op, cfg.solver)
+            result = solve_bp(measure(x, op), op, cfg.solver)
+            err = float(np.linalg.norm(result.x - x) / np.linalg.norm(x))
+            covered = mask.size / cfg.spec.dim
+            yield _Trial(kind, covered, psnr(x, result.x), err <= RECOVERY_REL_ERR, result.converged)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Draw signal / density / mask / measure / solve / score per trial.
+    """The report of the `_Trial` records of every trial and density kind.
 
     Every density kind is scored on each trial's signal, with masks keyed
     by the trial's one mask child, so the comparison is paired.  Fully
@@ -309,13 +334,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     t0 = time.perf_counter()
     densities, dist = _setup(cfg)
-    psnr_db: dict = {kind: [] for kind in cfg.density_kinds}
-    covered: dict = {kind: [] for kind in cfg.density_kinds}
-    unconverged = 0
-    for kind, x, mask, result in _trials(cfg, dist, densities, cfg.resolved_budget):
-        covered[kind].append(mask.size / cfg.spec.dim)
-        unconverged += not result.converged
-        psnr_db[kind].append(psnr(x, result.x))
+    records = list(_trials(cfg, dist, densities, cfg.resolved_budget))
+    psnr_db = {k: [r.psnr_db for r in records if r.kind == k] for k in densities}
+    covered = {k: [r.covered for r in records if r.kind == k] for k in densities}
 
     report = ExperimentReport(
         schema_version=REPORT_SCHEMA_VERSION,
@@ -332,7 +353,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             }
             for k, d in densities.items()
         },
-        unconverged_solves=unconverged,
+        unconverged_solves=sum(not r.converged for r in records),
         wall_clock_s=time.perf_counter() - t0,
     )
     return report
@@ -536,21 +557,21 @@ def phase_transition(
     m_grid,
     prune_target: float | None = None,
 ) -> dict:
-    """Success rate (relative l2 error <= `RECOVERY_REL_ERR`) vs budget per kind.
+    """The share of recovered trials (`_Trial.recovered`) vs budget per kind.
 
     Point (kind, m) runs the trials of that kind alone, seeded as the
     experiment at budget m seeds them, so kinds are paired; a kind with fewer
     atoms of positive mass than m gets a pruned 0.  With prune_target set,
-    a point stops once that success rate has become unreachable, flagged
-    pruned.  Before any solve, a prune_target outside [0, 1] is a
-    `ConfigError`, and a budget that is not an integer >= 1 an
-    `InfeasibleBudget`.
+    a point stops, flagged pruned, once its best reachable success rate
+    (trials - failures) / trials is below the target.  Before any solve, a
+    prune_target that is not a real number in [0, 1] is a `ConfigError`,
+    and a budget that is not an integer >= 1 an `InfeasibleBudget`.
     """
-    if prune_target is not None and not 0 <= prune_target <= 1:
+    # without a prune_target, as with a target of 0, every trial may fail
+    target = 0.0 if prune_target is None else _check_real(prune_target, "prune_target", ConfigError)
+    if not 0 <= target <= 1:
         raise ConfigError(f"prune_target must lie in [0, 1], got {prune_target}")
     budgets = [_check_count(m, "a transition budget", 1, InfeasibleBudget) for m in m_grid]
-    # without a prune_target, as with a target of 0, every trial may fail
-    max_failures = int(np.floor(cfg.trials * (1.0 - (prune_target or 0.0))))
     densities, dist = _setup(cfg)
     table: dict = {kind: [] for kind in cfg.density_kinds}
     for kind, density in densities.items():
@@ -560,11 +581,10 @@ def phase_transition(
                 table[kind].append(PhasePoint(m, 0.0, 0, pruned=True))
                 continue
             successes = run = 0
-            for _, x, _, result in _trials(cfg, dist, {kind: density}, m):
+            for trial in _trials(cfg, dist, {kind: density}, m):
                 run += 1
-                err = np.linalg.norm(result.x - x) / np.linalg.norm(x)
-                successes += bool(err <= RECOVERY_REL_ERR)
-                if run - successes > max_failures:
+                successes += trial.recovered
+                if (cfg.trials - run + successes) / cfg.trials < target:
                     break
             table[kind].append(PhasePoint(m, successes / run, run, pruned=run < cfg.trials))
     return table

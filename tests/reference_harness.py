@@ -47,21 +47,17 @@ def _trial(cfg, x: np.ndarray, density, budget: int, seed):
     """One trial step: DISTINCT mask (expanded to rows), measure x, solve."""
     mask = expand_blocks(draw_mask(density, budget, mode=DISTINCT, seed=seed), cfg.partition)
     op = MeasurementOp(cfg.spec, mask)
-    return mask, solve_bp(measure(x, op), op, cfg.solver)
+    return solve_bp(measure(x, op), op, cfg.solver)
 
 
-def reference_phase_transition(
-    cfg,
-    m_grid,
-    success_threshold: float = 1e-3,
-    prune_target: float | None = None,
-) -> dict:
-    """Success rate (relative l2 error <= threshold) vs budget per kind.
+def reference_phase_transition(cfg, m_grid, prune_target: float | None = None) -> dict:
+    """Success rate (relative l2 error <= 1e-3) vs budget per kind.
 
     Trial t at budget m reads `SeedSequence((master_seed, m)).spawn(trials)[t]`,
     children [signal, mask], for every kind.  With prune_target set, a grid
-    point stops early once that success rate has become unreachable; the
-    point is flagged pruned.
+    point stops early once that success rate has become unreachable, that
+    is once (trials - failures) / trials is below it; the point is flagged
+    pruned.
     """
     densities, dist = _setup(cfg)
     table: dict = {kind: [] for kind in cfg.density_kinds}
@@ -75,22 +71,18 @@ def reference_phase_transition(
             successes = 0
             failures = 0
             run = 0
-            budget_fail = (
-                None
-                if prune_target is None
-                else int(np.floor(cfg.trials * (1.0 - prune_target)))
-            )
             for t in range(cfg.trials):
                 children = seeds[t].spawn(2)
                 x = draw_signals(dist, 1, seed=children[0])[0]
-                result = _trial(cfg, x, densities[kind], int(m), children[1])[1]
+                result = _trial(cfg, x, densities[kind], int(m), children[1])
                 err = np.linalg.norm(result.x - x) / np.linalg.norm(x)
                 run += 1
-                if err <= success_threshold:
+                if err <= 1e-3:
                     successes += 1
                 else:
                     failures += 1
-                if budget_fail is not None and failures > budget_fail:
+                reachable = (cfg.trials - failures) / cfg.trials
+                if prune_target is not None and reachable < prune_target:
                     break
             table[kind].append(
                 PhasePoint(int(m), successes / run, run, pruned=run < cfg.trials)

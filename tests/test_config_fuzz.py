@@ -6,6 +6,7 @@ anywhere in one of `configs/*.json`.  It must either load, or raise an
 `error: <Class>` line.  A mutant may ask for any amount of work, so the
 CLI runs a loaded experiment at one trial of at most two continuation
 stages of three iterations, and diagnose at two trials per budget.
+The 100 mutants are drawn derandomized, so every run tries the same ones.
 """
 
 import dataclasses
@@ -94,7 +95,10 @@ _real_diagnose_rows = avds.cli.diagnose_rows
 
 @given(mutants())
 @settings(
-    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=100,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_mutated_config_loads_or_prints_one_error_class(monkeypatch, capsys, mutant):
     name, cfg = mutant

@@ -687,6 +687,9 @@ def test_phase_transition_matches_the_per_kind_reference(cfg, budgets, prune_tar
         ({"prune_target": 1.5}, ConfigError),
         ({"prune_target": -0.1}, ConfigError),
         ({"prune_target": math.nan}, ConfigError),
+        ({"prune_target": "0.5"}, ConfigError),
+        ({"prune_target": 1j}, ConfigError),
+        ({"prune_target": True}, ConfigError),
         ({"m_grid": [8, 12.9]}, InfeasibleBudget),
         ({"m_grid": [8.0]}, InfeasibleBudget),
         ({"m_grid": [0]}, InfeasibleBudget),
@@ -694,7 +697,8 @@ def test_phase_transition_matches_the_per_kind_reference(cfg, budgets, prune_tar
         ({"m_grid": [True]}, InfeasibleBudget),
     ],
     ids=[
-        "prune-above-1", "prune-below-0", "prune-nan",
+        "prune-above-1", "prune-below-0", "prune-nan", "prune-string", "prune-complex",
+        "prune-bool",
         "m-fractional", "m-float", "m-zero", "m-negative", "m-bool",
     ],
 )
@@ -705,6 +709,61 @@ def test_phase_transition_rejects_bad_inputs_before_any_solve(monkeypatch, kwarg
     monkeypatch.setattr(harness, "solve_bp", no_solve)
     with pytest.raises(error):
         phase_transition(_k32_config(["uniform"], 2), **{"m_grid": [8], **kwargs})
+
+
+def _handmade_trials(records):
+    """A stand-in for `harness._trials` that yields `records` of the kinds
+    asked for, and logs each (kinds, budget) call."""
+    calls = []
+
+    def trials(cfg, dist, densities, budget):
+        calls.append((tuple(densities), budget))
+        return (r for r in records if r.kind in densities)
+
+    return trials, calls
+
+
+def test_experiments_and_transitions_only_reduce_the_trial_records(monkeypatch):
+    record = harness._Trial
+    trials, calls = _handmade_trials(
+        [
+            record("adapted", 0.25, math.inf, True, True),
+            record("uniform", 0.5, 20.0, False, False),
+            record("adapted", 0.75, 30.0, False, True),
+            record("uniform", 0.5, 10.0, False, False),
+        ]
+    )
+    monkeypatch.setattr(harness, "_trials", trials)
+    report = run_experiment(_k32_config(["adapted", "uniform"], 2))
+    assert calls == [(("adapted", "uniform"), 1)]
+    assert report.psnr_db == {"adapted": [math.inf, 30.0], "uniform": [20.0, 10.0]}
+    # +inf is clipped at the cap before the mean and the deviation
+    assert report.psnr_mean == {"adapted": (harness.PSNR_CAP_DB + 30.0) / 2, "uniform": 15.0}
+    assert report.psnr_sd == {"adapted": (harness.PSNR_CAP_DB - 30.0) / 2, "uniform": 5.0}
+    assert report.covered_fraction == {"adapted": 0.5, "uniform": 0.5}
+    assert report.unconverged_solves == 2
+
+    # at 10 trials and a target of 0.8, two failures still reach 8 / 10 = 0.8
+    # and the third makes it unreachable
+    outcomes = [True, False, True, False, True, False, True, True, True, True]
+    trials, calls = _handmade_trials(
+        [record("uniform", 0.25, 0.0, ok, True) for ok in outcomes]
+        + [record("adapted", 0.25, math.inf, True, True)] * 10
+    )
+    monkeypatch.setattr(harness, "_trials", trials)
+    weights = WeightVector.from_omega(np.r_[np.full(16, 3 / 16), np.zeros(16)])
+    cfg = _k32_config(["uniform", "adapted"], 10, weights, Measurement.IDENTITY)
+    table = phase_transition(cfg, [8, 20], prune_target=0.8)
+    assert table["uniform"] == [
+        harness.PhasePoint(8, 3 / 6, 6, pruned=True),
+        harness.PhasePoint(20, 3 / 6, 6, pruned=True),
+    ]
+    # 16 atoms of positive adapted mass: m = 20 runs no trial
+    assert table["adapted"] == [
+        harness.PhasePoint(8, 1.0, 10, pruned=False),
+        harness.PhasePoint(20, 0.0, 0, pruned=True),
+    ]
+    assert calls == [(("uniform",), 8), (("uniform",), 20), (("adapted",), 8)]
 
 
 def test_run_experiment_scores_every_kind_on_each_trials_signal(monkeypatch):
@@ -871,6 +930,11 @@ def test_library_counts_of_the_wrong_type_raise_their_class(call, error):
             lambda: BlockPartition([np.arange(1024), *np.arange(1024, 2048)[:, None]], "x"),
             InvalidPartition,
         ),
+        (lambda: small_config(spec="dft1d:identity:64"), ConfigError),
+        (lambda: small_config(weights=np.full(64, 4 / 64)), ConfigError),
+        (lambda: small_config(solver={"max_inner": 5}), ConfigError),
+        (lambda: small_config(solver=None), ConfigError),
+        (lambda: small_config(weight_descriptor=None), ConfigError),
         (lambda: estimate_weights(np.ones((2, 4)), "0.5"), InvalidWeights),
         (lambda: estimate_weights(np.ones((2, 4)), None), InvalidWeights),
         (lambda: normalize_weights(np.full(8, 0.5), "3"), InvalidWeights),
@@ -903,6 +967,8 @@ def test_library_counts_of_the_wrong_type_raise_their_class(call, error):
         "horizontal-lines-beyond-max-dim", "squares-beyond-max-dim", "line-side-float",
         "measurement-name", "sparsity-name", "solver-scale-string", "fraction-overflow",
         "singletons-of-another-dim", "lines-of-another-dim", "padded-table-beyond-max-dim",
+        "config-spec-string", "config-weights-array", "config-solver-dict", "config-solver-none",
+        "config-descriptor-none",
         "threshold-string", "threshold-none", "target-string", "profile-target-string",
         "normalize-omega-strings", "omega-string", "omega-complex",
         "psnr-reference-inf", "psnr-empty", "density-2d",
@@ -932,7 +998,10 @@ def test_library_inputs_end_in_their_error_class(call, error):
     # stored.  A string direction ran the adjoint, a string or None epsilon
     # ended in a bare TypeError, as did a float profile side or level count
     # (a string base in numpy's UFuncTypeError), and a 2^11 profile side
-    # built all 2^22 weights
+    # built all 2^22 weights.  A config took a spec, weights, solver or
+    # weight descriptor of any type: a string spec or array weights ended in
+    # an AttributeError, a dict solver in one inside solve_bp, and a None
+    # solver or descriptor ran every solve before a TypeError in describe()
     with pytest.raises(error):
         call()
 
