@@ -87,11 +87,14 @@ def estimate_weights(corpus, threshold: float, mode: str = "absolute") -> Weight
 
 
 def normalize_weights(omega, s_target: float) -> WeightVector:
-    """Rescale omega to sum to s_target, clamping at 1 and redistributing.
+    """Rescale omega to w = min(1, c * omega), the one c with sum(w) = s_target.
 
-    Entries pushed above 1 are clamped and the excess is spread
-    proportionally over the remaining entries until the sum constraint
-    holds to 1e-9.
+    Water-filling: with the positive entries sorted by decreasing omega,
+    the k largest clamp at 1 for the smallest k at which the next one,
+    scaled to carry the remaining s_target - k, is at most 1; then
+    c = (s_target - k) / (sum of the other entries).  Without a clamp, w is
+    omega / sum(omega) * s_target.  Weights whose sum overflows are
+    divided by their largest entry first.
     """
     if not _check_real(s_target, "target sum", InvalidWeights) > 0:
         raise InvalidWeights(f"target sum must be positive, got {s_target}")
@@ -107,26 +110,21 @@ def normalize_weights(omega, s_target: float) -> WeightVector:
         raise InvalidWeights(
             f"target sum {s_target} exceeds the {int(positive.sum())} positive entries"
         )
+    with np.errstate(over="ignore"):
+        if not np.isfinite(omega.sum()):
+            omega = omega / omega.max()
     # divide before scaling: ratios stay <= 1 even for subnormal inputs
     w = (omega / omega.sum()) * s_target
-    clamped = np.zeros(len(w), dtype=bool)
-    for _ in range(len(w)):
-        over = w > 1.0
-        if not over.any():
-            break
-        clamped |= over
-        w[clamped] = 1.0
-        deficit = s_target - clamped.sum()
-        free = ~clamped & positive
-        total_free = w[free].sum()
-        if total_free == 0 and free.any():
-            # the rescaled free weights underflowed: spread by the raw ones
-            w[free] = omega[free]
-            total_free = w[free].sum()
-        if deficit < -1e-12 or (deficit > 1e-12 and total_free == 0):
-            raise InvalidWeights("cannot redistribute excess mass")
-        if total_free > 0:
-            w[free] = (w[free] / total_free) * deficit
+    if w.max() > 1.0:
+        order = np.argsort(-omega, kind="stable")[: np.count_nonzero(positive)]
+        top = omega[order]
+        tail = np.cumsum(top[::-1])[::-1]  # tail[i] = sum(top[i:]), from the raw omega
+        fits = top * (s_target - np.arange(top.size)) <= tail
+        k = int(np.argmax(fits)) if fits.any() else top.size  # none fits: all clamp
+        w[order[:k]] = 1.0
+        if k < top.size:
+            # rounding may put the largest free entry one ulp above 1
+            w[order[k:]] = np.minimum(top[k:] / tail[k] * (s_target - k), 1.0)
     if not abs(w.sum() - s_target) <= 1e-9:  # NaN fails too
         raise InvalidWeights("normalisation failed to reach the target sum")
     return WeightVector(omega=w, sparsity=float(s_target))

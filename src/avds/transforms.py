@@ -307,8 +307,14 @@ def _with_transpose(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sandwich(pair, img: np.ndarray, out=None) -> np.ndarray:
-    """L X R on the trailing two axes; pair = (L, R)."""
+    """L X R on the trailing two axes; pair = (L, R).
+
+    A real X against a complex R is one real GEMM against R viewed as
+    (re, im) float pairs: half the multiplies of promoting X to complex.
+    """
     left, right = pair
+    if np.iscomplexobj(right) and not np.iscomplexobj(img):
+        return np.matmul(left, (img @ right.view(np.float64)).view(np.complex128), out=out)
     return np.matmul(left, img @ right, out=out)
 
 

@@ -13,12 +13,14 @@ they have exactly S successes), `support_prob` (the closed form) and
 exact sampler's law.  The oracles derive the free log-odds
 (`free_log_odds`) and the model's normaliser from the weights themselves:
 the model keeps only the log-ESP table its sampler reads.
+`reference_normalize_weights` is the clamp-and-redistribute loop that
+the water-filling `normalize_weights` replaced, copied verbatim.
 """
 
 import numpy as np
 
-from avds.errors import AvdsError, InvalidWeights
-from avds.support_model import SupportDistribution
+from avds.errors import AvdsError, InvalidWeights, _check_real, _check_reals
+from avds.support_model import SupportDistribution, WeightVector
 
 
 class RejectionCapExceeded(AvdsError):
@@ -182,3 +184,50 @@ def sequential_path_log_prob(dist: SupportDistribution, support) -> float:
                 return -np.inf
             total += np.log1p(-p)
     return total
+
+
+def reference_normalize_weights(omega, s_target: float) -> WeightVector:
+    """Rescale omega to sum to s_target, clamping at 1 and redistributing.
+
+    Entries pushed above 1 are clamped and the excess is spread
+    proportionally over the remaining entries until the sum constraint
+    holds to 1e-9.  The clamp-and-redistribute loop that the avds
+    water-filling replaced, copied verbatim.
+    """
+    if not _check_real(s_target, "target sum", InvalidWeights) > 0:
+        raise InvalidWeights(f"target sum must be positive, got {s_target}")
+    omega = _check_reals(omega, "omega entries", InvalidWeights)
+    if not np.all(np.isfinite(omega)):
+        raise InvalidWeights("omega entries must be finite")
+    if np.any(omega < 0):
+        raise InvalidWeights("omega entries must be nonnegative")
+    positive = omega > 0
+    if not np.any(positive):
+        raise InvalidWeights("omega must not be all zero")
+    if s_target > positive.sum() + 1e-12:
+        raise InvalidWeights(
+            f"target sum {s_target} exceeds the {int(positive.sum())} positive entries"
+        )
+    # divide before scaling: ratios stay <= 1 even for subnormal inputs
+    w = (omega / omega.sum()) * s_target
+    clamped = np.zeros(len(w), dtype=bool)
+    for _ in range(len(w)):
+        over = w > 1.0
+        if not over.any():
+            break
+        clamped |= over
+        w[clamped] = 1.0
+        deficit = s_target - clamped.sum()
+        free = ~clamped & positive
+        total_free = w[free].sum()
+        if total_free == 0 and free.any():
+            # the rescaled free weights underflowed: spread by the raw ones
+            w[free] = omega[free]
+            total_free = w[free].sum()
+        if deficit < -1e-12 or (deficit > 1e-12 and total_free == 0):
+            raise InvalidWeights("cannot redistribute excess mass")
+        if total_free > 0:
+            w[free] = (w[free] / total_free) * deficit
+    if not abs(w.sum() - s_target) <= 1e-9:  # NaN fails too
+        raise InvalidWeights("normalisation failed to reach the target sum")
+    return WeightVector(omega=w, sparsity=float(s_target))

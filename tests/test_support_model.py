@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,11 @@ import pytest
 import reference_support
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_support import sequential_path_log_prob, support_prob
+from reference_support import (
+    reference_normalize_weights,
+    sequential_path_log_prob,
+    support_prob,
+)
 
 from avds import support_model
 from avds.errors import ConfigError, InvalidWeights
@@ -390,6 +395,81 @@ def test_normalize_weights_subnormal_entry():
     # 5e-324 rescales to zero; it must still take the mass left by the clamp
     wv = normalize_weights(np.array([0.0, 2.0, 5e-324]), 2)
     assert np.array_equal(wv.omega, [0.0, 1.0, 1.0])
+
+
+def _assert_matches_the_loop(omega, s_target):
+    """Water-filling against the clamp-and-redistribute loop: the same
+    clamped set, values within 1e-12 * s_target, and the same bits when
+    nothing clamps.  An entry that lands exactly on 1 (c * omega = 1) may
+    come out one rounding below 1 on either side, so the clamped sets are
+    compared away from such ties only."""
+    omega = np.asarray(omega, dtype=float)
+    want = reference_normalize_weights(omega, s_target).omega
+    got = normalize_weights(omega, s_target).omega
+    assert np.all(np.abs(got - want) <= 1e-12 * s_target)
+    tie = ((want > 1 - 1e-12) & (want < 1)) | ((got > 1 - 1e-12) & (got < 1))
+    assert np.array_equal((got == 1)[~tie], (want == 1)[~tie])
+    if not np.any(omega / omega.sum() * s_target > 1):
+        assert np.array_equal(got, want)
+
+
+@st.composite
+def weights_and_targets(draw):
+    omega = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 2.0, 3.0, 5e-324]),  # zeros, ties, a subnormal
+                # no subnormal after rescaling: the loop then loses precision
+                st.floats(1e-100, 1e6),
+            ),
+            min_size=1,
+            max_size=40,
+        ).filter(lambda v: any(x > 0 for x in v))
+    )
+    positives = sum(1 for x in omega if x > 0)
+    s_target = draw(st.one_of(st.integers(1, positives), st.floats(0.01, positives)))
+    return omega, s_target
+
+
+@given(weights_and_targets())
+@settings(max_examples=300, deadline=None)
+def test_normalize_weights_matches_the_redistribution_loop(case):
+    _assert_matches_the_loop(*case)
+
+
+_K = 2**16
+
+
+@pytest.mark.parametrize(
+    "omega, s_target",
+    [
+        ([0.0, 2.0, 5e-324], 2),
+        ([0.0, 3.0, 3.0, 1.0, 1.0, 0.0, 1.0], 3),
+        ([2.0, 2.0, 2.0, 1.0], 3.5),
+        (1.0 / np.arange(1, _K + 1), _K // 2),  # cascade: each round of clamps pushes more over 1
+        ((1 + 1 / _K) ** (_K - np.arange(_K)), 0.9 * _K),
+    ],
+    ids=["subnormal", "zeros-and-ties", "all-but-one-clamp", "harmonic-cascade", "geometric-cascade"],
+)
+def test_normalize_weights_matches_the_loop_on_hard_cases(omega, s_target):
+    _assert_matches_the_loop(omega, s_target)
+
+
+def test_normalize_weights_spreads_subnormal_weights_in_proportion():
+    # the loop rescaled 5e-324 and 1e-320 (2024 ulps) to 0 and 1.2e-320 first,
+    # so all of the last unit went to the larger one; the exact split is 1 : 2024
+    wv = normalize_weights([1.0, 1.0, 1.0, 1.0, 1.0, 5e-324, 1e-320], 6)
+    assert np.array_equal(wv.omega[:5], np.ones(5))
+    assert np.allclose(wv.omega[5:], [1 / 2025, 2024 / 2025], rtol=1e-12, atol=0)
+
+
+def test_normalize_weights_survives_a_sum_that_overflows():
+    # the sum of 1e308 + 1e308 overflows; it warned, then raised InvalidWeights
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(normalize_weights([1e308, 1e308], 1).omega, [0.5, 0.5])
+        wv = normalize_weights([1.7e308, 1e308, 1e300], 2)
+    assert wv.omega[0] == 1.0 and abs(wv.omega.sum() - 2) <= 1e-12
 
 
 def test_distribution_requires_integer_sum():
