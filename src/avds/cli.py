@@ -159,9 +159,9 @@ def _resolve_weights(entry: dict, spec: OperatorSpec, base_dir: str) -> tuple:
         raise ConfigError(f"unknown weight keys {sorted(unknown)}")
     if source == "uniform":
         s = _check_real(entry["sparsity"], "weights sparsity", ConfigError)
-        wv = WeightVector.from_omega(np.full(spec.dim, s / spec.dim))
+        wv = WeightVector(np.full(spec.dim, s / spec.dim))
     elif source == "tensor":
-        wv = WeightVector.from_omega(_read_vector(os.path.join(base_dir, entry["path"]), real=True))
+        wv = WeightVector(_read_vector(os.path.join(base_dir, entry["path"]), real=True))
     elif source == "corpus":
         corpus = _load_corpus(os.path.join(base_dir, entry["path"]), spec)
         wv = estimate_weights(
@@ -301,7 +301,7 @@ def _cmd_density(args) -> int:
         if args.weights is None:
             raise ConfigError("adapted density needs --weights")
         omega = _read_vector(args.weights, real=True)
-        dens = adapted_blocks(spec, partition, WeightVector.from_omega(omega))
+        dens = adapted_blocks(spec, partition, WeightVector(omega))
     else:
         dens = baseline_density(args.kind, spec, partition)
     tensorio.write_tensor(args.out, dens.pi)

@@ -66,25 +66,35 @@ _MAX_BLOCK_ROWS = 4096
 _POLYNOMIAL_EXPONENT = 2.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class Density:
-    """Probability vector over rows or blocks plus its normaliser L."""
+    """Probability vector over rows or blocks plus its normaliser L.
+
+    Checked once, here: `pi` must be a 1D vector of finite, nonnegative
+    real numbers summing to one within 1e-9, and L a positive finite real
+    number; anything else is an InvalidSpec.  `pi` is stored as a
+    read-only copy, so the density cannot change after its check and its
+    readers (`masks.draw_mask`, `harness.diagnostics`) trust it.
+    """
 
     pi: np.ndarray
     normalizer: float
 
     def __post_init__(self) -> None:
-        self.pi = _check_reals(self.pi, "density entries", InvalidSpec)
-        if self.pi.ndim != 1:
-            raise InvalidSpec(f"a density is a 1D vector, got shape {self.pi.shape}")
-        if not np.all(np.isfinite(self.pi)):
+        pi = _check_reals(self.pi, "density entries", InvalidSpec)
+        if pi.ndim != 1:
+            raise InvalidSpec(f"a density is a 1D vector, got shape {pi.shape}")
+        if not np.all(np.isfinite(pi)):
             raise InvalidSpec("density entries must be finite")
-        if np.any(self.pi < -1e-15):
+        if np.any(pi < 0):
             raise InvalidSpec("density entries must be nonnegative")
-        if abs(self.pi.sum() - 1.0) > 1e-9:
+        if abs(pi.sum() - 1.0) > 1e-9:
             raise InvalidSpec("density must sum to one")
         if not 0 < _check_real(self.normalizer, "the normalizer", InvalidSpec) < np.inf:
             raise InvalidSpec(f"the normalizer must be positive and finite, got {self.normalizer}")
+        pi = pi.copy()  # freezes no array of the caller's
+        pi.flags.writeable = False
+        object.__setattr__(self, "pi", pi)
 
     def __len__(self) -> int:
         return int(self.pi.size)
@@ -267,7 +277,7 @@ def _norm_terms(spec: OperatorSpec, partition: BlockPartition, weights: WeightVe
     """
     if partition.dim != spec.dim:
         raise InvalidPartition("partition does not match the operator dimension")
-    table, omega = partition.table, np.asarray(weights.omega, dtype=float)
+    table, omega = partition.table, weights.omega
     key = (spec, table.shape, table.tobytes(), partition.sizes.tobytes(), omega.tobytes(), gram)
     terms = _TERMS_MEMO.pop(key, None)
     if terms is None:
@@ -353,7 +363,7 @@ def baseline_density(
         m = partition.m
         return Density(np.full(m, 1.0 / m), float(m))
     if kind == "coherence":
-        ones = WeightVector.from_omega(np.ones(spec.dim))
+        ones = WeightVector(np.ones(spec.dim))
         return _normalised(_norm_terms(spec, partition, ones, gram=False)[1])
     if kind == "polynomial":
         if not spec.is_2d or spec.measurement not in (

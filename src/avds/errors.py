@@ -37,10 +37,6 @@ class InfeasibleBudget(AvdsError):
     """Requested number of distinct draws exceeds the density support."""
 
 
-class UnnormalizedDensity(AvdsError):
-    """Density vector does not sum to one within tolerance."""
-
-
 class UnsupportedSolver(AvdsError):
     """Solver invoked on an operator outside its contract."""
 

@@ -144,7 +144,7 @@ def scale_profile_weights(
     omega = np.clip(base * decay ** f.astype(float), 0.0, 1.0)
     if s_target is not None:
         return normalize_weights(omega, s_target)
-    return WeightVector.from_omega(omega)
+    return WeightVector(omega)
 
 
 def _fraction_budget(fraction, atoms: int) -> int:
@@ -280,13 +280,13 @@ def signal_distribution(weights: WeightVector) -> SupportDistribution:
     one built is kept, with its arrays read-only.
     """
     s_int = max(1, int(round(weights.sparsity)))
-    return _signal_model(np.asarray(weights.omega, dtype=float).tobytes(), s_int)
+    return _signal_model(weights.omega.tobytes(), s_int)
 
 
 @functools.lru_cache(maxsize=1)
 def _signal_model(omega: bytes, s: int) -> SupportDistribution:
     dist = SupportDistribution(normalize_weights(np.frombuffer(omega), s))
-    for array in (dist.weights.omega, dist._forced, dist._free, dist._esp):
+    for array in (dist._forced, dist._free, dist._esp):  # its weights are read-only
         array.flags.writeable = False
     return dist
 
@@ -295,7 +295,7 @@ def _setup(cfg: ExperimentConfig) -> tuple[dict, SupportDistribution]:
     """Densities per kind and the signal distribution, from the (flipped) weights."""
     weights = cfg.weights
     if cfg.flip_coefficients:
-        weights = WeightVector.from_omega(flip(weights.omega))
+        weights = WeightVector(flip(weights.omega))
     densities = {kind: build_density(kind, cfg, weights) for kind in cfg.density_kinds}
     return densities, signal_distribution(weights)
 

@@ -12,9 +12,11 @@ Spirakis, 2006): atom k gets log E_k - log pi_k with E_k ~ Exp(1), and the
 m smallest keys are kept, so no budget up to the positive-mass atoms
 needs more than one key per atom.  E_k is drawn for every entry of pi,
 so densities keyed by one seed share each atom's E_k whatever their zero
-sets, and equal densities draw equal masks.  Every partition, the singletons
-included, expands through one gather, `BlockPartition.block_rows`; an
-expanded mask covers `mask.size / K` of the rows.
+sets, and equal densities draw equal masks.  A `Density` is checked when
+it is built and cannot change after, so both modes read it as given.
+Every partition, the singletons included, expands through one gather,
+`BlockPartition.block_rows`; an expanded mask covers `mask.size / K` of
+the rows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import (
     DimensionMismatch,
     InfeasibleBudget,
     InvalidPartition,
-    UnnormalizedDensity,
     _check_indices,
 )
 from .support_model import _check_count, _check_seed
@@ -62,16 +63,9 @@ class Mask:
         return int(self.indices.size)
 
 
-def _positive_atoms(density: Density) -> np.ndarray:
-    pi = density.pi
-    if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-9:
-        raise UnnormalizedDensity("density must be nonnegative and sum to 1")
-    return np.flatnonzero(pi > 0)
-
-
 def _categorical_table(density: Density):
     """The i.i.d. table: positive-mass atoms and their normalised cumulative mass."""
-    atoms = _positive_atoms(density)
+    atoms = np.flatnonzero(density.pi > 0)
     cum = np.cumsum(density.pi[atoms])
     cum /= cum[-1]
     return atoms, cum
@@ -101,7 +95,7 @@ def draw_mask(density: Density, budget: int, mode: str = DISTINCT, seed=None) ->
     if mode == IID:
         counts = np.bincount(_iid_draw(*_categorical_table(density), rng.random(budget)))
         return Mask(np.flatnonzero(counts), counts[counts > 0], n_draws=budget)
-    atoms = _positive_atoms(density)
+    atoms = np.flatnonzero(density.pi > 0)
     if budget > atoms.size:
         raise InfeasibleBudget(
             f"budget {budget} exceeds the {atoms.size} atoms with positive mass"

@@ -9,7 +9,8 @@ sampler never reads, is left to the test oracle
 (`tests/reference_support.support_prob`).  Weights come from a corpus
 (`estimate_weights`) or a profile, rescaled to an integer sum
 (`normalize_weights`); `sample_supports` and `draw_signals` then draw
-supports and signals from the model.
+supports and signals from the model.  A `WeightVector` is checked once,
+when it is built, and cannot change after: every reader trusts it.
 """
 
 from __future__ import annotations
@@ -28,22 +29,29 @@ _SUM_TOL = 1e-6
 MAX_ESP_ENTRIES = 1 << 26
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightVector:
-    """Per-coefficient inclusion weights with their sum S = sum(omega)."""
+    """Per-coefficient inclusion weights omega in [0, 1], with S = sum(omega).
+
+    Checked once, here: entries that are not real numbers, a vector that is
+    not 1D and nonempty, or an entry outside [0, 1] (NaN included) is an
+    InvalidWeights; entries within 1e-12 of the range are clipped into it.
+    `omega` is a read-only copy, and `sparsity` is its sum.
+    """
 
     omega: np.ndarray
-    sparsity: float
+    sparsity: float = field(init=False)
 
-    @classmethod
-    def from_omega(cls, omega) -> "WeightVector":
-        omega = _check_reals(omega, "omega entries", InvalidWeights)
+    def __post_init__(self) -> None:
+        omega = _check_reals(self.omega, "omega entries", InvalidWeights)
         if omega.ndim != 1 or omega.size == 0:
             raise InvalidWeights("omega must be a nonempty 1D vector")
         if not np.all((omega >= -1e-12) & (omega <= 1 + 1e-12)):  # NaN fails too
             raise InvalidWeights("omega entries must lie in [0, 1]")
-        omega = np.clip(omega, 0.0, 1.0)
-        return cls(omega=omega, sparsity=float(omega.sum()))
+        omega = np.clip(omega, 0.0, 1.0)  # a new array
+        omega.flags.writeable = False
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "sparsity", float(omega.sum()))
 
     def matrix(self) -> np.ndarray:
         """Weight matrix W with vec(W) = omega (column-major)."""
@@ -83,7 +91,7 @@ def estimate_weights(corpus, threshold: float, mode: str = "absolute") -> Weight
     omega = hits.mean(axis=0)
     if not np.any(omega > 0):
         raise InvalidWeights("no coefficient survived thresholding")
-    return WeightVector.from_omega(omega)
+    return WeightVector(omega)
 
 
 def normalize_weights(omega, s_target: float) -> WeightVector:
@@ -127,7 +135,7 @@ def normalize_weights(omega, s_target: float) -> WeightVector:
             w[order[k:]] = np.minimum(top[k:] / tail[k] * (s_target - k), 1.0)
     if not abs(w.sum() - s_target) <= 1e-9:  # NaN fails too
         raise InvalidWeights("normalisation failed to reach the target sum")
-    return WeightVector(omega=w, sparsity=float(s_target))
+    return WeightVector(w)
 
 
 def _log_suffix_esp(log_odds: np.ndarray, r_max: int) -> np.ndarray:

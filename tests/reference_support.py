@@ -230,4 +230,4 @@ def reference_normalize_weights(omega, s_target: float) -> WeightVector:
             w[free] = (w[free] / total_free) * deficit
     if not abs(w.sum() - s_target) <= 1e-9:  # NaN fails too
         raise InvalidWeights("normalisation failed to reach the target sum")
-    return WeightVector(omega=w, sparsity=float(s_target))
+    return WeightVector(w)

@@ -185,7 +185,7 @@ def test_criterion_5_line_block_closed_form():
     worst = 0.0
     for i in range(10):
         omega = np.random.default_rng(500 + i).uniform(0.01, 0.95, side * side)
-        wv = WeightVector.from_omega(omega)
+        wv = WeightVector(omega)
         for part in (
             BlockPartition.vertical_lines(side),
             BlockPartition.horizontal_lines(side),
@@ -382,7 +382,7 @@ def test_criterion_11_phase_transition_dominance():
     t0 = time.perf_counter()
     s = 16
     spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 32, levels=1)
-    wv = WeightVector.from_omega(np.full(1024, s / 1024))
+    wv = WeightVector(np.full(1024, s / 1024))
     cfg = ExperimentConfig(
         spec=spec,
         weights=wv,

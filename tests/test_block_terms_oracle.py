@@ -69,7 +69,7 @@ def _weights(side, case: str, seed: int) -> WeightVector:
         w[:, 2:] = 0.0
     elif case == "zero_rows":
         w[2:, :] = 0.0
-    return WeightVector.from_omega(w.T.ravel())
+    return WeightVector(w.T.ravel())
 
 
 def _partition(side: int, case: str, seed: int) -> BlockPartition:
@@ -214,6 +214,6 @@ def test_class_squares_coherence_extracts_no_rows(monkeypatch):
 @pytest.mark.parametrize("part_case", PARTITIONS)
 def test_block_terms_need_a_positive_weight(spar, part_case):
     spec = OperatorSpec(Measurement.DFT2D, spar, 8)
-    zero = WeightVector.from_omega(np.zeros(64))
+    zero = WeightVector(np.zeros(64))
     with pytest.raises(InvalidWeights):
         block_norm_terms(spec, _partition(8, part_case, seed=0), zero)

@@ -45,7 +45,7 @@ def _weights(spec, case: str, seed: int) -> WeightVector:
         keep[:col] = True
         keep[spec.dim // 2 : spec.dim // 2 + col] = True
         omega *= keep
-    return WeightVector.from_omega(omega)
+    return WeightVector(omega)
 
 
 def _partition(spec, case: str, seed: int):
@@ -98,7 +98,7 @@ def test_dense_terms_match_reference(spec):
 def test_dense_terms_reject_oversized_blocks():
     # the guard runs before any row is extracted
     spec = OperatorSpec(Measurement.DFT1D, Sparsity.IDENTITY, 8192)
-    wv = WeightVector.from_omega(np.full(8192, 0.5))
+    wv = WeightVector(np.full(8192, 0.5))
     for blocks in ([np.arange(8192)], np.arange(8192)[None]):
         with pytest.raises(InvalidPartition):
             _dense_terms(spec, BlockPartition(blocks, "whole"), [0], wv)

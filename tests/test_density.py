@@ -210,7 +210,7 @@ def test_fourier_uniformity():
 def test_identity_case_uniform_on_support():
     spec = OperatorSpec(Measurement.IDENTITY, Sparsity.IDENTITY, 8)
     omega = np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0])
-    dens = adapted_isolated(spec, WeightVector.from_omega(omega))
+    dens = adapted_isolated(spec, WeightVector(omega))
     assert np.array_equal(dens.pi, np.array([0.5, 0.5, 0, 0, 0, 0, 0, 0]))
 
     omega = np.array([0.7, 0.5, 0.8, 0, 0, 0, 0, 0])
@@ -251,7 +251,7 @@ def test_flip_equivariance_for_dft():
     spec = OperatorSpec(Measurement.DFT1D, Sparsity.IDENTITY, 16)
     wv = random_weights(16, 3, seed=9)
     d1 = adapted_isolated(spec, wv)
-    d2 = adapted_isolated(spec, WeightVector.from_omega(flip(wv.omega)))
+    d2 = adapted_isolated(spec, WeightVector(flip(wv.omega)))
     assert np.max(np.abs(flip(d1.pi) - d2.pi)) <= 1e-9
 
 
@@ -286,10 +286,10 @@ def test_singleton_gram_and_inf1_values():
 def test_inf1_norm_of_coordinate_projector():
     spec = OperatorSpec(Measurement.IDENTITY, Sparsity.IDENTITY, 8)
     part = BlockPartition([[1, 4, 6], [0, 2, 3, 5, 7]], kind="pair")
-    wv = WeightVector.from_omega(np.full(8, 0.5))
+    wv = WeightVector(np.full(8, 0.5))
     assert np.isclose(_dense_terms(spec, part, [0], wv)[1][0], 1.0, atol=1e-14)
     # the sup term runs over positive weights only: none of columns 1, 4, 6
-    wv = WeightVector.from_omega(np.array([0.5, 0, 0.5, 0.5, 0, 0.5, 0, 0.5]))
+    wv = WeightVector(np.array([0.5, 0, 0.5, 0.5, 0, 0.5, 0, 0.5]))
     assert _dense_terms(spec, part, [0], wv)[1][0] == 0.0
 
 
@@ -299,7 +299,7 @@ def test_vertical_line_hand_example():
     spec = OperatorSpec(Measurement.HADAMARD2D, Sparsity.IDENTITY, 2)
     w = np.array([[0.2, 0.4], [0.1, 0.3]])
     omega = w.T.ravel()  # vec(W), column-major
-    wv = WeightVector.from_omega(omega)
+    wv = WeightVector(omega)
     part = BlockPartition.vertical_lines(2)
     assert np.isclose(_dense_terms(spec, part, [0], wv)[0][0], 0.3, atol=1e-12)
 
@@ -317,7 +317,7 @@ def test_closed_form_agrees_with_generic(kind, meas, spar):
     spec = OperatorSpec(meas, spar, side, levels=2)
     part = getattr(BlockPartition, kind)(side)
     rng = np.random.default_rng(1)
-    wv = WeightVector.from_omega(rng.uniform(0.01, 0.9, size=side * side))
+    wv = WeightVector(rng.uniform(0.01, 0.9, size=side * side))
     closed = adapted_blocks(spec, part, wv)
     generic = dense_density(spec, part, wv)
     assert np.max(np.abs(closed.pi - generic.pi)) <= 1e-8
@@ -342,7 +342,7 @@ def test_uniform_weight_line_value():
     side = 8
     s = 4.0
     spec = OperatorSpec(Measurement.DFT2D, Sparsity.IDENTITY, side)
-    wv = WeightVector.from_omega(np.full(side * side, s / side**2))
+    wv = WeightVector(np.full(side * side, s / side**2))
     part = BlockPartition.vertical_lines(side)
     dens = adapted_blocks(spec, part, wv)
     expected = max(s / side**2, 1.0 / side)
@@ -392,8 +392,8 @@ def test_polynomial_rejected_for_1d():
 @pytest.mark.parametrize("spar", [Sparsity.HAAR2D, Sparsity.TENSOR_DB4], ids=lambda s: s.value)
 def test_mismatched_weights_and_partitions_raise_their_own_class(spar):
     spec = OperatorSpec(Measurement.DFT2D, spar, 8)
-    short = WeightVector.from_omega(np.full(16, 0.5))
-    fits = WeightVector.from_omega(np.full(64, 0.5))
+    short = WeightVector(np.full(16, 0.5))
+    fits = WeightVector(np.full(64, 0.5))
     parts = (BlockPartition.singletons(64), BlockPartition.vertical_lines(8))
     for part in parts:
         with pytest.raises(InvalidWeights):
@@ -444,7 +444,7 @@ def test_block_terms_memo_hits_on_equal_content(monkeypatch):
     again = block_norm_terms(
         OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 16, levels=2),
         BlockPartition(list(part.table), kind="another label"),
-        WeightVector(wv.omega.copy(), wv.sparsity),
+        WeightVector(wv.omega.copy()),
     )
     assert len(builds) == 1
     for got, want in zip(again, first):
@@ -460,7 +460,7 @@ def test_block_terms_memo_misses_on_other_content(monkeypatch):
     block_norm_terms(spec, part, wv)
     omega = wv.omega.copy()
     omega[[0, 1]] = omega[[1, 0]]
-    block_norm_terms(spec, part, WeightVector.from_omega(omega))  # another omega
+    block_norm_terms(spec, part, WeightVector(omega))  # another omega
     block_norm_terms(spec, BlockPartition.squares(16, 2), wv)  # another partition
     density._norm_terms(spec, part, wv, gram=False)  # no Gram terms
     assert len(builds) == 4

@@ -129,7 +129,7 @@ def test_singleton_terms_reject_bad_weights():
     singletons = BlockPartition.singletons(16)
     for omega in (np.full(8, 0.5), np.zeros(16)):
         with pytest.raises(InvalidWeights):
-            block_norm_terms(spec, singletons, WeightVector.from_omega(omega))
+            block_norm_terms(spec, singletons, WeightVector(omega))
 
 
 def test_coherence_baseline_is_the_row_sup_norm():

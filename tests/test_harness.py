@@ -53,7 +53,7 @@ def test_psnr_basics():
 
 
 def test_synth_corpus_properties():
-    wv = WeightVector.from_omega(np.array([1.0, 0, 1.0, 0, 0, 0, 0, 0]))
+    wv = WeightVector(np.array([1.0, 0, 1.0, 0, 0, 0, 0, 0]))
     corpus = synth_corpus(wv, 20, floor=0.3, seed=1)
     assert corpus.shape == (20, 8)
     assert np.all((corpus[:, [0, 2]] != 0))
@@ -63,7 +63,7 @@ def test_synth_corpus_properties():
 
     rng = np.random.default_rng(2)
     omega = normalize_weights(rng.uniform(0.05, 0.5, 256), 16).omega
-    wv = WeightVector(omega, 16.0)
+    wv = WeightVector(omega)
     corpus = synth_corpus(wv, 1000, floor=0.5, seed=3)
     est = estimate_weights(corpus, threshold=0.25)
     assert np.max(np.abs(est.omega - omega)) <= 0.08
@@ -254,7 +254,7 @@ def test_diagnostics_identity_hand_values():
     part = BlockPartition.singletons(k)
     omega = np.zeros(k)
     omega[:8] = 0.5  # S = 4, J = first 8
-    wv = WeightVector.from_omega(omega)
+    wv = WeightVector(omega)
     dens = adapted_isolated(spec, wv)
     m = 10
     diag = diagnostics(spec, part, dens, wv, m=m, trials=8, seed=0)
@@ -418,7 +418,7 @@ def test_diagnostics_tail_decreases_with_m():
     ],
 )
 def test_diagnostics_match_per_trial_reference(spec, part, omega, kind):
-    wv = WeightVector.from_omega(omega)
+    wv = WeightVector(omega)
     if kind == "adapted":
         dens = adapted_isolated(spec, wv)
     else:
@@ -558,17 +558,17 @@ def _counting_builds(monkeypatch):
 def test_signal_model_is_built_once_per_weight_content(monkeypatch):
     builds = _counting_builds(monkeypatch)
     omega = normalize_weights(np.random.default_rng(4).uniform(0.05, 0.5, 64), 4).omega
-    first = harness.signal_distribution(WeightVector(omega.copy(), 4.0))
+    first = harness.signal_distribution(WeightVector(omega.copy()))
     # a distinct vector with equal omega shares the model
-    assert harness.signal_distribution(WeightVector.from_omega(omega.copy())) is first
+    assert harness.signal_distribution(WeightVector(omega.copy())) is first
     assert len(builds) == 1
     swapped = omega.copy()
     swapped[[0, 1]] = swapped[[1, 0]]
-    second = harness.signal_distribution(WeightVector.from_omega(swapped))
+    second = harness.signal_distribution(WeightVector(swapped))
     assert second is not first and len(builds) == 2
     assert np.array_equal(second.weights.omega, normalize_weights(swapped, 4).omega)
-    # another sparsity is another model
-    third = harness.signal_distribution(WeightVector(swapped, 5.0))
+    # another sum is another model
+    third = harness.signal_distribution(WeightVector(swapped * 1.25))
     assert third.sparsity == 5 and len(builds) == 3
 
 
@@ -576,7 +576,7 @@ def test_signal_model_arrays_refuse_writes():
     harness._signal_model.cache_clear()
     free = normalize_weights(np.random.default_rng(5).uniform(0.1, 0.9, 30), 3).omega
     omega = np.r_[1.0, 0.0, free]
-    dist = harness.signal_distribution(WeightVector.from_omega(omega))
+    dist = harness.signal_distribution(WeightVector(omega))
     for array in (dist.weights.omega, dist._forced, dist._free, dist._esp):
         assert len(array)
         with pytest.raises(ValueError, match="read-only"):
@@ -665,7 +665,7 @@ def _k32_config(kinds, trials, weights=None, measurement=Measurement.DFT1D):
             _k32_config(
                 ["adapted", "uniform"],
                 6,
-                WeightVector.from_omega(np.r_[np.full(16, 3 / 16), np.zeros(16)]),
+                WeightVector(np.r_[np.full(16, 3 / 16), np.zeros(16)]),
                 Measurement.IDENTITY,
             ),
             [4, 16, 20],
@@ -751,7 +751,7 @@ def test_experiments_and_transitions_only_reduce_the_trial_records(monkeypatch):
         + [record("adapted", 0.25, math.inf, True, True)] * 10
     )
     monkeypatch.setattr(harness, "_trials", trials)
-    weights = WeightVector.from_omega(np.r_[np.full(16, 3 / 16), np.zeros(16)])
+    weights = WeightVector(np.r_[np.full(16, 3 / 16), np.zeros(16)])
     cfg = _k32_config(["uniform", "adapted"], 10, weights, Measurement.IDENTITY)
     table = phase_transition(cfg, [8, 20], prune_target=0.8)
     assert table["uniform"] == [
@@ -794,7 +794,7 @@ def _equal_densities_config(kinds):
     # the same array, so paired kinds must give the same results
     return ExperimentConfig(
         spec=OperatorSpec(Measurement.HADAMARD2D, Sparsity.HAAR2D, 32, levels=1),
-        weights=WeightVector.from_omega(np.full(1024, 16 / 1024)),
+        weights=WeightVector(np.full(1024, 16 / 1024)),
         density_kinds=kinds,
         trials=3,
         master_seed=0,
@@ -940,11 +940,22 @@ def test_library_counts_of_the_wrong_type_raise_their_class(call, error):
         (lambda: normalize_weights(np.full(8, 0.5), "3"), InvalidWeights),
         (lambda: scale_profile_weights(8, 1, 0.9, 0.5, s_target="3"), InvalidWeights),
         (lambda: normalize_weights(["0.5", "0.5"], 1), InvalidWeights),
-        (lambda: WeightVector.from_omega(["a", 0.5]), InvalidWeights),
-        (lambda: WeightVector.from_omega(np.array([0.5j, 0.5])), InvalidWeights),
+        (lambda: WeightVector(["a", 0.5]), InvalidWeights),
+        (lambda: WeightVector(np.array([0.5j, 0.5])), InvalidWeights),
+        (
+            lambda: adapted_isolated(
+                OperatorSpec("hadamard2d", "haar2d", 4, levels=1), WeightVector(np.full(16, 2.0))
+            ),
+            InvalidWeights,
+        ),
+        (lambda: WeightVector(np.array([0.5, np.nan])), InvalidWeights),
+        (lambda: WeightVector(np.array([0.5, -1.0])), InvalidWeights),
+        (lambda: WeightVector(np.full((2, 2), 0.5)), InvalidWeights),
+        (lambda: WeightVector(np.array([])), InvalidWeights),
         (lambda: psnr(np.array([1.0, math.inf]), np.zeros(2)), DimensionMismatch),
         (lambda: psnr(np.array([]), np.array([])), DimensionMismatch),
         (lambda: Density(np.full((2, 2), 0.25), 1.0), InvalidSpec),
+        (lambda: Density([0.5, 0.5, -1e-16], 1.0), InvalidSpec),
         (lambda: Density(["a", "b"], 1.0), InvalidSpec),
         (lambda: Density(np.array([0.5 + 0.5j, 0.5]), 1.0), InvalidSpec),
         (lambda: Density([0.5, 0.5], "x"), InvalidSpec),
@@ -970,8 +981,9 @@ def test_library_counts_of_the_wrong_type_raise_their_class(call, error):
         "config-spec-string", "config-weights-array", "config-solver-dict", "config-solver-none",
         "config-descriptor-none",
         "threshold-string", "threshold-none", "target-string", "profile-target-string",
-        "normalize-omega-strings", "omega-string", "omega-complex",
-        "psnr-reference-inf", "psnr-empty", "density-2d",
+        "normalize-omega-strings", "omega-string", "omega-complex", "omega-above-one",
+        "omega-nan", "omega-negative", "omega-2d", "omega-empty",
+        "psnr-reference-inf", "psnr-empty", "density-2d", "density-negative",
         "density-strings", "density-complex", "normalizer-string", "normalizer-inf",
         "normalizer-zero",
         "mask-float-indices", "mask-zero-multiplicity", "mask-fractional-multiplicity",
@@ -1001,7 +1013,10 @@ def test_library_inputs_end_in_their_error_class(call, error):
     # built all 2^22 weights.  A config took a spec, weights, solver or
     # weight descriptor of any type: a string spec or array weights ended in
     # an AttributeError, a dict solver in one inside solve_bp, and a None
-    # solver or descriptor ran every solve before a TypeError in describe()
+    # solver or descriptor ran every solve before a TypeError in describe().
+    # Weights built with an explicit sum skipped every omega check (entries
+    # of 2 gave an adapted density with normalizer 32), and a density entry
+    # of -1e-16 passed its check, to be refused later by draw_mask alone
     with pytest.raises(error):
         call()
 
@@ -1014,7 +1029,7 @@ def test_diagnostics_tail_counts_exact_ties():
     # trial is a hit unless row 0 is drawn exactly twice.
     spec = OperatorSpec(Measurement.IDENTITY, Sparsity.IDENTITY, 4)
     dens = Density(np.array([0.5, 0.5, 0.0, 0.0]), 1.0)
-    wv = WeightVector.from_omega(np.array([1.0, 0.0, 0.0, 0.0]))
+    wv = WeightVector(np.array([1.0, 0.0, 0.0, 0.0]))
     d = diagnostics(spec, BlockPartition.singletons(4), dens, wv, m=4, trials=20, seed=0)
     mask_rng = np.random.default_rng(np.random.SeedSequence(0).spawn(2)[1])  # the mask stream
     mult = []

@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 import subprocess
@@ -803,12 +804,24 @@ def test_cli_diagnose_budget_beyond_k_is_one_error_line(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # the runtime needs numpy only; a fresh interpreter sees every import
+    # the runtime needs numpy only; a fresh interpreter sees every import.
+    # Loading every committed config, as a benchmark set-up does, loads
+    # neither numpy.random (about 11 ms and a few MB) nor numpy.ma
     import avds
 
     path = [os.path.dirname(os.path.dirname(avds.__file__)), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = "import sys, avds.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))"
+    configs = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
+    assert len(configs) >= 10
+    code = f"""
+import os, sys, avds.cli
+for path in {configs!r}:
+    if os.path.basename(path).startswith("diagnose_"):
+        avds.cli._diagnose_config(path)
+    else:
+        avds.cli.load_experiment_config(path)
+print(sorted(set(sys.modules) & {{"scipy", "numpy.random", "numpy.ma"}}))
+"""
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

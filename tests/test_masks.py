@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,9 +13,9 @@ from avds.errors import (
     DimensionMismatch,
     InfeasibleBudget,
     InvalidPartition,
-    UnnormalizedDensity,
 )
 from avds.masks import DISTINCT, IID, Mask, draw_mask, expand_blocks
+from avds.support_model import WeightVector
 from avds.transforms import MAX_DIM, Measurement, OperatorSpec, Sparsity, rows_batch
 
 
@@ -103,11 +104,21 @@ def test_iid_budget_at_the_bound_draws():
     assert mask.multiplicities.sum() == MAX_DIM
 
 
-def test_unnormalized_density_rejected():
-    dens = uniform_density(2)
-    dens.pi = np.array([0.5, 0.4])  # corrupt after construction
-    with pytest.raises(UnnormalizedDensity):
-        draw_mask(dens, 1, mode=IID, seed=0)
+def test_density_and_weights_cannot_change_after_their_checks():
+    # draw_mask and the density builders trust these values unchecked
+    pi, omega = np.array([0.5, 0.5]), np.array([0.5, 0.25])
+    dens, wv = Density(pi, 2.0), WeightVector(omega)
+    for value, name, array in ((dens, "pi", pi), (wv, "omega", omega)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, np.array([0.5, 0.4]))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(value, name)[0] = 0.4
+        # the caller's array is copied, not frozen
+        array[0] = 0.0
+        assert getattr(value, name)[0] == 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        wv.sparsity = 2.0
+    assert wv.sparsity == 0.75
 
 
 def test_expand_blocks_singletons_identity():

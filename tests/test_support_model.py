@@ -46,7 +46,7 @@ def enumerated_probs(omega, s):
 
 
 def test_support_prob_k3_example():
-    dist = SupportDistribution(WeightVector.from_omega([0.5, 0.3, 0.2]))
+    dist = SupportDistribution(WeightVector([0.5, 0.3, 0.2]))
     assert np.isclose(support_prob(dist, [0]), 0.28 / 0.47, atol=1e-12)
     assert np.isclose(support_prob(dist, [1]), 0.12 / 0.47, atol=1e-12)
     assert np.isclose(support_prob(dist, [2]), 0.07 / 0.47, atol=1e-12)
@@ -69,12 +69,12 @@ def test_support_prob_matches_enumeration_and_sums_to_one():
 
 
 def test_support_prob_wrong_size_is_zero():
-    dist = SupportDistribution(WeightVector.from_omega([0.5, 0.3, 0.2]))
+    dist = SupportDistribution(WeightVector([0.5, 0.3, 0.2]))
     assert support_prob(dist, [0, 1]) == 0.0
 
 
 def test_support_prob_zero_and_one_weights():
-    wv = WeightVector.from_omega([1.0, 0.0, 0.6, 0.4])
+    wv = WeightVector([1.0, 0.0, 0.6, 0.4])
     dist = SupportDistribution(wv)
     # supports excluding the forced index have probability zero
     assert support_prob(dist, [2, 3]) == 0.0
@@ -101,7 +101,7 @@ def test_sequential_path_reproduces_support_prob():
 
 
 def test_degenerate_indicator_weights():
-    wv = WeightVector.from_omega([1.0, 0.0, 1.0, 0.0])
+    wv = WeightVector([1.0, 0.0, 1.0, 0.0])
     dist = SupportDistribution(wv)
     for method in ("exact", "rejection"):
         sup = np.flatnonzero(SAMPLERS[method](dist, 1, seed=1)[0])
@@ -140,7 +140,7 @@ def test_sampler_matches_distribution(method):
 def test_generator_seeded_draws_continue_one_stream(omega):
     # draws from one generator read its uniforms in order, so 10 then 15
     # supports are the 25 of one call from the same seed
-    dist = SupportDistribution(WeightVector.from_omega(omega))
+    dist = SupportDistribution(WeightVector(omega))
     rng = np.random.default_rng(8)
     got = np.concatenate([sample_supports(dist, n, seed=rng) for n in (10, 15)])
     assert got.shape == (25, omega.size)
@@ -148,7 +148,7 @@ def test_generator_seeded_draws_continue_one_stream(omega):
 
 
 def test_zero_supports_have_zero_rows():
-    dist = SupportDistribution(WeightVector.from_omega(np.r_[1.0, np.full(6, 0.5)]))
+    dist = SupportDistribution(WeightVector(np.r_[1.0, np.full(6, 0.5)]))
     assert sample_supports(dist, 0, seed=1).shape == (0, 7)
     assert sample_supports(dist, 0, seed=np.random.default_rng(1)).shape == (0, 7)
 
@@ -178,7 +178,7 @@ def _reference_draws(dist, table, u):
 
 
 def _assert_matches_reference(omega, seed, n):
-    dist = SupportDistribution(WeightVector.from_omega(omega))
+    dist = SupportDistribution(WeightVector(omega))
     table = reference_support._log_suffix_esp(reference_support.free_log_odds(dist), dist._r)
     assert np.array_equal(dist._esp, table)
     # the sampler's premise: no column increases down the table
@@ -222,7 +222,7 @@ def _support_codes(masks):
     ],
 )
 def test_inverse_cdf_law_matches_sequential_scheme_and_closed_form(omega):
-    dist = SupportDistribution(WeightVector.from_omega(omega))
+    dist = SupportDistribution(WeightVector(omega))
     codes, probs = [], []
     for sup in itertools.combinations(range(dist.dim), dist.sparsity):
         p = support_prob(dist, list(sup))
@@ -252,7 +252,7 @@ def test_inverse_cdf_law_matches_sequential_scheme_and_closed_form(omega):
 def test_inverse_cdf_edge_uniforms():
     omega = normalize_weights(np.r_[0.3, 0.6, 0.45, 0.5, 0.7, 0.35, 0.55, 0.4], 4).omega
     omega = np.r_[1.0, 0.0, omega]  # a forced and an impossible index first
-    dist = SupportDistribution(WeightVector.from_omega(omega))
+    dist = SupportDistribution(WeightVector(omega))
     free, r = dist._free, dist._r
     # u = 0 takes the last feasible index in every round: the last r free ones
     got = support_model._inverse_cdf_supports(dist, np.zeros((2, r)))
@@ -266,7 +266,7 @@ def test_inverse_cdf_edge_uniforms():
 
 
 def test_all_forced_model_draws_its_forced_indices():
-    dist = SupportDistribution(WeightVector.from_omega([1.0, 0.0, 1.0, 1.0, 0.0]))
+    dist = SupportDistribution(WeightVector([1.0, 0.0, 1.0, 1.0, 0.0]))
     assert dist._r == 0
     got = sample_supports(dist, 3, seed=4)
     assert np.array_equal(got, np.tile([True, False, True, True, False], (3, 1)))
@@ -292,7 +292,7 @@ def test_samplers_agree_with_each_other():
 
 
 def test_draw_signal_properties():
-    wv = WeightVector.from_omega([1.0, 1.0, 0.0, 0.0])
+    wv = WeightVector([1.0, 1.0, 0.0, 0.0])
     dist = SupportDistribution(wv)
     values = draw_signals(dist, 1, seed=5)[0]
     support = np.flatnonzero(values)
@@ -333,7 +333,7 @@ def test_estimate_weights_recovers_planted_frequencies():
     rng = np.random.default_rng(11)
     k, n = 64, 100
     omega_true = normalize_weights(rng.uniform(0.05, 0.6, k), 8).omega
-    dist = SupportDistribution(WeightVector(omega_true, 8.0))
+    dist = SupportDistribution(WeightVector(omega_true))
     masks = sample_supports(dist, n, seed=42)
     corpus = masks * rng.uniform(0.5, 1.0, size=masks.shape)
     wv = estimate_weights(corpus, threshold=0.1)
@@ -474,14 +474,14 @@ def test_normalize_weights_survives_a_sum_that_overflows():
 
 def test_distribution_requires_integer_sum():
     with pytest.raises(InvalidWeights):
-        SupportDistribution(WeightVector.from_omega([0.4, 0.3]))
+        SupportDistribution(WeightVector([0.4, 0.3]))
 
 
 def test_distribution_refuses_an_oversized_table_before_allocating():
     # uniform weights at K = 2^16, S = 2^12: a 65537 x 4097 table, 2.1 GB
     k, s = 1 << 16, 1 << 12
     assert (k + 1) * (s + 1) > MAX_ESP_ENTRIES
-    weights = WeightVector.from_omega(np.full(k, s / k))
+    weights = WeightVector(np.full(k, s / k))
     tracemalloc.start()
     try:
         with pytest.raises(InvalidWeights, match="table"):
@@ -494,21 +494,21 @@ def test_distribution_refuses_an_oversized_table_before_allocating():
 
 @pytest.mark.parametrize("seed", [-1, np.int64(-5)], ids=["int", "numpy"])
 def test_sample_supports_negative_seed_is_a_config_error(seed):
-    dist = SupportDistribution(WeightVector.from_omega(np.full(8, 0.25)))
+    dist = SupportDistribution(WeightVector(np.full(8, 0.25)))
     with pytest.raises(ConfigError, match="seed"):
         sample_supports(dist, 2, seed=seed)
 
 
 @pytest.mark.parametrize("seed", [-1, np.int64(-5)], ids=["int", "numpy"])
 def test_draw_signals_negative_seed_is_a_config_error(seed):
-    dist = SupportDistribution(WeightVector.from_omega(np.full(8, 0.25)))
+    dist = SupportDistribution(WeightVector(np.full(8, 0.25)))
     with pytest.raises(ConfigError, match="seed"):
         draw_signals(dist, 2, seed=seed)
 
 
 @pytest.mark.parametrize("n", [-1, 2.5, True, "2", None])
 def test_support_count_must_be_a_non_negative_integer(n):
-    dist = SupportDistribution(WeightVector.from_omega(np.full(6, 0.5)))
+    dist = SupportDistribution(WeightVector(np.full(6, 0.5)))
     with pytest.raises(ConfigError):
         sample_supports(dist, n, seed=1)
     with pytest.raises(ConfigError):
@@ -516,7 +516,7 @@ def test_support_count_must_be_a_non_negative_integer(n):
 
 
 def test_support_count_accepts_numpy_integers():
-    dist = SupportDistribution(WeightVector.from_omega(np.full(6, 0.5)))
+    dist = SupportDistribution(WeightVector(np.full(6, 0.5)))
     want = sample_supports(dist, 4, seed=1)
     assert np.array_equal(sample_supports(dist, np.int64(4), seed=1), want)
 
