@@ -33,18 +33,20 @@ turn:
   largest entry on the positive-weight coefficients is its largest
   diagonal entry there: the sup term is the block's largest column energy.
 
-`_norm_terms` keeps its last two results, keyed by content (the spec, the
-partition's table and sizes, the weights' bytes and whether Gram terms are
-asked for), and hands out copies.  So a run's density, the thresholds of
-`harness.diagnostics` and every budget of `avds diagnose` share one build,
-and an experiment's adapted and coherence densities keep one each.  On
-isolated rows an entry's key and terms take 40 bytes per row, 160 kB at
-K = 4096.
+`_norm_terms` is an `lru_cache` of its last two results, read-only, and
+`block_norm_terms` hands out copies.  Its key is the spec, the partition,
+the weights and whether Gram terms are asked for, and partitions and
+weights compare by content (the table's shape and bytes, omega's bytes).
+So a run's density, the thresholds of `harness.diagnostics` and every
+budget of `avds diagnose` share one build, and an experiment's adapted and
+coherence densities keep one each.  On isolated rows an entry's key and
+terms take 40 bytes per row, 160 kB at K = 4096.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,6 +102,7 @@ class Density:
         return int(self.pi.size)
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class BlockPartition:
     """Disjoint cover of {0..K-1} by measurement blocks.
 
@@ -107,8 +110,16 @@ class BlockPartition:
     holding one equal-sized block per row.  Either is stored one way:
     `table`, whose row k holds block k's indices and is padded with K after
     its `sizes[k]` entries, so `table[table < K]` lists the blocks one after
-    another.
+    another.  Checked once, here, and frozen: no attribute can be rebound,
+    and `table` and `sizes` are read-only.  Two partitions are equal, and
+    hash alike, when their tables have one shape and the same bytes; the
+    `kind` label takes no part.
     """
+
+    table: np.ndarray
+    sizes: np.ndarray
+    dim: int
+    kind: str
 
     def __init__(self, blocks, kind: str):
         if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
@@ -136,9 +147,19 @@ class BlockPartition:
         width = int(sizes.max())
         if sizes.size * width > MAX_DIM:  # the table is bounded as every K-vector is
             raise InvalidPartition(f"blocks padded to {width} rows exceed {MAX_DIM} table entries")
-        self.table = np.full((sizes.size, width), k)
-        self.table[np.arange(width) < sizes[:, None]] = rows
-        self.sizes, self.dim, self.kind = sizes, k, kind
+        table = np.full((sizes.size, width), k)
+        table[np.arange(width) < sizes[:, None]] = rows
+        table.flags.writeable = sizes.flags.writeable = False
+        vars(self).update(table=table, sizes=sizes, dim=k, kind=kind)  # past the frozen __setattr__
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BlockPartition) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.table.shape, self.table.tobytes()
 
     @property
     def m(self) -> int:
@@ -262,36 +283,19 @@ def block_norm_terms(spec: OperatorSpec, partition: BlockPartition, weights: Wei
     The sup term runs over the positive-weight coefficients only; each
     block takes its terms from the sources in the module notes.
     """
-    return tuple(_norm_terms(spec, partition, weights, gram=True))
+    return tuple(_norm_terms(spec, partition, weights, gram=True).copy())
 
 
-# content key -> terms of the last two `_norm_terms` results, oldest first
-_TERMS_MEMO: dict = {}
-
-
+@lru_cache(maxsize=2)
 def _norm_terms(spec: OperatorSpec, partition: BlockPartition, weights: WeightVector, gram: bool):
     """terms[0] the Gram terms (NaN unless `gram`) and terms[1] the sup terms, per block.
 
-    The last two results are kept, keyed by the content they depend on, and
-    handed out as copies.
+    Each block's terms come from the sources in the module notes.  The last
+    two results are kept, keyed by content, and are read-only.
     """
     if partition.dim != spec.dim:
         raise InvalidPartition("partition does not match the operator dimension")
-    table, omega = partition.table, weights.omega
-    key = (spec, table.shape, table.tobytes(), partition.sizes.tobytes(), omega.tobytes(), gram)
-    terms = _TERMS_MEMO.pop(key, None)
-    if terms is None:
-        terms = _build_terms(spec, partition, weights, gram)
-    _TERMS_MEMO[key] = terms
-    if len(_TERMS_MEMO) > 2:
-        del _TERMS_MEMO[next(iter(_TERMS_MEMO))]
-    return terms.copy()
-
-
-def _build_terms(spec: OperatorSpec, partition: BlockPartition, weights: WeightVector, gram: bool):
-    """`_norm_terms` without the memo: each block's terms from the sources in the module notes."""
-    omega = weights.omega
-    positive = _positive(spec, omega)
+    positive = _positive(spec, weights.omega)
     terms = np.full((2, partition.m), np.nan)
     phi = separable_factor(spec)
     if phi is not None:
@@ -310,12 +314,13 @@ def _build_terms(spec: OperatorSpec, partition: BlockPartition, weights: WeightV
         terms[1] = np.where(np.isnan(terms[1]), sums.max(axis=0), terms[1])
         if gram:
             one_row = np.isnan(terms[0]) & (partition.sizes == 1)
-            row_gram = np.bincount(labels, weights=omega) @ energy
+            row_gram = np.bincount(labels, weights=weights.omega) @ energy
             terms[0, one_row] = row_gram[partition.table[one_row, 0]]
     rest = np.flatnonzero(np.isnan(terms[0 if gram else 1 :]).any(axis=0))
     if rest.size:
         dense = np.array(_dense_terms(spec, partition, rest, weights, gram))
         terms[:, rest] = np.where(np.isnan(terms[:, rest]), dense, terms[:, rest])
+    terms.flags.writeable = False
     return terms
 
 

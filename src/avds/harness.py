@@ -273,22 +273,14 @@ def build_density(kind: str, cfg: ExperimentConfig, weights: WeightVector) -> De
     return baseline_density(kind, cfg.spec, cfg.partition)
 
 
+@functools.lru_cache(maxsize=1)
 def signal_distribution(weights: WeightVector) -> SupportDistribution:
     """The rejective model of `weights` rescaled to an integer sum S >= 1.
 
-    One model serves every call with the same omega content and S: the last
-    one built is kept, with its arrays read-only.
+    One model serves every call with equal weights (`WeightVector` compares
+    by content): the last one built is kept, and it is frozen.
     """
-    s_int = max(1, int(round(weights.sparsity)))
-    return _signal_model(weights.omega.tobytes(), s_int)
-
-
-@functools.lru_cache(maxsize=1)
-def _signal_model(omega: bytes, s: int) -> SupportDistribution:
-    dist = SupportDistribution(normalize_weights(np.frombuffer(omega), s))
-    for array in (dist._forced, dist._free, dist._esp):  # its weights are read-only
-        array.flags.writeable = False
-    return dist
+    return SupportDistribution(normalize_weights(weights.omega, max(1, round(weights.sparsity))))
 
 
 def _setup(cfg: ExperimentConfig) -> tuple[dict, SupportDistribution]:
@@ -394,8 +386,9 @@ def diagnostics(
     reads the t-th row of R uniforms of the first, one per free pick
     (`sample_supports`), its mask the t-th row of m uniforms of the second
     (`masks._iid_draw`).  The block terms (`block_norm_terms`) and the
-    support model (`signal_distribution`) are memoised by content, so calls
-    at several budgets on one config build each once.
+    support model (`signal_distribution`) come from `lru_cache`s, whose
+    keys, the partition and the weights, compare by content, so calls at
+    several budgets on one config build each once.
     A stack of trials draws both as blocks and reads A0[:, I] by one
     `transforms.column_pairs` gather: row r is u[t, r // w] * v[t, r % w],
     and the padding index K of `BlockPartition.table` reads a zero row of u.

@@ -10,7 +10,9 @@ sampler never reads, is left to the test oracle
 (`estimate_weights`) or a profile, rescaled to an integer sum
 (`normalize_weights`); `sample_supports` and `draw_signals` then draw
 supports and signals from the model.  A `WeightVector` is checked once,
-when it is built, and cannot change after: every reader trusts it.
+when it is built, and cannot change after: every reader trusts it.  Two
+weight vectors are equal, and hash alike, when their omega bytes are, so
+the caches of `density` and `harness` key on them directly.
 """
 
 from __future__ import annotations
@@ -29,14 +31,15 @@ _SUM_TOL = 1e-6
 MAX_ESP_ENTRIES = 1 << 26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Per-coefficient inclusion weights omega in [0, 1], with S = sum(omega).
 
     Checked once, here: entries that are not real numbers, a vector that is
     not 1D and nonempty, or an entry outside [0, 1] (NaN included) is an
     InvalidWeights; entries within 1e-12 of the range are clipped into it.
-    `omega` is a read-only copy, and `sparsity` is its sum.
+    `omega` is a read-only copy, and `sparsity` is its sum.  Equality and
+    the hash read `omega.tobytes()`; any other type is unequal.
     """
 
     omega: np.ndarray
@@ -50,8 +53,7 @@ class WeightVector:
             raise InvalidWeights("omega entries must lie in [0, 1]")
         omega = np.clip(omega, 0.0, 1.0)  # a new array
         omega.flags.writeable = False
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "sparsity", float(omega.sum()))
+        vars(self).update(omega=omega, sparsity=float(omega.sum()))  # past the frozen __setattr__
 
     def matrix(self) -> np.ndarray:
         """Weight matrix W with vec(W) = omega (column-major)."""
@@ -62,6 +64,12 @@ class WeightVector:
 
     def __len__(self) -> int:
         return int(self.omega.size)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, WeightVector) and self.omega.tobytes() == other.omega.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.omega.tobytes())
 
 
 def flip(v: np.ndarray) -> np.ndarray:
@@ -154,12 +162,18 @@ def _log_suffix_esp(log_odds: np.ndarray, r_max: int) -> np.ndarray:
     return table
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SupportDistribution:
     """Rejective sampling model: the forced and free indices and the
-    log-ESP table of the free odds, all that the sampler reads."""
+    log-ESP table of the free odds, all that the sampler reads.
+
+    Checked and built once, here, and frozen: no attribute can be rebound
+    and every array is read-only, so a cached model cannot drift from its
+    weights.  Two models are equal only when they are the same object.
+    """
 
     weights: WeightVector
+    sparsity: int = field(init=False)
     _forced: np.ndarray = field(init=False, repr=False)
     _free: np.ndarray = field(init=False, repr=False)
     _esp: np.ndarray = field(init=False, repr=False)
@@ -174,24 +188,23 @@ class SupportDistribution:
             )
         if s_round > len(omega):
             raise InvalidWeights("sparsity exceeds dimension")
-        self._forced = np.flatnonzero(omega >= 1.0)
-        self._free = np.flatnonzero((omega > 0.0) & (omega < 1.0))
-        r = s_round - len(self._forced)
-        if r < 0 or r > len(self._free):
+        forced = np.flatnonzero(omega >= 1.0)
+        free = np.flatnonzero((omega > 0.0) & (omega < 1.0))
+        r = s_round - len(forced)
+        if r < 0 or r > len(free):
             raise InvalidWeights("weights cannot produce supports of size S")
-        if (len(self._free) + 1) * (r + 1) > MAX_ESP_ENTRIES:
+        if (len(free) + 1) * (r + 1) > MAX_ESP_ENTRIES:
             raise InvalidWeights(
-                f"the support model needs a {len(self._free) + 1} x {r + 1} table, "
+                f"the support model needs a {len(free) + 1} x {r + 1} table, "
                 f"more than {MAX_ESP_ENTRIES} entries"
             )
         with np.errstate(divide="ignore"):
-            w_free = omega[self._free]
+            w_free = omega[free]
             log_odds = np.log(w_free) - np.log1p(-w_free)
-        self._esp = _log_suffix_esp(log_odds, r)
-
-    @property
-    def sparsity(self) -> int:
-        return int(round(self.weights.sparsity))
+        esp = _log_suffix_esp(log_odds, r)
+        forced.flags.writeable = free.flags.writeable = esp.flags.writeable = False
+        # past the frozen __setattr__
+        vars(self).update(sparsity=s_round, _forced=forced, _free=free, _esp=esp)
 
     @property
     def dim(self) -> int:

@@ -422,13 +422,37 @@ def test_density_rejects_non_finite_entries(bad):
         Density(pi=np.array([0.5, bad, 0.5]), normalizer=1.0)
 
 
-def _counting_term_builds(monkeypatch):
-    """Count the block-term builds behind the memo, starting from an empty memo."""
-    builds = []
-    build = density._build_terms
-    monkeypatch.setattr(density, "_build_terms", lambda *args: builds.append(args) or build(*args))
-    density._TERMS_MEMO.clear()
-    return builds
+def _equality_cases():
+    omega = random_weights(16, 3, seed=8).omega
+    swapped = omega.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    part = BlockPartition.squares(8, 2)
+    one_row = BlockPartition.singletons(4)
+    return {
+        "equal omega": (WeightVector(omega), WeightVector(omega.copy()), True),
+        "swapped omega": (WeightVector(omega), WeightVector(swapped), False),
+        "relabelled": (part, BlockPartition(list(part.table), kind="another label"), True),
+        "other shape": (BlockPartition(np.arange(4).reshape(2, 2), "pairs"), one_row, False),
+        "weights, ndarray": (WeightVector(omega), omega, False),
+        "weights, tuple": (WeightVector(omega), tuple(omega), False),
+        "partition, ndarray": (one_row, one_row.table, False),
+        "partition, tuple": (one_row, (one_row.table.shape, one_row.table.tobytes()), False),
+    }
+
+
+@pytest.mark.parametrize("case", list(_equality_cases()))
+def test_weights_and_partitions_compare_by_content(case):
+    # the block-term and support-model memos key on these values
+    a, b, equal = _equality_cases()[case]
+    assert (a == b) is equal and (a != b) is (not equal)
+    if equal:
+        assert hash(a) == hash(b)
+
+
+def _counting_term_builds():
+    """Empty the block-term memo; the callable returned counts its builds (misses) since."""
+    density._norm_terms.cache_clear()
+    return lambda: density._norm_terms.cache_info().misses
 
 
 def _memo_case():
@@ -436,8 +460,8 @@ def _memo_case():
     return spec, BlockPartition.squares(16, 4), random_weights(256, 6, seed=3)
 
 
-def test_block_terms_memo_hits_on_equal_content(monkeypatch):
-    builds = _counting_term_builds(monkeypatch)
+def test_block_terms_memo_hits_on_equal_content():
+    builds = _counting_term_builds()
     spec, part, wv = _memo_case()
     first = block_norm_terms(spec, part, wv)
     # new objects of equal content: spec, partition (from a list) and weights
@@ -446,16 +470,16 @@ def test_block_terms_memo_hits_on_equal_content(monkeypatch):
         BlockPartition(list(part.table), kind="another label"),
         WeightVector(wv.omega.copy()),
     )
-    assert len(builds) == 1
+    assert builds() == 1
     for got, want in zip(again, first):
         assert np.array_equal(got, want)
     # the density and a second call share the build
     adapted_blocks(spec, part, wv)
-    assert len(builds) == 1
+    assert builds() == 1
 
 
-def test_block_terms_memo_misses_on_other_content(monkeypatch):
-    builds = _counting_term_builds(monkeypatch)
+def test_block_terms_memo_misses_on_other_content():
+    builds = _counting_term_builds()
     spec, part, wv = _memo_case()
     block_norm_terms(spec, part, wv)
     omega = wv.omega.copy()
@@ -463,16 +487,16 @@ def test_block_terms_memo_misses_on_other_content(monkeypatch):
     block_norm_terms(spec, part, WeightVector(omega))  # another omega
     block_norm_terms(spec, BlockPartition.squares(16, 2), wv)  # another partition
     density._norm_terms(spec, part, wv, gram=False)  # no Gram terms
-    assert len(builds) == 4
+    assert builds() == 4
     # the memo keeps the last two: the first content was dropped
     block_norm_terms(spec, BlockPartition.squares(16, 2), wv)
-    assert len(builds) == 4
+    assert builds() == 4
     block_norm_terms(spec, part, wv)
-    assert len(builds) == 5
+    assert builds() == 5
 
 
-def test_block_terms_memo_hands_out_copies(monkeypatch):
-    builds = _counting_term_builds(monkeypatch)
+def test_block_terms_memo_hands_out_copies():
+    builds = _counting_term_builds()
     spec, part, wv = _memo_case()
     gram, sup = block_norm_terms(spec, part, wv)
     want = gram.copy(), sup.copy()
@@ -480,4 +504,4 @@ def test_block_terms_memo_hands_out_copies(monkeypatch):
     sup[0] = np.nan
     for got, ref in zip(block_norm_terms(spec, part, wv), want):
         assert np.array_equal(got, ref)
-    assert len(builds) == 1
+    assert builds() == 1

@@ -103,7 +103,7 @@ def test_class_table_transforms_nothing(measurement, sparsity, monkeypatch):
         raise AssertionError("the class table ran a transform")
 
     monkeypatch.setattr(transforms, "_stages", no_transform)
-    density._TERMS_MEMO.clear()  # a kept result would skip the build under test
+    density._norm_terms.cache_clear()  # a kept result would skip the build under test
     for spec in _specs(measurement, sparsity):
         squares = BlockPartition.squares(spec.side, 2)
         assert len(adapted_isolated(spec, _weights(spec.dim, seed=spec.dim))) == spec.dim

@@ -551,11 +551,11 @@ def _counting_builds(monkeypatch):
         return support_model.SupportDistribution(weights)
 
     monkeypatch.setattr(harness, "SupportDistribution", build)
-    harness._signal_model.cache_clear()
+    harness.signal_distribution.cache_clear()
     return builds
 
 
-def test_signal_model_is_built_once_per_weight_content(monkeypatch):
+def test_signal_distribution_is_built_once_per_weight_content(monkeypatch):
     builds = _counting_builds(monkeypatch)
     omega = normalize_weights(np.random.default_rng(4).uniform(0.05, 0.5, 64), 4).omega
     first = harness.signal_distribution(WeightVector(omega.copy()))
@@ -572,8 +572,8 @@ def test_signal_model_is_built_once_per_weight_content(monkeypatch):
     assert third.sparsity == 5 and len(builds) == 3
 
 
-def test_signal_model_arrays_refuse_writes():
-    harness._signal_model.cache_clear()
+def test_signal_distribution_arrays_refuse_writes():
+    harness.signal_distribution.cache_clear()
     free = normalize_weights(np.random.default_rng(5).uniform(0.1, 0.9, 30), 3).omega
     omega = np.r_[1.0, 0.0, free]
     dist = harness.signal_distribution(WeightVector(omega))
@@ -596,7 +596,7 @@ def test_memo_cold_and_warm_give_equal_outputs(monkeypatch):
     dens = adapted_isolated(spec, wv)
     runs = []
     for _ in range(2):
-        harness._signal_model.cache_clear()
+        harness.signal_distribution.cache_clear()
         cold = diagnostics(spec, part, dens, wv, m=16, trials=20, seed=3)
         warm = diagnostics(spec, part, dens, wv, m=16, trials=20, seed=3)
         runs += [cold, warm]

@@ -784,15 +784,15 @@ def test_cli_diagnose_builds_its_block_terms_at_most_twice(monkeypatch, capsys):
     # from empty memos, once: the adapted density and the thresholds share
     # one build of the block terms, and the run one support model; the run
     # calls `diagnostics` once per budget, and the memos share the builds
-    terms = _counting(monkeypatch, density, "_build_terms")
     models = _counting(monkeypatch, harness, "SupportDistribution")
     calls = _counting(monkeypatch, harness, "diagnostics")
-    density._TERMS_MEMO.clear()
-    harness._signal_model.cache_clear()
+    density._norm_terms.cache_clear()
+    harness.signal_distribution.cache_clear()
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "diagnose_hadamard_haar.json")
     assert run_cli("diagnose", "--config", path) == 0
     assert len(json.loads(capsys.readouterr().out)) == 4
-    assert (len(calls), len(terms), len(models)) == (4, 1, 1)
+    terms = density._norm_terms.cache_info().misses
+    assert (len(calls), terms, len(models)) == (4, 1, 1)
 
 
 def test_cli_diagnose_budget_beyond_k_is_one_error_line(tmp_path, capsys):

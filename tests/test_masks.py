@@ -7,6 +7,7 @@ from reference_masks import draw_mask as reference_draw_mask
 from reference_masks import reference_expand_blocks
 from scipy import stats
 
+from avds import harness
 from avds.density import BlockPartition, Density
 from avds.errors import (
     ConfigError,
@@ -119,6 +120,24 @@ def test_density_and_weights_cannot_change_after_their_checks():
     with pytest.raises(dataclasses.FrozenInstanceError):
         wv.sparsity = 2.0
     assert wv.sparsity == 0.75
+    # a partition's blocks were checked to cover each row once
+    part = BlockPartition.singletons(4)
+    for name in ("table", "sizes", "dim", "kind"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(part, name, getattr(part, name))
+    for array in (part.table, part.sizes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 3
+    assert np.array_equal(part.table[:, 0], np.arange(4))
+    # the support model is kept for later calls with equal weights
+    harness.signal_distribution.cache_clear()
+    dist = harness.signal_distribution(WeightVector(np.full(64, 4 / 64)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dist.weights = WeightVector(np.full(64, 8 / 64))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dist.sparsity = 8
+    again = harness.signal_distribution(WeightVector(np.full(64, 4 / 64)))
+    assert again is dist and again.sparsity == 4 and again._esp.shape == (65, 5)
 
 
 def test_expand_blocks_singletons_identity():

@@ -69,8 +69,8 @@ def _argv(path: Path) -> list:
 
 def _cold_run(argv) -> str:
     """stdout of `avds.cli.main(argv)`, with the block-term and support-model memos cleared."""
-    density._TERMS_MEMO.clear()
-    harness._signal_model.cache_clear()
+    density._norm_terms.cache_clear()
+    harness.signal_distribution.cache_clear()
     return _run(argv)
 
 
